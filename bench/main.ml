@@ -142,6 +142,8 @@ let extension_tests =
              Dfg.Cyclic.min_cycle_period g ~time:(Fulib.Table.min_time tbl)));
       Test.make ~name:"beam-16"
         (Staged.stage (fun () -> Assign.Beam.solve g tbl ~deadline));
+      (* the row keeps its name for trajectory continuity; it lowers the
+         unshared style, one FU instance per operation *)
       Test.make ~name:"verilog-emit"
         (Staged.stage
            (let req =
@@ -150,7 +152,7 @@ let extension_tests =
                 | Some a -> (
                     match Sched.Min_resource.run g tbl a ~deadline with
                     | Some { Sched.Min_resource.schedule; _ } ->
-                        Rtl.Backend.request ~style:Rtl.Backend.Behavioral
+                        Rtl.Backend.request ~style:Rtl.Backend.Unshared
                           ~testbench_iterations:0 g tbl schedule
                     | None -> failwith "bench: scheduling failed")
                 | None -> failwith "bench: assignment failed")

@@ -286,7 +286,7 @@ let netlist_cmd =
 
 let compile_cmd =
   let outdir_arg =
-    let doc = "Output directory for report.txt, schedule.csv, datapath.v, graph.dot, frontier.csv." in
+    let doc = "Output directory for report.txt, schedule.csv, the .sv designs and testbenches, trace.vcd, schedule.svg, graph.dot, frontier.csv." in
     Arg.(value & opt string "hetsched_out" & info [ "output"; "o" ] ~doc)
   in
   let run name seed algo deadline file outdir =
@@ -303,7 +303,7 @@ let compile_cmd =
   in
   Cmd.v
     (Cmd.info "compile"
-       ~doc:"Full flow: synthesis + schedule + binding + Verilog into an output directory")
+       ~doc:"Full flow: synthesis + schedule + binding + shared and unshared SystemVerilog into an output directory")
     Term.(const run $ benchmark_opt_arg $ seed_arg $ algo_arg $ deadline_arg $ file_arg $ outdir_arg)
 
 (* Structural RTL: lower the solved schedule to shared-FU SystemVerilog
@@ -349,7 +349,7 @@ let rtl_cmd =
     with
     | None -> print_endline "infeasible: no assignment meets the deadline"; exit 1
     | Some r ->
-        let module_name = Rtl.Verilog.sanitize ("hetsched_" ^ Filename.basename label) in
+        let module_name = Rtl.Ident.sanitize ("hetsched_" ^ Filename.basename label) in
         let resp =
           Rtl.Backend.lower
             (Rtl.Backend.request ~style:Rtl.Backend.Structural ~width
@@ -375,9 +375,8 @@ let rtl_cmd =
         (match resp.Rtl.Backend.testbench_text with
         | Some tb -> write (module_name ^ "_tb.sv") tb
         | None -> ());
-        let nl = Option.get resp.Rtl.Backend.netlist in
         (match
-           Rtl.Sim.differential nl g ~iterations
+           Rtl.Sim.differential resp.Rtl.Backend.netlist g ~iterations
              ~input:Rtl.Backend.default_stimulus
          with
         | Ok () ->

@@ -58,45 +58,42 @@ let compile ?(algorithm = Core.Synthesis.Repeat) ?deadline g table ~outdir =
   | Some r ->
       mkdir_p outdir;
       let stimulus v i = ((v + 1) * 3) + (i land 7) in
-      let behavioral =
+      let lower style module_name ~vcd_iterations =
         Rtl.Backend.lower
-          (Rtl.Backend.request ~style:Rtl.Backend.Behavioral
-             ~module_name:"hetsched_datapath" ~testbench_iterations:4
-             ~vcd_iterations:2 ~stimulus g table r.Core.Synthesis.schedule)
+          (Rtl.Backend.request ~style ~module_name ~testbench_iterations:4
+             ~vcd_iterations ~stimulus g table r.Core.Synthesis.schedule)
       in
       let structural =
-        Rtl.Backend.lower
-          (Rtl.Backend.request ~style:Rtl.Backend.Structural
-             ~module_name:"hetsched_datapath" ~testbench_iterations:4
-             ~stimulus g table r.Core.Synthesis.schedule)
+        lower Rtl.Backend.Structural "hetsched_datapath" ~vcd_iterations:2
+      in
+      let unshared =
+        lower Rtl.Backend.Unshared "hetsched_datapath_unshared"
+          ~vcd_iterations:0
       in
       let registers =
         Sched.Registers.max_live g table r.Core.Synthesis.schedule
       in
       let file name = Filename.concat outdir name in
+      let write_opt name = Option.iter (write (file name)) in
+      let stats = structural.Rtl.Backend.stats in
       let report =
         Format.asprintf
-          "%a@.@.interconnect: %d muxes, %d total mux inputs@.structural: %a@."
+          "%a@.@.interconnect: %d muxes, %d total mux inputs@.structural: %a@.\
+           unshared: %a@."
           (Core.Synthesis.pp_result ~graph:g ~table)
-          r behavioral.Rtl.Backend.stats.Rtl.Netlist_ir.mux_count
-          behavioral.Rtl.Backend.stats.Rtl.Netlist_ir.mux_inputs
-          Rtl.Backend.pp_stats structural.Rtl.Backend.stats
+          r stats.Rtl.Netlist_ir.mux_count stats.Rtl.Netlist_ir.mux_inputs
+          Rtl.Backend.pp_stats stats Rtl.Backend.pp_stats
+          unshared.Rtl.Backend.stats
       in
       write (file "report.txt") report;
       write (file "schedule.csv") (schedule_csv g table r);
-      write (file "datapath.v") behavioral.Rtl.Backend.module_text;
       write (file "datapath.sv") structural.Rtl.Backend.module_text;
-      (match behavioral.Rtl.Backend.vcd_text with
-      | Some vcd -> write (file "trace.vcd") vcd
-      | None -> ());
+      write (file "datapath_unshared.sv") unshared.Rtl.Backend.module_text;
+      write_opt "trace.vcd" structural.Rtl.Backend.vcd_text;
       write (file "schedule.svg")
         (Rtl.Svg_gantt.render ~graph:g ~table r.Core.Synthesis.schedule);
-      (match behavioral.Rtl.Backend.testbench_text with
-      | Some tb -> write (file "datapath_tb.v") tb
-      | None -> ());
-      (match structural.Rtl.Backend.testbench_text with
-      | Some tb -> write (file "datapath_tb.sv") tb
-      | None -> ());
+      write_opt "datapath_tb.sv" structural.Rtl.Backend.testbench_text;
+      write_opt "datapath_unshared_tb.sv" unshared.Rtl.Backend.testbench_text;
       let label v =
         Fulib.Library.type_name (Fulib.Table.library table)
           r.Core.Synthesis.assignment.(v)
@@ -111,12 +108,13 @@ let compile ?(algorithm = Core.Synthesis.Repeat) ?deadline g table ~outdir =
           makespan = r.Core.Synthesis.makespan;
           config = r.Core.Synthesis.config;
           registers;
-          mux_inputs = behavioral.Rtl.Backend.stats.Rtl.Netlist_ir.mux_inputs;
+          mux_inputs = stats.Rtl.Netlist_ir.mux_inputs;
           files =
             List.map file
               [
-                "report.txt"; "schedule.csv"; "datapath.v"; "datapath.sv";
-                "datapath_tb.v"; "datapath_tb.sv"; "trace.vcd";
+                "report.txt"; "schedule.csv"; "datapath.sv";
+                "datapath_unshared.sv"; "datapath_tb.sv";
+                "datapath_unshared_tb.sv"; "trace.vcd";
                 "schedule.svg"; "graph.dot"; "frontier.csv";
               ];
         }

@@ -4,16 +4,20 @@
     output directory — the artefacts a user of an HLS tool expects:
 
     - [report.txt] — assignment, schedule, configuration, per-FU timelines,
-      register bound, interconnect statistics;
+      register bound, interconnect statistics of both designs;
     - [schedule.csv] — one row per operation (start, finish, FU, operands);
-    - [datapath.v] — behavioural Verilog of the bound datapath;
-    - [datapath.sv] — structural SystemVerilog: shared FU instances,
-      operand muxes, left-edge register file ({!Rtl.Backend}, style
-      [Structural]);
-    - [datapath_tb.v] / [datapath_tb.sv] — self-checking testbenches for
-      both (golden values from the {!Dfg.Interp} functional model);
-    - [trace.vcd] — a two-iteration waveform (step counter, per-FU busy
-      bits, per-operation activity) for any VCD viewer;
+    - [datapath.sv] — SystemVerilog of the shared machine: FU instances
+      under the left-edge binding, operand muxes, left-edge register file
+      ({!Rtl.Backend}, style [Structural]);
+    - [datapath_unshared.sv] — the same lowering with one FU instance per
+      operation (style [Unshared], module [hetsched_datapath_unshared], so
+      both designs compile in one simulator run);
+    - [datapath_tb.sv] / [datapath_unshared_tb.sv] — self-checking
+      testbenches for both (golden values from the {!Dfg.Interp}
+      functional model);
+    - [trace.vcd] — a two-iteration waveform of the shared machine (step
+      counter, per-FU busy bits, per-operation activity) for any VCD
+      viewer;
     - [schedule.svg] — a figure-quality Gantt chart of the bound schedule;
     - [graph.dot] — the DFG annotated with the chosen FU types;
     - [frontier.csv] — the cost/deadline staircase up to the chosen

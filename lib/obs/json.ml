@@ -122,9 +122,19 @@ let parse_exn s =
   in
   let hex4 () =
     if !pos + 4 > n then error "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let v = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d =
+        match s.[i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | c -> error "invalid hex digit %C in \\u escape" c
+      in
+      v := (!v lsl 4) lor d
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';
@@ -154,6 +164,8 @@ let parse_exn s =
                  then begin
                    pos := !pos + 2;
                    let low = hex4 () in
+                   if low < 0xDC00 || low > 0xDFFF then
+                     error "high surrogate not followed by a low surrogate";
                    0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
                  end
                  else code

@@ -1,7 +1,4 @@
-(* The facade owns the deprecated single-purpose emitters. *)
-[@@@ocaml.warning "-3"]
-
-type style = Behavioral | Structural
+type style = Unshared | Structural
 
 type request = {
   graph : Dfg.Graph.t;
@@ -43,113 +40,47 @@ type response = {
   module_text : string;
   testbench_text : string option;
   vcd_text : string option;
-  netlist : Netlist_ir.t option;
+  netlist : Netlist_ir.t;
   stats : Netlist_ir.stats;
   period : int;
   config : Sched.Config.t;
   unsupported : unsupported list;
 }
 
-let unsupported_of_graph g =
-  let n = Dfg.Graph.num_nodes g in
-  let acc = ref [] in
-  for v = n - 1 downto 0 do
-    let op = Dfg.Graph.op g v in
-    if Dfg.Graph.preds g v <> [] && not (Netlist_ir.supported_op op) then
-      acc := { node = v; op } :: !acc
-  done;
-  !acc
-
 let lower req =
   let { graph = g; table; schedule = s; _ } = req in
+  let binding =
+    match req.style with
+    | Structural -> Sched.Binding.bind table s
+    | Unshared -> Sched.Binding.unshared table s
+  in
+  let nl =
+    Netlist_ir.build ~module_name:req.module_name ~width:req.width ~binding g
+      table s
+  in
+  let testbench_text =
+    if req.testbench_iterations = 0 then None
+    else
+      Some
+        (Sv.emit_testbench nl g ~iterations:req.testbench_iterations
+           ~input:req.stimulus)
+  in
   let vcd_text =
     if req.vcd_iterations = 0 then None
-    else
-      let binding = Sched.Binding.bind table s in
-      let period = Sched.Schedule.length table s in
-      Some
-        (Vcd.trace ~iterations:req.vcd_iterations g table s binding ~period)
+    else Some (Vcd.trace ~iterations:req.vcd_iterations nl)
   in
-  let unsupported = unsupported_of_graph g in
-  match req.style with
-  | Structural ->
-      let nl =
-        Netlist_ir.build ~module_name:req.module_name ~width:req.width g
-          table s
-      in
-      let module_text = Sv.emit_module nl in
-      let testbench_text =
-        if req.testbench_iterations = 0 then None
-        else
-          Some
-            (Sv.emit_testbench nl g ~iterations:req.testbench_iterations
-               ~input:req.stimulus)
-      in
-      {
-        style = Structural;
-        module_text;
-        testbench_text;
-        vcd_text;
-        netlist = Some nl;
-        stats = Netlist_ir.stats nl;
-        period = nl.Netlist_ir.period;
-        config = nl.Netlist_ir.config;
-        unsupported;
-      }
-  | Behavioral ->
-      let dp = Datapath.build g table s in
-      let module_text =
-        Verilog.emit ~module_name:req.module_name ~width:req.width g table dp
-      in
-      let testbench_text =
-        if req.testbench_iterations = 0 then None
-        else
-          Some
-            (Testbench.emit ~module_name:req.module_name ~width:req.width g
-               table dp ~iterations:req.testbench_iterations
-               ~input:req.stimulus)
-      in
-      let ic = Datapath.interconnect dp in
-      let n = Dfg.Graph.num_nodes g in
-      let history_regs =
-        let max_delay = Array.make n 0 in
-        List.iter
-          (fun { Dfg.Graph.src; delay; _ } ->
-            if delay > max_delay.(src) then max_delay.(src) <- delay)
-          (Dfg.Graph.edges g);
-        Array.fold_left ( + ) 0 max_delay
-      in
-      let outputs =
-        Array.fold_left
-          (fun acc o -> if o.Datapath.is_output then acc + 1 else acc)
-          0 dp.Datapath.operations
-      in
-      let inputs =
-        Array.fold_left
-          (fun acc o -> if o.Datapath.is_input then acc + 1 else acc)
-          0 dp.Datapath.operations
-      in
-      {
-        style = Behavioral;
-        module_text;
-        testbench_text;
-        vcd_text;
-        netlist = None;
-        stats =
-          {
-            Netlist_ir.fu_instances = Sched.Config.total dp.Datapath.config;
-            registers = dp.Datapath.shared_registers;
-            out_hold_regs = 0;
-            history_regs;
-            mux_count = ic.Datapath.mux_count;
-            mux_inputs = ic.Datapath.mux_inputs;
-            wires = n + history_regs + inputs + outputs;
-            unsupported_ops = List.length unsupported;
-          };
-        period = dp.Datapath.period;
-        config = dp.Datapath.config;
-        unsupported;
-      }
+  {
+    style = req.style;
+    module_text = Sv.emit_module nl;
+    testbench_text;
+    vcd_text;
+    netlist = nl;
+    stats = Netlist_ir.stats nl;
+    period = nl.Netlist_ir.period;
+    config = nl.Netlist_ir.config;
+    unsupported =
+      List.map (fun (node, op) -> { node; op }) nl.Netlist_ir.unsupported;
+  }
 
 let pp_stats ppf (st : Netlist_ir.stats) =
   Format.fprintf ppf

@@ -4,26 +4,26 @@
     request/response style: everything the lowering needs is a field of
     the request (style, data width, module name, testbench/VCD iteration
     counts, stimulus), and everything it produces comes back in one
-    response (artifact texts, the netlist IR when structural,
-    interconnect statistics, and the structured [unsupported] report
-    that replaces {!Verilog}'s old silent [^] fallback — emission still
-    succeeds with the documented XOR placeholder, but the response says
-    so per node).
+    response (artifact texts, the netlist IR, interconnect statistics,
+    and the structured [unsupported] report — emission still succeeds
+    with the documented XOR placeholder, but the response says so per
+    node).
 
-    Styles:
-    - [Structural]: the resource-shared machine ({!Netlist_ir} +
-      {!Sv}): one submodule instance per bound FU, operand muxes, a
-      left-edge register file ([stats.registers = Sched.Registers.max_live]),
-      history registers for delay edges. Co-simulate with {!Sim}.
-    - [Behavioral]: the legacy one-register-per-operation module
-      ({!Verilog}), kept for waveform-friendly debugging; [stats.registers]
-      still reports the shared left-edge bound for comparison.
+    There is one lowering path: {!Netlist_ir.build}, then {!Sv} for the
+    module and testbench and {!Vcd} for the trace. The style only chooses
+    the FU binding, i.e. which end of the paper's Figure-3 trade-off the
+    hardware takes:
+    - [Structural]: the resource-shared machine under
+      {!Sched.Binding.bind} — one instance per FU the schedule needs at
+      its peak, with operand muxes in front of shared instances.
+    - [Unshared]: {!Sched.Binding.unshared} — one FU instance per
+      operation, so every instance fires once per period.
 
-    The free-standing entry points ({!Datapath.build}, {!Verilog.emit},
-    {!Testbench.emit}, {!Vcd.trace}) are deprecated shims retained for
-    source compatibility; this facade is their only in-tree caller. *)
+    Both share the left-edge register file
+    ([stats.registers = Sched.Registers.max_live]) and history registers
+    for delay edges, and both co-simulate with {!Sim}. *)
 
-type style = Behavioral | Structural
+type style = Unshared | Structural
 
 type request = private {
   graph : Dfg.Graph.t;
@@ -64,7 +64,7 @@ type response = {
   module_text : string;
   testbench_text : string option;
   vcd_text : string option;
-  netlist : Netlist_ir.t option;  (** [Some] iff structural *)
+  netlist : Netlist_ir.t;
   stats : Netlist_ir.stats;
   period : int;
   config : Sched.Config.t;

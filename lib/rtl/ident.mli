@@ -5,9 +5,8 @@
     ["a_b"] both sanitize to ["a_b"]). [unique] resolves collisions
     deterministically: the first occurrence keeps the sanitized base, a
     later clash gets the smallest [_2], [_3], ... suffix not itself
-    taken. Both emitters (behavioural and structural) derive their nets
-    through {!node_names}, so a module and its testbench always agree on
-    port names. *)
+    taken. {!Netlist_ir} derives its nets through {!node_names}, so a
+    module and its testbench always agree on port names. *)
 
 val sanitize : string -> string
 

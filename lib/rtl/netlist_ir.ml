@@ -51,10 +51,12 @@ let supported_op = function
   | "add" | "sub" | "mul" | "comp" -> true
   | _ -> false
 
-let build ?(module_name = "hetsched") ?(width = 16) g table s =
+let build ?(module_name = "hetsched") ?(width = 16) ?binding g table s =
   if width < 1 then invalid_arg "Netlist_ir.build: width < 1";
   let n = Dfg.Graph.num_nodes g in
-  let binding = Sched.Binding.bind table s in
+  let binding =
+    match binding with Some b -> b | None -> Sched.Binding.bind table s
+  in
   let config = binding.Sched.Binding.config in
   let period = Sched.Schedule.length table s in
   let start v = s.Sched.Schedule.start.(v) in

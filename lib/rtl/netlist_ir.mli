@@ -1,14 +1,17 @@
-(** Structural netlist IR: resource-shared hardware for a bound schedule.
+(** Netlist IR: the hardware for a bound schedule.
 
-    Where {!Datapath} (and the behavioural {!Verilog} emitter) give every
-    operation its own result register, this IR is the machine the paper's
-    Figure-3 trade-off actually describes: one module instance per FU the
-    binding uses, operand multiplexers in front of each FU port, a
-    register file sized and shared exactly by {!Sched.Registers.allocate}
-    (left-edge, [reg_count = max_live]), and the DFG's delay edges as
-    per-iteration history registers advanced at the period boundary. An
-    FSM (the modulo-period step counter) decodes per-step latch enables,
-    operand-mux selects, and register-file write strobes.
+    This is the one RTL representation; {!Sv} emits it, {!Sim} executes
+    it and {!Vcd} traces it. It is the machine the paper's Figure-3
+    trade-off describes: one module instance per FU the binding uses,
+    operand multiplexers in front of each FU port, a register file sized
+    and shared exactly by {!Sched.Registers.allocate} (left-edge,
+    [reg_count = max_live]), and the DFG's delay edges as per-iteration
+    history registers advanced at the period boundary. An FSM (the
+    modulo-period step counter) decodes per-step latch enables,
+    operand-mux selects, and register-file write strobes. The binding
+    decides how much is shared: {!Sched.Binding.bind} packs operations
+    onto as few instances as the schedule allows, while
+    {!Sched.Binding.unshared} gives each operation an instance of its own.
 
     Cycle contract (shared with {!Sim} and the {!Sv} emitter; everything
     is posedge flip-flops reading pre-edge state):
@@ -102,11 +105,13 @@ type t = {
 
 val supported_op : string -> bool
 
-(** [build ?module_name ?width g table s] lowers a valid schedule.
-    Raises [Invalid_argument] on [width < 1]. *)
+(** [build ?module_name ?width ?binding g table s] lowers a valid
+    schedule under [binding] (default {!Sched.Binding.bind}, which must be
+    valid for [s]). Raises [Invalid_argument] on [width < 1]. *)
 val build :
   ?module_name:string ->
   ?width:int ->
+  ?binding:Sched.Binding.t ->
   Dfg.Graph.t ->
   Fulib.Table.t ->
   Sched.Schedule.t ->

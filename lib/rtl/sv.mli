@@ -8,12 +8,12 @@
     instance's (op, arity) classes). Net names derive from {!Ident}, so
     they are collision-free and stable between module and testbench.
 
-    {!emit_testbench} renders the self-checking bench in the same
-    protocol as the behavioural {!Testbench}: drive inputs, run one
-    period per iteration, compare outputs against {!Dfg.Interp} masked to
-    the width, print [TESTBENCH PASSED] / [TESTBENCH FAILED: n errors],
-    and [$finish]. The same unsigned-compare caveat applies to [comp]
-    under stimulus that wraps the signed range. *)
+    {!emit_testbench} renders the self-checking bench: drive inputs, run
+    one period per iteration, compare outputs against {!Dfg.Interp}
+    masked to the width, print [TESTBENCH PASSED] /
+    [TESTBENCH FAILED: n errors], and [$finish]. Verilog compares are
+    unsigned, so [comp] can disagree with the interpreter's signed
+    compare under stimulus that wraps the signed range. *)
 
 val emit_module : Netlist_ir.t -> string
 

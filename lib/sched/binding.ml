@@ -42,6 +42,18 @@ let bind ?(pipelined = fun _ -> false) table s =
     by_start;
   { instance; config = used }
 
+let unshared table s =
+  let config = Array.make (Fulib.Table.num_types table) 0 in
+  let instance =
+    Array.map
+      (fun t ->
+        let i = config.(t) in
+        config.(t) <- i + 1;
+        i)
+      s.Schedule.assignment
+  in
+  { instance; config }
+
 let is_valid ?(pipelined = fun _ -> false) table s b =
   let n = Array.length s.Schedule.start in
   let ok = ref true in

@@ -18,6 +18,12 @@ type t = {
     the step after an operation issues, so in-flight operations overlap. *)
 val bind : ?pipelined:(int -> bool) -> Fulib.Table.t -> Schedule.t -> t
 
+(** [unshared table s] gives every operation its own instance: a node's
+    instance is its rank among the nodes of its type (in node order), and
+    [config] counts the nodes per type. Always valid, never shares; the
+    other end of the Figure-3 trade-off from {!bind}. *)
+val unshared : Fulib.Table.t -> Schedule.t -> t
+
 (** [is_valid ?pipelined table s b] checks no two nodes share an instance
     while both occupy it (full duration, or just the issue step for
     pipelined types). *)

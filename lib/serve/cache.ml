@@ -111,8 +111,9 @@ let clear t =
    solvers never observe (they sweep the cached smallest-ready-first
    topological orders) — is canonicalized away by sorting the edge set.
    Node ids are the instance's identity (responses are node-indexed
-   arrays), so node order is NOT canonicalized; names/ops are cosmetic and
-   excluded, as is [trace] which only toggles span emission. *)
+   arrays), so node order is NOT canonicalized; names/ops are cosmetic to
+   the solvers and excluded unless [rtl] lowers them into hardware; [trace]
+   only toggles span emission and is always excluded. *)
 let digest (req : Core.Synthesis.request) =
   let g = req.Core.Synthesis.graph and table = req.Core.Synthesis.table in
   let n = Dfg.Graph.num_nodes g in
@@ -196,8 +197,30 @@ let digest (req : Core.Synthesis.request) =
             ladder)
         levels);
   (* the rtl knob adds artifact digests and stats to the response, so a
-     lowered request must never collide with its plain twin *)
-  Buffer.add_string buf (if req.Core.Synthesis.rtl then ";R1" else ";R0");
+     lowered request must never collide with its plain twin; and the module
+     text (hence its digest and the unsupported list) depends on node ops,
+     node names and FU type names, so those join the key exactly when the
+     knob is on. Strings are length-prefixed, so no name can forge a
+     section boundary. *)
+  if req.Core.Synthesis.rtl then begin
+    Buffer.add_string buf ";R1";
+    let str s =
+      int (String.length s);
+      ch ':';
+      Buffer.add_string buf s
+    in
+    for v = 0 to n - 1 do
+      ch 'o';
+      str (Dfg.Graph.op g v);
+      str (Dfg.Graph.name g v)
+    done;
+    let lib = Fulib.Table.library table in
+    for t = 0 to k - 1 do
+      ch 'f';
+      str (Fulib.Library.type_name lib t)
+    done
+  end
+  else Buffer.add_string buf ";R0";
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* Shard selection: the digest's first two hex characters, i.e. its top

@@ -19,8 +19,11 @@
     what the solvers return: they sweep the canonical smallest-ready-first
     topological orders, not raw adjacency). Node ids are the instance's
     identity — responses index assignments and schedules by node id — so
-    node relabelings are deliberately {e not} canonicalized. Node and op
-    names are cosmetic and excluded.
+    node relabelings are deliberately {e not} canonicalized. Node names,
+    ops and FU type names are cosmetic to the solvers and excluded — except
+    under [rtl], where they shape the lowered module and its unsupported
+    list, so a lowered request's digest covers them too (a plain request's
+    digest bytes are unaffected).
 
     [trace] is excluded too: it only controls span emission, never the
     response.

@@ -172,6 +172,26 @@ let test_malformed_and_blank_lines () =
     (counter "serve.daemon.malformed");
   ignore (finish h)
 
+(* Regression: a line whose only content is a malformed \u escape used
+   to raise straight out of the JSON parser; it must get an error reply
+   like any malformed line, and the valid line after it is still served. *)
+let test_bad_unicode_escape_line () =
+  let h = start () in
+  send h ({|"\uZZZZ"|} ^ "\n" ^ request_line ~id:"u2" ~seed:21 ^ "\n");
+  (* a daemon killed by the parser would never answer: fail, don't hang *)
+  (match
+     Unix.select [ Unix.descr_of_in_channel h.from_daemon ] [] [] 30.0
+   with
+  | [], _, _ -> Alcotest.fail "no reply within 30 s"
+  | _ -> ());
+  let replies = recv_lines h 2 in
+  Alcotest.(check (list string))
+    "statuses" [ "error"; "ok" ]
+    (List.map status_of replies);
+  Alcotest.(check string) "valid line answered" "u2"
+    (id_of (List.nth replies 1));
+  Alcotest.(check int) "both lines answered" 2 (finish h)
+
 (* --- long lines through the windowed reader ------------------------------- *)
 
 (* Reader regression: one request line over a megabyte long, delivered
@@ -423,6 +443,8 @@ let () =
             test_malformed_and_blank_lines;
           Alcotest.test_case "megabyte line in 4 KiB fragments" `Quick
             test_long_line_roundtrip;
+          Alcotest.test_case "bad \\u escape line, then ok" `Quick
+            test_bad_unicode_escape_line;
         ] );
       ( "backpressure",
         [

@@ -131,6 +131,32 @@ let test_json_round_trip () =
     | String s -> s
     | _ -> Alcotest.fail "not a string")
 
+(* Regression: a malformed \u escape is an [Error] through the result API,
+   never an escaping exception; underscores and signs are not hex digits;
+   a high surrogate must pair with a low one. *)
+let test_json_bad_unicode_escapes () =
+  let rejects label doc =
+    match Obs.Json.parse doc with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted %s" label doc
+    | exception e ->
+        Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+  in
+  rejects "non-hex" {|"\uZZZZ"|};
+  rejects "one bad digit" {|"\u12G4"|};
+  rejects "underscore" {|"\u1_23"|};
+  rejects "sign" {|"\u+123"|};
+  rejects "truncated" {|"\u12"|};
+  rejects "high surrogate then non-low" {|"\uD83D\u0041"|};
+  rejects "high surrogate then bad digits" {|"\uD83D\uZZZZ"|};
+  let decodes label doc want =
+    match Obs.Json.parse doc with
+    | Ok (Obs.Json.String got) -> Alcotest.(check string) label want got
+    | _ -> Alcotest.failf "%s: %s did not decode" label doc
+  in
+  decodes "upper-case hex" {|"\u00E9"|} "\xc3\xa9";
+  decodes "surrogate pair" {|"\uD83D\uDE00"|} "\xf0\x9f\x98\x80"
+
 let test_trace_round_trip () =
   fresh ();
   with_tracing true (fun () ->
@@ -370,6 +396,7 @@ let () =
         [
           quick "document round trip" test_json_round_trip;
           quick "trace round trip" test_trace_round_trip;
+          quick "bad \\u escapes are errors" test_json_bad_unicode_escapes;
         ] );
       ( "parity",
         [ quick "1 vs 2 domains" test_counter_parity_across_domains ] );

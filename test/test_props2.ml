@@ -229,7 +229,7 @@ let testbench_embeds_interp_values =
       let input v i = ((v * 5) + i) land 15 in
       let resp =
         Rtl.Backend.lower
-          (Rtl.Backend.request ~style:Rtl.Backend.Behavioral
+          (Rtl.Backend.request ~style:Rtl.Backend.Unshared
              ~testbench_iterations:3 ~stimulus:input g tbl s)
       in
       let tb = Option.get resp.Rtl.Backend.testbench_text in

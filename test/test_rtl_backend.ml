@@ -1,6 +1,6 @@
-(* The structural RTL backend: netlist lowering invariants, the OCaml
-   co-simulation differential against the functional model (random DAGs
-   with delay edges, plus all six paper benchmarks), SystemVerilog
+(* The RTL backend: netlist lowering invariants, the OCaml co-simulation
+   differential against the functional model under both bindings (random
+   DAGs with delay edges, plus all six paper benchmarks), SystemVerilog
    emission sanity, identifier uniquification, and unsupported-op
    reporting through the facade. *)
 
@@ -58,11 +58,28 @@ let stimulus v i = (((v + 2) * 5) + (i * 3)) land 255
 
 (* --- co-simulation ------------------------------------------------------ *)
 
+(* Both styles go through the one lowering; the style only picks the
+   binding, so every co-simulation check runs over both. *)
+let styles =
+  [ ("structural", Rtl.Backend.Structural); ("unshared", Rtl.Backend.Unshared) ]
+
+let lower ?(width = 16) ?(testbench_iterations = 0) style g tbl s =
+  Rtl.Backend.lower
+    (Rtl.Backend.request ~style ~width ~testbench_iterations ~stimulus g tbl s)
+
+let differential_all_styles ?width ~iterations g tbl s =
+  List.fold_left
+    (fun acc (name, style) ->
+      Result.bind acc (fun () ->
+          let nl = (lower ?width style g tbl s).Rtl.Backend.netlist in
+          Result.map_error (( ^ ) (name ^ ": "))
+            (Rtl.Sim.differential nl g ~iterations ~input:stimulus)))
+    (Ok ()) styles
+
 let sim_matches_interp =
   of_seed (fun seed ->
       let _, g, tbl, s = scheduled_instance seed in
-      let nl = Rtl.Netlist_ir.build ~width:16 g tbl s in
-      match Rtl.Sim.differential nl g ~iterations:6 ~input:stimulus with
+      match differential_all_styles ~width:16 ~iterations:6 g tbl s with
       | Ok () -> true
       | Error e -> QCheck.Test.fail_report e)
 
@@ -72,8 +89,7 @@ let sim_matches_interp =
 let sim_matches_interp_narrow =
   of_seed (fun seed ->
       let _, g, tbl, s = scheduled_instance seed in
-      let nl = Rtl.Netlist_ir.build ~width:4 g tbl s in
-      match Rtl.Sim.differential nl g ~iterations:5 ~input:stimulus with
+      match differential_all_styles ~width:4 ~iterations:5 g tbl s with
       | Ok () -> true
       | Error e -> QCheck.Test.fail_report e)
 
@@ -91,8 +107,10 @@ let test_benchmark_differentials () =
       with
       | None -> Alcotest.failf "%s: synthesis failed" name
       | Some r -> (
-          let nl = Rtl.Netlist_ir.build g tbl r.Core.Synthesis.schedule in
-          match Rtl.Sim.differential nl g ~iterations:4 ~input:stimulus with
+          match
+            differential_all_styles ~iterations:4 g tbl
+              r.Core.Synthesis.schedule
+          with
           | Ok () -> ()
           | Error e -> Alcotest.failf "%s: %s" name e))
     (Workloads.Filters.all ())
@@ -130,12 +148,24 @@ let activations_disjoint =
                acts)
         nl.Rtl.Netlist_ir.fus)
 
+(* the other end of the trade-off: one instance per operation, each
+   firing once per period, never fewer instances than the shared machine *)
+let unshared_instances =
+  of_seed (fun seed ->
+      let _, g, tbl, s = scheduled_instance seed in
+      let unshared = lower Rtl.Backend.Unshared g tbl s in
+      let shared = lower Rtl.Backend.Structural g tbl s in
+      Array.for_all
+        (fun fu -> Array.length fu.Rtl.Netlist_ir.activations <= 1)
+        unshared.Rtl.Backend.netlist.Rtl.Netlist_ir.fus
+      && unshared.Rtl.Backend.stats.Rtl.Netlist_ir.fu_instances
+         >= shared.Rtl.Backend.stats.Rtl.Netlist_ir.fu_instances)
+
 let structural_emission =
   of_seed (fun seed ->
       let _, g, tbl, s = scheduled_instance seed in
       let resp =
-        Rtl.Backend.lower
-          (Rtl.Backend.request ~testbench_iterations:3 ~stimulus g tbl s)
+        lower ~testbench_iterations:3 Rtl.Backend.Structural g tbl s
       in
       let sv = resp.Rtl.Backend.module_text in
       let st = resp.Rtl.Backend.stats in
@@ -146,7 +176,7 @@ let structural_emission =
       && (match resp.Rtl.Backend.testbench_text with
          | Some tb -> contains tb "TESTBENCH PASSED" && contains tb "$finish"
          | None -> false)
-      && resp.Rtl.Backend.netlist <> None)
+      && Rtl.Netlist_ir.stats resp.Rtl.Backend.netlist = st)
 
 (* --- identifiers -------------------------------------------------------- *)
 
@@ -181,7 +211,7 @@ let test_emitters_use_unique_names () =
     Alcotest.(check bool) "first name keeps base" true (contains v "a_b");
     Alcotest.(check bool) "second gets suffix" true (contains v "a_b_2")
   in
-  check_style Rtl.Backend.Behavioral;
+  check_style Rtl.Backend.Unshared;
   check_style Rtl.Backend.Structural
 
 (* --- unsupported ops ---------------------------------------------------- *)
@@ -233,6 +263,8 @@ let () =
             fu_and_register_sharing;
           prop "per-instance activations disjoint" 150 activations_disjoint;
           prop "structural SV emission well-formed" 60 structural_emission;
+          prop "unshared: one activation per instance" 150
+            unshared_instances;
         ] );
       ( "identifiers",
         [

@@ -1,6 +1,7 @@
-(* Tests for the RTL back end (behavioural style through the Rtl.Backend
-   facade) and the end-to-end compilation flow. The structural style and
-   the co-simulation differential live in test_rtl_backend.ml. *)
+(* Tests for the RTL back end through the Rtl.Backend facade (both
+   bindings, the VCD trace and the testbench) and the end-to-end
+   compilation flow. The co-simulation differential lives in
+   test_rtl_backend.ml. *)
 
 open Helpers
 
@@ -29,11 +30,11 @@ let synth g tbl =
   | Some r -> r
   | None -> Alcotest.fail "synthesis failed"
 
-let behavioral ?(testbench_iterations = 0) ?stimulus ?vcd_iterations g tbl s =
+let lower ?(style = Rtl.Backend.Unshared) ?(testbench_iterations = 0) ?stimulus
+    ?vcd_iterations g tbl s =
   Rtl.Backend.lower
-    (Rtl.Backend.request ~style:Rtl.Backend.Behavioral
-       ~module_name:"hetsched_datapath" ~testbench_iterations ?stimulus
-       ?vcd_iterations g tbl s)
+    (Rtl.Backend.request ~style ~module_name:"hetsched_datapath"
+       ~testbench_iterations ?stimulus ?vcd_iterations g tbl s)
 
 (* --- Facade response structure ----------------------------------------- *)
 
@@ -47,12 +48,14 @@ let test_backend_response_shape () =
       [ ([ 1; 2 ], [ 6; 2 ]); ([ 2; 3 ], [ 7; 3 ]); ([ 2; 4 ], [ 8; 2 ]); ([ 1; 2 ], [ 5; 1 ]) ]
   in
   let r = synth g tbl in
-  let resp = behavioral g tbl r.Core.Synthesis.schedule in
+  let resp = lower g tbl r.Core.Synthesis.schedule in
   Alcotest.(check int) "period = schedule length"
     (Sched.Schedule.length tbl r.Core.Synthesis.schedule)
     resp.Rtl.Backend.period;
-  Alcotest.(check bool) "behavioral carries no netlist" true
-    (resp.Rtl.Backend.netlist = None);
+  Alcotest.(check bool) "stats are the netlist's" true
+    (Rtl.Netlist_ir.stats resp.Rtl.Backend.netlist = resp.Rtl.Backend.stats);
+  Alcotest.(check int) "unshared: one instance per node" 4
+    (Sched.Config.total resp.Rtl.Backend.config);
   Alcotest.(check bool) "no testbench when iterations = 0" true
     (resp.Rtl.Backend.testbench_text = None);
   Alcotest.(check bool) "no vcd by default" true
@@ -65,74 +68,30 @@ let test_interconnect_zero_without_sharing () =
   let g = graph 2 [] in
   let tbl = table lib2 [ ([ 1; 1 ], [ 1; 1 ]); ([ 1; 1 ], [ 1; 1 ]) ] in
   let s = { Sched.Schedule.start = [| 0; 0 |]; assignment = [| 0; 0 |] } in
-  let resp = behavioral g tbl s in
+  let resp = lower g tbl s in
   Alcotest.(check int) "no muxes" 0
     resp.Rtl.Backend.stats.Rtl.Netlist_ir.mux_count
 
 let test_interconnect_counts_sharing () =
-  (* two chains b<-a, c<-d to force two sources on one port when the
-     consumers share an instance *)
+  (* two chains b<-a, c<-d; the left-edge binding serialises b (1) and
+     d (3) on one instance, whose port then sees two sources: the input
+     bus of a and the register holding c. The unshared binding gives them
+     separate instances; the register file is the same in both, so
+     sharing costs exactly one 2-input mux. *)
   let g = graph 4 [ (0, 1); (2, 3) ] in
   let tbl = table lib2 (List.init 4 (fun _ -> ([ 1; 1 ], [ 1; 1 ]))) in
-  (* b (1) and d (3) serialised on the same single FU instance *)
   let s = { Sched.Schedule.start = [| 0; 1; 0; 2 |]; assignment = [| 0; 0; 0; 0 |] } in
-  let resp = behavioral g tbl s in
-  let ic = resp.Rtl.Backend.stats in
-  (* binding is left-edge; with all four ops on type 0 the consumers 1 and
-     3 may or may not share an instance — recompute expectation from the
-     actual binding *)
   let b = Sched.Binding.bind tbl s in
-  let shared =
-    b.Sched.Binding.instance.(1) = b.Sched.Binding.instance.(3)
-  in
-  if shared then begin
-    Alcotest.(check int) "one mux" 1 ic.Rtl.Netlist_ir.mux_count;
-    Alcotest.(check int) "two inputs" 2 ic.Rtl.Netlist_ir.mux_inputs
-  end
-  else Alcotest.(check int) "no mux" 0 ic.Rtl.Netlist_ir.mux_count
+  Alcotest.(check bool) "left-edge shares b and d" true
+    (b.Sched.Binding.instance.(1) = b.Sched.Binding.instance.(3));
+  let shared = (lower ~style:Rtl.Backend.Structural g tbl s).Rtl.Backend.stats in
+  let unshared = (lower g tbl s).Rtl.Backend.stats in
+  Alcotest.(check int) "one more mux" 1
+    (shared.Rtl.Netlist_ir.mux_count - unshared.Rtl.Netlist_ir.mux_count);
+  Alcotest.(check int) "two more inputs" 2
+    (shared.Rtl.Netlist_ir.mux_inputs - unshared.Rtl.Netlist_ir.mux_inputs)
 
 (* --- Verilog ----------------------------------------------------------- *)
-
-let test_verilog_structure () =
-  let g = diamond () in
-  let tbl =
-    table lib2
-      [ ([ 1; 2 ], [ 6; 2 ]); ([ 2; 3 ], [ 7; 3 ]); ([ 2; 4 ], [ 8; 2 ]); ([ 1; 2 ], [ 5; 1 ]) ]
-  in
-  let r = synth g tbl in
-  let v = (behavioral g tbl r.Core.Synthesis.schedule).Rtl.Backend.module_text in
-  Alcotest.(check bool) "module header" true (contains v "module hetsched_datapath");
-  Alcotest.(check bool) "endmodule" true (contains v "endmodule");
-  Alcotest.(check bool) "step counter" true (contains v "reg ");
-  Alcotest.(check bool) "input port for root" true (contains v "input wire [W-1:0] in_v0");
-  Alcotest.(check bool) "output port for sink" true (contains v "output wire [W-1:0] out_v3");
-  Alcotest.(check int) "one register per node" 4 (count_occurrences v "reg [W-1:0] r_v");
-  Alcotest.(check bool) "clocked logic" true (contains v "always @(posedge clk)")
-
-let test_verilog_history_registers () =
-  (* correlator: v2 -> v0 with 2 delays -> v2 drives a 2-deep history and
-     v0 reads the depth-2 entry *)
-  let g = graph_with_delays 3 [ (0, 1, 0); (1, 2, 0); (2, 0, 2) ] in
-  let tbl = table lib2 (List.init 3 (fun _ -> ([ 2; 2 ], [ 1; 1 ]))) in
-  let s = { Sched.Schedule.start = [| 0; 2; 4 |]; assignment = [| 0; 0; 0 |] } in
-  let v = (behavioral g tbl s).Rtl.Backend.module_text in
-  Alcotest.(check bool) "history register depth 1" true (contains v "r_v2_h1");
-  Alcotest.(check bool) "history register depth 2" true (contains v "r_v2_h2");
-  Alcotest.(check bool) "consumer reads history" true (contains v "r_v2_h2;");
-  Alcotest.(check bool) "shift chain" true (contains v "r_v2_h2 <= r_v2_h1");
-  (* v2 finishes exactly at the period end: the chain must take the fresh
-     expression, not the stale register *)
-  Alcotest.(check bool) "period-end forwarding" true (contains v "r_v2_h1 <= r_v1")
-
-let test_verilog_operator_mapping () =
-  let g = graph ~ops:[| "mul"; "add"; "sub"; "comp" |] 4 [ (0, 1); (1, 2); (2, 3) ] in
-  let tbl = table lib2 (List.init 4 (fun _ -> ([ 1; 1 ], [ 1; 1 ]))) in
-  let s = { Sched.Schedule.start = [| 0; 1; 2; 3 |]; assignment = [| 0; 0; 0; 0 |] } in
-  let v = (behavioral g tbl s).Rtl.Backend.module_text in
-  (* single-operand chains degenerate to a bare operand reference; check
-     the two-operand case instead via the diamond in the structure test;
-     here check name sanitisation and the input expression *)
-  Alcotest.(check bool) "input feeds first node" true (contains v "r_v0 <= in_v0")
 
 let test_verilog_sanitizes_names () =
   let names = [| "a*x"; "b x" |] in
@@ -141,9 +100,10 @@ let test_verilog_sanitizes_names () =
   in
   let tbl = table lib2 [ ([ 1; 1 ], [ 1; 1 ]); ([ 1; 1 ], [ 1; 1 ]) ] in
   let s = { Sched.Schedule.start = [| 0; 1 |]; assignment = [| 0; 0 |] } in
-  let v = (behavioral g tbl s).Rtl.Backend.module_text in
-  Alcotest.(check bool) "a*x sanitised" true (contains v "r_a_x");
-  Alcotest.(check bool) "no raw star" false (contains v "r_a*x")
+  let v = (lower g tbl s).Rtl.Backend.module_text in
+  Alcotest.(check bool) "a*x sanitised" true (contains v "in_a_x");
+  Alcotest.(check bool) "b x sanitised" true (contains v "out_b_x");
+  Alcotest.(check bool) "no raw star" false (contains v "a*x")
 
 (* --- Flow --------------------------------------------------------------- *)
 
@@ -177,14 +137,22 @@ let test_flow_compile () =
             (contains report "interconnect:");
           Alcotest.(check bool) "report has structural stats" true
             (contains report "fu instances:");
-          let verilog = read (Filename.concat dir "datapath.v") in
-          Alcotest.(check bool) "verilog emitted" true (contains verilog "module ");
           let sv = read (Filename.concat dir "datapath.sv") in
           Alcotest.(check bool) "structural SV emitted" true
             (contains sv "always_ff @(posedge clk)");
           let sv_tb = read (Filename.concat dir "datapath_tb.sv") in
           Alcotest.(check bool) "structural testbench emitted" true
             (contains sv_tb "TESTBENCH PASSED");
+          let unshared = read (Filename.concat dir "datapath_unshared.sv") in
+          Alcotest.(check bool) "unshared module has its own name" true
+            (contains unshared "module hetsched_datapath_unshared #");
+          let unshared_tb =
+            read (Filename.concat dir "datapath_unshared_tb.sv")
+          in
+          Alcotest.(check bool) "unshared testbench drives it" true
+            (contains unshared_tb "hetsched_datapath_unshared #(.W(16)) dut");
+          Alcotest.(check bool) "report has unshared stats" true
+            (contains report "unshared:");
           let vcd = read (Filename.concat dir "trace.vcd") in
           Alcotest.(check bool) "vcd definitions" true
             (contains vcd "$enddefinitions");
@@ -214,7 +182,7 @@ let test_vcd_structure () =
   let g = graph_with_delays 3 [ (0, 1, 0); (1, 2, 0); (2, 0, 2) ] in
   let tbl = table lib2 (List.init 3 (fun _ -> ([ 2; 2 ], [ 1; 1 ]))) in
   let s = { Sched.Schedule.start = [| 0; 2; 4 |]; assignment = [| 0; 0; 0 |] } in
-  let resp = behavioral ~vcd_iterations:3 g tbl s in
+  let resp = lower ~style:Rtl.Backend.Structural ~vcd_iterations:3 g tbl s in
   let vcd =
     match resp.Rtl.Backend.vcd_text with
     | Some v -> v
@@ -223,7 +191,16 @@ let test_vcd_structure () =
   Alcotest.(check bool) "step var" true (contains vcd "$var wire 32 ! step");
   Alcotest.(check bool) "busy var" true (contains vcd "busy_A_0");
   Alcotest.(check bool) "op var" true (contains vcd "op_v0");
-  Alcotest.(check bool) "timestamps" true (contains vcd "#0\n" && contains vcd "#6");
+  Alcotest.(check bool) "scope is the module" true
+    (contains vcd "$scope module hetsched_datapath $end");
+  Alcotest.(check bool) "timestamps" true
+    (contains vcd "#0\n" && contains vcd "#18\n" && not (contains vcd "#19"));
+  (* the step counter wraps with the period, like the FSM *)
+  Alcotest.(check bool) "step wraps at the period" true
+    (contains vcd "#6\nb0 !\n");
+  (* all three nodes share instance A[0] back to back, so it is busy for
+     the whole trace: set once at #0, cleared only at the horizon *)
+  Alcotest.(check int) "busy bit changes" 2 (count_occurrences vcd "\"\n");
   (* identifiers must be unique *)
   let defs =
     List.filter (fun l -> String.length l > 4 && String.sub l 0 4 = "$var")
@@ -245,7 +222,7 @@ let test_testbench_structure () =
   let tbl = table lib2 (List.init 3 (fun _ -> ([ 2; 2 ], [ 1; 1 ]))) in
   let s = { Sched.Schedule.start = [| 0; 2; 4 |]; assignment = [| 0; 0; 0 |] } in
   let input _ i = i + 1 in
-  let resp = behavioral ~testbench_iterations:3 ~stimulus:input g tbl s in
+  let resp = lower ~testbench_iterations:3 ~stimulus:input g tbl s in
   let tb = Option.get resp.Rtl.Backend.testbench_text in
   Alcotest.(check bool) "tb module" true (contains tb "module hetsched_datapath_tb");
   Alcotest.(check bool) "instantiates dut" true (contains tb "hetsched_datapath #(.W(16)) dut");
@@ -264,10 +241,12 @@ let test_testbench_structure () =
     (Invalid_argument "Backend.request: testbench_iterations < 0") (fun () ->
       ignore
         (Rtl.Backend.request ~testbench_iterations:(-1) g tbl s));
-  (* the datapath it targets resets its registers, as the golden model
-     assumes *)
+  (* the datapath it targets resets its state, as the golden model
+     assumes: the FSM, the history chain and the output hold register *)
   let v = resp.Rtl.Backend.module_text in
-  Alcotest.(check bool) "registers reset" true (contains v "if (rst) r_v0 <= 0;")
+  Alcotest.(check bool) "step counter reset" true (contains v "if (rst) step <= 0;");
+  Alcotest.(check bool) "history reset" true (contains v "h_v2_2 <= 0;");
+  Alcotest.(check bool) "hold reset" true (contains v "if (rst) hold_v2 <= 0;")
 
 let test_flow_infeasible () =
   with_temp_dir (fun dir ->
@@ -285,13 +264,7 @@ let () =
           quick "interconnect without sharing" test_interconnect_zero_without_sharing;
           quick "interconnect with sharing" test_interconnect_counts_sharing;
         ] );
-      ( "verilog",
-        [
-          quick "module structure" test_verilog_structure;
-          quick "history registers" test_verilog_history_registers;
-          quick "operator mapping" test_verilog_operator_mapping;
-          quick "name sanitisation" test_verilog_sanitizes_names;
-        ] );
+      ("verilog", [ quick "name sanitisation" test_verilog_sanitizes_names ]);
       ( "flow",
         [
           quick "compile" test_flow_compile;

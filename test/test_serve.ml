@@ -466,6 +466,61 @@ let test_jsonl_rtl_block () =
       | Some (Obs.Json.List []) -> ()
       | _ -> Alcotest.fail "expected an empty unsupported list")
 
+(* Regression: under "rtl": true the node ops decide the module text and
+   the unsupported list, so two requests that differ only in ops must not
+   share a cache entry; without the knob they still do. The 1-domain pool
+   solves the batch in order, so the second request meets the first one's
+   entry in the cache. *)
+let test_rtl_digest_covers_ops () =
+  let request ~ops:(op0, op1) ~rtl =
+    let line =
+      Printf.sprintf
+        {|{"id": "ops", "graph": {"nodes": [{"name": "a", "op": %S}, {"name": "b", "op": %S}], "edges": [[0, 1]]}, "table": {"types": ["P1", "P2"], "time": [[4, 8], [4, 8]], "cost": [[9, 4], [8, 3]]}, "deadline": 16, "rtl": %b}|}
+        op0 op1 rtl
+    in
+    match Serve.Jsonl.request_of_string ~line:1 line with
+    | Ok item -> item.Serve.Jsonl.request
+    | Error msg -> Alcotest.failf "parse failed: %s" msg
+  in
+  let serve reqs =
+    Par.Pool.with_pool ~domains:1 (fun pool ->
+        let cache = Serve.Cache.create ~entries:8 ~shards:1 () in
+        let server = Serve.Server.create ~pool ~cache () in
+        let lines =
+          List.map
+            (Serve.Jsonl.response_to_string ~id:(Obs.Json.String "ops"))
+            (Serve.Server.solve_batch server reqs)
+        in
+        (lines, Serve.Cache.length cache))
+  in
+  let frob = request ~ops:("mul", "frob") ~rtl:true in
+  let batch, entries = serve [ request ~ops:("add", "add") ~rtl:true; frob ] in
+  let alone, _ = serve [ frob ] in
+  Alcotest.(check int) "one entry each" 2 entries;
+  Alcotest.(check string) "second answered as if served alone"
+    (List.hd alone) (List.nth batch 1);
+  let rtl_member name l =
+    Option.bind (Obs.Json.member "rtl" (Obs.Json.parse_exn l))
+      (Obs.Json.member name)
+  in
+  Alcotest.(check bool) "own module digest" false
+    (rtl_member "module_digest" (List.nth batch 0)
+    = rtl_member "module_digest" (List.nth batch 1));
+  (match rtl_member "unsupported" (List.nth batch 1) with
+  | Some (Obs.Json.List [ u ]) ->
+      Alcotest.(check (option string))
+        "unsupported-op entry" (Some "unsupported-op")
+        (Option.bind (Obs.Json.member "code" u) Obs.Json.to_string_opt)
+  | _ -> Alcotest.fail "expected one unsupported entry for frob");
+  let _, plain_entries =
+    serve
+      [
+        request ~ops:("add", "add") ~rtl:false;
+        request ~ops:("mul", "frob") ~rtl:false;
+      ]
+  in
+  Alcotest.(check int) "plain twins share one entry" 1 plain_entries
+
 let test_jsonl_parse_errors () =
   let expect_error line s =
     match Serve.Jsonl.request_of_string ~line s with
@@ -731,5 +786,7 @@ let () =
           Alcotest.test_case "serve channels" `Quick test_jsonl_serve_channels;
           Alcotest.test_case "admission round trip" `Quick
             test_jsonl_serve_admission;
+          Alcotest.test_case "rtl digest covers ops" `Quick
+            test_rtl_digest_covers_ops;
         ] );
     ]
