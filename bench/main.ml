@@ -289,7 +289,9 @@ let par_tests =
 (* The serve bench group prices the new entry points: a full
    Core.Synthesis.solve through the request facade (cold), the same
    request answered by a pre-warmed Serve.Cache (hit — should be digest
-   cost plus a hashtable probe), and the digest itself. *)
+   cost plus a hashtable probe), the digest itself, and the resident
+   catalogue resolving a repeated benchmark name (what the daemon does for
+   every ["benchmark"] line before it can even probe the cache). *)
 let serve_tests =
   let instance =
     lazy
@@ -318,6 +320,8 @@ let serve_tests =
              Serve.Cache.solve cache req));
       Test.make ~name:"digest"
         (Staged.stage (fun () -> Serve.Cache.digest (Lazy.force instance)));
+      Test.make ~name:"lookup"
+        (Staged.stage (fun () -> Workloads.Catalogue.lookup "elliptic" ~seed:7));
     ]
 
 (* --- Memory dimension: capacity pruning vs unconstrained solves ------- *)

@@ -440,13 +440,6 @@ let gantt_cmd =
 
 (* --- serving: shared plumbing for serve / daemon / client ------------- *)
 
-(* benchmark names resolve against the extended suite, so serve batches
-   can mix the paper's six with fir/iir/fft extension workloads *)
-let serve_lookup name ~seed =
-  Option.map
-    (fun g -> (g, table_for ~seed g))
-    (List.assoc_opt name (Workloads.Filters.extended ()))
-
 let serve_in_arg =
   let doc = "Read JSONL requests from $(docv) ($(b,-) for stdin)." in
   Arg.(value & opt string "-" & info [ "in"; "i" ] ~docv:"FILE" ~doc)
@@ -581,7 +574,8 @@ let serve_cmd =
     let served =
       with_in input @@ fun input ->
       with_out output @@ fun output ->
-      Serve.Jsonl.serve ~lookup:serve_lookup ?capacity server ~input ~output
+      Serve.Jsonl.serve ~lookup:Workloads.Catalogue.lookup ?capacity server
+        ~input ~output
     in
     serve_summary ~served ()
   in
@@ -624,7 +618,9 @@ let daemon_cmd =
     let server =
       make_server ~domains ~cache_entries ~cache_shards ~no_cache ~queue
     in
-    let daemon = Serve.Daemon.create ~lookup:serve_lookup ?capacity server in
+    let daemon =
+      Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup ?capacity server
+    in
     let served =
       if socket = "-" then
         Serve.Daemon.serve_fd ?idle_timeout daemon ~input:Unix.stdin
@@ -681,7 +677,8 @@ let admit_cmd =
            incr line_no;
            if String.trim s <> "" then
              match
-               Serve.Jsonl.line_of_string ~lookup:serve_lookup ~line:!line_no s
+               Serve.Jsonl.line_of_string ~lookup:Workloads.Catalogue.lookup
+                 ~line:!line_no s
              with
              | Error msg ->
                  emit (Serve.Jsonl.error_to_string ~id:(Obs.Json.Int !line_no) msg)

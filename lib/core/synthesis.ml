@@ -54,6 +54,120 @@ let request ?(scheduler = List_scheduling) ?(validate = false)
     rtl;
   }
 
+(* --- canonical encoding ------------------------------------------------- *)
+
+(* Every int is a zigzag LEB128 varint (one byte for the small times,
+   costs and node ids that dominate), every string is length-prefixed and
+   every variable-length section is count-prefixed, so the encoding is
+   prefix-free. *)
+let put_int e v =
+  let u = ref ((v lsl 1) lxor (v asr (Sys.int_size - 1))) in
+  while !u land lnot 0x7f <> 0 do
+    Buffer.add_char e (Char.unsafe_chr (!u land 0x7f lor 0x80));
+    u := !u lsr 7
+  done;
+  Buffer.add_char e (Char.unsafe_chr !u)
+
+let put_bool e b = put_int e (Bool.to_int b)
+
+let put_string e s =
+  put_int e (String.length s);
+  Buffer.add_string e s
+
+let compare_edge ((d1 : int), (l1 : int), (s1 : int)) (d2, l2, s2) =
+  if d1 <> d2 then compare d1 d2
+  else if l1 <> l2 then compare l1 l2
+  else compare s1 s2
+
+let rec sorted = function
+  | a :: (b :: _ as rest) -> compare_edge a b <= 0 && sorted rest
+  | [] | [ _ ] -> true
+
+(* One source's outgoing edges, sorted. Builders append a source's edges
+   in insertion order, which is usually already sorted; only an unsorted
+   list pays for the sort. *)
+let out_edges g v =
+  let l = Dfg.Graph.succs_sized g v in
+  if sorted l then l else List.sort compare_edge l
+
+(* The record is destructured without a wildcard: a new request field does
+   not compile until it is encoded here or named as excluded. *)
+let encode
+    {
+      graph = g;
+      table;
+      deadline;
+      algorithm;
+      scheduler;
+      validate;
+      trace = _;
+      budget_ms;
+      levels;
+      rtl;
+    } =
+  let n = Dfg.Graph.num_nodes g and k = Fulib.Table.num_types table in
+  (* room for one byte per int, the common case; the buffer grows past it.
+     Kept small so the buffer stays in the minor heap. *)
+  let ints = 32 + n + (3 * Dfg.Graph.num_edges g) + (2 * n * k) + (10 * k) in
+  let e = Buffer.create ints in
+  put_int e n;
+  for v = 0 to n - 1 do
+    let out = out_edges g v in
+    put_int e (List.length out);
+    List.iter
+      (fun (dst, delay, size) ->
+        put_int e dst;
+        put_int e delay;
+        put_int e size)
+      out
+  done;
+  put_int e k;
+  let lib = Fulib.Table.library table in
+  for t = 0 to k - 1 do
+    put_int e (Fulib.Library.mem_capacity lib t)
+  done;
+  for v = 0 to n - 1 do
+    for ftype = 0 to k - 1 do
+      put_int e (Fulib.Table.time table ~node:v ~ftype);
+      put_int e (Fulib.Table.cost table ~node:v ~ftype)
+    done
+  done;
+  put_int e deadline;
+  put_string e (algorithm_name algorithm);
+  put_int e (match scheduler with List_scheduling -> 0 | Force_directed -> 1);
+  put_bool e validate;
+  (match budget_ms with
+  | None -> put_bool e false
+  | Some ms ->
+      put_bool e true;
+      put_int e ms);
+  (match levels with
+  | None -> put_bool e false
+  | Some ladders ->
+      put_bool e true;
+      put_int e (Array.length ladders);
+      Array.iter
+        (fun ladder ->
+          put_int e (Array.length ladder);
+          Array.iter
+            (fun (l : Fulib.Dvfs.level) ->
+              put_int e l.Fulib.Dvfs.freq_pct;
+              put_int e l.Fulib.Dvfs.time_pct;
+              put_int e l.Fulib.Dvfs.energy_pct)
+            ladder)
+        ladders);
+  put_bool e rtl;
+  if rtl then begin
+    for v = 0 to n - 1 do
+      put_string e (Dfg.Graph.op g v);
+      put_string e (Dfg.Graph.name g v)
+    done;
+    for t = 0 to k - 1 do
+      put_string e (Fulib.Library.type_name lib t)
+    done
+  end;
+  Buffer.contents e
+
 type status = Ok | Infeasible | Infeasible_memory | Timeout | Error of string
 
 type dvfs = {

@@ -94,6 +94,34 @@ val request :
   Fulib.Table.t ->
   request
 
+(** The canonical binary encoding of a request's semantic content: two
+    requests encode alike exactly when {!solve} must answer them alike.
+    The serve cache keys responses by its MD5.
+
+    It covers the node count, each source's outgoing edges {e sorted} as
+    (dst, delay, size), the per-type memory capacities, the time/cost
+    table in row-major node order, and the deadline, algorithm,
+    scheduler, validate, budget, DVFS-ladder and rtl fields. Under [rtl]
+    it also covers node ops, node names and FU type names, which shape
+    the lowered module and its unsupported list; otherwise they are
+    cosmetic to the solvers and left out. [trace] only controls span
+    emission and is left out.
+
+    - Edge insertion order is canonicalized away: the solvers sweep the
+      smallest-ready-first topological orders, never raw adjacency.
+    - Node ids are the instance's identity (responses are node-indexed),
+      so node relabelings are deliberately not canonicalized.
+    - Ints are zigzag LEB128 varints (one byte below 64), strings are
+      length-prefixed and variable-length sections count-prefixed, so the
+      encoding is prefix-free: equal encodings mean equal encoded fields.
+    - Nothing is formatted as decimal text, and no edge list is rebuilt
+      unless a source's edges were inserted out of order.
+
+    The encoding destructures the record without a wildcard, so a new
+    request field does not compile until it is encoded or named as
+    excluded. It is stable within one build; nothing persists it. *)
+val encode : request -> string
+
 type status =
   | Ok  (** a result was produced (and, if validated, audited clean) *)
   | Infeasible  (** no assignment/schedule meets the deadline *)

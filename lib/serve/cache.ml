@@ -106,122 +106,9 @@ let shard_lengths t =
 let clear t =
   Array.iter (fun s -> locked s (fun () -> Hashtbl.reset s.table)) t.shards
 
-(* Canonical serialization of a request's semantic content. Everything that
-   can influence the response goes in; edge insertion order — which the
-   solvers never observe (they sweep the cached smallest-ready-first
-   topological orders) — is canonicalized away by sorting the edge set.
-   Node ids are the instance's identity (responses are node-indexed
-   arrays), so node order is NOT canonicalized; names/ops are cosmetic to
-   the solvers and excluded unless [rtl] lowers them into hardware; [trace]
-   only toggles span emission and is always excluded. *)
-let digest (req : Core.Synthesis.request) =
-  let g = req.Core.Synthesis.graph and table = req.Core.Synthesis.table in
-  let n = Dfg.Graph.num_nodes g in
-  let buf = Buffer.create 1024 in
-  (* direct int/char appends: the digest runs on every request, and the
-     Printf.sprintf formatting this replaced was the bulk of its cost *)
-  let int v = Buffer.add_string buf (string_of_int v) in
-  let ch c = Buffer.add_char buf c in
-  ch 'n';
-  int n;
-  ch ';';
-  let edges =
-    List.sort compare
-      (List.map
-         (fun { Dfg.Graph.src; dst; delay; size } -> (src, dst, delay, size))
-         (Dfg.Graph.edges g))
-  in
-  List.iter
-    (fun (src, dst, delay, size) ->
-      ch 'e';
-      int src;
-      ch ',';
-      int dst;
-      ch ',';
-      int delay;
-      ch ',';
-      int size;
-      ch ';')
-    edges;
-  let k = Fulib.Table.num_types table in
-  ch 'k';
-  int k;
-  ch ';';
-  Array.iter
-    (fun c ->
-      ch 'm';
-      int c;
-      ch ';')
-    (Fulib.Table.mem_capacities table);
-  for v = 0 to n - 1 do
-    for ftype = 0 to k - 1 do
-      int (Fulib.Table.time table ~node:v ~ftype);
-      ch ',';
-      int (Fulib.Table.cost table ~node:v ~ftype);
-      ch ';'
-    done
-  done;
-  ch 'T';
-  int req.Core.Synthesis.deadline;
-  Buffer.add_string buf ";a=";
-  Buffer.add_string buf
-    (Core.Synthesis.algorithm_name req.Core.Synthesis.algorithm);
-  Buffer.add_string buf
-    (match req.Core.Synthesis.scheduler with
-    | Core.Synthesis.List_scheduling -> ";s=list"
-    | Core.Synthesis.Force_directed -> ";s=force");
-  Buffer.add_string buf
-    (if req.Core.Synthesis.validate then ";v=true" else ";v=false");
-  Buffer.add_string buf ";b=";
-  (match req.Core.Synthesis.budget_ms with
-  | None -> ch '-'
-  | Some ms -> int ms);
-  (* DVFS ladders change the solved table, so a leveled request must never
-     collide with its unleveled twin (or with different ladders) *)
-  Buffer.add_string buf ";L";
-  (match req.Core.Synthesis.levels with
-  | None -> ch '-'
-  | Some levels ->
-      Array.iter
-        (fun ladder ->
-          ch 't';
-          Array.iter
-            (fun (l : Fulib.Dvfs.level) ->
-              ch 'l';
-              int l.Fulib.Dvfs.freq_pct;
-              ch ',';
-              int l.Fulib.Dvfs.time_pct;
-              ch ',';
-              int l.Fulib.Dvfs.energy_pct;
-              ch ';')
-            ladder)
-        levels);
-  (* the rtl knob adds artifact digests and stats to the response, so a
-     lowered request must never collide with its plain twin; and the module
-     text (hence its digest and the unsupported list) depends on node ops,
-     node names and FU type names, so those join the key exactly when the
-     knob is on. Strings are length-prefixed, so no name can forge a
-     section boundary. *)
-  if req.Core.Synthesis.rtl then begin
-    Buffer.add_string buf ";R1";
-    let str s =
-      int (String.length s);
-      ch ':';
-      Buffer.add_string buf s
-    in
-    for v = 0 to n - 1 do
-      ch 'o';
-      str (Dfg.Graph.op g v);
-      str (Dfg.Graph.name g v)
-    done;
-    let lib = Fulib.Table.library table in
-    for t = 0 to k - 1 do
-      ch 'f';
-      str (Fulib.Library.type_name lib t)
-    done
-  end
-  else Buffer.add_string buf ";R0";
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+(* The key is the MD5 of the request's canonical encoding; see
+   [Core.Synthesis.encode] for what it covers and what it leaves out. *)
+let digest req = Digest.to_hex (Digest.string (Core.Synthesis.encode req))
 
 (* Shard selection: the digest's first two hex characters, i.e. its top
    byte. MD5 spreads uniformly, so the byte mod N balances shards. *)

@@ -9,24 +9,13 @@
 
     {2 The digest}
 
-    {!digest} hashes a canonical serialization of the request's semantic
-    content: node count, the {e sorted} edge set (src, dst, delay, size),
-    per-type memory capacities, the time/cost table in row-major node
-    order, and the deadline, algorithm, scheduler, validate and budget
-    fields. Sorting the edges makes the digest independent of edge
-    insertion order — two builders assembling the same graph in different
-    edge order collide into one cache entry (adjacency order never changes
-    what the solvers return: they sweep the canonical smallest-ready-first
-    topological orders, not raw adjacency). Node ids are the instance's
-    identity — responses index assignments and schedules by node id — so
-    node relabelings are deliberately {e not} canonicalized. Node names,
-    ops and FU type names are cosmetic to the solvers and excluded — except
-    under [rtl], where they shape the lowered module and its unsupported
-    list, so a lowered request's digest covers them too (a plain request's
-    digest bytes are unaffected).
-
-    [trace] is excluded too: it only controls span emission, never the
-    response.
+    {!digest} is the MD5 of {!Core.Synthesis.encode}, the request's
+    canonical binary encoding, in hex. Two builders assembling the same
+    graph in different edge order collide into one cache entry; node
+    relabelings, and (under [rtl]) different ops, names or FU type names,
+    do not. [trace] never reaches the key. Digests are stable across
+    processes of one build, but not across changes to the encoding:
+    nothing persists them.
 
     {2 Sharding}
 

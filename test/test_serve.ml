@@ -92,6 +92,152 @@ let test_digest_edge_order_canonical () =
     "cached response equals fresh" true
     (resp = Core.Synthesis.solve (req g_fwd))
 
+(* A random instance with delays and data sizes, as plain arrays so a test
+   can rebuild it with one edge order or one table cell changed. *)
+let raw_instance ~seed =
+  let rng = Workloads.Prng.create seed in
+  let n = 4 + Workloads.Prng.int rng 20 in
+  let g =
+    Workloads.Random_dfg.with_sizes rng ~min_size:0 ~max_size:200
+      (Workloads.Random_dfg.random_dag rng ~n ~extra_edges:(n / 2))
+  in
+  let edges =
+    List.map
+      (fun (e : Dfg.Graph.edge) ->
+        if Workloads.Prng.int rng 4 = 0 then
+          { e with delay = 1 + Workloads.Prng.int rng 3 }
+        else e)
+      (Dfg.Graph.edges g)
+  in
+  let names = Array.init n (Dfg.Graph.name g) in
+  let ops = Array.init n (Dfg.Graph.op g) in
+  let cell lo hi = Array.init n (fun _ -> Array.init 3 (fun _ -> Workloads.Prng.int_in rng lo hi)) in
+  (rng, names, ops, edges, cell 1 300, cell 0 5000)
+
+let build (names, ops, edges, time, cost) =
+  let g = Dfg.Graph.of_edges ~names ~ops edges in
+  let tbl = Fulib.Table.make ~library:lib3 ~time ~cost in
+  Core.Synthesis.request ~algorithm:Core.Synthesis.Repeat ~deadline:100 g tbl
+
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Workloads.Prng.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let qcheck_digest_edge_order =
+  QCheck.Test.make ~count:100 ~name:"digest ignores edge insertion order"
+    (QCheck.int_bound 100_000)
+    (fun seed ->
+      let rng, names, ops, edges, time, cost = raw_instance ~seed in
+      Serve.Cache.digest (build (names, ops, edges, time, cost))
+      = Serve.Cache.digest (build (names, ops, shuffle rng edges, time, cost)))
+
+(* One changed table cell, edge delay or edge size always changes the
+   digest, whatever the magnitudes on either side of the varint byte
+   boundaries. *)
+let qcheck_digest_field_sensitivity =
+  QCheck.Test.make ~count:150 ~name:"digest sees every cell, delay and size"
+    (QCheck.int_bound 100_000)
+    (fun seed ->
+      let rng, names, ops, edges, time, cost = raw_instance ~seed in
+      let base = Serve.Cache.digest (build (names, ops, edges, time, cost)) in
+      let bump x = x + 1 + Workloads.Prng.int rng (if Workloads.Prng.bool rng then 3 else 100_000) in
+      let with_cell m =
+        let m = Array.map Array.copy m in
+        let v = Workloads.Prng.int rng (Array.length m) and t = Workloads.Prng.int rng 3 in
+        m.(v).(t) <- bump m.(v).(t);
+        m
+      in
+      let with_edge f =
+        let i = Workloads.Prng.int rng (List.length edges) in
+        List.mapi (fun j e -> if i = j then f e else e) edges
+      in
+      let differs parts = Serve.Cache.digest (build parts) <> base in
+      differs (names, ops, edges, with_cell time, cost)
+      && differs (names, ops, edges, time, with_cell cost)
+      && differs
+           (names, ops, with_edge (fun e -> { e with Dfg.Graph.size = bump e.Dfg.Graph.size }), time, cost)
+      && differs
+           ( names, ops,
+             with_edge (fun e -> { e with Dfg.Graph.delay = bump e.Dfg.Graph.delay }),
+             time, cost ))
+
+(* Knob values on both sides of each varint length boundary, negative
+   budgets and every DVFS ladder shape encode to distinct digests. *)
+let test_digest_knob_encodings () =
+  let g, tbl = instance ~seed:40 in
+  let req ?budget_ms ?levels deadline =
+    Core.Synthesis.request ?budget_ms ?levels ~algorithm:Core.Synthesis.Repeat
+      ~deadline g tbl
+  in
+  let reqs =
+    List.map req [ 1; 63; 64; 127; 128; 8191; 8192; max_int ]
+    @ List.map (fun b -> req ~budget_ms:b 64) [ -1; 0; 1; 63; 64; 100_000 ]
+    @ List.map
+        (fun levels -> req ~levels 64)
+        [
+          Fulib.Dvfs.uniform ~levels:1 ~types:3;
+          Fulib.Dvfs.uniform ~levels:2 ~types:3;
+          Fulib.Dvfs.uniform ~levels:3 ~types:3;
+          Fulib.Dvfs.of_freqs [ [ 100; 75 ]; [ 100 ]; [ 100; 50 ] ];
+          Fulib.Dvfs.of_freqs [ [ 100 ]; [ 100; 75 ]; [ 100; 50 ] ];
+        ]
+    (* ladders that differ only in an explicit time or energy scale *)
+    @ List.map
+        (fun slow ->
+          let n = Fulib.Dvfs.nominal in
+          req ~levels:[| [| n; slow |]; [| n |]; [| n |] |] 64)
+        [
+          Fulib.Dvfs.level 75;
+          Fulib.Dvfs.level ~time_pct:150 75;
+          Fulib.Dvfs.level ~energy_pct:10 75;
+        ]
+  in
+  (* memory capacities, and under rtl node names and FU type names *)
+  let renamed =
+    Dfg.Graph.of_edges
+      ~names:(Array.init (Dfg.Graph.num_nodes g) (fun v -> "n" ^ string_of_int v))
+      ~ops:(Array.init (Dfg.Graph.num_nodes g) (Dfg.Graph.op g))
+      (Dfg.Graph.edges g)
+  in
+  let retyped =
+    Fulib.Table.make
+      ~library:(Fulib.Library.make [| "Q1"; "Q2"; "Q3" |])
+      ~time:
+        (Array.init (Dfg.Graph.num_nodes g) (fun node ->
+             Array.init 3 (fun ftype -> Fulib.Table.time tbl ~node ~ftype)))
+      ~cost:
+        (Array.init (Dfg.Graph.num_nodes g) (fun node ->
+             Array.init 3 (fun ftype -> Fulib.Table.cost tbl ~node ~ftype)))
+  in
+  let on ?(rtl = false) g tbl =
+    Core.Synthesis.request ~rtl ~algorithm:Core.Synthesis.Repeat ~deadline:64 g tbl
+  in
+  let reqs =
+    reqs
+    @ [
+        on g (Fulib.Table.with_mem_capacity tbl [| 10; 10; 10 |]);
+        on g (Fulib.Table.with_mem_capacity tbl [| 10; 11; 10 |]);
+        on ~rtl:true g tbl;
+        on ~rtl:true renamed tbl;
+        on ~rtl:true g retyped;
+      ]
+  in
+  let digests = List.map Serve.Cache.digest reqs in
+  Alcotest.(check int) "all distinct" (List.length reqs)
+    (List.length (List.sort_uniq compare digests));
+  List.iter
+    (fun d -> Alcotest.(check int) "md5 hex" 32 (String.length d))
+    digests;
+  Alcotest.(check string) "names and type names are cosmetic without rtl"
+    (Serve.Cache.digest (on g tbl))
+    (Serve.Cache.digest (on renamed retyped))
+
 (* --- cache ------------------------------------------------------------- *)
 
 let test_cached_response_byte_identical () =
@@ -521,6 +667,93 @@ let test_rtl_digest_covers_ops () =
   in
   Alcotest.(check int) "plain twins share one entry" 1 plain_entries
 
+(* The JSONL parser against the canonical encoding: a random request with
+   every knob drawn, rendered as an inline JSONL line and parsed back,
+   encodes exactly as the original did. A field the parser dropped or
+   misread would change the encoding. *)
+let qcheck_jsonl_round_trips_encoding =
+  QCheck.Test.make ~count:100 ~name:"jsonl line -> request keeps the encoding"
+    (QCheck.int_bound 100_000)
+    (fun seed ->
+      let module J = Obs.Json in
+      let rng, names, _, edges, time, cost = raw_instance ~seed in
+      let pick a = a.(Workloads.Prng.int rng (Array.length a)) in
+      let chance () = Workloads.Prng.bool rng in
+      let ops = Array.map (fun _ -> pick [| "add"; "mul"; "sub"; "frob" |]) names in
+      let types = [| "P1"; "P2"; "P3" |] in
+      let mem_capacity =
+        if chance () then None
+        else Some (Array.init 3 (fun _ -> Workloads.Prng.int_in rng 0 500))
+      in
+      let library = Fulib.Library.make ?mem_capacity types in
+      let g = Dfg.Graph.of_edges ~names ~ops edges in
+      let table = Fulib.Table.make ~library ~time ~cost in
+      let freqs =
+        List.init 3 (fun _ ->
+            100 :: List.filter (fun _ -> chance ()) [ 80; 60; 40; 20 ])
+      in
+      let req =
+        Core.Synthesis.request
+          ~scheduler:(pick Core.Synthesis.[| List_scheduling; Force_directed |])
+          ~validate:(chance ()) ~rtl:(chance ())
+          ?budget_ms:(if chance () then Some (Workloads.Prng.int rng 5000) else None)
+          ?levels:(if chance () then Some (Fulib.Dvfs.of_freqs freqs) else None)
+          ~algorithm:(pick (Array.of_list Core.Synthesis.all_algorithms))
+          ~deadline:(1 + Workloads.Prng.int rng 400) g table
+      in
+      let ints a = J.List (Array.to_list (Array.map (fun v -> J.Int v) a)) in
+      let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
+      let line =
+        J.to_string
+          (J.Obj
+             ([
+                ( "graph",
+                  J.Obj
+                    [
+                      ( "nodes",
+                        J.List
+                          (Array.to_list
+                             (Array.mapi
+                                (fun v name ->
+                                  J.Obj [ ("name", J.String name); ("op", J.String ops.(v)) ])
+                                names)) );
+                      ( "edges",
+                        J.List
+                          (List.map
+                             (fun (e : Dfg.Graph.edge) ->
+                               ints [| e.src; e.dst; e.delay; e.size |])
+                             edges) );
+                    ] );
+                ( "table",
+                  J.Obj
+                    ([
+                       ("types", J.List (Array.to_list (Array.map (fun s -> J.String s) types)));
+                       ("time", J.List (Array.to_list (Array.map ints time)));
+                       ("cost", J.List (Array.to_list (Array.map ints cost)));
+                     ]
+                    @ opt "mem_capacity" ints mem_capacity) );
+                ("deadline", J.Int req.Core.Synthesis.deadline);
+                ( "algorithm",
+                  J.String (Core.Synthesis.algorithm_name req.Core.Synthesis.algorithm) );
+                ( "scheduler",
+                  J.String
+                    (match req.Core.Synthesis.scheduler with
+                    | Core.Synthesis.List_scheduling -> "list"
+                    | Core.Synthesis.Force_directed -> "force") );
+                ("validate", J.Bool req.Core.Synthesis.validate);
+                ("rtl", J.Bool req.Core.Synthesis.rtl);
+              ]
+             @ opt "budget_ms" (fun ms -> J.Int ms) req.Core.Synthesis.budget_ms
+             @ opt "levels"
+                 (fun _ ->
+                   J.List (List.map (fun l -> ints (Array.of_list l)) freqs))
+                 req.Core.Synthesis.levels))
+      in
+      match Serve.Jsonl.request_of_string ~line:1 line with
+      | Error msg -> QCheck.Test.fail_reportf "%s rejected: %s" line msg
+      | Ok item ->
+          Core.Synthesis.encode item.Serve.Jsonl.request = Core.Synthesis.encode req)
+
 let test_jsonl_parse_errors () =
   let expect_error line s =
     match Serve.Jsonl.request_of_string ~line s with
@@ -534,7 +767,11 @@ let test_jsonl_parse_errors () =
     {|{"graph": {"nodes": [{"name": "a"}], "edges": []}, "table": {"types": ["P1"], "time": [[1]], "cost": [[1]]}}|}
     (* no deadline *)
 
-let lookup name ~seed =
+let lookup = Workloads.Catalogue.lookup
+
+(* How benchmark names resolved before the catalogue was resident: the
+   whole suite rebuilt and a table drawn on every line. *)
+let rebuilt_lookup name ~seed =
   Option.map
     (fun g -> (g, table_for ~seed g))
     (List.assoc_opt name (Workloads.Filters.extended ()))
@@ -723,6 +960,49 @@ let test_jsonl_serve_channels () =
   Sys.remove out_path;
   Sys.rmdir dir
 
+let serve_lines ~lookup lines =
+  let in_path = Filename.temp_file "serve_lines" ".in" in
+  let out_path = Filename.temp_file "serve_lines" ".out" in
+  let oc = open_out in_path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  Par.Pool.with_pool ~domains:2 (fun pool ->
+      let server = Serve.Server.create ~pool () in
+      let ic = open_in in_path and oc = open_out out_path in
+      ignore (Serve.Jsonl.serve ~lookup server ~input:ic ~output:oc);
+      close_in ic;
+      close_out oc);
+  let ic = open_in_bin out_path in
+  let out = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove in_path;
+  Sys.remove out_path;
+  out
+
+(* Serving from the resident catalogue answers every benchmark line byte
+   for byte as rebuilding the suite per line did: every name, repeated
+   and fresh seeds, each knob that reads the instance. *)
+let test_catalogue_serves_identically () =
+  let lines =
+    List.concat_map
+      (fun name ->
+        List.map
+          (fun extra -> Printf.sprintf {|{"benchmark": %S%s}|} name extra)
+          [
+            {|, "deadline_factor": 1.3|};
+            {|, "seed": 5, "deadline_factor": 1.5, "algorithm": "greedy"|};
+            {|, "seed": 5, "deadline_factor": 1.5, "algorithm": "greedy"|};
+            {|, "seed": 9, "deadline_factor": 1.2, "validate": true, "rtl": true, "levels": 2|};
+          ])
+      (Workloads.Catalogue.names ())
+  in
+  let resident = serve_lines ~lookup lines in
+  Alcotest.(check int) "one response per line" (List.length lines)
+    (List.length (String.split_on_char '\n' (String.trim resident)));
+  Alcotest.(check string) "byte-identical to per-line rebuilds"
+    (serve_lines ~lookup:rebuilt_lookup lines)
+    resident
+
 (* --- run --------------------------------------------------------------- *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -736,7 +1016,10 @@ let () =
           Alcotest.test_case "sensitivity" `Quick test_digest_sensitivity;
           Alcotest.test_case "edge order canonical" `Quick
             test_digest_edge_order_canonical;
-        ] );
+          Alcotest.test_case "knob encodings distinct" `Quick
+            test_digest_knob_encodings;
+        ]
+        @ qsuite [ qcheck_digest_edge_order; qcheck_digest_field_sensitivity ] );
       ( "cache",
         [
           Alcotest.test_case "byte-identical replay" `Quick
@@ -784,9 +1067,12 @@ let () =
           Alcotest.test_case "field validation names the field" `Quick
             test_jsonl_field_validation;
           Alcotest.test_case "serve channels" `Quick test_jsonl_serve_channels;
+          Alcotest.test_case "resident catalogue serves identically" `Quick
+            test_catalogue_serves_identically;
           Alcotest.test_case "admission round trip" `Quick
             test_jsonl_serve_admission;
           Alcotest.test_case "rtl digest covers ops" `Quick
             test_rtl_digest_covers_ops;
-        ] );
+        ]
+        @ qsuite [ qcheck_jsonl_round_trips_encoding ] );
     ]

@@ -164,9 +164,114 @@ let test_arbitrary_tables_in_range () =
     done
   done
 
+(* --- the resident catalogue --------------------------------------------- *)
+
+let fresh_instance name ~seed =
+  let g = List.assoc name (Workloads.Filters.extended ()) in
+  (g, Workloads.Tables.for_graph (Workloads.Prng.create seed) ~library:lib3 g)
+
+let same_graph a b =
+  Dfg.Graph.num_nodes a = Dfg.Graph.num_nodes b
+  && Dfg.Graph.edges a = Dfg.Graph.edges b
+  && List.for_all
+       (fun v ->
+         Dfg.Graph.name a v = Dfg.Graph.name b v
+         && Dfg.Graph.op a v = Dfg.Graph.op b v)
+       (List.init (Dfg.Graph.num_nodes a) Fun.id)
+
+let same_table a b =
+  let n = Fulib.Table.num_nodes a and k = Fulib.Table.num_types a in
+  n = Fulib.Table.num_nodes b
+  && k = Fulib.Table.num_types b
+  && Fulib.Table.library a == Fulib.Table.library b
+  && List.for_all
+       (fun v ->
+         List.for_all
+           (fun ftype ->
+             Fulib.Table.time a ~node:v ~ftype = Fulib.Table.time b ~node:v ~ftype
+             && Fulib.Table.cost a ~node:v ~ftype
+                = Fulib.Table.cost b ~node:v ~ftype)
+           (List.init k Fun.id))
+       (List.init n Fun.id)
+
+let lookup_exn name ~seed =
+  match Workloads.Catalogue.lookup name ~seed with
+  | Some inst -> inst
+  | None -> Alcotest.failf "catalogue has no %S" name
+
+let test_catalogue_matches_fresh_build () =
+  Alcotest.(check (list string))
+    "names in extended order"
+    (List.map fst (Workloads.Filters.extended ()))
+    (Workloads.Catalogue.names ());
+  List.iter
+    (fun name ->
+      List.iter
+        (fun seed ->
+          let g, tbl = lookup_exn name ~seed in
+          let g', tbl' = fresh_instance name ~seed in
+          Alcotest.(check bool) (name ^ ": graph as built") true (same_graph g g');
+          Alcotest.(check bool) (name ^ ": table as drawn") true
+            (same_table tbl tbl'))
+        [ 42; 7; -3 ])
+    (Workloads.Catalogue.names ());
+  Alcotest.(check bool) "unknown name" true
+    (Workloads.Catalogue.lookup "no-such-filter" ~seed:1 = None)
+
+let test_catalogue_resident () =
+  let g1, t1 = lookup_exn "elliptic" ~seed:11 in
+  let g2, t2 = lookup_exn "elliptic" ~seed:11 in
+  let g3, t3 = lookup_exn "elliptic" ~seed:12 in
+  Alcotest.(check bool) "graph built once" true (g1 == g2 && g1 == g3);
+  Alcotest.(check bool) "table memoized per seed" true (t1 == t2);
+  Alcotest.(check bool) "other seed, other table" false (t1 == t3)
+
+let test_catalogue_bounded () =
+  let slots = Workloads.Catalogue.table_slots in
+  let first = snd (lookup_exn "diffeq" ~seed:100_000) in
+  for seed = 100_001 to 100_000 + slots + 10 do
+    ignore (lookup_exn "diffeq" ~seed)
+  done;
+  Alcotest.(check bool) "memo stays bounded" true
+    (Workloads.Catalogue.memoized () <= slots);
+  (* the oldest entry was evicted; a redraw is a new but equal table *)
+  let again = snd (lookup_exn "diffeq" ~seed:100_000) in
+  Alcotest.(check bool) "evicted entry redrawn" false (first == again);
+  Alcotest.(check bool) "redraw equals the first draw" true (same_table first again)
+
+(* Two domains racing over overlapping (name, seed) pairs, with enough
+   distinct seeds to keep the memo evicting: every instance must still
+   equal a fresh build. *)
+let test_catalogue_concurrent () =
+  let names = Array.of_list (Workloads.Catalogue.names ()) in
+  let pick i = (names.(i mod Array.length names), 500 + (i mod 97)) in
+  Par.Pool.with_pool ~domains:2 (fun pool ->
+      let got =
+        Par.Pool.map_array pool
+          (fun i ->
+            let name, seed = pick i in
+            lookup_exn name ~seed)
+          (Array.init 400 Fun.id)
+      in
+      Array.iteri
+        (fun i (g, tbl) ->
+          let name, seed = pick i in
+          let g', tbl' = fresh_instance name ~seed in
+          if not (same_graph g g' && same_table tbl tbl') then
+            Alcotest.failf "lookup %d (%s, seed %d) differs from a fresh build" i
+              name seed)
+        got)
+
 let () =
   Alcotest.run "workloads"
     [
+      ( "catalogue",
+        [
+          quick "matches a fresh build" test_catalogue_matches_fresh_build;
+          quick "resident graphs, memoized tables" test_catalogue_resident;
+          quick "bounded table memo" test_catalogue_bounded;
+          quick "two domains" test_catalogue_concurrent;
+        ] );
       ( "prng",
         [
           quick "deterministic" test_prng_deterministic;
