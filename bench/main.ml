@@ -192,11 +192,20 @@ let scaling_tests =
 
 (* --- Kernel: flat/incremental solver layer vs reference --------------- *)
 
+(* A scaling DAG with its Repeat assignment: the phase-2 kernels' input. *)
+let scaling_dag_assigned n =
+  let g, tbl, deadline = scaling_dag_instance n in
+  match Assign.Dfg_assign.repeat g tbl ~deadline with
+  | Some a -> (g, tbl, a, deadline)
+  | None -> failwith "bench: kernel assignment infeasible"
+
 (* Measures what the solver-context refactor bought on the SCALE sweep:
    incremental DFG_Assign_Repeat (one Tree_kernel, ancestor-chain re-solves
    per pin) against the original full-re-solve Repeat, and the flat tree DP
    against the list-based reference, on the random-DAG/tree scaling
-   instances up to n = 200. *)
+   instances up to n = 200; plus the phase-2 kernels (Lower_Bound_FU,
+   Min_FU_Scheduling with threaded frames) and the tree choice on the same
+   DAGs. *)
 let kernel_tests =
   Test.make_grouped ~name:"kernel"
     [
@@ -218,13 +227,21 @@ let kernel_tests =
           Staged.stage (fun () ->
               Assign.Tree_assign.solve_with_cost_reference g tbl ~deadline));
       Test.make_indexed ~name:"frames" ~args:[ 200 ] (fun n ->
-          let g, tbl, deadline = scaling_dag_instance n in
-          let a =
-            match Assign.Dfg_assign.repeat g tbl ~deadline with
-            | Some a -> a
-            | None -> failwith "bench: kernel assignment infeasible"
-          in
+          let g, tbl, a, deadline = scaling_dag_assigned n in
           Staged.stage (fun () -> Sched.Asap_alap.frames g tbl a ~deadline));
+      Test.make_indexed ~name:"lower-bound" ~args:[ 50; 100; 200 ] (fun n ->
+          let g, tbl, a, deadline = scaling_dag_assigned n in
+          let frames = Sched.Asap_alap.frames g tbl a ~deadline in
+          Staged.stage (fun () ->
+              Sched.Lower_bound.per_type ?frames g tbl a ~deadline));
+      Test.make_indexed ~name:"min-resource" ~args:[ 50; 100; 200 ] (fun n ->
+          let g, tbl, a, deadline = scaling_dag_assigned n in
+          let frames = Sched.Asap_alap.frames g tbl a ~deadline in
+          Staged.stage (fun () ->
+              Sched.Min_resource.run ?frames g tbl a ~deadline));
+      Test.make_indexed ~name:"choose-tree" ~args:[ 50; 100; 200 ] (fun n ->
+          let g, _, _ = scaling_dag_instance n in
+          Staged.stage (fun () -> Assign.Dfg_assign.choose_tree g));
     ]
 
 (* --- Parallel fan-out layer: sequential vs pooled --------------------- *)

@@ -11,19 +11,21 @@ let expand_oriented ?max_nodes orientation g =
   | Forward -> Dfg.Expand.expand ?max_nodes g
   | Transposed -> Dfg.Expand.expand ?max_nodes (Dfg.Transpose.transpose g)
 
-let choose_tree ?max_nodes g =
-  let forward = expand_oriented ?max_nodes Forward g in
-  let transposed = expand_oriented ?max_nodes Transposed g in
-  if
-    Dfg.Graph.num_nodes forward.Dfg.Expand.graph
-    <= Dfg.Graph.num_nodes transposed.Dfg.Expand.graph
-  then (Forward, forward)
-  else (Transposed, transposed)
+(* Count both orientations' trees, build only the smaller. Building both
+   used to raise [Too_large] when either exceeded the bound, so the counts
+   keep that contract. *)
+let choose_tree ?(max_nodes = Dfg.Expand.default_max_nodes) g =
+  let forward, transposed = Dfg.Expand.tree_sizes ~max_nodes g in
+  let over size = size > 0 && size > max_nodes in
+  if over forward || over transposed then
+    raise (Dfg.Expand.Too_large max_nodes);
+  let orientation = if forward <= transposed then Forward else Transposed in
+  (orientation, expand_oriented ~max_nodes orientation g)
 
 (* Among the tree copies of original node [v], pick the type with minimum
    execution time; break ties toward lower cost, then lower type index, so
-   the choice is deterministic. *)
-let min_time_choice table tree_assignment copies v =
+   the choice is deterministic. [type_of c] is copy [c]'s tree type. *)
+let min_time_choice table type_of copies v =
   let better t t' =
     let time ty = Fulib.Table.time table ~node:v ~ftype:ty in
     let cost ty = Fulib.Table.cost table ~node:v ~ftype:ty in
@@ -35,9 +37,18 @@ let min_time_choice table tree_assignment copies v =
   match copies with
   | [] -> invalid_arg "Dfg_assign: node without copies"
   | c :: rest ->
-      List.fold_left
-        (fun acc c' -> better acc tree_assignment.(c'))
-        tree_assignment.(c) rest
+      List.fold_left (fun acc c' -> better acc (type_of c')) (type_of c) rest
+
+(* Fill the nodes of [a] not fixed yet ([-1]) from the tree assignment
+   [ta]: a single copy's type, else the min-time choice among the copies. *)
+let complete table tree ta a =
+  Array.iteri
+    (fun v copies ->
+      if a.(v) < 0 then
+        match copies with
+        | [ c ] -> a.(v) <- ta.(c)
+        | copies -> a.(v) <- min_time_choice table (Array.get ta) copies v)
+    tree.Dfg.Expand.copies
 
 (* Project the table's flat rows through the expansion's origin map: tree
    copy [i] gets original node [origin.(i)]'s row. The result is owned by
@@ -95,11 +106,8 @@ let once_on_tree tree g table ~deadline =
   match solve_on_tree ?forbid tree table ~deadline with
   | None -> None
   | Some ta ->
-      let n = Dfg.Graph.num_nodes g in
-      let a = Array.make n 0 in
-      for v = 0 to n - 1 do
-        a.(v) <- min_time_choice table ta tree.Dfg.Expand.copies.(v) v
-      done;
+      let a = Array.make (Dfg.Graph.num_nodes g) (-1) in
+      complete table tree ta a;
       Some a
 
 let once_oriented ?max_nodes orientation g table ~deadline =
@@ -128,6 +136,37 @@ let order_dups tree order dups =
                (Dfg.Expand.copy_count tree u))
            dups)
 
+(* The [DFG_Assign_Repeat] fixing loop over a live kernel: for each
+   duplicated node in [dups], re-solve the rows dirtied by earlier pins,
+   trace back only that node's copies (O(depth) each, not the whole tree),
+   and pin all of them to their min-time choice; then one full solve
+   assigns the remaining nodes. [None] when a solve cannot meet the
+   deadline. *)
+let fix_duplicates kernel tree table dups ~n =
+  let a = Array.make n (-1) in
+  let exception Infeasible in
+  try
+    List.iter
+      (fun v ->
+        if not (Tree_kernel.feasible kernel) then raise Infeasible;
+        let copies = tree.Dfg.Expand.copies.(v) in
+        let t =
+          min_time_choice table
+            (fun c -> Tree_kernel.type_at kernel ~node:c)
+            copies v
+        in
+        a.(v) <- t;
+        List.iter
+          (fun copy -> Tree_kernel.pin kernel ~node:copy ~ftype:t)
+          copies)
+      dups;
+    match Tree_kernel.solve kernel with
+    | None -> None
+    | Some (ta, _) ->
+        complete table tree ta a;
+        Some a
+  with Infeasible -> None
+
 (* [DFG_Assign_Repeat], incremental: one kernel is created for the expanded
    tree, and each pinning pass re-solves only the DP rows of the pinned
    copies' ancestor chains (the rows below them are unaffected by the pin),
@@ -139,36 +178,12 @@ let repeat_with_order ?max_nodes ~order g table ~deadline =
     let _, tree = choose_tree ?max_nodes g in
     let dups = order_dups tree order (Dfg.Expand.duplicated_nodes tree) in
     let n = Dfg.Graph.num_nodes g in
-    let a = Array.make n (-1) in
-    let exception Infeasible in
-    try
-      if n = 0 then Some [||]
-      else begin
-        let forbid = project_forbid g table tree.Dfg.Expand.origin in
-        let kernel = tree_kernel ?forbid tree table ~deadline in
-        List.iter
-          (fun v ->
-            match Tree_kernel.solve kernel with
-            | None -> raise Infeasible
-            | Some (ta, _) ->
-                let t = min_time_choice table ta tree.Dfg.Expand.copies.(v) v in
-                a.(v) <- t;
-                List.iter
-                  (fun copy -> Tree_kernel.pin kernel ~node:copy ~ftype:t)
-                  tree.Dfg.Expand.copies.(v))
-          dups;
-        match Tree_kernel.solve kernel with
-        | None -> raise Infeasible
-        | Some (ta, _) ->
-            for v = 0 to n - 1 do
-              if a.(v) < 0 then
-                match tree.Dfg.Expand.copies.(v) with
-                | [ c ] -> a.(v) <- ta.(c)
-                | copies -> a.(v) <- min_time_choice table ta copies v
-            done;
-            Some a
-      end
-    with Infeasible -> None
+    if n = 0 then Some [||]
+    else begin
+      let forbid = project_forbid g table tree.Dfg.Expand.origin in
+      let kernel = tree_kernel ?forbid tree table ~deadline in
+      fix_duplicates kernel tree table dups ~n
+    end
   end
 
 let repeat ?max_nodes g table ~deadline =
@@ -229,7 +244,8 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
               let choice =
                 Array.map
                   (fun v ->
-                    min_time_choice table ta tree.Dfg.Expand.copies.(v) v)
+                    min_time_choice table (Array.get ta)
+                      tree.Dfg.Expand.copies.(v) v)
                   cands
               in
               let scores =
@@ -272,12 +288,7 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
         match solve_copy () with
         | None -> raise Infeasible
         | Some (ta, _) ->
-            for v = 0 to n - 1 do
-              if a.(v) < 0 then
-                match tree.Dfg.Expand.copies.(v) with
-                | [ c ] -> a.(v) <- ta.(c)
-                | copies -> a.(v) <- min_time_choice table ta copies v
-            done;
+            complete table tree ta a;
             Some a
       with Infeasible -> None
     end
@@ -368,40 +379,12 @@ module Repeat_session = struct
     | Some res -> Option.map Array.copy res
     | None ->
         Obs.Counter.incr c_session_resolves;
-        let a = Array.make t.n (-1) in
-        let exception Infeasible in
         let res =
-          try
-            if t.n = 0 then Some [||]
-            else begin
-              if t.dups <> [] then t.pinned <- true;
-              List.iter
-                (fun v ->
-                  match Tree_kernel.solve t.kernel with
-                  | None -> raise Infeasible
-                  | Some (ta, _) ->
-                      let ty =
-                        min_time_choice t.table ta t.tree.Dfg.Expand.copies.(v)
-                          v
-                      in
-                      a.(v) <- ty;
-                      List.iter
-                        (fun copy ->
-                          Tree_kernel.pin t.kernel ~node:copy ~ftype:ty)
-                        t.tree.Dfg.Expand.copies.(v))
-                t.dups;
-              match Tree_kernel.solve t.kernel with
-              | None -> raise Infeasible
-              | Some (ta, _) ->
-                  for v = 0 to t.n - 1 do
-                    if a.(v) < 0 then
-                      match t.tree.Dfg.Expand.copies.(v) with
-                      | [ c ] -> a.(v) <- ta.(c)
-                      | copies -> a.(v) <- min_time_choice t.table ta copies v
-                  done;
-                  Some a
-            end
-          with Infeasible -> None
+          if t.n = 0 then Some [||]
+          else begin
+            if t.dups <> [] then t.pinned <- true;
+            fix_duplicates t.kernel t.tree t.table t.dups ~n:t.n
+          end
         in
         t.cached <- Some res;
         Option.map Array.copy res
@@ -429,7 +412,9 @@ let repeat_reference ?max_nodes g table ~deadline =
         match solve_tree !tree_table with
         | None -> raise Infeasible
         | Some ta ->
-            let t = min_time_choice table ta tree.Dfg.Expand.copies.(v) v in
+            let t =
+              min_time_choice table (Array.get ta) tree.Dfg.Expand.copies.(v) v
+            in
             a.(v) <- t;
             List.iter
               (fun copy ->
@@ -439,11 +424,6 @@ let repeat_reference ?max_nodes g table ~deadline =
     match solve_tree !tree_table with
     | None -> raise Infeasible
     | Some ta ->
-        for v = 0 to n - 1 do
-          if a.(v) < 0 then
-            match tree.Dfg.Expand.copies.(v) with
-            | [ c ] -> a.(v) <- ta.(c)
-            | copies -> a.(v) <- min_time_choice table ta copies v
-        done;
+        complete table tree ta a;
         Some a
   with Infeasible -> None

@@ -20,7 +20,11 @@ type orientation = Forward | Transposed
 
 (** The tree both heuristics work on: the smaller of [expand g] and
     [expand (transpose g)] (ties prefer [Forward]). Critical-path sums are
-    orientation-invariant, so either is sound. *)
+    orientation-invariant, so either is sound. Both sizes are counted in
+    O(n + e) with {!Dfg.Expand.tree_sizes} and only the chosen tree is
+    built. Raises {!Dfg.Expand.Too_large} when either size exceeds
+    [max_nodes] (default {!Dfg.Expand.default_max_nodes}), exactly as
+    building both trees would. *)
 val choose_tree : ?max_nodes:int -> Dfg.Graph.t -> orientation * Dfg.Expand.tree
 
 val once :
@@ -32,7 +36,8 @@ val once :
 
 (** Incremental: pinning a duplicated node re-solves only the DP rows of
     its copies' ancestor chains in the expanded tree ({!Tree_kernel}),
-    not the whole tree. Bit-identical to {!repeat_reference}. *)
+    not the whole tree, and fixing a node traces back only its own copies
+    ({!Tree_kernel.type_at}). Bit-identical to {!repeat_reference}. *)
 val repeat :
   ?max_nodes:int ->
   Dfg.Graph.t ->

@@ -27,6 +27,7 @@ type t = {
   forbid : bool array;  (* n*k placement mask, owned; empty = none *)
   forbid0 : bool array;  (* pristine copy of [forbid]: refresh restores from it *)
   parent : int array;  (* -1 for roots; well-defined on a forest *)
+  chain : int array;  (* scratch: one node's root path for [type_at] *)
   x : int array;  (* n*(deadline+1) subtree costs; [infeasible] = none *)
   choice : int array;  (* n*(deadline+1) chosen type; -1 = none *)
   combined : int array;  (* scratch: children cost sums per budget *)
@@ -66,6 +67,7 @@ let create ?forbid g ~times ~costs ~k ~deadline =
     forbid;
     forbid0 = Array.copy forbid;
     parent;
+    chain = Array.make n 0;
     x = Array.make (n * w) infeasible;
     choice = Array.make (n * w) (-1);
     combined = Array.make w 0;
@@ -191,14 +193,44 @@ let refresh t ~node ~times ~costs =
   done;
   t.any_dirty <- true
 
+let roots_feasible t =
+  let w = t.deadline + 1 in
+  not
+    (Array.exists
+       (fun r -> t.x.((r * w) + t.deadline) = infeasible)
+       (Dfg.Graph.roots_arr t.g))
+
+let feasible t =
+  Obs.Counter.incr c_solves;
+  ensure t;
+  roots_feasible t
+
+(* The traceback of [solve] restricted to one root path: collect the path
+   bottom-up, then replay the budgets top-down from [deadline]. *)
+let type_at t ~node =
+  ensure t;
+  let w = t.deadline + 1 in
+  let depth = ref 0 and v = ref node in
+  while !v >= 0 do
+    t.chain.(!depth) <- !v;
+    incr depth;
+    v := t.parent.(!v)
+  done;
+  let budget = ref t.deadline and ty = ref (-1) in
+  for i = !depth - 1 downto 0 do
+    let u = t.chain.(i) in
+    ty := t.choice.((u * w) + !budget);
+    if !ty < 0 then invalid_arg "Tree_kernel.type_at: infeasible path";
+    budget := !budget - t.times.((u * t.k) + !ty)
+  done;
+  !ty
+
 let solve t =
   Obs.Counter.incr c_solves;
   ensure t;
   let w = t.deadline + 1 in
   let roots = Dfg.Graph.roots_arr t.g in
-  if
-    Array.exists (fun r -> t.x.((r * w) + t.deadline) = infeasible) roots
-  then None
+  if not (roots_feasible t) then None
   else begin
     let a = Array.make t.n 0 in
     (* Explicit stack: trees from [Dfg.Expand] can be very deep. *)

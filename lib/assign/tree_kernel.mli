@@ -9,6 +9,9 @@
       [DFG_Assign_Repeat] fixing step), dirtying just the node and its
       ancestor chain — so the re-solve after a pin costs O(depth · T · K)
       instead of O(n · T · K);
+    - {!feasible} and {!type_at}: the same re-solve without the O(n)
+      traceback, and one node's type read back along its root path in
+      O(depth) — all the Repeat fixing loop needs between pins;
     - {!dp_row}: a copy of one node's DP row from the cached matrices.
 
     Results are bit-identical to the reference list-based DP
@@ -41,6 +44,19 @@ val deadline : t -> int
     subtree cannot meet the deadline. First call runs the full DP; later
     calls recompute only rows dirtied by {!pin}. *)
 val solve : t -> (int array * int) option
+
+(** [feasible t] is [solve t <> None] without the traceback: it recomputes
+    the rows dirtied since the last solve and checks every root at the
+    deadline. It counts as one solve in the [kernel.solves] counter. *)
+val feasible : t -> bool
+
+(** [type_at t ~node] is [node]'s type in the assignment {!solve} would
+    return now, in O(depth) instead of O(n): walk up [node]'s parent chain,
+    then replay the traceback's budgets down it from the deadline (the
+    same choices {!solve} reads, so the same answer). Recomputes dirty
+    rows first. Raises [Invalid_argument] when [node]'s root cannot meet
+    the deadline. *)
+val type_at : t -> node:int -> int
 
 (** [pin t ~node ~ftype] overwrites [node]'s time/cost row with the pinned
     type's values, so every type choice becomes equivalent to [ftype]. *)

@@ -6,7 +6,9 @@ type tree = {
 
 exception Too_large of int
 
-let expand ?(max_nodes = 200_000) g =
+let default_max_nodes = 200_000
+
+let expand ?(max_nodes = default_max_nodes) g =
   let next_id = ref 0 in
   let rev_names = ref [] and rev_ops = ref [] and rev_origin = ref [] in
   let edges = ref [] in
@@ -39,6 +41,40 @@ let expand ?(max_nodes = 200_000) g =
     copies.(origin.(t)) <- t :: copies.(origin.(t))
   done;
   { graph; origin; copies }
+
+(* A node has one copy per root-to-node path (forward) or per node-to-leaf
+   path (transposed: the roots of [Transpose.transpose g] are [g]'s
+   leaves). Both counts are one pass over the topological order, forward
+   and backward, with sums saturating at [max_nodes + 1] so exponential
+   path counts neither overflow nor matter. *)
+let tree_sizes ~max_nodes g =
+  let cap =
+    if max_nodes >= max_int - 1 then max_int else Int.max 1 (max_nodes + 1)
+  in
+  let add x y =
+    let s = x + y in
+    if s > cap || s < 0 then cap else s
+  in
+  let n = Graph.num_nodes g in
+  let topo = Graph.topo_arr g in
+  (* [paths.(v)] is 1 when [v] has no neighbours in the CSR view
+     [(off, tgt)], else the sum of theirs; [visit] orders the topological
+     sweep so that neighbours come first. *)
+  let count (off, tgt) visit =
+    let paths = Array.make n 0 and total = ref 0 in
+    for i = 0 to n - 1 do
+      let v = topo.(visit i) in
+      let c = ref (if off.(v + 1) = off.(v) then 1 else 0) in
+      for j = off.(v) to off.(v + 1) - 1 do
+        c := add !c paths.(tgt.(j))
+      done;
+      paths.(v) <- !c;
+      total := add !total !c
+    done;
+    !total
+  in
+  ( count (Graph.csr_preds g) Fun.id,
+    count (Graph.csr_succs g) (fun i -> n - 1 - i) )
 
 let copy_count t v = List.length t.copies.(v)
 

@@ -17,11 +17,23 @@ type tree = {
 exception Too_large of int
 (** Raised with the configured bound when expansion would exceed it. *)
 
+(** The default [max_nodes] bound of {!expand}: [200_000]. *)
+val default_max_nodes : int
+
 (** [expand ?max_nodes g] builds the critical-path tree of [g]'s DAG portion.
     The number of tree nodes equals the number of distinct root-to-node paths
-    in [g], which can be exponential; [max_nodes] (default [200_000]) bounds
-    it, raising {!Too_large} beyond. *)
+    in [g], which can be exponential; [max_nodes] (default
+    {!default_max_nodes}) bounds it, raising {!Too_large} beyond. *)
 val expand : ?max_nodes:int -> Graph.t -> tree
+
+(** [tree_sizes ~max_nodes g] is [(forward, transposed)]: the node counts
+    of [expand g] and of [expand (Transpose.transpose g)], computed in
+    O(n + e) without building either tree. A node has one forward copy per
+    root-to-node path and one transposed copy per node-to-leaf path. Each
+    count saturates at [max_nodes + 1], so a count above [max_nodes] means
+    exactly that the matching {!expand} raises {!Too_large} (for a
+    non-empty graph). *)
+val tree_sizes : max_nodes:int -> Graph.t -> int * int
 
 (** Original nodes that have more than one copy in the tree (the paper's
     {e duplicated nodes}), in ascending node order. *)

@@ -7,7 +7,7 @@ let asap g table a =
     (fun v ->
       let ready =
         Dfg.Graph.fold_dag_preds g v ~init:0 ~f:(fun acc p ->
-            max acc (start.(p) + times.((p * k) + a.(p))))
+            Int.max acc (start.(p) + times.((p * k) + a.(p))))
       in
       start.(v) <- ready)
     (Dfg.Graph.topo_arr g);
@@ -23,7 +23,7 @@ let alap g table a ~deadline =
     (fun v ->
       let latest_finish =
         Dfg.Graph.fold_dag_succs g v ~init:deadline ~f:(fun acc s ->
-            min acc start.(s))
+            Int.min acc start.(s))
       in
       start.(v) <- latest_finish - times.((v * k) + a.(v));
       if start.(v) < 0 then feasible := false)

@@ -15,7 +15,9 @@ let bind ?(pipelined = fun _ -> false) table s =
      when its last occupant finished by the node's start *)
   let by_start =
     List.sort
-      (fun v w -> compare (s.Schedule.start.(v), v) (s.Schedule.start.(w), w))
+      (fun v w ->
+        let c = Int.compare s.Schedule.start.(v) s.Schedule.start.(w) in
+        if c <> 0 then c else Int.compare v w)
       (List.init n (fun i -> i))
   in
   let free_at = Array.make k [||] in
@@ -81,9 +83,9 @@ let is_valid ?(pipelined = fun _ -> false) table s b =
    second resident copy. *)
 let peak_memory ~graph table s b =
   let k = Fulib.Table.num_types table in
-  let len = max 1 (Schedule.length table s) in
+  let len = Int.max 1 (Schedule.length table s) in
   let usage =
-    Array.init k (fun t -> Array.make_matrix (max 1 b.config.(t)) len 0)
+    Array.init k (fun t -> Array.make_matrix (Int.max 1 b.config.(t)) len 0)
   in
   let n = Array.length s.Schedule.start in
   for u = 0 to n - 1 do
@@ -96,7 +98,7 @@ let peak_memory ~graph table s b =
               (s.Schedule.start.(u), Schedule.finish table s w - 1)
             else (0, len - 1)
           in
-          for step = lo to min hi (len - 1) do
+          for step = lo to Int.min hi (len - 1) do
             usage.(t).(i).(step) <- usage.(t).(i).(step) + size
           done
         end)
@@ -104,7 +106,7 @@ let peak_memory ~graph table s b =
   done;
   Array.init k (fun t ->
       Array.init b.config.(t) (fun i ->
-          Array.fold_left max 0 usage.(t).(i)))
+          Array.fold_left Int.max 0 usage.(t).(i)))
 
 let pp ~graph ~table ~schedule ppf b =
   let lib = Fulib.Table.library table in
@@ -118,7 +120,8 @@ let pp ~graph ~table ~schedule ppf b =
       Format.fprintf ppf "%s[%d]:" (Fulib.Library.type_name lib t) i;
       let occupants =
         List.sort
-          (fun v w -> compare schedule.Schedule.start.(v) schedule.Schedule.start.(w))
+          (fun v w ->
+            Int.compare schedule.Schedule.start.(v) schedule.Schedule.start.(w))
           (List.filteri
              (fun _ v ->
                schedule.Schedule.assignment.(v) = t && b.instance.(v) = i)

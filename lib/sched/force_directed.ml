@@ -19,7 +19,7 @@ let fixed_frames g table a ~deadline ~fixed =
     (fun v ->
       let ready =
         Dfg.Graph.fold_dag_preds g v ~init:0 ~f:(fun acc p ->
-            max acc (est.(p) + time p))
+            Int.max acc (est.(p) + time p))
       in
       est.(v) <- (match fixed.(v) with
         | Some s -> if s < ready then (ok := false; ready) else s
@@ -29,7 +29,7 @@ let fixed_frames g table a ~deadline ~fixed =
     (fun v ->
       let latest_finish =
         Dfg.Graph.fold_dag_succs g v ~init:deadline ~f:(fun acc s ->
-            min acc lst.(s))
+            Int.min acc lst.(s))
       in
       let latest = latest_finish - time v in
       lst.(v) <- (match fixed.(v) with
@@ -51,7 +51,7 @@ let distribution g table a ~deadline (est, lst) =
     let width = lst.(v) - est.(v) + 1 in
     let p = 1.0 /. float_of_int width in
     for start = est.(v) to lst.(v) do
-      for s = start to min (start + t - 1) (deadline - 1) do
+      for s = start to Int.min (start + t - 1) (deadline - 1) do
         dg.(a.(v)).(s) <- dg.(a.(v)).(s) +. p
       done
     done

@@ -8,7 +8,14 @@
     for the last [s] steps. The bound is the maximum over every prefix and
     suffix length. Counting busy steps (not node starts) generalises the
     paper's per-step node counts to multi-cycle operations and coincides
-    with them when all times are 1. *)
+    with them when all times are 1.
+
+    O(n + T·K) for [n] nodes, deadline [T] and [K] types. A node's prefix
+    term rises by one per step over [(alap v, alap v + busy]] and is flat
+    elsewhere, so its first difference is a unit box: the bound adds +1/-1
+    at the box ends per type and prefix-sums twice, instead of re-summing
+    every node at every step. The suffix side is the same box with
+    [deadline - asap v - busy] in place of [alap v]. *)
 
 (** [per_type ?pipelined ?frames g table a ~deadline] returns the per-type
     lower bounds. [None] when the assignment cannot meet the deadline at

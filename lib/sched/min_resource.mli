@@ -8,7 +8,18 @@
     least-slack (earliest-ALAP) order without ever growing the
     configuration. Every node therefore starts no later than its ALAP
     start, so the deadline is met by construction whenever the assignment
-    admits it. *)
+    admits it.
+
+    A node enters a ready pool, kept in (ALAP, id) order, at the step its
+    last predecessor finishes (release buckets indexed by step), and each
+    step is a single pass over the pool: a node whose ALAP start is now
+    starts unconditionally, any other only if an instance of its type is
+    free over its busy steps. This is the same schedule as the two passes
+    described above: every pooled node has ALAP ≥ now, so the forced nodes
+    sort first, and a node started now releases its successors at the next
+    step at the earliest (times are ≥ 1), so the pool does not change
+    within a step. O(n + e + T·K) plus the pool work, with no per-step
+    allocation. *)
 
 type result = {
   schedule : Schedule.t;

@@ -49,7 +49,7 @@ let run ?(pipelined = fun _ -> false) g table ~mapping ~config ~deadline s =
     let span v e = if pipelined e then 1 else time v e in
     let occupy v e delta =
       let b = mapping.Fulib.Dvfs.base.(e) in
-      let hi = min (start.(v) + span v e) deadline - 1 in
+      let hi = Int.min (start.(v) + span v e) deadline - 1 in
       for step = start.(v) to hi do
         usage.((b * deadline) + step) <- usage.((b * deadline) + step) + delta
       done
@@ -63,7 +63,7 @@ let run ?(pipelined = fun _ -> false) g table ~mapping ~config ~deadline s =
     let free v e at =
       let b = mapping.Fulib.Dvfs.base.(e) in
       let ok = ref true in
-      let hi = min (at + span v e) deadline - 1 in
+      let hi = Int.min (at + span v e) deadline - 1 in
       for step = at to hi do
         if usage.((b * deadline) + step) >= cap.(b) then ok := false
       done;

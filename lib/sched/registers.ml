@@ -22,7 +22,7 @@ let lifetimes g table s =
         if has_delayed_consumer || Dfg.Graph.succs g v = [] then schedule_end
         else
           List.fold_left
-            (fun acc w -> max acc s.Schedule.start.(w))
+            (fun acc w -> Int.max acc s.Schedule.start.(w))
             birth zero_delay_consumers
       in
       let acc = if death > birth then { node = v; birth; death } :: acc else acc in
@@ -34,19 +34,21 @@ let lifetimes g table s =
 let max_live g table s =
   let lts = lifetimes g table s in
   let schedule_end = Schedule.length table s in
-  let live = Array.make (max schedule_end 1) 0 in
+  let live = Array.make (Int.max schedule_end 1) 0 in
   List.iter
     (fun { birth; death; _ } ->
       for step = birth to death - 1 do
         live.(step) <- live.(step) + 1
       done)
     lts;
-  Array.fold_left max 0 live
+  Array.fold_left Int.max 0 live
 
 let allocate g table s =
   let lts =
     List.sort
-      (fun a b -> compare (a.birth, a.node) (b.birth, b.node))
+      (fun a b ->
+        let c = Int.compare a.birth b.birth in
+        if c <> 0 then c else Int.compare a.node b.node)
       (lifetimes g table s)
   in
   (* left-edge: registers are free lists keyed by when they free up *)
@@ -62,7 +64,7 @@ let allocate g table s =
       | entry :: rest -> take (entry :: acc) rest
     in
     (* prefer the register that freed up earliest for determinism *)
-    let sorted = List.sort (fun (_, f) (_, f') -> compare f f') !free_at in
+    let sorted = List.sort (fun (_, f) (_, f') -> Int.compare f f') !free_at in
     let r, remaining = take [] sorted in
     free_at := (r, lt.death) :: remaining;
     (lt, r)

@@ -4,6 +4,7 @@ let served = Obs.Counter.make "serve.daemon.served"
 let connections = Obs.Counter.make "serve.daemon.connections"
 let malformed = Obs.Counter.make "serve.daemon.malformed"
 let idle_closed = Obs.Counter.make "serve.daemon.idle_closed"
+let dropped = Obs.Counter.make "serve.daemon.dropped"
 let rt_admitted = Obs.Counter.make "serve.rt.admitted"
 let rt_rejected = Obs.Counter.make "serve.rt.rejected"
 let rt_released = Obs.Counter.make "serve.rt.released"
@@ -183,9 +184,18 @@ let rec write_all fd s off len =
     | n -> write_all fd s (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
 
+(* The peer closed before reading its responses. *)
+exception Hung_up
+
+(* A write to a peer that hung up must fail with EPIPE rather than kill
+   the whole daemon with SIGPIPE. *)
+let ignore_sigpipe () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
 (* One write per line: lines under PIPE_BUF land atomically in pipes, so
    interleaved readers never see torn responses. *)
-let emit fd line = write_all fd (line ^ "\n") 0 (String.length line + 1)
+let emit fd line =
+  try write_all fd (line ^ "\n") 0 (String.length line + 1)
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> raise Hung_up
 
 (* --- admission loop --------------------------------------------------- *)
 
@@ -201,6 +211,7 @@ let serve_fd ?idle_timeout t ~input ~output =
       invalid_arg
         (Printf.sprintf "Serve.Daemon.serve_fd: idle timeout %g must be > 0" s)
   | _ -> ());
+  ignore_sigpipe ();
   Obs.Counter.incr connections;
   let r = reader input in
   let pending : (Obs.Json.t * float) Queue.t = Queue.create () in
@@ -288,7 +299,12 @@ let serve_fd ?idle_timeout t ~input ~output =
         Obs.Counter.incr idle_closed
     | Eof -> flush_pending ()
   in
-  loop ();
+  (try loop ()
+   with Hung_up ->
+     (* Only this connection ends: its queued requests are dropped
+        unsolved, so the next connection starts from an empty queue. *)
+     Server.discard t.server;
+     Obs.Counter.incr dropped);
   !written
 
 (* --- unix-domain socket listener -------------------------------------- *)
@@ -300,6 +316,7 @@ let listen ?connections:limit ?idle_timeout t ~path () =
   | Some n when n < 1 ->
       invalid_arg (Printf.sprintf "Serve.Daemon.listen: connections %d < 1" n)
   | _ -> ());
+  ignore_sigpipe ();
   unlink_quiet path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect

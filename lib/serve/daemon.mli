@@ -39,8 +39,10 @@
 
     Counters [serve.daemon.requests] (well-formed lines),
     [serve.daemon.busy] (shed), [serve.daemon.served] (solved responses),
-    [serve.daemon.malformed], [serve.daemon.connections] and
-    [serve.daemon.idle_closed] (sessions reaped by the idle timeout);
+    [serve.daemon.malformed], [serve.daemon.connections],
+    [serve.daemon.idle_closed] (sessions reaped by the idle timeout) and
+    [serve.daemon.dropped] (sessions whose client hung up before reading
+    its responses);
     admission verdicts count in [serve.rt.admitted] / [serve.rt.rejected]
     / [serve.rt.released], and the [serve.rt.utilization_pct] gauge
     tracks the admitted set's total utilization (percent, last
@@ -70,7 +72,13 @@ val latency_histogram : unit -> Obs.Histogram.t
     that stays silent that long {e while nothing is in flight} — a
     client mid-burst is never reaped — counting it in
     [serve.daemon.idle_closed]. Returns the number of response lines
-    written (solved + busy + error + verdicts). This is the stdio
+    written (solved + busy + error + verdicts).
+
+    A client that hangs up early ends only its own session: SIGPIPE is
+    ignored process-wide (by this function and {!listen}), and a write
+    failing with [EPIPE] or [ECONNRESET] stops the loop, drops the
+    session's queued requests unsolved ({!Server.discard}) and counts
+    [serve.daemon.dropped]. This is the stdio
     streaming mode ([--socket -]) and the per-connection loop of
     {!listen}; tests drive it over pipes. *)
 val serve_fd :

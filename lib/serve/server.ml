@@ -26,6 +26,7 @@ let pool t = t.pool
 let cache t = t.cache
 let queue_capacity t = t.queue_capacity
 let pending t = Queue.length t.queue
+let discard t = Queue.clear t.queue
 
 let try_submit t req =
   if Queue.length t.queue >= t.queue_capacity then false

@@ -42,6 +42,10 @@ val queue_capacity : t -> int
 (** Requests currently queued (not yet drained). *)
 val pending : t -> int
 
+(** Drop every queued request unsolved (the daemon does this when the
+    client that queued them hangs up). *)
+val discard : t -> unit
+
 (** Enqueue a request for the next {!drain}. Raises {!Queue_full} at
     capacity. *)
 val submit : t -> Core.Synthesis.request -> unit

@@ -432,6 +432,74 @@ let test_socket_roundtrip () =
   Sys.remove resps;
   Alcotest.(check bool) "socket file removed on exit" false (Sys.file_exists path)
 
+(* A client that streams rtl+validate lines and hangs up without reading
+   a byte: the daemon's writes to it fail. Only that connection may end
+   (counted in serve.daemon.dropped, its queued requests discarded); the
+   same listener must go on to answer the next client. *)
+let test_early_hangup_keeps_listener () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hetsched-hangup-%d.sock" (Unix.getpid ()))
+  in
+  let server = Serve.Server.create ~cache:(Serve.Cache.create ~entries:64 ()) () in
+  let d = Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup server in
+  let dropped = counter "serve.daemon.dropped" in
+  let listener =
+    Domain.spawn (fun () -> Serve.Daemon.listen ~connections:2 d ~path ())
+  in
+  let rec await tries =
+    if not (Sys.file_exists path) then
+      if tries = 0 then Alcotest.fail "daemon socket never appeared"
+      else begin
+        Unix.sleepf 0.01;
+        await (tries - 1)
+      end
+  in
+  await 500;
+  (* Send up to 2,000 lines, stopping early if the socket buffer fills,
+     then close without reading. *)
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_UNIX path);
+  Unix.set_nonblock sock;
+  let rec push i =
+    if i < 2000 then
+      let line =
+        Printf.sprintf
+          {|{"id": %d, "benchmark": "elliptic", "seed": %d, "deadline_factor": 1.3, "rtl": true, "validate": true}|}
+          i i
+        ^ "\n"
+      in
+      match Unix.write_substring sock line 0 (String.length line) with
+      | n when n = String.length line -> push (i + 1)
+      | _ -> ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          ()
+  in
+  push 0;
+  Unix.close sock;
+  (* the second client, on the same listener *)
+  let reqs = Filename.temp_file "hetsched-reqs" ".jsonl" in
+  let resps = Filename.temp_file "hetsched-resps" ".jsonl" in
+  Out_channel.with_open_text reqs (fun oc ->
+      output_string oc
+        {|{"id": "after", "benchmark": "elliptic", "deadline_factor": 1.5}|};
+      output_string oc "\n");
+  let received =
+    In_channel.with_open_text reqs (fun input ->
+        Out_channel.with_open_text resps (fun output ->
+            Serve.Daemon.call ~path ~input ~output))
+  in
+  ignore (Domain.join listener);
+  let lines = In_channel.with_open_text resps In_channel.input_lines in
+  Sys.remove reqs;
+  Sys.remove resps;
+  Alcotest.(check int) "second client answered" 1 received;
+  Alcotest.(check (list string))
+    "its own id" [ "after" ] (List.map id_of lines);
+  Alcotest.(check (list string)) "solved" [ "ok" ] (List.map status_of lines);
+  Alcotest.(check int) "hang-up counted" (dropped + 1)
+    (counter "serve.daemon.dropped")
+
 let () =
   Alcotest.run "daemon"
     [
@@ -471,5 +539,7 @@ let () =
         [
           Alcotest.test_case "listen + call round trip" `Quick
             test_socket_roundtrip;
+          Alcotest.test_case "early hang-up drops only that connection" `Quick
+            test_early_hangup_keeps_listener;
         ] );
     ]

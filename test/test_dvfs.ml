@@ -358,6 +358,30 @@ let incremental_equals_scratch =
       done;
       !ok)
 
+(* The same differential on inline-sized DAGs whose trees carry at least
+   20 duplicated nodes, so every resolve replays a long pin sequence. *)
+let test_incremental_many_duplicates () =
+  List.iter
+    (fun seed ->
+      let n = 80 + (20 * (seed mod 3)) in
+      let g, tbl, deadline = random_instance seed n (n / 3) in
+      let _, tree = Assign.Dfg_assign.choose_tree g in
+      let dups = List.length (Dfg.Expand.duplicated_nodes tree) in
+      if dups < 20 then
+        Alcotest.failf "seed %d: only %d duplicated nodes" seed dups;
+      let ctrl = Online.Controller.create g tbl ~deadline in
+      let rng = Workloads.Prng.create (seed lxor 0xd1ff) in
+      for round = 1 to 4 do
+        Online.Controller.scale_node ctrl ~node:(Workloads.Prng.int rng n)
+          ~pct:(Workloads.Prng.int_in rng 50 300);
+        let scratch = Online.Controller.resolve_scratch ctrl in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d (%d dups) round %d" seed dups round)
+          true
+          (outcome_equal (Online.Controller.resolve ctrl) scratch)
+      done)
+    (List.init 6 Fun.id)
+
 let () =
   Alcotest.run "dvfs"
     [
@@ -384,5 +408,7 @@ let () =
           quick "controller basics" test_controller_basics;
           quick "leveled round trip" test_controller_leveled_round_trip;
           QCheck_alcotest.to_alcotest incremental_equals_scratch;
+          quick "incremental re-solve == from-scratch, >= 20 duplicated nodes"
+            test_incremental_many_duplicates;
         ] );
     ]

@@ -215,6 +215,34 @@ let test_repeat_on_benchmarks () =
         [ tmin; tmin + (tmin / 4); tmin + (tmin / 2) ])
     (Workloads.Filters.all ())
 
+(* Inline-sized DAGs whose trees carry at least 20 duplicated nodes: long
+   fixing sequences, where each duplicated node's copies are read back by
+   a per-copy traceback, must match the whole-tree reference. *)
+let test_repeat_many_duplicates () =
+  List.iter
+    (fun seed ->
+      let rng = Workloads.Prng.create seed in
+      let n = 80 + (20 * (seed mod 4)) in
+      let g = Workloads.Random_dfg.random_dag rng ~n ~extra_edges:(n / 3) in
+      let tbl =
+        Workloads.Tables.random_tradeoff rng ~library:Fulib.Library.standard3
+          ~num_nodes:n
+      in
+      let _, tree = Assign.Dfg_assign.choose_tree g in
+      let dups = List.length (Dfg.Expand.duplicated_nodes tree) in
+      if dups < 20 then
+        Alcotest.failf "seed %d: only %d duplicated nodes" seed dups;
+      let tmin = Assign.Assignment.min_makespan g tbl in
+      List.iter
+        (fun deadline ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d (%d dups) T=%d" seed dups deadline)
+            true
+            (Assign.Dfg_assign.repeat g tbl ~deadline
+            = Assign.Dfg_assign.repeat_reference g tbl ~deadline))
+        [ tmin; tmin + (tmin / 4); tmin + (tmin / 2) ])
+    (List.init 8 Fun.id)
+
 let test_synthesis_config_on_benchmarks () =
   (* Full two-phase runs stay unchanged under the threaded frames: the
      configurations Table 1/2 report are derived from these. *)
@@ -274,6 +302,8 @@ let () =
         [
           quick "incremental repeat = reference on all six"
             test_repeat_on_benchmarks;
+          quick "incremental repeat = reference, >= 20 duplicated nodes"
+            test_repeat_many_duplicates;
           quick "synthesis configurations unchanged"
             test_synthesis_config_on_benchmarks;
         ] );
