@@ -18,8 +18,8 @@
     described above: every pooled node has ALAP ≥ now, so the forced nodes
     sort first, and a node started now releases its successors at the next
     step at the earliest (times are ≥ 1), so the pool does not change
-    within a step. O(n + e + T·K) plus the pool work, with no per-step
-    allocation. *)
+    within a step. Every node is released and inserted once, each step
+    scans only the nodes ready then, and nothing is allocated per step. *)
 
 type result = {
   schedule : Schedule.t;
