@@ -217,7 +217,7 @@ let kernel_tests =
         (fun n ->
           let g, tbl, deadline = scaling_dag_instance n in
           Staged.stage (fun () ->
-              Assign.Dfg_assign.repeat_reference g tbl ~deadline));
+              Oracle.Dfg_assign.repeat_reference g tbl ~deadline));
       Test.make_indexed ~name:"tree-flat" ~args:[ 200 ] (fun n ->
           let g, tbl, deadline = scaling_instance n in
           Staged.stage (fun () ->
@@ -225,7 +225,7 @@ let kernel_tests =
       Test.make_indexed ~name:"tree-reference" ~args:[ 200 ] (fun n ->
           let g, tbl, deadline = scaling_instance n in
           Staged.stage (fun () ->
-              Assign.Tree_assign.solve_with_cost_reference g tbl ~deadline));
+              Oracle.Tree_assign.solve_with_cost_reference g tbl ~deadline));
       Test.make_indexed ~name:"frames" ~args:[ 200 ] (fun n ->
           let g, tbl, a, deadline = scaling_dag_assigned n in
           Staged.stage (fun () -> Sched.Asap_alap.frames g tbl a ~deadline));

@@ -108,9 +108,7 @@ let synth_cmd =
     let deadline =
       match deadline with
       | Some t -> t
-      | None ->
-          int_of_float
-            (ceil (1.2 *. float_of_int (Core.Synthesis.min_deadline g table)))
+      | None -> Core.Synthesis.default_deadline g table
     in
     let levels =
       match levels with
@@ -187,9 +185,7 @@ let dvfs_cmd =
     let deadline =
       match deadline with
       | Some t -> t
-      | None ->
-          int_of_float
-            (ceil (1.2 *. float_of_int (Core.Synthesis.min_deadline g base)))
+      | None -> Core.Synthesis.default_deadline g base
     in
     let label = match file with Some p -> p | None -> name in
     Printf.printf "instance %s, %d levels (%d expanded types), deadline %d\n"
@@ -329,9 +325,7 @@ let rtl_cmd =
     let deadline =
       match deadline with
       | Some t -> t
-      | None ->
-          int_of_float
-            (ceil (1.2 *. float_of_int (Core.Synthesis.min_deadline g table)))
+      | None -> Core.Synthesis.default_deadline g table
     in
     if width < 1 then begin
       Printf.eprintf "hetsched: --width must be >= 1 (got %d)\n" width;
@@ -400,9 +394,7 @@ let analyze_cmd =
     let deadline =
       match deadline with
       | Some t -> t
-      | None ->
-          int_of_float
-            (ceil (1.2 *. float_of_int (Core.Synthesis.min_deadline g table)))
+      | None -> Core.Synthesis.default_deadline g table
     in
     match Assign.Solve.dispatch algo g table ~deadline with
     | None -> print_endline "infeasible"; exit 1
@@ -422,9 +414,7 @@ let gantt_cmd =
     let deadline =
       match deadline with
       | Some t -> t
-      | None ->
-          int_of_float
-            (ceil (1.2 *. float_of_int (Core.Synthesis.min_deadline g table)))
+      | None -> Core.Synthesis.default_deadline g table
     in
     match
       (Core.Synthesis.solve
@@ -567,14 +557,14 @@ let serve_summary ~served () =
 let serve_cmd =
   let run input output domains cache_entries cache_shards no_cache queue
       capacity =
-    let capacity = rt_capacity capacity in
+    let admission = Rt.Admission.create ?capacity:(rt_capacity capacity) () in
     let server =
       make_server ~domains ~cache_entries ~cache_shards ~no_cache ~queue
     in
     let served =
       with_in input @@ fun input ->
       with_out output @@ fun output ->
-      Serve.Jsonl.serve ~lookup:Workloads.Catalogue.lookup ?capacity server
+      Serve.Jsonl.serve ~lookup:Workloads.Catalogue.lookup ~admission server
         ~input ~output
     in
     serve_summary ~served ()
@@ -666,42 +656,12 @@ let admit_cmd =
     Arg.(value & flag & info [ "no-verify" ] ~doc)
   in
   let run input output capacity no_verify =
-    let capacity = rt_capacity capacity in
-    let adm = Rt.Admission.create ?capacity () in
-    let process input output =
-      let line_no = ref 0 in
-      let emit s = output_string output s; output_char output '\n' in
-      (try
-         while true do
-           let s = input_line input in
-           incr line_no;
-           if String.trim s <> "" then
-             match
-               Serve.Jsonl.line_of_string ~lookup:Workloads.Catalogue.lookup
-                 ~line:!line_no s
-             with
-             | Error msg ->
-                 emit (Serve.Jsonl.error_to_string ~id:(Obs.Json.Int !line_no) msg)
-             | Ok (Serve.Jsonl.Solve item) ->
-                 emit
-                   (Serve.Jsonl.response_to_string ~id:item.Serve.Jsonl.id
-                      (Core.Synthesis.solve item.Serve.Jsonl.request))
-             | Ok (Serve.Jsonl.Admit a) ->
-                 let verdict =
-                   match Core.Synthesis.analyse_periodic a.periodic with
-                   | Ok an -> Rt.Admission.try_admit adm ~id:a.task an
-                   | Error reason -> Rt.Verdict.Rejected reason
-                 in
-                 emit (Serve.Jsonl.verdict_to_string ~id:a.id ~task:a.task verdict)
-             | Ok (Serve.Jsonl.Release r) ->
-                 let known = Rt.Admission.release adm ~id:r.task in
-                 emit (Serve.Jsonl.released_to_string ~id:r.id ~task:r.task ~known)
-         done
-       with End_of_file -> ());
-      flush output
-    in
-    (with_in input @@ fun input -> with_out output @@ fun output ->
-     process input output);
+    let adm = Rt.Admission.create ?capacity:(rt_capacity capacity) () in
+    (with_in input @@ fun input ->
+     with_out output @@ fun output ->
+     ignore
+       (Serve.Jsonl.serve ~lookup:Workloads.Catalogue.lookup ~admission:adm
+          (Serve.Server.create ()) ~input ~output));
     let entries = Rt.Admission.admitted adm in
     Printf.eprintf "admitted %d task(s), utilization %.3f\n"
       (List.length entries)

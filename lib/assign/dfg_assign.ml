@@ -50,60 +50,20 @@ let complete table tree ta a =
         | copies -> a.(v) <- min_time_choice table (Array.get ta) copies v)
     tree.Dfg.Expand.copies
 
-(* Project the table's flat rows through the expansion's origin map: tree
-   copy [i] gets original node [origin.(i)]'s row. The result is owned by
-   the caller (the kernel pins into it). *)
-let project_flat table origin =
-  let k = Fulib.Table.num_types table in
-  let times = Fulib.Table.flat_times table in
-  let costs = Fulib.Table.flat_costs table in
-  let tn = Array.length origin in
-  let pt = Array.make (tn * k) 0 and pc = Array.make (tn * k) 0 in
-  for i = 0 to tn - 1 do
-    Array.blit times (origin.(i) * k) pt (i * k) k;
-    Array.blit costs (origin.(i) * k) pc (i * k) k
-  done;
-  (pt, pc)
-
-(* Placement mask for an expanded tree under the memory model: copy [i]
-   may not take a type whose capacity cannot even hold its ORIGINAL node's
-   footprint. Footprints come from the original graph [g] (the tree may be
-   transposed, which flips out-degrees), so the mask is projected through
-   [origin] exactly like the table rows. [None] when unconstrained. *)
-let project_forbid g table origin =
-  if not (Assignment.mem_constrained g table) then None
-  else begin
-    let k = Fulib.Table.num_types table in
-    let mem = Dfg.Graph.out_data_arr g in
-    let caps = Fulib.Table.mem_capacities table in
-    let tn = Array.length origin in
-    let forbid = Array.make (tn * k) false in
-    let any = ref false in
-    for i = 0 to tn - 1 do
-      for t = 0 to k - 1 do
-        if mem.(origin.(i)) > caps.(t) then begin
-          forbid.((i * k) + t) <- true;
-          any := true
-        end
-      done
-    done;
-    if !any then Some forbid else None
-  end
-
-let tree_kernel ?forbid tree table ~deadline =
-  let times, costs = project_flat table tree.Dfg.Expand.origin in
-  Tree_kernel.create ?forbid tree.Dfg.Expand.graph ~times ~costs
-    ~k:(Fulib.Table.num_types table) ~deadline
-
-let solve_on_tree ?forbid tree table ~deadline =
-  if deadline < 0 then None
-  else if Dfg.Graph.num_nodes tree.Dfg.Expand.graph = 0 then Some [||]
-  else
-    Option.map fst (Tree_kernel.solve (tree_kernel ?forbid tree table ~deadline))
+(* The kernel on [g]'s expanded tree: copy [i] stands for original node
+   [origin.(i)], whose rows and footprint it takes. *)
+let tree_kernel tree g table ~deadline =
+  Tree_kernel.of_table ~tree:tree.Dfg.Expand.graph
+    ~origin:tree.Dfg.Expand.origin g table ~deadline
 
 let once_on_tree tree g table ~deadline =
-  let forbid = project_forbid g table tree.Dfg.Expand.origin in
-  match solve_on_tree ?forbid tree table ~deadline with
+  let solved =
+    if deadline < 0 then None
+    else if Dfg.Graph.num_nodes tree.Dfg.Expand.graph = 0 then Some [||]
+    else
+      Option.map fst (Tree_kernel.solve (tree_kernel tree g table ~deadline))
+  in
+  match solved with
   | None -> None
   | Some ta ->
       let a = Array.make (Dfg.Graph.num_nodes g) (-1) in
@@ -179,11 +139,7 @@ let repeat_with_order ?max_nodes ~order g table ~deadline =
     let dups = order_dups tree order (Dfg.Expand.duplicated_nodes tree) in
     let n = Dfg.Graph.num_nodes g in
     if n = 0 then Some [||]
-    else begin
-      let forbid = project_forbid g table tree.Dfg.Expand.origin in
-      let kernel = tree_kernel ?forbid tree table ~deadline in
-      fix_duplicates kernel tree table dups ~n
-    end
+    else fix_duplicates (tree_kernel tree g table ~deadline) tree table dups ~n
   end
 
 let repeat ?max_nodes g table ~deadline =
@@ -191,20 +147,13 @@ let repeat ?max_nodes g table ~deadline =
 
 (* --- Candidate-search Repeat ---------------------------------------- *)
 
-(* Collapse flat [node * k + ftype] rows to the pinned type, the flat-array
-   mirror of [Fulib.Table.pin]. *)
-let pin_flat ~times ~costs ~k ~node ~ftype =
-  let t = times.((node * k) + ftype) and c = costs.((node * k) + ftype) in
-  Array.fill times (node * k) k t;
-  Array.fill costs (node * k) k c
-
 (* [DFG_Assign_Repeat] with a per-round candidate search: instead of fixing
    the duplicated nodes in a static order, each round re-solves the tree
    once per remaining duplicated node (that node pinned to its min-time
    choice under the current solve) and commits the candidate whose re-solve
-   is cheapest — ties broken toward the lower node id. The candidate
-   re-solves of a round are independent full DPs over private table copies,
-   so they fan out over [pool]'s domains; the winner is picked from the
+   is cheapest — ties broken toward the lower node id. Each candidate pins
+   and re-solves a private copy of the master kernel, so a round's
+   candidates fan out over [pool]'s domains; the winner is picked from the
    order-preserved score array, which makes the parallel path bit-identical
    to the sequential one. *)
 let repeat_search ?pool ?max_nodes g table ~deadline =
@@ -218,15 +167,12 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
       in
       let _, tree = choose_tree ?max_nodes g in
       Dfg.Graph.preheat tree.Dfg.Expand.graph;
-      Fulib.Table.preheat table;
-      let k = Fulib.Table.num_types table in
-      (* master flat tables for the tree, pinned as winners are committed *)
-      let times, costs = project_flat table tree.Dfg.Expand.origin in
-      let forbid = project_forbid g table tree.Dfg.Expand.origin in
-      let solve_copy () =
-        Tree_kernel.solve
-          (Tree_kernel.create ?forbid tree.Dfg.Expand.graph
-             ~times:(Array.copy times) ~costs:(Array.copy costs) ~k ~deadline)
+      (* the master kernel, pinned as winners are committed *)
+      let master = tree_kernel tree g table ~deadline in
+      let pin kernel v t =
+        List.iter
+          (fun copy -> Tree_kernel.pin kernel ~node:copy ~ftype:t)
+          tree.Dfg.Expand.copies.(v)
       in
       let a = Array.make n (-1) in
       let exception Infeasible in
@@ -236,7 +182,7 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
         in
         while !remaining <> [] do
           Obs.Counter.incr c_search_rounds;
-          match solve_copy () with
+          match Tree_kernel.solve master with
           | None -> raise Infeasible
           | Some (ta, _) ->
               let cands = Array.of_list !remaining in
@@ -251,19 +197,9 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
               let scores =
                 Par.Pool.map_array pool
                   (fun idx ->
-                    let v = cands.(idx) and t = choice.(idx) in
-                    let ct = Array.copy times and cc = Array.copy costs in
-                    List.iter
-                      (fun copy ->
-                        pin_flat ~times:ct ~costs:cc ~k ~node:copy ~ftype:t)
-                      tree.Dfg.Expand.copies.(v);
-                    match
-                      Tree_kernel.solve
-                        (Tree_kernel.create ?forbid tree.Dfg.Expand.graph
-                           ~times:ct ~costs:cc ~k ~deadline)
-                    with
-                    | None -> None
-                    | Some (_, cost) -> Some cost)
+                    let kernel = Tree_kernel.copy master in
+                    pin kernel cands.(idx) choice.(idx);
+                    Option.map snd (Tree_kernel.solve kernel))
                   (Array.init (Array.length cands) Fun.id)
               in
               let best = ref (-1) in
@@ -280,12 +216,10 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
               if !best < 0 then raise Infeasible;
               let v = cands.(!best) and t = choice.(!best) in
               a.(v) <- t;
-              List.iter
-                (fun copy -> pin_flat ~times ~costs ~k ~node:copy ~ftype:t)
-                tree.Dfg.Expand.copies.(v);
+              pin master v t;
               remaining := List.filter (fun u -> u <> v) !remaining
         done;
-        match solve_copy () with
+        match Tree_kernel.solve master with
         | None -> raise Infeasible
         | Some (ta, _) ->
             complete table tree ta a;
@@ -322,13 +256,12 @@ module Repeat_session = struct
       invalid_arg "Repeat_session.create: negative deadline";
     let _, tree = choose_tree ?max_nodes g in
     let dups = order_dups tree `By_copies (Dfg.Expand.duplicated_nodes tree) in
-    let forbid = project_forbid g table tree.Dfg.Expand.origin in
     {
       tree;
       dups;
       k = Fulib.Table.num_types table;
       n = Dfg.Graph.num_nodes g;
-      kernel = tree_kernel ?forbid tree table ~deadline;
+      kernel = tree_kernel tree g table ~deadline;
       table;
       pinned = false;
       cached = None;
@@ -389,41 +322,3 @@ module Repeat_session = struct
         t.cached <- Some res;
         Option.map Array.copy res
 end
-
-(* The original full-re-solve Repeat (a fresh list-based DP over a freshly
-   pinned table per duplicated node), kept as the differential-testing and
-   benchmarking baseline for the incremental version. *)
-let repeat_reference ?max_nodes g table ~deadline =
-  let _, tree = choose_tree ?max_nodes g in
-  let dups = order_dups tree `By_copies (Dfg.Expand.duplicated_nodes tree) in
-  let n = Dfg.Graph.num_nodes g in
-  let a = Array.make n (-1) in
-  let solve_tree tbl =
-    Option.map fst
-      (Tree_assign.solve_with_cost_reference tree.Dfg.Expand.graph tbl ~deadline)
-  in
-  let exception Infeasible in
-  try
-    let tree_table =
-      ref (Fulib.Table.project table ~origin:tree.Dfg.Expand.origin)
-    in
-    List.iter
-      (fun v ->
-        match solve_tree !tree_table with
-        | None -> raise Infeasible
-        | Some ta ->
-            let t =
-              min_time_choice table (Array.get ta) tree.Dfg.Expand.copies.(v) v
-            in
-            a.(v) <- t;
-            List.iter
-              (fun copy ->
-                tree_table := Fulib.Table.pin !tree_table ~node:copy ~ftype:t)
-              tree.Dfg.Expand.copies.(v))
-      dups;
-    match solve_tree !tree_table with
-    | None -> raise Infeasible
-    | Some ta ->
-        complete table tree ta a;
-        Some a
-  with Infeasible -> None

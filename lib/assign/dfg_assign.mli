@@ -37,7 +37,8 @@ val once :
 (** Incremental: pinning a duplicated node re-solves only the DP rows of
     its copies' ancestor chains in the expanded tree ({!Tree_kernel}),
     not the whole tree, and fixing a node traces back only its own copies
-    ({!Tree_kernel.type_at}). Bit-identical to {!repeat_reference}. *)
+    ({!Tree_kernel.type_at}). Bit-identical to the full-re-solve reference
+    kept with the tests. *)
 val repeat :
   ?max_nodes:int ->
   Dfg.Graph.t ->
@@ -49,22 +50,13 @@ val repeat :
     tree once per remaining duplicated node (pinned to its min-time choice
     under the current solve) and commits the cheapest re-solve, ties toward
     the lower node id. The round's candidate re-solves are independent and
-    evaluated on [pool] (default {!Par.Pool.global}); results are
+    evaluated on [pool] (default {!Par.Pool.global}), each on a private
+    copy of the master kernel ({!Tree_kernel.copy}); results are
     bit-identical for any domain count, including the [domains = 1]
     sequential fallback. Strictly more search than {!repeat} at an
     O(d) per-round DP cost for [d] duplicated nodes. *)
 val repeat_search :
   ?pool:Par.Pool.t ->
-  ?max_nodes:int ->
-  Dfg.Graph.t ->
-  Fulib.Table.t ->
-  deadline:int ->
-  Assignment.t option
-
-(** The original full-re-solve [Repeat] (fresh list-based DP over a freshly
-    pinned table per duplicated node), kept for differential testing and as
-    the benchmark baseline. *)
-val repeat_reference :
   ?max_nodes:int ->
   Dfg.Graph.t ->
   Fulib.Table.t ->

@@ -1,100 +1,29 @@
-let infeasible = max_int
-
-(* Run the prefix DP over the table's flat views. Returns every row plus the
-   per-node choice matrix used by the traceback. *)
-let dp table ~deadline =
+(* Path_Assign is Tree_Assign on a chain. On the reversed chain
+   v_(n-1) -> ... -> v_0, node v_i's one child is v_(i-1), so the tree DP's
+   row for v_i is the prefix DP's row X_i, and the traceback from the root
+   v_(n-1) at the full budget is the prefix DP's walk back. The chain
+   carries no data sizes, so no memory mask applies. *)
+let kernel table ~deadline =
   let n = Fulib.Table.num_nodes table in
-  let k = Fulib.Table.num_types table in
-  let times = Fulib.Table.flat_times table in
-  let costs = Fulib.Table.flat_costs table in
-  let prev = Array.make (deadline + 1) 0 in
-  let choice = Array.make_matrix n (deadline + 1) (-1) in
-  let row = Array.make (deadline + 1) infeasible in
-  let rows = Array.make n [||] in
-  for i = 0 to n - 1 do
-    Array.fill row 0 (deadline + 1) infeasible;
-    let trow = i * k in
-    for j = 0 to deadline do
-      for t = 0 to k - 1 do
-        let dt = times.(trow + t) in
-        if j - dt >= 0 && prev.(j - dt) <> infeasible then begin
-          let c = prev.(j - dt) + costs.(trow + t) in
-          if c < row.(j) then begin
-            row.(j) <- c;
-            choice.(i).(j) <- t
-          end
-        end
-      done
-    done;
-    rows.(i) <- Array.copy row;
-    Array.blit row 0 prev 0 (deadline + 1)
-  done;
-  (rows, choice)
+  let chain =
+    Dfg.Graph.of_edges ~names:(Array.make n "")
+      (List.init (max 0 (n - 1)) (fun i ->
+           { Dfg.Graph.src = i + 1; dst = i; delay = 0; size = 0 }))
+  in
+  Tree_kernel.of_table chain table ~deadline
 
-(* The original per-cell-accessor DP, kept for differential tests. *)
-let dp_reference table ~deadline =
-  let n = Fulib.Table.num_nodes table in
-  let k = Fulib.Table.num_types table in
-  let prev = Array.make (deadline + 1) 0 in
-  let choice = Array.make_matrix n (deadline + 1) (-1) in
-  let row = Array.make (deadline + 1) infeasible in
-  let rows = Array.make n [||] in
-  for i = 0 to n - 1 do
-    Array.fill row 0 (deadline + 1) infeasible;
-    for j = 0 to deadline do
-      for t = 0 to k - 1 do
-        let dt = Fulib.Table.time table ~node:i ~ftype:t in
-        if j - dt >= 0 && prev.(j - dt) <> infeasible then begin
-          let c = prev.(j - dt) + Fulib.Table.cost table ~node:i ~ftype:t in
-          if c < row.(j) then begin
-            row.(j) <- c;
-            choice.(i).(j) <- t
-          end
-        end
-      done
-    done;
-    rows.(i) <- Array.copy row;
-    Array.blit row 0 prev 0 (deadline + 1)
-  done;
-  (rows, choice)
-
-let solve_of_dp dp table ~deadline =
+let solve_with_cost table ~deadline =
   if deadline < 0 then None
-  else begin
-    let n = Fulib.Table.num_nodes table in
-    if n = 0 then Some ([||], 0)
-    else begin
-      let rows, choice = dp table ~deadline in
-      if rows.(n - 1).(deadline) = infeasible then None
-      else begin
-        let a = Array.make n 0 in
-        (* Walk back from the full budget: node i was chosen at the budget
-           left after its suffix; subtract its time to find node i-1's. *)
-        let budget = ref deadline in
-        for i = n - 1 downto 0 do
-          let t = choice.(i).(!budget) in
-          a.(i) <- t;
-          budget := !budget - Fulib.Table.time table ~node:i ~ftype:t
-        done;
-        Some (a, rows.(n - 1).(deadline))
-      end
-    end
-  end
-
-let solve_with_cost table ~deadline = solve_of_dp dp table ~deadline
-
-let solve_with_cost_reference table ~deadline =
-  solve_of_dp dp_reference table ~deadline
+  else if Fulib.Table.num_nodes table = 0 then Some ([||], 0)
+  else Tree_kernel.solve (kernel table ~deadline)
 
 let solve table ~deadline =
   Option.map fst (solve_with_cost table ~deadline)
 
 let cost_profile table ~deadline =
-  let n = Fulib.Table.num_nodes table in
-  if n = 0 then Array.make (max deadline 0 + 1) 0
-  else
-    let rows, _ = dp table ~deadline:(max deadline 0) in
-    rows.(n - 1)
+  let n = Fulib.Table.num_nodes table and deadline = max deadline 0 in
+  if n = 0 then Array.make (deadline + 1) 0
+  else Tree_kernel.dp_row (kernel table ~deadline) ~node:(n - 1)
 
 (* Extract the unique path order of a graph that is a simple path: one root,
    each node at most one zero-delay child. *)

@@ -14,37 +14,25 @@
     (every node has at most one zero-delay parent). Raises
     [Invalid_argument] otherwise. [None] when infeasible.
 
-    Implemented on the flat {!Tree_kernel}; results are bit-identical to
-    {!solve_with_cost_reference}. *)
+    Implemented on the flat {!Tree_kernel}. *)
 val solve : Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> Assignment.t option
 
 val solve_with_cost :
   Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> (Assignment.t * int) option
 
-(** Like {!solve_with_cost} but running against an existing {!Context},
-    reusing its cached DP matrices across calls at the same deadline. *)
-val solve_with_cost_ctx :
-  Context.t -> deadline:int -> (Assignment.t * int) option
-
-(** The original list-based DP, kept for differential testing and
-    benchmark baselines. *)
-val solve_with_cost_reference :
-  Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> (Assignment.t * int) option
-
 (** Like {!solve_with_cost} but also accepts graphs whose {e transpose} is a
     forest (e.g. adder-reduction filters, where many inputs converge on one
     output): path sums are orientation-invariant, so the DP runs on the
-    transpose and the assignment maps back unchanged. Raises
+    transpose and the assignment maps back unchanged. Memory footprints
+    still come from [g] ({!Tree_kernel.of_table}). Raises
     [Invalid_argument] when neither orientation is a forest. *)
 val solve_auto :
   Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> (Assignment.t * int) option
 
 (** The DP row of a given node: entry [j] is [X_v(j)] ([max_int] =
-    infeasible). Exposed for tests and the Figure-8 walk-through. Served
-    from [ctx]'s cached DP when given (O(deadline) per call after the
-    first); without a context a transient one is built. *)
+    infeasible). Exposed for tests and the Figure-8 walk-through. Each
+    call runs the whole DP. *)
 val dp_row :
-  ?ctx:Context.t ->
   Dfg.Graph.t ->
   Fulib.Table.t ->
   deadline:int ->

@@ -76,11 +76,55 @@ let create ?forbid g ~times ~costs ~k ~deadline =
     any_dirty = false;
   }
 
+(* Tree node [i] gets original node [origin.(i)]'s rows. The mask reads
+   footprints from [g], the graph the table describes: [tree] may be its
+   transpose or its expansion, where out-edges differ. *)
+let of_table ?tree ?origin g table ~deadline =
+  if Fulib.Table.num_nodes table <> Dfg.Graph.num_nodes g then
+    invalid_arg "Tree_kernel.of_table: graph/table node counts differ";
+  let tree = Option.value tree ~default:g in
+  let tn = Dfg.Graph.num_nodes tree in
+  let origin = match origin with Some o -> o | None -> Array.init tn Fun.id in
+  if Array.length origin <> tn then
+    invalid_arg "Tree_kernel.of_table: origin size mismatch";
+  let k = Fulib.Table.num_types table in
+  let ft = Fulib.Table.flat_times table and fc = Fulib.Table.flat_costs table in
+  let times = Array.make (tn * k) 0 and costs = Array.make (tn * k) 0 in
+  Array.iteri
+    (fun i v ->
+      Array.blit ft (v * k) times (i * k) k;
+      Array.blit fc (v * k) costs (i * k) k)
+    origin;
+  let forbid =
+    if not (Assignment.mem_constrained g table) then None
+    else begin
+      let mem = Dfg.Graph.out_data_arr g in
+      let caps = Fulib.Table.mem_capacities table in
+      let f =
+        Array.init (tn * k) (fun c -> mem.(origin.(c / k)) > caps.(c mod k))
+      in
+      if Array.exists Fun.id f then Some f else None
+    end
+  in
+  create ?forbid tree ~times ~costs ~k ~deadline
+
+let copy t =
+  {
+    t with
+    times = Array.copy t.times;
+    costs = Array.copy t.costs;
+    forbid = Array.copy t.forbid;
+    chain = Array.make t.n 0;
+    x = Array.copy t.x;
+    choice = Array.copy t.choice;
+    combined = Array.make (t.deadline + 1) 0;
+    dirty = Array.copy t.dirty;
+  }
+
 let deadline t = t.deadline
 
 (* One DP row: X_v(j) = min over types of cost(v,t) + sum over children c of
-   X_c(j - time(v,t)), matching the reference [Tree_assign.dp] recurrence
-   (and its first-minimum tie-breaking) exactly. *)
+   X_c(j - time(v,t)); the first minimum over types wins a tie. *)
 let compute_row t v =
   let w = t.deadline + 1 in
   let base = v * w in

@@ -14,8 +14,10 @@
       O(depth) — all the Repeat fixing loop needs between pins;
     - {!dp_row}: a copy of one node's DP row from the cached matrices.
 
-    Results are bit-identical to the reference list-based DP
-    ({!Tree_assign.solve_with_cost_reference}): same recurrence, same
+    It is the one tree DP of [lib/assign]: [Tree_Assign] runs it on the
+    forest, [Path_Assign] on the reversed chain and [DFG_Assign] on the
+    expanded tree, each through {!of_table}. Results are bit-identical to
+    the list-based reference DP kept with the tests: same recurrence, same
     first-minimum tie-breaking, same traceback. *)
 
 type t
@@ -24,7 +26,7 @@ type t
     tables. The kernel takes ownership of [times]/[costs]: {!pin} mutates
     them in place. [?forbid] is an optional [node * k + ftype] placement
     mask ([true] = type disallowed for the node, e.g. because its memory
-    footprint exceeds the type's capacity — see [Context.mem_forbid]):
+    footprint exceeds the type's capacity — see {!of_table}):
     forbidden placements are cut inside the DP row computation's type
     loop, before any DP work for them is done. The mask is copied. Raises
     [Invalid_argument] when the DAG portion of [g] is not a forest, the
@@ -37,6 +39,30 @@ val create :
   k:int ->
   deadline:int ->
   t
+
+(** [of_table ?tree ?origin g table ~deadline] is the kernel for [table],
+    the table of graph [g]. It runs on the forest [tree] (default [g]),
+    whose node [i] stands for node [origin.(i)] of [g] (default the
+    identity): [tree] may be [g], its transpose or its expansion
+    ({!Dfg.Expand}). Node [i] gets a fresh copy of [origin.(i)]'s
+    time/cost row. Under the memory model ({!Assignment.mem_constrained})
+    it may not take a type whose capacity cannot hold [origin.(i)]'s
+    footprint; footprints always come from [g], whose out-edges the
+    transpose and the expansion do not keep. Raises [Invalid_argument]
+    when the table's node count differs from [g]'s, when [origin]'s
+    length differs from [tree]'s node count, and as {!create}. *)
+val of_table :
+  ?tree:Dfg.Graph.t ->
+  ?origin:int array ->
+  Dfg.Graph.t ->
+  Fulib.Table.t ->
+  deadline:int ->
+  t
+
+(** [copy t] is an independent kernel in [t]'s current state: its rows,
+    pins and solved DP matrices. Pinning or solving either leaves the
+    other alone. *)
+val copy : t -> t
 
 val deadline : t -> int
 

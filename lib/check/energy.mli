@@ -13,9 +13,9 @@
     - the reported energy equals the sum of assigned expanded costs —
       ["energy-mismatch"].
 
-    A silently swapped frequency level (see [Mutate.swap_level]) changes
-    the true energy but not the reported one, so it is caught as
-    ["energy-mismatch"]. *)
+    A silently swapped frequency level (the test oracles'
+    [Mutate.swap_level]) changes the true energy but not the reported one,
+    so it is caught as ["energy-mismatch"]. *)
 
 val check :
   base:Fulib.Table.t ->

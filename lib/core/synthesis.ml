@@ -194,6 +194,9 @@ let response_table req resp =
 
 let min_deadline g table = Assign.Assignment.min_makespan g table
 
+let default_deadline g table =
+  int_of_float (ceil (1.2 *. float_of_int (min_deadline g table)))
+
 (* --- request accounting ------------------------------------------------ *)
 
 let c_requests = Obs.Counter.make "synthesis.requests"

@@ -202,6 +202,10 @@ val validate : Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> result -> unit
     path) — the paper's first timing constraint in every experiment. *)
 val min_deadline : Dfg.Graph.t -> Fulib.Table.t -> int
 
+(** The timing constraint the CLI and [Flow.compile] use when none is given:
+    1.2x {!min_deadline}, rounded up, as in the experiments' 1.2x rung. *)
+val default_deadline : Dfg.Graph.t -> Fulib.Table.t -> int
+
 (** {2 Periodic requests}
 
     A periodic request is an ordinary synthesis {!request} plus a release

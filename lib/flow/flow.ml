@@ -45,9 +45,7 @@ let compile ?(algorithm = Core.Synthesis.Repeat) ?deadline g table ~outdir =
   let deadline =
     match deadline with
     | Some t -> t
-    | None ->
-        let tmin = Core.Synthesis.min_deadline g table in
-        tmin + (tmin / 5)
+    | None -> Core.Synthesis.default_deadline g table
   in
   match
     (Core.Synthesis.solve

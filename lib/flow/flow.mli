@@ -34,7 +34,8 @@ type summary = {
 }
 
 (** [compile ?algorithm ?deadline g table ~outdir] (algorithm defaults to
-    [Repeat], deadline to 1.2x the minimum). Creates [outdir] if needed.
+    [Repeat], deadline to {!Core.Synthesis.default_deadline}, 1.2x the
+    minimum rounded up). Creates [outdir] if needed.
     [None] when the deadline is infeasible. *)
 val compile :
   ?algorithm:Core.Synthesis.algorithm ->

@@ -505,7 +505,7 @@ let read_lines input =
   in
   loop 1 []
 
-let serve ?lookup ?capacity server ~input ~output =
+let serve ?lookup ?admission server ~input ~output =
   let lines =
     List.filter (fun (_, s) -> String.trim s <> "") (read_lines input)
   in
@@ -532,7 +532,9 @@ let serve ?lookup ?capacity server ~input ~output =
       parsed
   in
   let responses = Server.solve_batch server requests in
-  let adm = Rt.Admission.create ?capacity () in
+  let adm =
+    match admission with Some a -> a | None -> Rt.Admission.create ()
+  in
   let emit_line s = output_string output s; output_char output '\n' in
   let rec emit count parsed responses =
     match (parsed, responses) with

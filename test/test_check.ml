@@ -113,14 +113,14 @@ let test_validated_benchmark_sweep () =
 (* --- mutation harness ----------------------------------------------------- *)
 
 let mutate name g tbl ~deadline (r : Core.Synthesis.result) =
-  (match Check.Mutate.bump_start tbl r.schedule ~deadline with
+  (match Oracle.Mutate.bump_start tbl r.schedule ~deadline with
   | None -> Alcotest.failf "%s: no bump_start site" name
   | Some (what, s) ->
       check_caught
         (Printf.sprintf "%s bump_start (%s)" name what)
         ~code:"deadline"
         (Check.Schedule.check g tbl s ~deadline));
-  (match Check.Mutate.swap_type tbl r.assignment with
+  (match Oracle.Mutate.swap_type tbl r.assignment with
   | None -> Alcotest.failf "%s: no swap_type site" name
   | Some (what, a) ->
       let report = Check.Assignment.check ~expect_cost:r.cost g tbl a ~deadline in
@@ -131,14 +131,14 @@ let mutate name g tbl ~deadline (r : Core.Synthesis.result) =
         true
         (Check.Violation.has_code report "cost-mismatch"
         || Check.Violation.has_code report "path-over-deadline"));
-  (match Check.Mutate.out_of_range_type tbl r.assignment with
+  (match Oracle.Mutate.out_of_range_type tbl r.assignment with
   | None -> Alcotest.failf "%s: no out_of_range site" name
   | Some (what, a) ->
       check_caught
         (Printf.sprintf "%s out_of_range (%s)" name what)
         ~code:"type-out-of-range"
         (Check.Assignment.check g tbl a ~deadline));
-  (match Check.Mutate.shrink_config tbl r.schedule ~config:r.config with
+  (match Oracle.Mutate.shrink_config tbl r.schedule ~config:r.config with
   | None -> Alcotest.failf "%s: no shrink_config site" name
   | Some (what, config) ->
       check_caught
@@ -149,7 +149,7 @@ let mutate name g tbl ~deadline (r : Core.Synthesis.result) =
         (Printf.sprintf "%s shrink_config occupancy (%s)" name what)
         ~code:"occupancy"
         (Check.Schedule.check ~config g tbl r.schedule ~deadline));
-  (match Check.Mutate.break_precedence g tbl r.schedule with
+  (match Oracle.Mutate.break_precedence g tbl r.schedule with
   | None -> ()  (* edgeless graph: nothing to break *)
   | Some (what, s) ->
       check_caught
@@ -157,7 +157,7 @@ let mutate name g tbl ~deadline (r : Core.Synthesis.result) =
         ~code:"precedence"
         (Check.Schedule.check g tbl s ~deadline));
   let period = max 1 (Sched.Schedule.length tbl r.schedule) in
-  match Check.Mutate.break_delay g tbl r.schedule ~period with
+  match Oracle.Mutate.break_delay g tbl r.schedule ~period with
   | None -> ()  (* feed-forward graph: no delay edge to break *)
   | Some (what, s) ->
       check_caught
@@ -219,7 +219,7 @@ let test_swap_level_mutations () =
       check_ok (name ^ " energy")
         (Check.Energy.check ~base:tbl ~mapping etbl r.Core.Synthesis.assignment
            ~expect_energy:r.Core.Synthesis.cost);
-      match Check.Mutate.swap_level etbl ~mapping r.Core.Synthesis.assignment with
+      match Oracle.Mutate.swap_level etbl ~mapping r.Core.Synthesis.assignment with
       | None -> Alcotest.failf "%s: no swap_level site" name
       | Some (what, a) ->
           check_caught
@@ -254,7 +254,7 @@ let swap_level_on_random_dfgs =
           check_ok "random energy"
             (Check.Energy.check ~base:tbl ~mapping etbl r.assignment
                ~expect_energy:r.cost);
-          (match Check.Mutate.swap_level etbl ~mapping r.assignment with
+          (match Oracle.Mutate.swap_level etbl ~mapping r.assignment with
           | None -> ()  (* every sibling ladder is cost-flat: nothing to swap *)
           | Some (what, a) ->
               check_caught
@@ -286,7 +286,7 @@ let test_memory_oracle () =
         true
         (Check.Memory.peaks g loose r.schedule b
         = Sched.Binding.peak_memory ~graph:g loose r.schedule b);
-      match Check.Mutate.shrink_mem_capacity g loose r.assignment with
+      match Oracle.Mutate.shrink_mem_capacity g loose r.assignment with
       | None -> Alcotest.failf "%s: no shrink_mem_capacity site" name
       | Some (what, shrunk) ->
           check_caught
@@ -362,7 +362,7 @@ let test_synthesis_raises_on_corrupt () =
   let r = synthesize name g tbl ~deadline in
   Core.Synthesis.validate g tbl ~deadline r;
   (* clean: no exception *)
-  match Check.Mutate.swap_type tbl r.assignment with
+  match Oracle.Mutate.swap_type tbl r.assignment with
   | None -> Alcotest.fail "no swap site"
   | Some (_, a) -> (
       match Core.Synthesis.validate g tbl ~deadline { r with assignment = a } with

@@ -1,5 +1,5 @@
-(* Tests for the ILP emitter, local-search refinement, the extension
-   workloads, and the Synthesis-level wiring of the extensions. *)
+(* Tests for local-search refinement, the extension workloads, and the
+   Synthesis-level wiring of the extensions. *)
 
 open Helpers
 
@@ -8,48 +8,12 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-(* --- ILP model -------------------------------------------------------- *)
+(* --- Local search ----------------------------------------------------- *)
 
 let sample () =
   ( diamond (),
     table lib2
       [ ([ 1; 2 ], [ 6; 2 ]); ([ 2; 3 ], [ 7; 3 ]); ([ 2; 4 ], [ 8; 2 ]); ([ 1; 2 ], [ 5; 1 ]) ] )
-
-let test_ilp_structure () =
-  let g, tbl = sample () in
-  let lp = Assign.Ilp_model.to_lp g tbl ~deadline:6 in
-  Alcotest.(check bool) "objective" true (contains lp "Minimize");
-  Alcotest.(check bool) "one-type rows" true (contains lp "one_0: x_0_0 + x_0_1 = 1");
-  Alcotest.(check bool) "precedence row" true (contains lp "prec_0_1: f_1 - f_0");
-  Alcotest.(check bool) "deadline row" true (contains lp "dead_3: f_3 <= 6");
-  Alcotest.(check bool) "binaries section" true (contains lp "Binaries");
-  Alcotest.(check bool) "ends" true (contains lp "End");
-  Alcotest.(check int) "n*k binaries" 8 (Assign.Ilp_model.num_binaries g tbl)
-
-let test_ilp_mentions_every_variable () =
-  let g, tbl = sample () in
-  let lp = Assign.Ilp_model.to_lp g tbl ~deadline:6 in
-  for v = 0 to 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "f_%d present" v)
-      true
-      (contains lp (Printf.sprintf "f_%d" v));
-    for t = 0 to 1 do
-      Alcotest.(check bool)
-        (Printf.sprintf "x_%d_%d present" v t)
-        true
-        (contains lp (Printf.sprintf "x_%d_%d" v t))
-    done
-  done
-
-let test_ilp_check_assignment () =
-  let g, tbl = sample () in
-  Alcotest.(check bool) "fast assignment ok" true
-    (Assign.Ilp_model.check_assignment g tbl ~deadline:4 [| 0; 0; 0; 0 |]);
-  Alcotest.(check bool) "slow assignment violates" false
-    (Assign.Ilp_model.check_assignment g tbl ~deadline:4 [| 1; 1; 1; 1 |])
-
-(* --- Local search ----------------------------------------------------- *)
 
 let test_refine_never_regresses_and_stays_feasible () =
   let rng = Workloads.Prng.create 71 in
@@ -267,12 +231,6 @@ let test_repeat_refined_algorithm () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "ilp_model",
-        [
-          quick "structure" test_ilp_structure;
-          quick "all variables present" test_ilp_mentions_every_variable;
-          quick "check_assignment" test_ilp_check_assignment;
-        ] );
       ( "local_search",
         [
           quick "never regresses, stays feasible" test_refine_never_regresses_and_stays_feasible;

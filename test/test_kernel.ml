@@ -1,7 +1,7 @@
-(* Differential tests for the flat solver-context layer: the CSR graph
-   views, flat table views, flat/incremental DP kernels and threaded
-   ASAP/ALAP frames must be bit-identical to the reference (pre-refactor)
-   implementations they replaced. *)
+(* Differential tests for the flat solver layer: the CSR graph views, flat
+   table views, flat/incremental DP kernels and threaded ASAP/ALAP frames
+   must be bit-identical to the reference (pre-refactor) implementations
+   they replaced, which live in the test-only [Oracle] library. *)
 
 let of_seed f =
   QCheck.make ~print:string_of_int QCheck.Gen.(map abs int) |> fun arb ->
@@ -86,27 +86,39 @@ let tree_flat_equals_reference =
       let g, tbl, deadline = instance ~tree:true seed in
       same_opt
         (Assign.Tree_assign.solve_with_cost g tbl ~deadline)
-        (Assign.Tree_assign.solve_with_cost_reference g tbl ~deadline))
+        (Oracle.Tree_assign.solve_with_cost_reference g tbl ~deadline))
 
+(* Path_Assign runs on the tree kernel over the reversed chain; it must
+   match the prefix DP it replaced in assignment, cost and final DP row,
+   with 1-4 types, 1-40 nodes, and deadlines from -3 up (negative and zero
+   included). *)
 let path_flat_equals_reference =
   of_seed (fun seed ->
       let rng = Workloads.Prng.create seed in
-      let n = 1 + Workloads.Prng.int rng 10 in
-      let lib = Fulib.Library.make [| "T0"; "T1" |] in
+      let n = 1 + Workloads.Prng.int rng 40 in
+      let k = 1 + Workloads.Prng.int rng 4 in
+      let lib = Fulib.Library.make (Array.init k (Printf.sprintf "T%d")) in
       let tbl =
         Workloads.Tables.random_arbitrary rng ~library:lib ~num_nodes:n
           ~max_time:4 ~max_cost:9
       in
-      let deadline = Workloads.Prng.int rng 30 in
+      let deadline = Workloads.Prng.int rng (3 * n) - 3 in
+      let oracle_row =
+        let rows, _ =
+          Oracle.Path_assign.dp_reference tbl ~deadline:(max deadline 0)
+        in
+        rows.(n - 1)
+      in
       same_opt
         (Assign.Path_assign.solve_with_cost tbl ~deadline)
-        (Assign.Path_assign.solve_with_cost_reference tbl ~deadline))
+        (Oracle.Path_assign.solve_with_cost_reference tbl ~deadline)
+      && Assign.Path_assign.cost_profile tbl ~deadline = oracle_row)
 
 let repeat_incremental_equals_reference =
   of_seed (fun seed ->
       let g, tbl, deadline = instance seed in
       Assign.Dfg_assign.repeat g tbl ~deadline
-      = Assign.Dfg_assign.repeat_reference g tbl ~deadline)
+      = Oracle.Dfg_assign.repeat_reference g tbl ~deadline)
 
 let repeat_tight_deadlines =
   of_seed (fun seed ->
@@ -117,34 +129,59 @@ let repeat_tight_deadlines =
       List.for_all
         (fun deadline ->
           Assign.Dfg_assign.repeat g tbl ~deadline
-          = Assign.Dfg_assign.repeat_reference g tbl ~deadline)
+          = Oracle.Dfg_assign.repeat_reference g tbl ~deadline)
         [ tmin - 1; tmin; tmin + 3 ])
 
-let dp_row_ctx_equals_plain =
+(* Every node's DP row agrees with the reference DP's, and the roots' rows
+   at the deadline add up to the reference cost. *)
+let dp_rows_equal_reference =
   of_seed (fun seed ->
       let g, tbl, deadline = instance ~tree:true seed in
-      let ctx = Assign.Context.create g tbl in
-      let n = Dfg.Graph.num_nodes g in
-      let ok = ref true in
-      for node = 0 to n - 1 do
-        ok :=
-          !ok
-          && Assign.Tree_assign.dp_row ~ctx g tbl ~deadline ~node
-             = Assign.Tree_assign.dp_row g tbl ~deadline ~node
-      done;
-      (* Forest cost from the cached rows equals the reference total. *)
-      (match Assign.Tree_assign.solve_with_cost_reference g tbl ~deadline with
+      let x, _ = Oracle.Tree_assign.dp_reference g tbl ~deadline in
+      let rows =
+        Array.init (Dfg.Graph.num_nodes g) (fun node ->
+            Assign.Tree_assign.dp_row g tbl ~deadline ~node)
+      in
+      rows = x
+      &&
+      match Oracle.Tree_assign.solve_with_cost_reference g tbl ~deadline with
       | Some (_, total) ->
-          let roots = Dfg.Graph.roots_arr g in
-          let sum =
-            Array.fold_left
-              (fun acc r ->
-                acc + (Assign.Context.dp_row ctx ~deadline ~node:r).(deadline))
-              0 roots
-          in
-          ok := !ok && sum = total
-      | None -> ());
-      !ok)
+          Array.fold_left
+            (fun acc r -> acc + rows.(r).(deadline))
+            0 (Dfg.Graph.roots_arr g)
+          = total
+      | None -> true)
+
+(* A copy starts in its original's state — unsolved, or solved with rows
+   dirtied by later pins — and then diverges: pins into the copy leave the
+   original alone, and each side solves like a fresh kernel carrying the
+   same pins. *)
+let copy_is_independent =
+  of_seed (fun seed ->
+      let g, tbl, deadline = instance ~tree:true seed in
+      let n = Dfg.Graph.num_nodes g and k = Fulib.Table.num_types tbl in
+      let rng = Workloads.Prng.create (seed lxor 0xc0de) in
+      let pin () = (Workloads.Prng.int rng n, Workloads.Prng.int rng k) in
+      let pin_all kr =
+        List.iter (fun (node, ftype) -> Assign.Tree_kernel.pin kr ~node ~ftype)
+      in
+      let pinned pins =
+        let kr = Assign.Tree_kernel.of_table g tbl ~deadline in
+        pin_all kr pins;
+        kr
+      in
+      let before = [ pin () ] and after = [ pin (); pin () ] in
+      let master = Assign.Tree_kernel.of_table g tbl ~deadline in
+      if seed mod 2 = 0 then ignore (Assign.Tree_kernel.solve master);
+      pin_all master before;
+      let c = Assign.Tree_kernel.copy master in
+      pin_all c after;
+      same_opt
+        (Assign.Tree_kernel.solve c)
+        (Assign.Tree_kernel.solve (pinned (before @ after)))
+      && same_opt
+           (Assign.Tree_kernel.solve master)
+           (Assign.Tree_kernel.solve (pinned before)))
 
 let frames_equal_asap_alap =
   of_seed (fun seed ->
@@ -198,7 +235,7 @@ let test_repeat_on_benchmarks () =
       List.iter
         (fun deadline ->
           let inc = Assign.Dfg_assign.repeat g tbl ~deadline in
-          let ref_ = Assign.Dfg_assign.repeat_reference g tbl ~deadline in
+          let ref_ = Oracle.Dfg_assign.repeat_reference g tbl ~deadline in
           Alcotest.(check bool)
             (Printf.sprintf "%s T=%d incremental = reference" name deadline)
             true (inc = ref_);
@@ -239,7 +276,7 @@ let test_repeat_many_duplicates () =
             (Printf.sprintf "seed %d (%d dups) T=%d" seed dups deadline)
             true
             (Assign.Dfg_assign.repeat g tbl ~deadline
-            = Assign.Dfg_assign.repeat_reference g tbl ~deadline))
+            = Oracle.Dfg_assign.repeat_reference g tbl ~deadline))
         [ tmin; tmin + (tmin / 4); tmin + (tmin / 2) ])
     (List.init 8 Fun.id)
 
@@ -290,7 +327,8 @@ let () =
             repeat_incremental_equals_reference;
           prop "incremental repeat = reference (deadline sweep)" 200
             repeat_tight_deadlines;
-          prop "dp_row via context = plain dp_row" 200 dp_row_ctx_equals_plain;
+          prop "dp_row = reference rows" 200 dp_rows_equal_reference;
+          prop "kernel copy is independent" 200 copy_is_independent;
         ] );
       ( "frames",
         [

@@ -76,13 +76,13 @@ let phase2_matches_oracle seed =
         (fun deadline ->
           let frames = Sched.Asap_alap.frames g tbl a ~deadline in
           Sched.Lower_bound.per_type ?pipelined g tbl a ~deadline
-          = Sched_oracle.per_type ?pipelined g tbl a ~deadline
+          = Oracle.Sched_oracle.per_type ?pipelined g tbl a ~deadline
           && same_result
                (Sched.Min_resource.run ?pipelined g tbl a ~deadline)
-               (Sched_oracle.run ?pipelined g tbl a ~deadline)
+               (Oracle.Sched_oracle.run ?pipelined g tbl a ~deadline)
           && same_result
                (Sched.Min_resource.run ?pipelined ?frames g tbl a ~deadline)
-               (Sched_oracle.run ?pipelined ?frames g tbl a ~deadline))
+               (Oracle.Sched_oracle.run ?pipelined ?frames g tbl a ~deadline))
         [ deadline; deadline - 1; 2 * deadline ])
     (assignments g tbl ~deadline)
 
@@ -102,16 +102,16 @@ let choose_tree_matches_oracle seed =
       ~extra_edges:(Workloads.Prng.int r ((n / 3) + 1))
   in
   let fresh = Assign.Dfg_assign.choose_tree g in
-  let old = Sched_oracle.choose_tree g in
+  let old = Oracle.Sched_oracle.choose_tree g in
   let forward, transposed =
     Dfg.Expand.tree_sizes ~max_nodes:Dfg.Expand.default_max_nodes g
   in
   (* the same tree, and the counts are the built trees' sizes *)
   tree_shape fresh = tree_shape old
   && forward
-     = Dfg.Graph.num_nodes (Sched_oracle.expand_oriented Forward g).graph
+     = Dfg.Graph.num_nodes (Oracle.Sched_oracle.expand_oriented Forward g).graph
   && transposed
-     = Dfg.Graph.num_nodes (Sched_oracle.expand_oriented Transposed g).graph
+     = Dfg.Graph.num_nodes (Oracle.Sched_oracle.expand_oriented Transposed g).graph
   &&
   (* bounds around both sizes: raise exactly when the oracle does *)
   let lo = min forward transposed and hi = max forward transposed in
@@ -120,7 +120,7 @@ let choose_tree_matches_oracle seed =
       choice ~max_nodes g (fun ~max_nodes ->
           Assign.Dfg_assign.choose_tree ~max_nodes)
       = choice ~max_nodes g (fun ~max_nodes ->
-            Sched_oracle.choose_tree ~max_nodes))
+            Oracle.Sched_oracle.choose_tree ~max_nodes))
     [ 0; lo - 1; lo; (lo + hi) / 2; hi - 1; hi; hi + 1 ]
 
 (* A chain feeding a fan of leaves: the forward tree is the graph itself,
@@ -139,7 +139,7 @@ let test_only_transposed_too_large () =
     match f () with _ -> false | exception Dfg.Expand.Too_large 50 -> true
   in
   Alcotest.(check bool) "oracle raises" true
-    (raises (fun () -> Sched_oracle.choose_tree ~max_nodes:50 g));
+    (raises (fun () -> Oracle.Sched_oracle.choose_tree ~max_nodes:50 g));
   Alcotest.(check bool) "choose_tree raises" true
     (raises (fun () -> Assign.Dfg_assign.choose_tree ~max_nodes:50 g));
   match Assign.Dfg_assign.choose_tree ~max_nodes:110 g with

@@ -864,8 +864,9 @@ let test_jsonl_serve_admission () =
       let server = Serve.Server.create ~pool () in
       let ic = open_in in_path and oc = open_out out_path in
       let served =
-        Serve.Jsonl.serve ~lookup ~capacity:(Rt.Admission.Uniform 2) server
-          ~input:ic ~output:oc
+        Serve.Jsonl.serve ~lookup
+          ~admission:(Rt.Admission.create ~capacity:(Rt.Admission.Uniform 2) ())
+          server ~input:ic ~output:oc
       in
       close_in ic;
       close_out oc;
@@ -905,6 +906,59 @@ let test_jsonl_serve_admission () =
   Sys.remove in_path;
   Sys.remove out_path;
   Sys.rmdir dir
+
+(* The controller handed to [serve] is the one its admit/release lines
+   use: it holds the admitted set afterwards, and a second [serve] over the
+   same controller releases a task the first one admitted. *)
+let test_jsonl_serve_keeps_controller () =
+  let adm = Rt.Admission.create ~capacity:(Rt.Admission.Uniform 2) () in
+  let serve lines =
+    let in_path = Filename.temp_file "serve_adm" ".in" in
+    let out_path = Filename.temp_file "serve_adm" ".out" in
+    let oc = open_out in_path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+    close_out oc;
+    let ic = open_in in_path and oc = open_out out_path in
+    ignore
+      (Serve.Jsonl.serve ~lookup ~admission:adm (Serve.Server.create ())
+         ~input:ic ~output:oc);
+    close_in ic;
+    close_out oc;
+    let ic = open_in out_path in
+    let rec read acc =
+      match input_line ic with
+      | l -> read (l :: acc)
+      | exception End_of_file -> List.rev acc
+    in
+    let out = read [] in
+    close_in ic;
+    Sys.remove in_path;
+    Sys.remove out_path;
+    List.map
+      (fun l ->
+        Option.bind
+          (Obs.Json.member "status" (Obs.Json.parse_exn l))
+          Obs.Json.to_string_opt)
+      out
+  in
+  let admitted () =
+    List.map (fun (e : Rt.Admission.admitted) -> e.id) (Rt.Admission.admitted adm)
+  in
+  Alcotest.(check (list (option string)))
+    "first batch"
+    [ Some "admitted"; Some "rejected" ]
+    (serve
+       [
+         Printf.sprintf {|{"cmd": "admit", "task": "t1", %s, "period": 64}|}
+           inline_fields;
+         Printf.sprintf {|{"cmd": "admit", "task": "t2", %s, "period": 1}|}
+           inline_fields;
+       ]);
+  Alcotest.(check (list string)) "controller holds t1" [ "t1" ] (admitted ());
+  Alcotest.(check (list (option string)))
+    "second batch" [ Some "released" ]
+    (serve [ {|{"cmd": "release", "task": "t1"}|} ]);
+  Alcotest.(check (list string)) "t1 released" [] (admitted ())
 
 let test_jsonl_serve_channels () =
   let lines =
@@ -1071,6 +1125,8 @@ let () =
             test_catalogue_serves_identically;
           Alcotest.test_case "admission round trip" `Quick
             test_jsonl_serve_admission;
+          Alcotest.test_case "jsonl serve keeps the passed controller" `Quick
+            test_jsonl_serve_keeps_controller;
           Alcotest.test_case "rtl digest covers ops" `Quick
             test_rtl_digest_covers_ops;
         ]

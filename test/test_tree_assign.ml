@@ -134,6 +134,44 @@ let test_zero_deadline_empty () =
   | Some (a, 0) -> Alcotest.(check int) "empty" 0 (Array.length a)
   | _ -> Alcotest.fail "empty tree is trivially feasible"
 
+(* An in-tree is solved on its transpose, but memory footprints are the
+   original graph's: a and b each send 5 units to c, so c's footprint is 0
+   and it fits the slow type's capacity of 6. The optimum puts a and b on
+   the fast type and c on the slow one, for cost 21; reading footprints
+   from the transpose (c's would be 10) forces c fast, for cost 30. *)
+let test_in_tree_footprints_from_original () =
+  let g =
+    Dfg.Graph.of_edges ~names:[| "a"; "b"; "c" |]
+      [
+        { Dfg.Graph.src = 0; dst = 2; delay = 0; size = 5 };
+        { src = 1; dst = 2; delay = 0; size = 5 };
+      ]
+  in
+  let tbl =
+    Fulib.Table.with_mem_capacity
+      (table lib2
+         [ ([ 1; 5 ], [ 10; 1 ]); ([ 1; 5 ], [ 10; 1 ]); ([ 1; 2 ], [ 10; 1 ]) ])
+      [| 100; 6 |]
+  in
+  let deadline = 3 in
+  List.iter
+    (fun algorithm ->
+      let name = Assign.Solve.name algorithm in
+      (match Assign.Solve.run algorithm g tbl ~deadline with
+      | Assign.Solve.Feasible a ->
+          Alcotest.(check int)
+            (name ^ " via Solve.run") 21
+            (Assign.Assignment.total_cost tbl a)
+      | _ -> Alcotest.failf "%s: Solve.run found no assignment" name);
+      match
+        (Core.Synthesis.solve (Core.Synthesis.request ~algorithm ~deadline g tbl))
+          .Core.Synthesis.result
+      with
+      | Some r ->
+          Alcotest.(check int) (name ^ " via Synthesis.solve") 21 r.Core.Synthesis.cost
+      | None -> Alcotest.failf "%s: Synthesis.solve found no result" name)
+    Assign.Solve.[ Tree; Once; Repeat; Exact ]
+
 let () =
   Alcotest.run "assign.tree"
     [
@@ -148,5 +186,7 @@ let () =
           quick "dp row" test_dp_row_monotone_and_traced;
           quick "255-node tree" test_deep_tree_scaling;
           quick "empty" test_zero_deadline_empty;
+          quick "in-tree footprints from the original graph"
+            test_in_tree_footprints_from_original;
         ] );
     ]
