@@ -166,7 +166,6 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
         match pool with Some p -> p | None -> Par.Pool.global ()
       in
       let _, tree = choose_tree ?max_nodes g in
-      Dfg.Graph.preheat tree.Dfg.Expand.graph;
       (* the master kernel, pinned as winners are committed *)
       let master = tree_kernel tree g table ~deadline in
       let pin kernel v t =

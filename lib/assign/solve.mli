@@ -42,13 +42,19 @@ val catalogue : unit -> string
 (** Every algorithm, in ladder order (weakest baseline first). *)
 val all : algorithm list
 
+(** [applicable algorithm g] is [Ok ()] when [algorithm] can run on [g],
+    else an error naming the algorithm and the reason. Only {!Tree} has a
+    precondition: every node has at most one zero-delay predecessor, or
+    every node has at most one zero-delay successor. *)
+val applicable : algorithm -> Dfg.Graph.t -> (unit, string) result
+
 (** [dispatch ?budget algorithm g table ~deadline] runs the selected
     Phase-1 solver; [None] when no assignment meets the deadline. The one
     place the variant is matched. [budget] bounds {!Exact}'s search-tree
     node expansions (ignored by every other algorithm; see
     {!Exact.solve}) — exceeding it raises {!Exact.Budget_exhausted}.
     [Tree] raises [Invalid_argument] when the graph is not a forest in
-    either orientation. *)
+    either orientation ({!applicable} says so beforehand). *)
 val dispatch :
   ?budget:int ->
   algorithm ->

@@ -14,6 +14,16 @@
       O(depth) — all the Repeat fixing loop needs between pins;
     - {!dp_row}: a copy of one node's DP row from the cached matrices.
 
+    Each row is computed only on the budgets a parent read or a traceback
+    can reach, the window [\[lo(v), hi(v)\]]. [lo(v)] is [v]'s least
+    allowed time plus the greatest [lo] among its children (capped at
+    [deadline + 1]); every budget below it is infeasible. [hi(v)] is the
+    deadline minus the least allowed times of [v]'s ancestors when the
+    kernel was built. {!pin} only narrows a window; a {!refresh} that
+    lowers a least time below the one [hi] assumed widens the windows
+    below the node and dirties its whole subtree. The [kernel.cells]
+    counter sums the window widths computed.
+
     It is the one tree DP of [lib/assign]: [Tree_Assign] runs it on the
     forest, [Path_Assign] on the reversed chain and [DFG_Assign] on the
     expanded tree, each through {!of_table}. Results are bit-identical to
@@ -23,12 +33,13 @@
 type t
 
 (** [create g ~times ~costs ~k ~deadline] over flat [node * k + ftype]
-    tables. The kernel takes ownership of [times]/[costs]: {!pin} mutates
-    them in place. [?forbid] is an optional [node * k + ftype] placement
-    mask ([true] = type disallowed for the node, e.g. because its memory
-    footprint exceeds the type's capacity — see {!of_table}):
-    forbidden placements are cut inside the DP row computation's type
-    loop, before any DP work for them is done. The mask is copied. Raises
+    tables of non-negative times. The kernel takes ownership of
+    [times]/[costs]: {!pin} mutates them in place. [?forbid] is an
+    optional [node * k + ftype] placement mask ([true] = type disallowed
+    for the node, e.g. because its memory footprint exceeds the type's
+    capacity — see {!of_table}): forbidden placements are cut inside the
+    DP row computation's type loop, before any DP work for them is done.
+    The mask is copied. Raises
     [Invalid_argument] when the DAG portion of [g] is not a forest, the
     deadline is negative, or array sizes mismatch. *)
 val create :
@@ -90,13 +101,18 @@ val pin : t -> node:int -> ftype:int -> unit
 
 (** [refresh t ~node ~times ~costs] replaces [node]'s time/cost row with
     fresh [k]-wide rows and restores its pristine placement mask, undoing
-    any earlier {!pin} of the node. Like [pin] it dirties only the node's
+    any earlier {!pin} of the node. Like [pin] it dirties the node's
     ancestor chain, so a re-solve after perturbing a few nodes' execution
     times recomputes O(chains) DP rows instead of all n — the primitive
-    behind the online re-solve mode ([Online.Controller]). Raises
+    behind the online re-solve mode ([Online.Controller]). When the new
+    row's least allowed time is below the one the windows under [node]
+    assume, it also widens them and dirties [node]'s whole subtree. Raises
     [Invalid_argument] on row width mismatch. *)
 val refresh : t -> node:int -> times:int array -> costs:int array -> unit
 
 (** [dp_row t ~node] is a fresh copy of X_node — entry [j] is the minimum
-    subtree cost within path budget [j] ([max_int] = infeasible). *)
+    subtree cost within path budget [j] ([max_int] = infeasible) — exact
+    on every budget up to the deadline. A root's row is read as cached; a
+    non-root's subtree is first recomputed up to the deadline, past its
+    window. *)
 val dp_row : t -> node:int -> int array

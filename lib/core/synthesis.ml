@@ -352,7 +352,12 @@ let solve_raw req =
       let table =
         match expansion with None -> req.table | Some (t, _) -> t
       in
+      (* an algorithm that cannot run on this graph is a plain error, not
+         the exception its solver would raise *)
+      let applicable = Assign.Solve.applicable req.algorithm req.graph in
       if over_budget () then finish Timeout (base_stats req)
+      else if Result.is_error applicable then
+        finish (Error (Result.get_error applicable)) (base_stats req)
       else
         let assignment =
           Obs.Span.with_ "phase.assign" (fun () ->

@@ -8,36 +8,67 @@ exception Too_large of int
 
 let default_max_nodes = 200_000
 
+(* One DFS over [g]'s DAG portion clones every root's sub-DAG into a tree,
+   numbering copies in preorder (children in adjacency order) into flat
+   origin/parent/size arrays. The DAG portion is acyclic, so a DFS path
+   holds each original node at most once and the stack of pending
+   (original node, parent copy, edge size) entries stays within
+   roots + zero-delay edges. *)
 let expand ?(max_nodes = default_max_nodes) g =
-  let next_id = ref 0 in
-  let rev_names = ref [] and rev_ops = ref [] and rev_origin = ref [] in
+  let n = Graph.num_nodes g in
+  let off, tgt = Graph.csr_succs g in
+  let sizes = Graph.csr_succ_sizes g in
+  let roots = Graph.roots_arr g in
+  let depth = Array.length roots + off.(n) in
+  let st_node = Array.make depth 0 and st_par = Array.make depth 0 in
+  let st_size = Array.make depth 0 in
+  let sp = ref 0 in
+  let push v p s =
+    st_node.(!sp) <- v;
+    st_par.(!sp) <- p;
+    st_size.(!sp) <- s;
+    incr sp
+  in
+  for i = Array.length roots - 1 downto 0 do
+    push roots.(i) (-1) 0
+  done;
+  let cap = ref (Int.max 16 (Int.min max_nodes (2 * n))) in
+  let origin = ref (Array.make !cap 0) and parent = ref (Array.make !cap 0) in
+  let size = ref (Array.make !cap 0) in
+  let grow a = Array.append !a (Array.make !cap 0) in
+  let m = ref 0 in
+  while !sp > 0 do
+    decr sp;
+    let v = st_node.(!sp) in
+    if !m >= max_nodes then raise (Too_large max_nodes);
+    if !m = !cap then begin
+      origin := grow origin;
+      parent := grow parent;
+      size := grow size;
+      cap := 2 * !cap
+    end;
+    !origin.(!m) <- v;
+    !parent.(!m) <- st_par.(!sp);
+    !size.(!m) <- st_size.(!sp);
+    for e = off.(v + 1) - 1 downto off.(v) do
+      push tgt.(e) !m sizes.(e)
+    done;
+    incr m
+  done;
+  let m = !m and parent = !parent and size = !size in
+  let origin = Array.sub !origin 0 m in
+  let names = Array.map (Graph.name g) origin in
+  let ops = Array.map (Graph.op g) origin in
   let edges = ref [] in
-  let fresh_copy v =
-    let id = !next_id in
-    if id >= max_nodes then raise (Too_large max_nodes);
-    incr next_id;
-    rev_names := Graph.name g v :: !rev_names;
-    rev_ops := Graph.op g v :: !rev_ops;
-    rev_origin := v :: !rev_origin;
-    id
-  in
-  (* Clone the subtree of zero-delay descendants reachable from [v]. The DAG
-     portion is acyclic so this terminates; each call produces a fresh copy
-     of the whole sub-DAG unfolded into a tree. *)
-  let rec clone v =
-    let id = fresh_copy v in
-    Graph.iter_dag_succs_sized g v (fun w size ->
-        let child = clone w in
-        edges := { Graph.src = id; dst = child; delay = 0; size } :: !edges);
-    id
-  in
-  Array.iter (fun r -> ignore (clone r)) (Graph.roots_arr g);
-  let names = Array.of_list (List.rev !rev_names) in
-  let ops = Array.of_list (List.rev !rev_ops) in
-  let origin = Array.of_list (List.rev !rev_origin) in
-  let graph = Graph.of_edges ~names ~ops (List.rev !edges) in
-  let copies = Array.make (Graph.num_nodes g) [] in
-  for t = Array.length origin - 1 downto 0 do
+  for i = m - 1 downto 0 do
+    if parent.(i) >= 0 then
+      edges :=
+        { Graph.src = parent.(i); dst = i; delay = 0; size = size.(i) }
+        :: !edges
+  done;
+  let graph = Graph.of_edges ~names ~ops !edges in
+  let copies = Array.make n [] in
+  for t = m - 1 downto 0 do
     copies.(origin.(t)) <- t :: copies.(origin.(t))
   done;
   { graph; origin; copies }

@@ -23,7 +23,13 @@ val default_max_nodes : int
 (** [expand ?max_nodes g] builds the critical-path tree of [g]'s DAG portion.
     The number of tree nodes equals the number of distinct root-to-node paths
     in [g], which can be exponential; [max_nodes] (default
-    {!default_max_nodes}) bounds it, raising {!Too_large} beyond. *)
+    {!default_max_nodes}) bounds it, raising {!Too_large} beyond.
+
+    Tree nodes are numbered in preorder: roots in ascending order, each
+    node's children in [g]'s adjacency order. Every tree edge therefore
+    goes from a lower id to a higher one, so the tree's topological order
+    is the identity ({!Graph.of_edges}). One explicit-stack DFS fills flat
+    origin, parent and edge-size arrays; no recursion, however deep [g]. *)
 val expand : ?max_nodes:int -> Graph.t -> tree
 
 (** [tree_sizes ~max_nodes g] is [(forward, transposed)]: the node counts

@@ -2,9 +2,10 @@ type edge = { src : int; dst : int; delay : int; size : int }
 
 (* Flat, cache-friendly view of the DAG portion (zero-delay subgraph),
    built once at construction: CSR adjacency (offsets + targets), total
-   edge count, roots/leaves, forest flag, and lazily-computed topological
-   and post orders. Every derived quantity the solver kernels iterate over
-   in inner loops is served from here without allocating lists. *)
+   edge count, roots/leaves, forest flag and topological order, plus a
+   lazily-computed post order. Every derived quantity the solver kernels
+   iterate over in inner loops is served from here without allocating
+   lists. *)
 type csr = {
   num_edges : int;  (* edges of any delay *)
   succ_off : int array;  (* length n+1; zero-delay succs of v at
@@ -18,7 +19,7 @@ type csr = {
   roots : int array;  (* ascending *)
   leaves : int array;  (* ascending *)
   is_tree : bool;
-  mutable topo : int array option;
+  topo : int array;  (* the acyclicity check, so never lazy *)
   mutable post : int array option;
 }
 
@@ -40,79 +41,6 @@ let succs_sized g v = g.succs.(v)
 let preds_sized g v = g.preds.(v)
 
 (* --- CSR construction ------------------------------------------------- *)
-
-let build_csr n succs preds =
-  let num_edges = Array.fold_left (fun acc l -> acc + List.length l) 0 succs in
-  let count_zero l =
-    List.fold_left (fun acc (_, d, _) -> if d = 0 then acc + 1 else acc) 0 l
-  in
-  let fill adj =
-    let off = Array.make (n + 1) 0 in
-    for v = 0 to n - 1 do
-      off.(v + 1) <- off.(v) + count_zero adj.(v)
-    done;
-    let tgt = Array.make off.(n) 0 in
-    let sz = Array.make off.(n) 0 in
-    for v = 0 to n - 1 do
-      let i = ref off.(v) in
-      List.iter
-        (fun (w, d, s) ->
-          if d = 0 then begin
-            tgt.(!i) <- w;
-            sz.(!i) <- s;
-            incr i
-          end)
-        adj.(v)
-    done;
-    (off, tgt, sz)
-  in
-  let succ_off, succ_tgt, succ_size = fill succs in
-  let pred_off, pred_tgt, _ = fill preds in
-  let out_data =
-    Array.map
-      (fun l -> List.fold_left (fun acc (_, _, s) -> acc + s) 0 l)
-      succs
-  in
-  let has_data = Array.exists (fun d -> d > 0) out_data in
-  let collect pred =
-    let count = ref 0 in
-    for v = 0 to n - 1 do
-      if pred.(v + 1) = pred.(v) then incr count
-    done;
-    let out = Array.make !count 0 in
-    let i = ref 0 in
-    for v = 0 to n - 1 do
-      if pred.(v + 1) = pred.(v) then begin
-        out.(!i) <- v;
-        incr i
-      end
-    done;
-    out
-  in
-  let roots = collect pred_off in
-  let leaves = collect succ_off in
-  let is_tree =
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      if pred_off.(v + 1) - pred_off.(v) > 1 then ok := false
-    done;
-    !ok
-  in
-  {
-    num_edges;
-    succ_off;
-    succ_tgt;
-    succ_size;
-    pred_off;
-    pred_tgt;
-    out_data;
-    has_data;
-    roots;
-    leaves;
-    is_tree;
-    topo = None;
-    post = None;
-  }
 
 (* Kahn's algorithm over the CSR view with a binary min-heap frontier keyed
    by node id — the same "smallest ready node first" tie-breaking as the
@@ -174,14 +102,92 @@ let kahn n ~adj_off ~adj_tgt ~deg ~out =
   done;
   !m
 
-let compute_topo g =
-  let n = num_nodes g in
-  let c = g.csr in
-  let deg = Array.init n (fun v -> c.pred_off.(v + 1) - c.pred_off.(v)) in
-  let out = Array.make n 0 in
-  let m = kahn n ~adj_off:c.succ_off ~adj_tgt:c.succ_tgt ~deg ~out in
-  if m < n then invalid_arg "Graph: zero-delay subgraph contains a cycle";
-  out
+let build_csr n succs preds ~ascending =
+  let num_edges = Array.fold_left (fun acc l -> acc + List.length l) 0 succs in
+  let count_zero l =
+    List.fold_left (fun acc (_, d, _) -> if d = 0 then acc + 1 else acc) 0 l
+  in
+  let fill adj =
+    let off = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      off.(v + 1) <- off.(v) + count_zero adj.(v)
+    done;
+    let tgt = Array.make off.(n) 0 in
+    let sz = Array.make off.(n) 0 in
+    for v = 0 to n - 1 do
+      let i = ref off.(v) in
+      List.iter
+        (fun (w, d, s) ->
+          if d = 0 then begin
+            tgt.(!i) <- w;
+            sz.(!i) <- s;
+            incr i
+          end)
+        adj.(v)
+    done;
+    (off, tgt, sz)
+  in
+  let succ_off, succ_tgt, succ_size = fill succs in
+  let pred_off, pred_tgt, _ = fill preds in
+  (* Computing the topological order is also the acyclicity check. When
+     every zero-delay edge climbs in id, the heap pass would pop 0, 1, ..,
+     n-1: once 0..m-1 are out, all of m's predecessors are, and every
+     ready node is >= m. *)
+  let topo =
+    if ascending then Array.init n Fun.id
+    else begin
+      let deg = Array.init n (fun v -> pred_off.(v + 1) - pred_off.(v)) in
+      let out = Array.make n 0 in
+      if kahn n ~adj_off:succ_off ~adj_tgt:succ_tgt ~deg ~out < n then
+        invalid_arg "Graph.of_edges: zero-delay subgraph contains a cycle";
+      out
+    end
+  in
+  let out_data =
+    Array.map
+      (fun l -> List.fold_left (fun acc (_, _, s) -> acc + s) 0 l)
+      succs
+  in
+  let has_data = Array.exists (fun d -> d > 0) out_data in
+  let collect pred =
+    let count = ref 0 in
+    for v = 0 to n - 1 do
+      if pred.(v + 1) = pred.(v) then incr count
+    done;
+    let out = Array.make !count 0 in
+    let i = ref 0 in
+    for v = 0 to n - 1 do
+      if pred.(v + 1) = pred.(v) then begin
+        out.(!i) <- v;
+        incr i
+      end
+    done;
+    out
+  in
+  let roots = collect pred_off in
+  let leaves = collect succ_off in
+  let is_tree =
+    let ok = ref true in
+    for v = 0 to n - 1 do
+      if pred_off.(v + 1) - pred_off.(v) > 1 then ok := false
+    done;
+    !ok
+  in
+  {
+    num_edges;
+    succ_off;
+    succ_tgt;
+    succ_size;
+    pred_off;
+    pred_tgt;
+    out_data;
+    has_data;
+    roots;
+    leaves;
+    is_tree;
+    topo;
+    post = None;
+  }
 
 let compute_post g =
   let n = num_nodes g in
@@ -208,13 +214,7 @@ let leaves_arr g = g.csr.leaves
 let transfer ~src_type ~dst_type ~size =
   if src_type = dst_type then 0 else size
 
-let topo_arr g =
-  match g.csr.topo with
-  | Some o -> o
-  | None ->
-      let o = compute_topo g in
-      g.csr.topo <- Some o;
-      o
+let topo_arr g = g.csr.topo
 
 let post_arr g =
   match g.csr.post with
@@ -224,9 +224,7 @@ let post_arr g =
       g.csr.post <- Some o;
       o
 
-let preheat g =
-  ignore (topo_arr g);
-  ignore (post_arr g)
+let preheat g = ignore (post_arr g)
 
 let iter_dag_succs g v f =
   let c = g.csr in
@@ -313,6 +311,7 @@ let of_edges ~names ?ops ?sizes edge_list =
         List.mapi (fun i e -> { e with size = sz.(i) }) edge_list
   in
   let succs = Array.make n [] and preds = Array.make n [] in
+  let ascending = ref true in
   let check_node v =
     if v < 0 || v >= n then
       invalid_arg (Printf.sprintf "Graph.of_edges: node %d out of range" v)
@@ -325,17 +324,19 @@ let of_edges ~names ?ops ?sizes edge_list =
       if size < 0 then invalid_arg "Graph.of_edges: negative size";
       if src = dst && delay = 0 then
         invalid_arg "Graph.of_edges: zero-delay self-loop";
+      if delay = 0 && src > dst then ascending := false;
       succs.(src) <- (dst, delay, size) :: succs.(src);
       preds.(dst) <- (src, delay, size) :: preds.(dst))
     edge_list;
   Array.iteri (fun i l -> succs.(i) <- List.rev l) succs;
   Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
-  let g = { names = Array.copy names; ops; succs; preds; csr = build_csr n succs preds } in
-  (* Acyclicity check = computing (and caching) the topological order. *)
-  (try g.csr.topo <- Some (compute_topo g)
-   with Invalid_argument _ ->
-     invalid_arg "Graph.of_edges: zero-delay subgraph contains a cycle");
-  g
+  {
+    names = Array.copy names;
+    ops;
+    succs;
+    preds;
+    csr = build_csr n succs preds ~ascending:!ascending;
+  }
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph (%d nodes, %d edges)" (num_nodes g)

@@ -26,7 +26,11 @@ type edge = { src : int; dst : int; delay : int; size : int }
     callers sizing an existing edge list. Raises [Invalid_argument] on node
     ids out of range, negative delays or sizes, a [sizes] length mismatch,
     self-loops with zero delay, or when the zero-delay subgraph contains a
-    cycle. *)
+    cycle.
+
+    The topological order ({!topo_arr}) is built here, as the acyclicity
+    check. When every zero-delay edge goes from a lower id to a higher one
+    it is the identity, with no heap pass. *)
 val of_edges :
   names:string array -> ?ops:string array -> ?sizes:int array -> edge list -> t
 
@@ -109,16 +113,18 @@ val roots_arr : t -> int array
 
 val leaves_arr : t -> int array
 
-(** Cached topological / post order of the DAG portion (computed on first
-    use). Same deterministic smallest-ready-node-first orders as
-    {!Topo.sort} and {!Topo.post_order}, which are implemented on top. *)
+(** Topological / post order of the DAG portion: the deterministic
+    smallest-ready-node-first orders of {!Topo.sort} and
+    {!Topo.post_order}, which are implemented on top. [topo_arr] is built
+    by {!of_edges}; [post_arr] is computed on first use and memoized. *)
 val topo_arr : t -> int array
 
 val post_arr : t -> int array
 
-(** Force the lazily memoized orders ({!topo_arr}, {!post_arr}) so the
-    graph becomes a read-only value that is safe to share across domains
-    (see [Par.Pool]). Idempotent and cheap when already cached. *)
+(** Force the lazily memoized post order ({!post_arr}) so the graph
+    becomes a read-only value that is safe to share across domains (see
+    [Par.Pool]). Idempotent and cheap when already cached. Code that only
+    reads {!topo_arr} and the CSR views needs no preheat. *)
 val preheat : t -> unit
 
 (** Allocation-free iteration over zero-delay neighbours, in adjacency

@@ -177,7 +177,18 @@ let parse_deadline json g table =
       match J.to_float_opt f with
       | Some factor when Float.is_finite factor && factor > 0.0 ->
           let tmin = Core.Synthesis.min_deadline g table in
-          Ok (max tmin (int_of_float (factor *. float_of_int tmin)))
+          (* Range-check the product in float: [int_of_float] past
+             [max_int] is unspecified, and [max tmin] would turn its
+             garbage into the factor-1.0 deadline. *)
+          let deadline = factor *. float_of_int tmin in
+          if deadline < Float.of_int max_int then
+            Ok (max tmin (int_of_float deadline))
+          else
+            Error
+              (Printf.sprintf
+                 "deadline_factor %g times the minimum deadline %d is out of \
+                  range"
+                 factor tmin)
       | Some factor ->
           Error
             (Printf.sprintf

@@ -108,6 +108,114 @@ let test_empty () =
   let t = Dfg.Expand.expand (graph 0 []) in
   Alcotest.(check int) "empty" 0 (Dfg.Graph.num_nodes t.Dfg.Expand.graph)
 
+(* --- Flat DFS and identity topo vs the list-based oracles -------------- *)
+
+(* A random DAG or tree, or the transpose of one, with random edge sizes
+   and, half the time, delayed edges in any direction. Half the graphs are
+   relabelled by a random permutation, so their ids are not topologically
+   numbered; transposes never are (unless edgeless). *)
+let random_graph rng =
+  let module P = Workloads.Prng in
+  let n = 1 + P.int rng 14 in
+  let dag () =
+    Workloads.Random_dfg.random_dag rng ~n ~extra_edges:(P.int rng (n + 1))
+  in
+  let tree () = Workloads.Random_dfg.random_tree rng ~n ~max_children:3 in
+  let base =
+    match P.int rng 4 with
+    | 0 -> dag ()
+    | 1 -> tree ()
+    | 2 -> Dfg.Transpose.transpose (dag ())
+    | _ -> Dfg.Transpose.transpose (tree ())
+  in
+  let perm = Array.init n Fun.id in
+  if P.bool rng then
+    for i = n - 1 downto 1 do
+      let j = P.int rng (i + 1) in
+      let t = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- t
+    done;
+  let names = Array.make n "" and ops = Array.make n "" in
+  for v = 0 to n - 1 do
+    names.(perm.(v)) <- Dfg.Graph.name base v;
+    ops.(perm.(v)) <- Dfg.Graph.op base v
+  done;
+  let edges =
+    List.map
+      (fun (e : Dfg.Graph.edge) ->
+        { e with src = perm.(e.src); dst = perm.(e.dst); size = P.int rng 4 })
+      (Dfg.Graph.edges base)
+  in
+  let delayed =
+    if P.bool rng then []
+    else
+      List.init (P.int rng 4) (fun _ ->
+          {
+            Dfg.Graph.src = P.int rng n;
+            dst = P.int rng n;
+            delay = 1 + P.int rng 2;
+            size = P.int rng 3;
+          })
+  in
+  Dfg.Graph.of_edges ~names ~ops (edges @ delayed)
+
+let ids_numbered g =
+  List.for_all
+    (fun (e : Dfg.Graph.edge) -> e.delay > 0 || e.src < e.dst)
+    (Dfg.Graph.edges g)
+
+let same_tree (a : Dfg.Expand.tree) (b : Dfg.Expand.tree) =
+  let ops t = Array.init (Dfg.Graph.num_nodes t) (Dfg.Graph.op t) in
+  a.origin = b.origin && a.copies = b.copies
+  && Dfg.Graph.names a.graph = Dfg.Graph.names b.graph
+  && ops a.graph = ops b.graph
+  && Dfg.Graph.edges a.graph = Dfg.Graph.edges b.graph
+  && Dfg.Graph.topo_arr a.graph = Dfg.Graph.topo_arr b.graph
+
+let outcome f =
+  match f () with t -> Ok t | exception Dfg.Expand.Too_large m -> Error m
+
+(* Both expansions agree (and their trees' orders match the heap oracle)
+   with the default bound and at one below, at, and one above the tree's
+   size; so does the input graph's own order. *)
+let expand_matches_oracle =
+  QCheck.Test.make ~name:"flat expand and identity topo = list/heap oracles"
+    ~count:500
+    (QCheck.make ~print:string_of_int QCheck.Gen.(map abs int))
+    (fun seed ->
+      let g = random_graph (Workloads.Prng.create seed) in
+      let reference = Oracle.Expand.expand_reference g in
+      let size = Array.length reference.origin in
+      Dfg.Graph.topo_arr g = Oracle.Topo.topo_reference g
+      && Dfg.Graph.topo_arr reference.graph
+         = Oracle.Topo.topo_reference reference.graph
+      && List.for_all
+           (fun max_nodes ->
+             let reference () = Oracle.Expand.expand_reference ?max_nodes g in
+             match
+               ( outcome (fun () -> Dfg.Expand.expand ?max_nodes g),
+                 outcome reference )
+             with
+             | Ok a, Ok b -> same_tree a b
+             | Error m, Error m' -> m = m'
+             | _ -> false)
+           [ None; Some (size - 1); Some size; Some (size + 1) ])
+
+(* The random graphs above cover both kinds of numbering. *)
+let test_numbering_coverage () =
+  let numbered = ref 0 and unnumbered = ref 0 in
+  for seed = 0 to 199 do
+    let g = random_graph (Workloads.Prng.create seed) in
+    if ids_numbered g then incr numbered else incr unnumbered;
+    Alcotest.(check (array int))
+      (Printf.sprintf "seed %d topo = heap oracle" seed)
+      (Oracle.Topo.topo_reference g) (Dfg.Graph.topo_arr g)
+  done;
+  Alcotest.(check bool) "some graphs are topologically numbered" true
+    (!numbered > 20);
+  Alcotest.(check bool) "some graphs are not" true (!unnumbered > 20)
+
 let () =
   Alcotest.run "dfg.expand"
     [
@@ -122,5 +230,10 @@ let () =
           quick "delay edges dropped" test_delay_edges_dropped;
           quick "max_nodes cap" test_too_large;
           quick "empty graph" test_empty;
+        ] );
+      ( "oracles",
+        [
+          QCheck_alcotest.to_alcotest expand_matches_oracle;
+          quick "numbered and unnumbered ids covered" test_numbering_coverage;
         ] );
     ]

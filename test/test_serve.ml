@@ -1057,6 +1057,90 @@ let test_catalogue_serves_identically () =
     (serve_lines ~lookup:rebuilt_lookup lines)
     resident
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* A factor whose deadline overflows an int is a per-line error naming
+   deadline_factor, not an ok answer for another deadline: int_of_float of
+   the product gives min_int there, which [max tmin] turns into the
+   factor-1.0 deadline. In-range factors keep the deadline, and the bytes,
+   they always had. *)
+let test_deadline_factor_range () =
+  let line ?(id = 1) f =
+    Printf.sprintf {|{"id":%d,"benchmark":"diffeq","deadline_factor":%s}|} id f
+  in
+  let out = serve_lines ~lookup [ line "1e308"; line "4.6e18" ] in
+  List.iter
+    (fun resp ->
+      if
+        not
+          (contains resp {|"status":"error"|}
+          && contains resp "deadline_factor")
+      then Alcotest.failf "out-of-range factor answered %s" resp)
+    (String.split_on_char '\n' (String.trim out));
+  let g, table =
+    match lookup "diffeq" ~seed:42 with
+    | Some inst -> inst
+    | None -> Alcotest.fail "diffeq not in the catalogue"
+  in
+  let tmin = Core.Synthesis.min_deadline g table in
+  List.iter
+    (fun f ->
+      match Serve.Jsonl.request_of_string ~lookup ~line:1 (line f) with
+      | Error e -> Alcotest.failf "factor %s rejected: %s" f e
+      | Ok item ->
+          Alcotest.(check int)
+            (Printf.sprintf "factor %s deadline" f)
+            (max tmin (int_of_float (float_of_string f *. float_of_int tmin)))
+            item.Serve.Jsonl.request.Core.Synthesis.deadline)
+    [ "0.25"; "1"; "1.3"; "2.0"; "1e3"; "1e17" ];
+  let deadline = max tmin (int_of_float (1.3 *. float_of_int tmin)) in
+  Alcotest.(check string) "factor 1.3 answers as its deadline does"
+    (serve_lines ~lookup
+       [
+         Printf.sprintf {|{"id":1,"benchmark":"diffeq","deadline":%d}|}
+           deadline;
+       ])
+    (serve_lines ~lookup [ line "1.3" ])
+
+(* "tree" runs on a forest in either orientation; anywhere else it is a
+   plain per-line error naming the algorithm, not OCaml exception text. *)
+let test_tree_needs_forest () =
+  let inline edges =
+    Printf.sprintf
+      {|{"id":1,"graph":{"nodes":[{"name":"a"},{"name":"b"},{"name":"c"},{"name":"d"}],"edges":%s},"table":{"types":["P1","P2"],"time":[[1,2],[1,2],[1,2],[1,2]],"cost":[[5,1],[5,1],[5,1],[5,1]]},"deadline":6,"algorithm":"tree"}|}
+      edges
+  in
+  let lines =
+    [
+      {|{"id":1,"benchmark":"diffeq","deadline_factor":1.3,"algorithm":"tree"}|};
+      inline "[[0,1],[0,2],[1,3],[2,3]]";
+      inline "[[0,1],[0,2],[1,3]]";
+      inline "[[1,0],[2,0],[3,1]]";
+      inline "[[0,1],[0,2],[1,3],[3,1,1]]";
+    ]
+  in
+  match String.split_on_char '\n' (String.trim (serve_lines ~lookup lines)) with
+  | [ diffeq; diamond; out_tree; in_tree; delayed ] ->
+      List.iter
+        (fun resp ->
+          if
+            not
+              (contains resp {|"status":"error"|}
+              && contains resp "tree (Tree_Assign)"
+              && contains resp "forest"
+              && not (contains resp "Invalid_argument"))
+          then Alcotest.failf "non-forest under tree answered %s" resp)
+        [ diffeq; diamond ];
+      List.iter
+        (fun resp ->
+          if not (contains resp {|"status":"ok"|}) then
+            Alcotest.failf "forest under tree answered %s" resp)
+        [ out_tree; in_tree; delayed ]
+  | _ -> Alcotest.fail "expected one response per line"
+
 (* --- run --------------------------------------------------------------- *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -1120,6 +1204,10 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_jsonl_parse_errors;
           Alcotest.test_case "field validation names the field" `Quick
             test_jsonl_field_validation;
+          Alcotest.test_case "deadline_factor out of range" `Quick
+            test_deadline_factor_range;
+          Alcotest.test_case "tree needs a forest" `Quick
+            test_tree_needs_forest;
           Alcotest.test_case "serve channels" `Quick test_jsonl_serve_channels;
           Alcotest.test_case "resident catalogue serves identically" `Quick
             test_catalogue_serves_identically;
