@@ -303,20 +303,70 @@ let par_tests =
 
 (* --- Serve layer: request facade, cache hit vs cold solve -------------- *)
 
+(* One request line of the daemon's [inline-dag] shape: a 100-node random
+   DAG with 33 extra edges, its standard3 time/cost table inline, about
+   5.7 KB. *)
+let inline_line =
+  lazy
+    (let module J = Obs.Json in
+     let rng = Workloads.Prng.create 100 in
+     let g = Workloads.Random_dfg.random_dag rng ~n:100 ~extra_edges:33 in
+     let tbl =
+       Workloads.Tables.random_tradeoff rng ~library:lib3 ~num_nodes:100
+     in
+     let ints l = J.List (List.map (fun v -> J.Int v) l) in
+     let rows cell =
+       J.List
+         (List.init 100 (fun node ->
+              ints (List.init 3 (fun ftype -> cell tbl ~node ~ftype))))
+     in
+     J.to_string
+       (J.Obj
+          [
+            ("id", J.Int 1);
+            ( "graph",
+              J.Obj
+                [
+                  ( "nodes",
+                    J.List
+                      (List.init 100 (fun v ->
+                           J.Obj
+                             [
+                               ("name", J.String (Dfg.Graph.name g v));
+                               ("op", J.String (Dfg.Graph.op g v));
+                             ])) );
+                  ( "edges",
+                    J.List
+                      (List.map
+                         (fun (e : Dfg.Graph.edge) -> ints [ e.src; e.dst; e.delay ])
+                         (Dfg.Graph.edges g)) );
+                ] );
+            ( "table",
+              J.Obj
+                [
+                  ("types", J.List [ J.String "P1"; J.String "P2"; J.String "P3" ]);
+                  ("time", rows Fulib.Table.time);
+                  ("cost", rows Fulib.Table.cost);
+                ] );
+            ("deadline_factor", J.Float 1.3);
+            ("algorithm", J.String "repeat");
+          ]))
+
 (* The serve bench group prices the new entry points: a full
    Core.Synthesis.solve through the request facade (cold), the same
    request answered by a pre-warmed Serve.Cache (hit — should be digest
    cost plus a hashtable probe), the digest itself, and the resident
    catalogue resolving a repeated benchmark name (what the daemon does for
-   every ["benchmark"] line before it can even probe the cache). *)
+   every ["benchmark"] line before it can even probe the cache). The
+   inline rows split turning an [inline-dag] line into a request: the JSON
+   parse, then the decode of the parsed tree into graph, table and
+   request. *)
 let serve_tests =
   let instance =
     lazy
       (let g = Workloads.Filters.elliptic () in
        let tbl = table_for ~seed:7 g in
        let deadline = mid_deadline g tbl in
-       Dfg.Graph.preheat g;
-       Fulib.Table.preheat tbl;
        Core.Synthesis.request ~algorithm:Core.Synthesis.Repeat ~deadline g tbl)
   in
   let warmed =
@@ -339,6 +389,17 @@ let serve_tests =
         (Staged.stage (fun () -> Serve.Cache.digest (Lazy.force instance)));
       Test.make ~name:"lookup"
         (Staged.stage (fun () -> Workloads.Catalogue.lookup "elliptic" ~seed:7));
+      Test.make ~name:"parse-inline"
+        (Staged.stage (fun () -> Obs.Json.parse (Lazy.force inline_line)));
+      Test.make ~name:"decode-inline"
+        (let json =
+           lazy
+             (match Obs.Json.parse (Lazy.force inline_line) with
+             | Ok json -> json
+             | Error e -> failwith ("serve/decode-inline: " ^ e))
+         in
+         Staged.stage (fun () ->
+             Serve.Jsonl.line_of_json ~line:1 (Lazy.force json)));
     ]
 
 (* --- Memory dimension: capacity pruning vs unconstrained solves ------- *)

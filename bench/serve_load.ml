@@ -159,8 +159,6 @@ let hammer_requests =
            Core.Synthesis.request ~algorithm:Core.Synthesis.Repeat ~deadline g
              tbl
          in
-         Dfg.Graph.preheat g;
-         Fulib.Table.preheat tbl;
          (req, Serve.Cache.digest req)))
 
 (* Digest-shaped fresh keys, distinct per (tag, index); hex via md5 so

@@ -58,8 +58,6 @@ let run_benchmark ?pool ~name ~seed ~algorithms g =
   let table = benchmark_table ~seed g in
   Obs.Span.with_ ("experiments.benchmark:" ^ name) @@ fun () ->
   (* the graph and table are shared read-only across domains below *)
-  Dfg.Graph.preheat g;
-  Fulib.Table.preheat table;
   let _, tree = Assign.Dfg_assign.choose_tree g in
   let duplicated = List.length (Dfg.Expand.duplicated_nodes tree) in
   (* Every (deadline, algorithm) cell is an independent solve; fan the grid

@@ -10,8 +10,6 @@ let trace ?pool ?(algorithm = Synthesis.Repeat) g table ~max_deadline =
   else begin
     let pool = match pool with Some p -> p | None -> Par.Pool.global () in
     Obs.Span.with_ "frontier.trace" @@ fun () ->
-    Dfg.Graph.preheat g;
-    Fulib.Table.preheat table;
     (* Every deadline's solve is independent; only the staircase filter is
        sequential, and it runs over the order-preserved result array, so
        the sweep is bit-identical for any domain count. *)

@@ -126,11 +126,13 @@ let encode
   for t = 0 to k - 1 do
     put_int e (Fulib.Library.mem_capacity lib t)
   done;
-  for v = 0 to n - 1 do
-    for ftype = 0 to k - 1 do
-      put_int e (Fulib.Table.time table ~node:v ~ftype);
-      put_int e (Fulib.Table.cost table ~node:v ~ftype)
-    done
+  (* node-major, time then cost per cell; a table shorter than the
+     graph fails the flat read like the accessors would *)
+  let times = Fulib.Table.flat_times table
+  and costs = Fulib.Table.flat_costs table in
+  for c = 0 to (n * k) - 1 do
+    put_int e times.(c);
+    put_int e costs.(c)
   done;
   put_int e deadline;
   put_string e (algorithm_name algorithm);

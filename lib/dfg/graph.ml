@@ -2,10 +2,11 @@ type edge = { src : int; dst : int; delay : int; size : int }
 
 (* Flat, cache-friendly view of the DAG portion (zero-delay subgraph),
    built once at construction: CSR adjacency (offsets + targets), total
-   edge count, roots/leaves, forest flag and topological order, plus a
-   lazily-computed post order. Every derived quantity the solver kernels
-   iterate over in inner loops is served from here without allocating
-   lists. *)
+   edge count, roots/leaves, forest flag and topological order. Every
+   derived quantity the solver kernels iterate over in inner loops is
+   served from here without allocating lists, and nothing is filled in
+   later: a graph is immutable once built. Sweeps that need children
+   before parents walk the topological order backwards. *)
 type csr = {
   num_edges : int;  (* edges of any delay *)
   succ_off : int array;  (* length n+1; zero-delay succs of v at
@@ -19,8 +20,7 @@ type csr = {
   roots : int array;  (* ascending *)
   leaves : int array;  (* ascending *)
   is_tree : bool;
-  topo : int array;  (* the acyclicity check, so never lazy *)
-  mutable post : int array option;
+  topo : int array;  (* also the acyclicity check *)
 }
 
 type t = {
@@ -186,17 +186,7 @@ let build_csr n succs preds ~ascending =
     leaves;
     is_tree;
     topo;
-    post = None;
   }
-
-let compute_post g =
-  let n = num_nodes g in
-  let c = g.csr in
-  let deg = Array.init n (fun v -> c.succ_off.(v + 1) - c.succ_off.(v)) in
-  let out = Array.make n 0 in
-  let m = kahn n ~adj_off:c.pred_off ~adj_tgt:c.pred_tgt ~deg ~out in
-  if m < n then invalid_arg "Graph: zero-delay subgraph contains a cycle";
-  out
 
 (* --- Flat accessors (read-only arrays: callers must not mutate) ------- *)
 
@@ -216,15 +206,8 @@ let transfer ~src_type ~dst_type ~size =
 
 let topo_arr g = g.csr.topo
 
-let post_arr g =
-  match g.csr.post with
-  | Some o -> o
-  | None ->
-      let o = compute_post g in
-      g.csr.post <- Some o;
-      o
-
-let preheat g = ignore (post_arr g)
+(* Graphs hold nothing lazy any more; kept so existing callers link. *)
+let preheat (_ : t) = ()
 
 let iter_dag_succs g v f =
   let c = g.csr in

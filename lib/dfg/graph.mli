@@ -113,18 +113,17 @@ val roots_arr : t -> int array
 
 val leaves_arr : t -> int array
 
-(** Topological / post order of the DAG portion: the deterministic
-    smallest-ready-node-first orders of {!Topo.sort} and
-    {!Topo.post_order}, which are implemented on top. [topo_arr] is built
-    by {!of_edges}; [post_arr] is computed on first use and memoized. *)
+(** Topological order of the DAG portion: the deterministic
+    smallest-ready-node-first order of {!Topo.sort}, which is implemented
+    on top. Built by {!of_edges}. Walked backwards it lists every node
+    after all its zero-delay descendants, which is how {!Topo.post_order}
+    and the children-first sweeps ([Paths.longest_from], ALAP frames)
+    read it. *)
 val topo_arr : t -> int array
 
-val post_arr : t -> int array
-
-(** Force the lazily memoized post order ({!post_arr}) so the graph
-    becomes a read-only value that is safe to share across domains (see
-    [Par.Pool]). Idempotent and cheap when already cached. Code that only
-    reads {!topo_arr} and the CSR views needs no preheat. *)
+(** Does nothing: graphs have nothing lazy left to force, so a graph is
+    safe to share across domains (see [Par.Pool]) as soon as
+    {!of_edges} returns. Kept for callers that still call it. *)
 val preheat : t -> unit
 
 (** Allocation-free iteration over zero-delay neighbours, in adjacency

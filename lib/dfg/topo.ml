@@ -1,11 +1,14 @@
-(* Orders are computed once per graph and cached inside [Graph] (Kahn's
+(* The order is computed once per graph by [Graph.of_edges] (Kahn's
    algorithm with a min-heap frontier keyed by node id, so ties break
    deterministically toward the smallest ready node — the same order the
    historical sorted-list frontier produced). These entry points only
-   convert the cached arrays to lists for compatibility. *)
+   convert the cached array to lists for compatibility. *)
 
 let sort g = Array.to_list (Graph.topo_arr g)
-let post_order g = Array.to_list (Graph.post_arr g)
+
+(* consing the topological order front to back lists it reversed *)
+let post_order g =
+  Array.fold_left (fun acc v -> v :: acc) [] (Graph.topo_arr g)
 
 let levels g =
   let n = Graph.num_nodes g in

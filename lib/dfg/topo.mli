@@ -7,8 +7,7 @@ val sort : Graph.t -> int list
 
 (** [post_order g] lists every node with all its zero-delay descendants
     first: if there is a zero-delay edge [u -> v] then [v] appears before
-    [u] (the paper's post-ordering). Equal to [List.rev (sort g)] only up to
-    tie-breaking; computed directly for determinism. *)
+    [u] (the paper's post-ordering). It is [List.rev (sort g)]. *)
 val post_order : Graph.t -> int list
 
 (** [levels g] assigns each node its depth in the DAG portion: roots are at

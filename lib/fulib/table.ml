@@ -1,124 +1,143 @@
-(* Flat view of the time/cost matrices, built lazily on first use and
-   cached: [times.(v * k + t)] indexing plus per-node minimum rows. The
-   solver kernels (Path/Tree DPs, Exact's bounds, Greedy's sweeps) iterate
-   over these instead of calling the per-cell accessors. *)
-type flat = {
-  ftimes : int array;
-  fcosts : int array;
-  fmin_times : int array;
-  fmin_time_types : int array;
-  fmin_costs : int array;
-  fmin_cost_types : int array;
-}
-
+(* Only the flat view is stored: [times.(v * k + t)] indexing plus
+   per-node minimum rows, all built by the constructor. The solver kernels
+   (Path/Tree DPs, Exact's bounds, Greedy's sweeps) iterate over these
+   arrays directly. Nothing is filled in later, so a table is immutable
+   once built and safe to share across domains; [with_mem_capacity]
+   shares the arrays of the table it came from. *)
 type t = {
   library : Library.t;
-  time : int array array;
-  cost : int array array;
-  mutable flat : flat option;
+  k : int;
+  times : int array;
+  costs : int array;
+  min_times : int array;
+  min_time_types : int array;
+  min_costs : int array;
+  min_cost_types : int array;
 }
 
-let make ~library ~time ~cost =
-  let n = Array.length time and k = Library.num_types library in
-  if Array.length cost <> n then
-    invalid_arg "Table.make: time/cost row counts differ";
-  let check_row what row =
-    if Array.length row <> k then
-      invalid_arg (Printf.sprintf "Table.make: %s row has wrong width" what)
-  in
-  Array.iter
-    (fun row ->
-      check_row "time" row;
-      Array.iter
-        (fun x -> if x < 1 then invalid_arg "Table.make: time < 1")
-        row)
-    time;
-  Array.iter
-    (fun row ->
-      check_row "cost" row;
-      Array.iter
-        (fun x -> if x < 0 then invalid_arg "Table.make: negative cost")
-        row)
-    cost;
-  {
-    library;
-    time = Array.map Array.copy time;
-    cost = Array.map Array.copy cost;
-    flat = None;
-  }
-
-let library t = t.library
-let num_nodes t = Array.length t.time
-let num_types t = Library.num_types t.library
-let time t ~node ~ftype = t.time.(node).(ftype)
-let cost t ~node ~ftype = t.cost.(node).(ftype)
-
-let arg_min row =
+(* Index of the first minimum of [a.(off) .. a.(off + k - 1)], relative
+   to [off]: the smallest type on ties. *)
+let arg_min a off k =
   let best = ref 0 in
-  for k = 1 to Array.length row - 1 do
-    if row.(k) < row.(!best) then best := k
+  for t = 1 to k - 1 do
+    if a.(off + t) < a.(off + !best) then best := t
   done;
   !best
 
-let build_flat t =
-  let n = num_nodes t and k = num_types t in
-  let ftimes = Array.make (n * k) 0 and fcosts = Array.make (n * k) 0 in
-  let fmin_times = Array.make n 0 and fmin_time_types = Array.make n 0 in
-  let fmin_costs = Array.make n 0 and fmin_cost_types = Array.make n 0 in
+let of_flat library ~k times costs =
+  let n = Array.length times / k in
+  let min_times = Array.make n 0 and min_time_types = Array.make n 0 in
+  let min_costs = Array.make n 0 and min_cost_types = Array.make n 0 in
   for v = 0 to n - 1 do
-    Array.blit t.time.(v) 0 ftimes (v * k) k;
-    Array.blit t.cost.(v) 0 fcosts (v * k) k;
-    let tt = arg_min t.time.(v) and ct = arg_min t.cost.(v) in
-    fmin_time_types.(v) <- tt;
-    fmin_times.(v) <- t.time.(v).(tt);
-    fmin_cost_types.(v) <- ct;
-    fmin_costs.(v) <- t.cost.(v).(ct)
+    let off = v * k in
+    let tt = arg_min times off k and ct = arg_min costs off k in
+    min_time_types.(v) <- tt;
+    min_times.(v) <- times.(off + tt);
+    min_cost_types.(v) <- ct;
+    min_costs.(v) <- costs.(off + ct)
   done;
-  { ftimes; fcosts; fmin_times; fmin_time_types; fmin_costs; fmin_cost_types }
+  { library; k; times; costs; min_times; min_time_types; min_costs; min_cost_types }
 
-let flat t =
-  match t.flat with
-  | Some f -> f
-  | None ->
-      let f = build_flat t in
-      t.flat <- Some f;
-      f
+(* Rows are checked and copied in one pass, time rows before cost rows.
+   The copy is an explicit loop: [n * k] often passes the minor-heap size
+   limit, and [Array.blit] into a major-heap block stores field by field
+   through the write barrier. *)
+let flatten ~what ~least ~bad ~k rows =
+  let flat = Array.make (Array.length rows * k) 0 in
+  Array.iteri
+    (fun v row ->
+      if Array.length row <> k then
+        invalid_arg (Printf.sprintf "Table.make: %s row has wrong width" what);
+      for t = 0 to k - 1 do
+        let x = row.(t) in
+        if x < least then invalid_arg bad;
+        flat.((v * k) + t) <- x
+      done)
+    rows;
+  flat
 
-let preheat t = ignore (flat t)
-let flat_times t = (flat t).ftimes
-let flat_costs t = (flat t).fcosts
-let min_times_arr t = (flat t).fmin_times
-let min_costs_arr t = (flat t).fmin_costs
-let min_time_type t v = (flat t).fmin_time_types.(v)
-let min_time t v = (flat t).fmin_times.(v)
-let min_cost_type t v = (flat t).fmin_cost_types.(v)
-let min_cost t v = (flat t).fmin_costs.(v)
+let make ~library ~time ~cost =
+  let k = Library.num_types library in
+  if Array.length cost <> Array.length time then
+    invalid_arg "Table.make: time/cost row counts differ";
+  let times = flatten ~what:"time" ~least:1 ~bad:"Table.make: time < 1" ~k time in
+  let costs =
+    flatten ~what:"cost" ~least:0 ~bad:"Table.make: negative cost" ~k cost
+  in
+  of_flat library ~k times costs
+
+let library t = t.library
+let num_nodes t = Array.length t.min_times
+let num_types t = t.k
+
+(* The explicit check keeps a type past [k - 1] from reading the next
+   node's row; the message is the one a nested-array read gave. *)
+let check t ~node ~ftype =
+  if node < 0 || node >= num_nodes t || ftype < 0 || ftype >= t.k then
+    invalid_arg "index out of bounds"
+
+let time t ~node ~ftype =
+  check t ~node ~ftype;
+  Array.unsafe_get t.times ((node * t.k) + ftype)
+
+let cost t ~node ~ftype =
+  check t ~node ~ftype;
+  Array.unsafe_get t.costs ((node * t.k) + ftype)
+
+(* Tables hold nothing lazy any more; kept so existing callers link. *)
+let preheat (_ : t) = ()
+let flat_times t = t.times
+let flat_costs t = t.costs
+let min_times_arr t = t.min_times
+let min_costs_arr t = t.min_costs
+let min_time_type t v = t.min_time_types.(v)
+let min_time t v = t.min_times.(v)
+let min_cost_type t v = t.min_cost_types.(v)
+let min_cost t v = t.min_costs.(v)
 
 let mem_capacities t = Library.mem_capacities t.library
 let mem_bounded t = Library.mem_bounded t.library
 
 let with_mem_capacity t caps =
-  {
-    library = Library.with_mem_capacity t.library caps;
-    time = Array.map Array.copy t.time;
-    cost = Array.map Array.copy t.cost;
-    flat = None;
-  }
+  { t with library = Library.with_mem_capacity t.library caps }
 
+(* A collapsed row is constant, so its first minimum is type 0. *)
 let pin t ~node ~ftype =
-  let k = num_types t in
-  let time = Array.map Array.copy t.time in
-  let cost = Array.map Array.copy t.cost in
-  time.(node) <- Array.make k t.time.(node).(ftype);
-  cost.(node) <- Array.make k t.cost.(node).(ftype);
-  { library = t.library; time; cost; flat = None }
+  let k = t.k in
+  let pt = time t ~node ~ftype and pc = cost t ~node ~ftype in
+  let times = Array.copy t.times and costs = Array.copy t.costs in
+  Array.fill times (node * k) k pt;
+  Array.fill costs (node * k) k pc;
+  let min_times = Array.copy t.min_times
+  and min_time_types = Array.copy t.min_time_types
+  and min_costs = Array.copy t.min_costs
+  and min_cost_types = Array.copy t.min_cost_types in
+  min_times.(node) <- pt;
+  min_time_types.(node) <- 0;
+  min_costs.(node) <- pc;
+  min_cost_types.(node) <- 0;
+  { t with times; costs; min_times; min_time_types; min_costs; min_cost_types }
 
 let project t ~origin =
+  let k = t.k and n' = Array.length origin in
+  let times = Array.make (n' * k) 0 and costs = Array.make (n' * k) 0 in
+  Array.iteri
+    (fun i v ->
+      if v < 0 || v >= num_nodes t then invalid_arg "index out of bounds";
+      for f = 0 to k - 1 do
+        times.((i * k) + f) <- t.times.((v * k) + f);
+        costs.((i * k) + f) <- t.costs.((v * k) + f)
+      done)
+    origin;
+  let pick a = Array.map (fun v -> a.(v)) origin in
   {
-    library = t.library;
-    time = Array.map (fun v -> Array.copy t.time.(v)) origin;
-    cost = Array.map (fun v -> Array.copy t.cost.(v)) origin;
-    flat = None;
+    t with
+    times;
+    costs;
+    min_times = pick t.min_times;
+    min_time_types = pick t.min_time_types;
+    min_costs = pick t.min_costs;
+    min_cost_types = pick t.min_cost_types;
   }
 
 let pp ~names ppf t =
@@ -130,7 +149,8 @@ let pp ~names ppf t =
   for v = 0 to num_nodes t - 1 do
     Format.fprintf ppf "@,%-8s" names.(v);
     for j = 0 to k - 1 do
-      Format.fprintf ppf "  %4d/%-3d" t.time.(v).(j) t.cost.(v).(j)
+      Format.fprintf ppf "  %4d/%-3d" (time t ~node:v ~ftype:j)
+        (cost t ~node:v ~ftype:j)
     done
   done;
   Format.fprintf ppf "@]"

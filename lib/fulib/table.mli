@@ -8,13 +8,19 @@ type t
 
 (** [make ~library ~time ~cost] with [time.(v).(k)] / [cost.(v).(k)] indexed
     node-major. Raises [Invalid_argument] on dimension mismatches, times
-    < 1, or negative costs. *)
+    < 1, or negative costs. The rows are copied into the flat views below;
+    the table keeps no reference to [time] or [cost]. *)
 val make : library:Library.t -> time:int array array -> cost:int array array -> t
 
 val library : t -> Library.t
 val num_nodes : t -> int
 val num_types : t -> int
+
+(** [time t ~node ~ftype] and [cost t ~node ~ftype] raise
+    [Invalid_argument] when [node] or [ftype] is out of range; a type past
+    the last never reads the next node's row. *)
 val time : t -> node:int -> ftype:int -> int
+
 val cost : t -> node:int -> ftype:int -> int
 
 (** Fastest achievable execution time of a node, and a type attaining it
@@ -30,15 +36,17 @@ val min_cost_type : t -> int -> int
 
 (** {2 Flat views}
 
-    The matrices are also cached (lazily, on first use) as flat int arrays
-    with [node * num_types + ftype] indexing, plus per-node minimum rows.
-    The returned arrays are owned by the table: treat them as read-only.
-    These are what the DP kernels iterate over — one bounds-checked load per
-    cell instead of two, and no per-call closure allocation. *)
+    A table stores only flat int arrays: the times and costs with
+    [node * num_types + ftype] indexing, plus per-node minimum rows. Every
+    constructor ({!make}, {!pin}, {!project}, {!with_mem_capacity}) builds
+    them up front, so a table is immutable once built and safe to share
+    across domains (see [Par.Pool]) with no preparation. The returned
+    arrays are owned by the table: treat them as read-only. These are what
+    the DP kernels iterate over — one bounds-checked load per cell, and no
+    per-call closure allocation. *)
 
-(** Force the lazily cached flat view so the table becomes a read-only
-    value that is safe to share across domains (see [Par.Pool]).
-    Idempotent and cheap when already cached. *)
+(** Does nothing: tables have nothing lazy left to force. Kept for
+    callers that still call it. *)
 val preheat : t -> unit
 
 val flat_times : t -> int array
@@ -51,7 +59,7 @@ val min_costs_arr : t -> int array
 
 (** Per-type local-memory capacities of the table's library, indexed by
     type ({!Library.unbounded_mem} when unconstrained). Owned by the
-    library — treat as read-only. Mirrors the preheated flat views. *)
+    library — treat as read-only. *)
 val mem_capacities : t -> int array
 
 (** [mem_bounded t] is [true] when at least one type has a finite
@@ -59,7 +67,8 @@ val mem_capacities : t -> int array
 val mem_bounded : t -> bool
 
 (** [with_mem_capacity t caps] is [t] with its library's per-type
-    capacities replaced; times and costs are unchanged. *)
+    capacities replaced; times and costs are unchanged (and shared with
+    [t]). *)
 val with_mem_capacity : t -> int array -> t
 
 (** [pin t ~node ~ftype] returns a table in which [node]'s row is collapsed

@@ -69,145 +69,203 @@ let to_string v =
 
 exception Parse_error of string
 
-let parse_exn s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let error fmt =
-    Printf.ksprintf (fun msg ->
-        raise (Parse_error (Printf.sprintf "at offset %d: %s" !pos msg)))
-      fmt
-  in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> error "expected %C, found %C" c c'
-    | None -> error "expected %C, found end of input" c
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else error "invalid literal"
-  in
-  let utf8_of_code buf code =
-    (* encode one scalar value; JSON surrogate pairs are handled by the
-       caller before this point *)
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else if code < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-  in
-  let hex4 () =
-    if !pos + 4 > n then error "truncated \\u escape";
-    let v = ref 0 in
-    for i = !pos to !pos + 3 do
-      let d =
-        match s.[i] with
-        | '0' .. '9' as c -> Char.code c - Char.code '0'
-        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-        | c -> error "invalid hex digit %C in \\u escape" c
-      in
-      v := (!v lsl 4) lor d
-    done;
-    pos := !pos + 4;
-    !v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then error "truncated escape";
-           match s.[!pos] with
-           | '"' -> advance (); Buffer.add_char buf '"'
-           | '\\' -> advance (); Buffer.add_char buf '\\'
-           | '/' -> advance (); Buffer.add_char buf '/'
-           | 'n' -> advance (); Buffer.add_char buf '\n'
-           | 'r' -> advance (); Buffer.add_char buf '\r'
-           | 't' -> advance (); Buffer.add_char buf '\t'
-           | 'b' -> advance (); Buffer.add_char buf '\b'
-           | 'f' -> advance (); Buffer.add_char buf '\012'
-           | 'u' ->
-               advance ();
-               let code = hex4 () in
-               let code =
-                 if code >= 0xD800 && code <= 0xDBFF
-                    && !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                 then begin
-                   pos := !pos + 2;
-                   let low = hex4 () in
-                   if low < 0xDC00 || low > 0xDFFF then
-                     error "high surrogate not followed by a low surrogate";
-                   0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
-                 end
-                 else code
-               in
-               utf8_of_code buf code
-           | c -> error "invalid escape \\%C" c);
-          go ()
-      | c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
+let max_depth = 512
+
+(* The whole parse state: the input, the cursor and the open-container
+   count. Every reader below is a top-level function over this one record,
+   so a parse allocates only the values it returns: no option per peek,
+   no closure per container, no substring per integer. *)
+type parser = { src : string; len : int; mutable pos : int; mutable depth : int }
+
+let fail p msg = Parse_error (Printf.sprintf "at offset %d: %s" p.pos msg)
+let error p fmt = Printf.ksprintf (fun msg -> raise (fail p msg)) fmt
+
+let skip_ws p =
+  let s = p.src and n = p.len in
+  let i = ref p.pos in
+  while
+    !i < n
+    && match String.unsafe_get s !i with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    incr i
+  done;
+  p.pos <- !i
+
+(* The byte under the cursor, or '\000' at the end of input. Callers only
+   compare it with other bytes, so the two never need telling apart. *)
+let peek p = if p.pos < p.len then String.unsafe_get p.src p.pos else '\000'
+
+let expect p c =
+  if p.pos >= p.len then error p "expected %C, found end of input" c;
+  let c' = String.unsafe_get p.src p.pos in
+  if c' <> c then error p "expected %C, found %C" c c';
+  p.pos <- p.pos + 1
+
+let literal p word v =
+  let l = String.length word in
+  if p.pos + l > p.len then error p "invalid literal";
+  for i = 0 to l - 1 do
+    if String.unsafe_get p.src (p.pos + i) <> String.unsafe_get word i then
+      error p "invalid literal"
+  done;
+  p.pos <- p.pos + l;
+  v
+
+(* encode one scalar value; JSON surrogate pairs are combined by the
+   caller before this point *)
+let utf8_of_code buf code =
+  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+  else if code < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+  else if code < 0x10000 then begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+
+let hex4 p =
+  if p.pos + 4 > p.len then error p "truncated \\u escape";
+  let v = ref 0 in
+  for i = p.pos to p.pos + 3 do
+    let d =
+      match p.src.[i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | c -> error p "invalid hex digit %C in \\u escape" c
     in
-    go ();
-    Buffer.contents buf
+    v := (!v lsl 4) lor d
+  done;
+  p.pos <- p.pos + 4;
+  !v
+
+(* The rest of a string holding at least one escape, from the cursor (on
+   a backslash or a plain byte) to the closing quote, appended to [buf]. *)
+let rec escaped_string p buf =
+  if p.pos >= p.len then error p "unterminated string";
+  match String.unsafe_get p.src p.pos with
+  | '"' ->
+      p.pos <- p.pos + 1;
+      Buffer.contents buf
+  | '\\' ->
+      p.pos <- p.pos + 1;
+      if p.pos >= p.len then error p "truncated escape";
+      (match String.unsafe_get p.src p.pos with
+      | '"' -> p.pos <- p.pos + 1; Buffer.add_char buf '"'
+      | '\\' -> p.pos <- p.pos + 1; Buffer.add_char buf '\\'
+      | '/' -> p.pos <- p.pos + 1; Buffer.add_char buf '/'
+      | 'n' -> p.pos <- p.pos + 1; Buffer.add_char buf '\n'
+      | 'r' -> p.pos <- p.pos + 1; Buffer.add_char buf '\r'
+      | 't' -> p.pos <- p.pos + 1; Buffer.add_char buf '\t'
+      | 'b' -> p.pos <- p.pos + 1; Buffer.add_char buf '\b'
+      | 'f' -> p.pos <- p.pos + 1; Buffer.add_char buf '\012'
+      | 'u' ->
+          p.pos <- p.pos + 1;
+          let code = hex4 p in
+          let code =
+            if
+              code >= 0xD800 && code <= 0xDBFF
+              && p.pos + 2 <= p.len
+              && String.unsafe_get p.src p.pos = '\\'
+              && String.unsafe_get p.src (p.pos + 1) = 'u'
+            then begin
+              p.pos <- p.pos + 2;
+              let low = hex4 p in
+              if low < 0xDC00 || low > 0xDFFF then
+                error p "high surrogate not followed by a low surrogate";
+              0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+            end
+            else code
+          in
+          utf8_of_code buf code
+      | c -> error p "invalid escape \\%C" c);
+      escaped_string p buf
+  | c ->
+      p.pos <- p.pos + 1;
+      Buffer.add_char buf c;
+      escaped_string p buf
+
+(* A string without escapes, the common case, is one [String.sub] of the
+   input; the first backslash hands over to [escaped_string]. *)
+let parse_string p =
+  expect p '"';
+  let s = p.src and n = p.len and start = p.pos in
+  let i = ref start in
+  while
+    !i < n
+    && match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true
+  do
+    incr i
+  done;
+  if !i >= n then begin
+    p.pos <- n;
+    error p "unterminated string"
+  end
+  else if String.unsafe_get s !i = '"' then begin
+    p.pos <- !i + 1;
+    String.sub s start (!i - start)
+  end
+  else begin
+    let buf = Buffer.create (!i - start + 16) in
+    Buffer.add_substring buf s start (!i - start);
+    p.pos <- !i;
+    escaped_string p buf
+  end
+
+let digits p =
+  while match peek p with '0' .. '9' -> true | _ -> false do
+    p.pos <- p.pos + 1
+  done
+
+(* An optional minus and up to 18 digits with no fraction or exponent
+   cannot overflow an OCaml int, so it is read in place. Anything else
+   (floats, longer integers, a bare minus) goes through the text, as
+   [int_of_string_opt] then [float_of_string_opt] see it. *)
+let parse_number p =
+  let s = p.src and n = p.len and start = p.pos in
+  let neg = String.unsafe_get s start = '-' in
+  let i = ref (if neg then start + 1 else start) in
+  let first = !i in
+  let acc = ref 0 in
+  while
+    !i < n && match String.unsafe_get s !i with '0' .. '9' -> true | _ -> false
+  do
+    acc := (!acc * 10) + (Char.code (String.unsafe_get s !i) - Char.code '0');
+    incr i
+  done;
+  let count = !i - first in
+  let fractional =
+    !i < n && match String.unsafe_get s !i with '.' | 'e' | 'E' -> true | _ -> false
   in
-  let parse_number () =
-    let start = !pos in
-    let is_float = ref false in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        advance ()
-      done
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      is_float := true;
-      advance ();
-      digits ()
+  p.pos <- !i;
+  if (not fractional) && count >= 1 && count <= 18 then
+    Int (if neg then - !acc else !acc)
+  else begin
+    if peek p = '.' then begin
+      p.pos <- p.pos + 1;
+      digits p
     end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
+    (match peek p with
+    | 'e' | 'E' ->
+        p.pos <- p.pos + 1;
+        (match peek p with '+' | '-' -> p.pos <- p.pos + 1 | _ -> ());
+        digits p
     | _ -> ());
-    let text = String.sub s start (!pos - start) in
-    if !is_float then
+    let text = String.sub s start (p.pos - start) in
+    if fractional then
       match float_of_string_opt text with
       | Some f -> Float f
-      | None -> error "invalid number %S" text
+      | None -> error p "invalid number %S" text
     else
       match int_of_string_opt text with
       | Some i -> Int i
@@ -215,70 +273,87 @@ let parse_exn s =
           (* out of int range: fall back to float *)
           match float_of_string_opt text with
           | Some f -> Float f
-          | None -> error "invalid number %S" text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
+          | None -> error p "invalid number %S" text)
+  end
+
+(* Containers count their depth on entry, so nesting is bounded before
+   the recursion that would overflow the stack. *)
+let enter p =
+  if p.depth >= max_depth then error p "nesting deeper than %d" max_depth;
+  p.depth <- p.depth + 1;
+  p.pos <- p.pos + 1;
+  skip_ws p
+
+(* [fields] and [items] build their lists front to back: with
+   [tail_mod_cons] each cell is allocated before its tail is parsed, so
+   there is no accumulator to reverse and the stack stays flat however
+   long the list. *)
+let rec parse_value p =
+  skip_ws p;
+  if p.pos >= p.len then error p "unexpected end of input";
+  match String.unsafe_get p.src p.pos with
+  | '{' ->
+      enter p;
+      let v =
+        if peek p = '}' then begin
+          p.pos <- p.pos + 1;
           Obj []
         end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> error "expected ',' or '}' in object"
-          in
-          Obj (fields [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
+        else Obj (fields p)
+      in
+      p.depth <- p.depth - 1;
+      v
+  | '[' ->
+      enter p;
+      let v =
+        if peek p = ']' then begin
+          p.pos <- p.pos + 1;
           List []
         end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> error "expected ',' or ']' in array"
-          in
-          List (items [])
-        end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> error "unexpected character %C" c
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then error "trailing garbage after value";
+        else List (items p)
+      in
+      p.depth <- p.depth - 1;
+      v
+  | '"' -> String (parse_string p)
+  | 't' -> literal p "true" (Bool true)
+  | 'f' -> literal p "false" (Bool false)
+  | 'n' -> literal p "null" Null
+  | '-' | '0' .. '9' -> parse_number p
+  | c -> error p "unexpected character %C" c
+
+and[@tail_mod_cons] fields p =
+  skip_ws p;
+  let k = parse_string p in
+  skip_ws p;
+  expect p ':';
+  let v = parse_value p in
+  skip_ws p;
+  match peek p with
+  | ',' ->
+      p.pos <- p.pos + 1;
+      (k, v) :: fields p
+  | '}' ->
+      p.pos <- p.pos + 1;
+      [ (k, v) ]
+  | _ -> raise (fail p "expected ',' or '}' in object")
+
+and[@tail_mod_cons] items p =
+  let v = parse_value p in
+  skip_ws p;
+  match peek p with
+  | ',' ->
+      p.pos <- p.pos + 1;
+      v :: items p
+  | ']' ->
+      p.pos <- p.pos + 1;
+      [ v ]
+  | _ -> raise (fail p "expected ',' or ']' in array")
+
+let parse_exn s =
+  let p = { src = s; len = String.length s; pos = 0; depth = 0 } in
+  let v = parse_value p in
+  skip_ws p;
+  if p.pos <> p.len then error p "trailing garbage after value";
   v
 
 let parse s =

@@ -18,8 +18,16 @@ type t =
 val to_string : t -> string
 
 (** Strict parse of a complete document. [Error] carries an offset and a
-    reason. *)
+    reason. One pass over the string: integers of up to 18 digits are read
+    in place and strings without escapes are cut with one [String.sub].
+    Objects and arrays may nest at most {!max_depth} deep; the first
+    container past the bound is an error naming it, so no input can
+    exhaust the stack. Never raises. *)
 val parse : string -> (t, string) result
+
+(** 512: the deepest nesting {!parse} accepts. A fixed constant, not a
+    setting. *)
+val max_depth : int
 
 exception Parse_error of string
 

@@ -16,8 +16,8 @@
       failure behaviour does not depend on scheduling either.
 
     Task functions must be safe to run concurrently: they must not mutate
-    shared solver state (clone contexts/kernels per task, pre-force lazy
-    caches with [Dfg.Graph.preheat] / [Fulib.Table.preheat]) and must draw
+    shared solver state (clone contexts/kernels per task; graphs and tables
+    are immutable once built and need no preparation) and must draw
     randomness only from per-task PRNG streams split by index
     ([Rng.Prng.split]).
 

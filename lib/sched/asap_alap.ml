@@ -19,15 +19,17 @@ let alap g table a ~deadline =
   let times = Fulib.Table.flat_times table in
   let start = Array.make n 0 in
   let feasible = ref true in
-  Array.iter
-    (fun v ->
-      let latest_finish =
-        Dfg.Graph.fold_dag_succs g v ~init:deadline ~f:(fun acc s ->
-            Int.min acc start.(s))
-      in
-      start.(v) <- latest_finish - times.((v * k) + a.(v));
-      if start.(v) < 0 then feasible := false)
-    (Dfg.Graph.post_arr g);
+  let topo = Dfg.Graph.topo_arr g in
+  (* successors first: the topological order, walked backwards *)
+  for i = n - 1 downto 0 do
+    let v = topo.(i) in
+    let latest_finish =
+      Dfg.Graph.fold_dag_succs g v ~init:deadline ~f:(fun acc s ->
+          Int.min acc start.(s))
+    in
+    start.(v) <- latest_finish - times.((v * k) + a.(v));
+    if start.(v) < 0 then feasible := false
+  done;
   if !feasible then Some start else None
 
 let frames g table a ~deadline =

@@ -1,8 +1,9 @@
 (* Frames are recomputed from scratch after each fixing: [est]/[lst] are
    ASAP/ALAP starts honouring every already-fixed node. Graphs here are a
    few dozen nodes, so clarity wins over incremental updates — but the
-   sweeps run over the cached topological/post order arrays and the flat
-   time table rather than re-allocating lists per pass. *)
+   sweeps run over the cached topological order (forwards for [est],
+   backwards for [lst]) and the flat time table rather than re-allocating
+   lists per pass. *)
 
 let c_frames = Obs.Counter.make "force.frames"
 let c_fixings = Obs.Counter.make "force.fixings"
@@ -25,18 +26,19 @@ let fixed_frames g table a ~deadline ~fixed =
         | Some s -> if s < ready then (ok := false; ready) else s
         | None -> ready))
     (Dfg.Graph.topo_arr g);
-  Array.iter
-    (fun v ->
-      let latest_finish =
-        Dfg.Graph.fold_dag_succs g v ~init:deadline ~f:(fun acc s ->
-            Int.min acc lst.(s))
-      in
-      let latest = latest_finish - time v in
-      lst.(v) <- (match fixed.(v) with
-        | Some s -> if s > latest then (ok := false; latest) else s
-        | None -> latest);
-      if lst.(v) < est.(v) then ok := false)
-    (Dfg.Graph.post_arr g);
+  let topo = Dfg.Graph.topo_arr g in
+  for i = n - 1 downto 0 do
+    let v = topo.(i) in
+    let latest_finish =
+      Dfg.Graph.fold_dag_succs g v ~init:deadline ~f:(fun acc s ->
+          Int.min acc lst.(s))
+    in
+    let latest = latest_finish - time v in
+    lst.(v) <- (match fixed.(v) with
+      | Some s -> if s > latest then (ok := false; latest) else s
+      | None -> latest);
+    if lst.(v) < est.(v) then ok := false
+  done;
   if !ok then Some (est, lst) else None
 
 (* Distribution graphs: dg.(t).(s) = expected number of type-t nodes busy

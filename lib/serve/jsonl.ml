@@ -19,145 +19,150 @@ let bool_field name json =
 
 (* --- instance parsing ------------------------------------------------ *)
 
-let parse_nodes json =
-  match J.to_list_opt json with
-  | None -> Error "graph.nodes must be a list"
-  | Some nodes ->
+(* The decoders below match [J.List] and [J.Int] directly and fill arrays
+   sized from the list, with no intermediate option lists. The first bad
+   element raises [Bad] with the text naming the field, caught once in
+   [request_of_json]; fields are read in a fixed order, so the first
+   fault in that order is the one reported. *)
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
+
+exception Not_ints
+
+let rec fill_ints a i = function
+  | [] -> a
+  | J.Int x :: rest ->
+      a.(i) <- x;
+      fill_ints a (i + 1) rest
+  | _ :: _ -> raise Not_ints
+
+let ints_of cells = fill_ints (Array.make (List.length cells) 0) 0 cells
+
+let rec int_list = function
+  | [] -> []
+  | J.Int x :: rest -> x :: int_list rest
+  | _ :: _ -> raise Not_ints
+
+let parse_nodes = function
+  | J.List nodes ->
       let n = List.length nodes in
       let names = Array.make n "" and ops = Array.make n "op" in
-      let rec fill i = function
-        | [] -> Ok (names, ops)
-        | node :: rest -> (
-            match string_field "name" node with
-            | None -> Error (Printf.sprintf "graph.nodes[%d] needs a name" i)
-            | Some name ->
-                names.(i) <- name;
-                (match string_field "op" node with
-                | Some op -> ops.(i) <- op
-                | None -> ());
-                fill (i + 1) rest)
-      in
-      fill 0 nodes
+      List.iteri
+        (fun i node ->
+          match string_field "name" node with
+          | None -> bad "graph.nodes[%d] needs a name" i
+          | Some name -> (
+              names.(i) <- name;
+              match string_field "op" node with
+              | Some op -> ops.(i) <- op
+              | None -> ()))
+        nodes;
+      (names, ops)
+  | _ -> bad "graph.nodes must be a list"
 
-let parse_edges json =
-  match J.to_list_opt json with
-  | None -> Error "graph.edges must be a list"
-  | Some edges ->
-      let rec fill i acc = function
-        | [] -> Ok (List.rev acc)
-        | edge :: rest -> (
-            match Option.map (List.map J.to_int_opt) (J.to_list_opt edge) with
-            | Some [ Some src; Some dst ] ->
-                fill (i + 1)
-                  ({ Dfg.Graph.src; dst; delay = 0; size = 0 } :: acc)
-                  rest
-            | Some [ Some src; Some dst; Some delay ] ->
-                fill (i + 1) ({ Dfg.Graph.src; dst; delay; size = 0 } :: acc) rest
-            | Some [ Some src; Some dst; Some delay; Some size ] ->
-                fill (i + 1) ({ Dfg.Graph.src; dst; delay; size } :: acc) rest
-            | _ ->
-                Error
-                  (Printf.sprintf
-                     "graph.edges[%d] must be [src, dst], [src, dst, delay] \
-                      or [src, dst, delay, size]"
-                     i))
+let rec edges_of i = function
+  | [] -> []
+  | e :: rest ->
+      let edge =
+        match e with
+        | J.List [ J.Int src; J.Int dst ] ->
+            { Dfg.Graph.src; dst; delay = 0; size = 0 }
+        | J.List [ J.Int src; J.Int dst; J.Int delay ] ->
+            { Dfg.Graph.src; dst; delay; size = 0 }
+        | J.List [ J.Int src; J.Int dst; J.Int delay; J.Int size ] ->
+            { Dfg.Graph.src; dst; delay; size }
+        | _ ->
+            bad
+              "graph.edges[%d] must be [src, dst], [src, dst, delay] or \
+               [src, dst, delay, size]"
+              i
       in
-      fill 0 [] edges
+      edge :: edges_of (i + 1) rest
+[@@tail_mod_cons]
 
 let parse_graph json =
   match (field "nodes" json, field "edges" json) with
   | Some nodes, Some edges -> (
-      match (parse_nodes nodes, parse_edges edges) with
-      | Ok (names, ops), Ok edges -> (
-          try Ok (Dfg.Graph.of_edges ~names ~ops edges)
-          with Invalid_argument msg -> Error ("graph: " ^ msg))
-      | (Error _ as e), _ | _, (Error _ as e) -> e)
-  | _ -> Error "graph needs nodes and edges"
-
-let parse_matrix name json =
-  match Option.map (List.map J.to_list_opt) (J.to_list_opt json) with
-  | None -> Error (Printf.sprintf "table.%s must be a list of rows" name)
-  | Some rows ->
-      let rec fill acc = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | None :: _ ->
-            Error (Printf.sprintf "table.%s rows must be lists" name)
-        | Some row :: rest -> (
-            match
-              List.fold_right
-                (fun cell acc ->
-                  match (J.to_int_opt cell, acc) with
-                  | Some v, Some vs -> Some (v :: vs)
-                  | _ -> None)
-                row (Some [])
-            with
-            | None -> Error (Printf.sprintf "table.%s cells must be ints" name)
-            | Some row -> fill (Array.of_list row :: acc) rest)
+      let names, ops = parse_nodes nodes in
+      let edges =
+        match edges with
+        | J.List l -> edges_of 0 l
+        | _ -> bad "graph.edges must be a list"
       in
-      fill [] rows
+      match Dfg.Graph.of_edges ~names ~ops edges with
+      | g -> g
+      | exception Invalid_argument msg -> bad "graph: %s" msg)
+  | _ -> bad "graph needs nodes and edges"
+
+let rec fill_rows name m v = function
+  | [] -> m
+  | J.List cells :: rest ->
+      (m.(v) <-
+         (try ints_of cells
+          with Not_ints -> bad "table.%s cells must be ints" name));
+      fill_rows name m (v + 1) rest
+  | _ :: _ -> bad "table.%s rows must be lists" name
+
+let parse_matrix name = function
+  | J.List rows -> fill_rows name (Array.make (List.length rows) [||]) 0 rows
+  | _ -> bad "table.%s must be a list of rows" name
 
 let parse_table json =
   match (field "types" json, field "time" json, field "cost" json) with
   | Some types, Some time, Some cost -> (
-      match
-        Option.map (List.map J.to_string_opt) (J.to_list_opt types)
-      with
-      | None -> Error "table.types must be a list of strings"
-      | Some names ->
-          if List.exists Option.is_none names then
-            Error "table.types must be a list of strings"
-          else
-            let mem_capacity =
-              match field "mem_capacity" json with
-              | None -> Ok None
-              | Some caps -> (
-                  match
-                    Option.map (List.map J.to_int_opt) (J.to_list_opt caps)
-                  with
-                  | Some cells when List.for_all Option.is_some cells ->
-                      Ok
-                        (Some
-                           (Array.of_list (List.filter_map Fun.id cells)))
-                  | _ -> Error "table.mem_capacity must be a list of ints")
-            in
-            (match mem_capacity with
-            | Error _ as e -> e
-            | Ok mem_capacity -> (
-                match
-                  try
-                    Ok
-                      (Fulib.Library.make ?mem_capacity
-                         (Array.of_list (List.filter_map Fun.id names)))
-                  with Invalid_argument msg -> Error ("table: " ^ msg)
-                with
-                | Error _ as e -> e
-                | Ok library -> (
-                    match
-                      (parse_matrix "time" time, parse_matrix "cost" cost)
-                    with
-                    | Ok time, Ok cost -> (
-                        try Ok (Fulib.Table.make ~library ~time ~cost)
-                        with Invalid_argument msg -> Error ("table: " ^ msg))
-                    | (Error _ as e), _ | _, (Error _ as e) -> e))))
-  | _ -> Error "table needs types, time and cost"
+      let names =
+        match types with
+        | J.List l ->
+            Array.of_list
+              (List.map
+                 (function
+                   | J.String s -> s
+                   | _ -> bad "table.types must be a list of strings")
+                 l)
+        | _ -> bad "table.types must be a list of strings"
+      in
+      let mem_capacity =
+        match field "mem_capacity" json with
+        | None -> None
+        | Some (J.List cells) -> (
+            try Some (ints_of cells)
+            with Not_ints -> bad "table.mem_capacity must be a list of ints")
+        | Some _ -> bad "table.mem_capacity must be a list of ints"
+      in
+      let library =
+        match Fulib.Library.make ?mem_capacity names with
+        | l -> l
+        | exception Invalid_argument msg -> bad "table: %s" msg
+      in
+      let time = parse_matrix "time" time in
+      let cost = parse_matrix "cost" cost in
+      match Fulib.Table.make ~library ~time ~cost with
+      | t -> t
+      | exception Invalid_argument msg -> bad "table: %s" msg)
+  | _ -> bad "table needs types, time and cost"
 
 let parse_instance ?lookup json =
   match string_field "benchmark" json with
   | Some name -> (
       let seed = Option.value (int_field "seed" json) ~default:42 in
       match lookup with
-      | None -> Error "benchmark requests need a benchmark lookup"
+      | None -> bad "benchmark requests need a benchmark lookup"
       | Some lookup -> (
           match lookup name ~seed with
-          | Some instance -> Ok instance
-          | None -> Error (Printf.sprintf "unknown benchmark %S" name)))
+          | Some instance -> instance
+          | None -> bad "unknown benchmark %S" name))
   | None -> (
       match (field "graph" json, field "table" json) with
-      | Some graph, Some table -> (
-          match (parse_graph graph, parse_table table) with
-          | Ok g, Ok t -> Ok (g, t)
-          | (Error _ as e), _ | _, (Error _ as e) -> e)
-      | _ -> Error "request needs a benchmark or an inline graph + table")
+      | Some graph, Some table ->
+          let g = parse_graph graph in
+          let t = parse_table table in
+          (* every solver indexes the table by graph node *)
+          if Fulib.Table.num_nodes t <> Dfg.Graph.num_nodes g then
+            bad "table has %d rows but graph has %d nodes"
+              (Fulib.Table.num_nodes t) (Dfg.Graph.num_nodes g);
+          (g, t)
+      | _ -> bad "request needs a benchmark or an inline graph + table")
 
 (* --- request parsing ------------------------------------------------- *)
 
@@ -169,10 +174,9 @@ let parse_deadline json g table =
   match (field "deadline" json, field "deadline_factor" json) with
   | Some d, _ -> (
       match J.to_int_opt d with
-      | Some deadline when deadline >= 1 -> Ok deadline
-      | Some deadline ->
-          Error (Printf.sprintf "deadline must be >= 1 (got %d)" deadline)
-      | None -> Error "deadline must be an integer")
+      | Some deadline when deadline >= 1 -> deadline
+      | Some deadline -> bad "deadline must be >= 1 (got %d)" deadline
+      | None -> bad "deadline must be an integer")
   | None, Some f -> (
       match J.to_float_opt f with
       | Some factor when Float.is_finite factor && factor > 0.0 ->
@@ -182,19 +186,16 @@ let parse_deadline json g table =
              garbage into the factor-1.0 deadline. *)
           let deadline = factor *. float_of_int tmin in
           if deadline < Float.of_int max_int then
-            Ok (max tmin (int_of_float deadline))
+            max tmin (int_of_float deadline)
           else
-            Error
-              (Printf.sprintf
-                 "deadline_factor %g times the minimum deadline %d is out of \
-                  range"
-                 factor tmin)
+            bad
+              "deadline_factor %g times the minimum deadline %d is out of \
+               range"
+              factor tmin
       | Some factor ->
-          Error
-            (Printf.sprintf
-               "deadline_factor must be a finite number > 0 (got %g)" factor)
-      | None -> Error "deadline_factor must be a number")
-  | None, None -> Error "request needs a deadline or a deadline_factor"
+          bad "deadline_factor must be a finite number > 0 (got %g)" factor
+      | None -> bad "deadline_factor must be a number")
+  | None, None -> bad "request needs a deadline or a deadline_factor"
 
 let parse_period json =
   match field "period" json with
@@ -212,84 +213,69 @@ let parse_period json =
    at the nominal 100. *)
 let parse_levels json table =
   match field "levels" json with
-  | None -> Ok None
+  | None -> None
   | Some (J.Int n) ->
       if n >= 1 && n <= 16 then
-        Ok
-          (Some
-             (Fulib.Dvfs.uniform ~levels:n
-                ~types:(Fulib.Table.num_types table)))
-      else Error (Printf.sprintf "levels must be in 1..16 (got %d)" n)
-  | Some (J.List ladders) ->
+        Some
+          (Fulib.Dvfs.uniform ~levels:n ~types:(Fulib.Table.num_types table))
+      else bad "levels must be in 1..16 (got %d)" n
+  | Some (J.List ladders) -> (
       let k = Fulib.Table.num_types table in
       if List.length ladders <> k then
-        Error
-          (Printf.sprintf
-             "levels must give one frequency ladder per FU type (%d)" k)
-      else begin
-        let parsed =
+        bad "levels must give one frequency ladder per FU type (%d)" k;
+      let freqs =
+        try
           List.map
-            (fun l ->
-              match Option.map (List.map J.to_int_opt) (J.to_list_opt l) with
-              | Some cells when cells <> [] && List.for_all Option.is_some cells
-                ->
-                  Some (List.filter_map Fun.id cells)
-              | _ -> None)
+            (function
+              | J.List (_ :: _ as cells) -> int_list cells
+              | _ -> raise Not_ints)
             ladders
-        in
-        if List.exists Option.is_none parsed then
-          Error
-            "levels ladders must be non-empty lists of frequency percents"
-        else
-          match Fulib.Dvfs.of_freqs (List.filter_map Fun.id parsed) with
-          | lv -> Ok (Some lv)
-          | exception Invalid_argument msg -> Error ("levels: " ^ msg)
-      end
+        with Not_ints ->
+          bad "levels ladders must be non-empty lists of frequency percents"
+      in
+      match Fulib.Dvfs.of_freqs freqs with
+      | lv -> Some lv
+      | exception Invalid_argument msg -> bad "levels: %s" msg)
   | Some _ ->
-      Error "levels must be an integer or a list of per-type frequency lists"
+      bad "levels must be an integer or a list of per-type frequency lists"
+
+let line_id ~line json =
+  match field "id" json with
+  | Some (J.String _ as id) | Some (J.Int _ as id) -> id
+  | _ -> J.Int line
 
 let request_of_json ?lookup ~line json =
-  let id =
-    match field "id" json with
-    | Some (J.String _ as id) | Some (J.Int _ as id) -> id
-    | _ -> J.Int line
-  in
-  let ( let* ) = Result.bind in
-  let err msg = Error (id, msg) in
-  let lift = function Ok v -> Ok v | Error msg -> Error (id, msg) in
-  let result =
-    let* g, table = lift (parse_instance ?lookup json) in
-    let* deadline = lift (parse_deadline json g table) in
-    let* algorithm =
+  match
+    let g, table = parse_instance ?lookup json in
+    let deadline = parse_deadline json g table in
+    let algorithm =
       match string_field "algorithm" json with
-      | None -> Ok Assign.Solve.Repeat
+      | None -> Assign.Solve.Repeat
       | Some name -> (
           match Assign.Solve.of_name_result name with
-          | Stdlib.Ok a -> Ok a
-          | Stdlib.Error msg -> err msg)
+          | Stdlib.Ok a -> a
+          | Stdlib.Error msg -> raise (Bad msg))
     in
-    let* scheduler =
+    let scheduler =
       match string_field "scheduler" json with
-      | None | Some "list" -> Ok Core.Synthesis.List_scheduling
-      | Some "force" -> Ok Core.Synthesis.Force_directed
-      | Some s -> err (Printf.sprintf "unknown scheduler %S" s)
+      | None | Some "list" -> Core.Synthesis.List_scheduling
+      | Some "force" -> Core.Synthesis.Force_directed
+      | Some s -> bad "unknown scheduler %S" s
     in
-    let* levels = lift (parse_levels json table) in
+    let levels = parse_levels json table in
     let validate = Option.value (bool_field "validate" json) ~default:false in
     let trace = Option.value (bool_field "trace" json) ~default:false in
     let rtl = Option.value (bool_field "rtl" json) ~default:false in
     let budget_ms = int_field "budget_ms" json in
-    Ok
-      {
-        id;
-        request =
-          Core.Synthesis.request ~scheduler ~validate ~trace ~rtl ?budget_ms
-            ?levels ~algorithm ~deadline g table;
-      }
-  in
-  match result with
-  | Ok item -> Ok item
-  | Error (_, msg) -> Error msg
+    {
+      id = line_id ~line json;
+      request =
+        Core.Synthesis.request ~scheduler ~validate ~trace ~rtl ?budget_ms
+          ?levels ~algorithm ~deadline g table;
+    }
+  with
+  | item -> Ok item
+  | exception Bad msg -> Error msg
 
 let request_of_string ?lookup ~line s =
   match J.parse s with
@@ -302,11 +288,6 @@ type line =
   | Solve of item
   | Admit of { id : J.t; task : string; periodic : Core.Synthesis.periodic }
   | Release of { id : J.t; task : string }
-
-let line_id ~line json =
-  match field "id" json with
-  | Some (J.String _ as id) | Some (J.Int _ as id) -> id
-  | _ -> J.Int line
 
 (* The admission-controller key: the explicit "task" field, else the line
    id itself, so short admit lines stay one field lighter. *)

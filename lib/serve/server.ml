@@ -64,13 +64,6 @@ let drain t =
     Obs.Span.with_
       (Printf.sprintf "serve.drain:%d" (Array.length batch))
     @@ fun () ->
-    (* Force shared lazies on the submitting domain before fan-out: pool
-       tasks must not race to fill a graph's memoized topo order. *)
-    Array.iter
-      (fun (req : Core.Synthesis.request) ->
-        Dfg.Graph.preheat req.Core.Synthesis.graph;
-        Fulib.Table.preheat req.Core.Synthesis.table)
-      batch;
     Array.to_list (Par.Pool.map_array t.pool (guarded_solve t) batch)
 
 let solve_batch t reqs =

@@ -54,8 +54,9 @@ val submit : t -> Core.Synthesis.request -> unit
 val try_submit : t -> Core.Synthesis.request -> bool
 
 (** Solve everything queued, in submission order, over the pool; the queue
-    is empty afterwards. Cache lookups happen on the solving shard; shared
-    graph/table lazies are preheated on the submitting domain first. *)
+    is empty afterwards. Cache lookups happen on the solving shard. Graphs
+    and tables are immutable once built, so the shards share them with no
+    preparation. *)
 val drain : t -> Core.Synthesis.response list
 
 (** [solve_batch t reqs] streams an arbitrarily long request list through

@@ -6,13 +6,7 @@ let table_slots = 64
    of racing to build two. *)
 let lock = Mutex.create ()
 
-let suite =
-  lazy
-    (List.map
-       (fun (name, g) ->
-         Dfg.Graph.preheat g;
-         (name, g))
-       (Filters.extended ()))
+let suite = lazy (Filters.extended ())
 
 let tables : (string * int, Fulib.Table.t) Hashtbl.t = Hashtbl.create table_slots
 let arrivals : (string * int) Queue.t = Queue.create ()
@@ -23,7 +17,6 @@ let draw name ~seed g =
   let table =
     Tables.for_graph (Prng.create seed) ~library:Fulib.Library.standard3 g
   in
-  Fulib.Table.preheat table;
   if Hashtbl.length tables >= table_slots then
     Hashtbl.remove tables (Queue.pop arrivals);
   Hashtbl.replace tables (name, seed) table;

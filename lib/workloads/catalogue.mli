@@ -15,10 +15,9 @@
     seeds costs one table draw per request and holds at most
     {!table_slots} tables.
 
-    Graphs and tables are handed out {e preheated} ({!Dfg.Graph.preheat},
-    {!Fulib.Table.preheat}), so their memoized views are already filled
-    and concurrent solves only read them. All functions are safe to call
-    from several domains. *)
+    Graphs and tables are immutable once built, so concurrent solves share
+    them read-only. All functions are safe to call from several
+    domains. *)
 
 (** The catalogue's names, in {!Filters.extended} order. *)
 val names : unit -> string list

@@ -192,6 +192,47 @@ let test_bad_unicode_escape_line () =
     (id_of (List.nth replies 1));
   Alcotest.(check int) "both lines answered" 2 (finish h)
 
+(* Regression: a line of bound + 1 brackets used to recurse the parser
+   into a stack overflow that killed the daemon, so neither it nor the
+   valid line after it was answered. The line without its closers is a
+   depth error, not an end-of-input one. A table with fewer rows than the
+   graph has nodes used to escape the decoder as an index error and kill
+   the daemon the same way. *)
+let test_bad_shape_lines () =
+  let h = start () in
+  let deep = String.make (J.max_depth + 1) '[' in
+  let short_table =
+    {|{"id": "short", "graph": {"nodes": [{"name": "a"}, {"name": "b"}], "edges": [[0, 1]]}, "table": {"types": ["P1"], "time": [[1]], "cost": [[1]]}, "deadline_factor": 1.2}|}
+  in
+  send h (deep ^ "
+" ^ short_table ^ "
+" ^ request_line ~id:"d3" ~seed:22 ^ "
+");
+  (match
+     Unix.select [ Unix.descr_of_in_channel h.from_daemon ] [] [] 30.0
+   with
+  | [], _, _ -> Alcotest.fail "no reply within 30 s"
+  | _ -> ());
+  let replies = recv_lines h 3 in
+  Alcotest.(check (list string))
+    "statuses" [ "error"; "error"; "ok" ]
+    (List.map status_of replies);
+  let error_of line =
+    match J.member "error" (parse_line line) with
+    | Some (J.String e) -> e
+    | _ -> Alcotest.failf "%S has no error text" line
+  in
+  Alcotest.(check string) "depth error"
+    (Printf.sprintf "malformed JSON: at offset %d: nesting deeper than %d"
+       J.max_depth J.max_depth)
+    (error_of (List.hd replies));
+  Alcotest.(check string) "row count error"
+    "table has 1 rows but graph has 2 nodes"
+    (error_of (List.nth replies 1));
+  Alcotest.(check string) "valid line answered" "d3"
+    (id_of (List.nth replies 2));
+  Alcotest.(check int) "every line answered" 3 (finish h)
+
 (* --- long lines through the windowed reader ------------------------------- *)
 
 (* Reader regression: one request line over a megabyte long, delivered
@@ -513,6 +554,8 @@ let () =
             test_long_line_roundtrip;
           Alcotest.test_case "bad \\u escape line, then ok" `Quick
             test_bad_unicode_escape_line;
+          Alcotest.test_case "too deep, short table, then ok" `Quick
+            test_bad_shape_lines;
         ] );
       ( "backpressure",
         [

@@ -21,6 +21,25 @@ let test_accessors () =
   Alcotest.(check int) "time" 4 (Fulib.Table.time t ~node:0 ~ftype:2);
   Alcotest.(check int) "cost" 7 (Fulib.Table.cost t ~node:1 ~ftype:0)
 
+(* The rows are stored flat, node-major: an unchecked [v * k + f] with
+   [f = k] would read node [v + 1]'s first cell instead of failing. *)
+let test_accessor_bounds () =
+  let t = sample () in
+  let oob what f =
+    Alcotest.check_raises what (Invalid_argument "index out of bounds")
+      (fun () -> ignore (f ()))
+  in
+  oob "time, type = k" (fun () -> Fulib.Table.time t ~node:0 ~ftype:3);
+  oob "cost, type = k" (fun () -> Fulib.Table.cost t ~node:1 ~ftype:3);
+  oob "time, node = n" (fun () -> Fulib.Table.time t ~node:3 ~ftype:0);
+  oob "cost, node = n" (fun () -> Fulib.Table.cost t ~node:3 ~ftype:0);
+  oob "time, type < 0" (fun () -> Fulib.Table.time t ~node:1 ~ftype:(-1));
+  oob "cost, node < 0" (fun () -> Fulib.Table.cost t ~node:(-1) ~ftype:2);
+  oob "pin, type = k" (fun () -> Fulib.Table.pin t ~node:0 ~ftype:3);
+  oob "project, origin = n" (fun () -> Fulib.Table.project t ~origin:[| 0; 3 |]);
+  Alcotest.(check int) "last cell still reads" 3
+    (Fulib.Table.cost t ~node:2 ~ftype:2)
+
 let test_min_time_and_cost () =
   let t = sample () in
   Alcotest.(check int) "min time of v2" 1 (Fulib.Table.min_time t 2);
@@ -80,6 +99,7 @@ let () =
         [
           quick "library basics" test_library_basics;
           quick "accessors" test_accessors;
+          quick "accessor bounds" test_accessor_bounds;
           quick "min time/cost" test_min_time_and_cost;
           quick "validation" test_validation;
           quick "defensive copies" test_make_copies_input;

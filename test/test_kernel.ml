@@ -54,9 +54,42 @@ let csr_matches_lists =
       done;
       !ok
       && Array.to_list (Dfg.Graph.topo_arr g) = Dfg.Topo.sort g
-      && Array.to_list (Dfg.Graph.post_arr g) = Dfg.Topo.post_order g
+      && (* post order: every zero-delay successor before its node *)
+      (let pos = Array.make n 0 in
+       List.iteri (fun i v -> pos.(v) <- i) (Dfg.Topo.post_order g);
+       List.for_all
+         (fun v ->
+           Dfg.Graph.fold_dag_succs g v ~init:true ~f:(fun ok w ->
+               ok && pos.(w) < pos.(v)))
+         (List.init n Fun.id))
       && Array.to_list (Dfg.Graph.roots_arr g) = Dfg.Graph.roots g
       && Array.to_list (Dfg.Graph.leaves_arr g) = Dfg.Graph.leaves g)
+
+(* The flat views of a table against rows rebuilt through [make]: the
+   same times, costs and per-node minimum rows (first minimum on ties). *)
+let same_flat a b =
+  Fulib.Table.num_nodes a = Fulib.Table.num_nodes b
+  && Fulib.Table.num_types a = Fulib.Table.num_types b
+  && Fulib.Table.flat_times a = Fulib.Table.flat_times b
+  && Fulib.Table.flat_costs a = Fulib.Table.flat_costs b
+  && Fulib.Table.min_times_arr a = Fulib.Table.min_times_arr b
+  && Fulib.Table.min_costs_arr a = Fulib.Table.min_costs_arr b
+  && List.for_all
+       (fun v ->
+         Fulib.Table.min_time_type a v = Fulib.Table.min_time_type b v
+         && Fulib.Table.min_cost_type a v = Fulib.Table.min_cost_type b v)
+       (List.init (Fulib.Table.num_nodes a) Fun.id)
+
+let rows_of tbl =
+  let k = Fulib.Table.num_types tbl in
+  let row cell v = Array.init k (fun ftype -> cell tbl ~node:v ~ftype) in
+  ( Array.init (Fulib.Table.num_nodes tbl) (row Fulib.Table.time),
+    Array.init (Fulib.Table.num_nodes tbl) (row Fulib.Table.cost) )
+
+let first_min row =
+  let best = ref 0 in
+  Array.iteri (fun t x -> if x < row.(!best) then best := t) row;
+  !best
 
 let flat_table_matches =
   of_seed (fun seed ->
@@ -66,10 +99,15 @@ let flat_table_matches =
       let costs = Fulib.Table.flat_costs tbl in
       let mt = Fulib.Table.min_times_arr tbl in
       let mc = Fulib.Table.min_costs_arr tbl in
+      let time, cost = rows_of tbl in
       let ok = ref true in
       for v = 0 to n - 1 do
-        ok := !ok && mt.(v) = Fulib.Table.min_time tbl v;
-        ok := !ok && mc.(v) = Fulib.Table.min_cost tbl v;
+        ok :=
+          !ok
+          && Fulib.Table.min_time_type tbl v = first_min time.(v)
+          && Fulib.Table.min_cost_type tbl v = first_min cost.(v)
+          && mt.(v) = time.(v).(first_min time.(v))
+          && mc.(v) = cost.(v).(first_min cost.(v));
         for t = 0 to k - 1 do
           ok :=
             !ok
@@ -77,7 +115,44 @@ let flat_table_matches =
             && costs.((v * k) + t) = Fulib.Table.cost tbl ~node:v ~ftype:t
         done
       done;
-      !ok)
+      let library = Fulib.Table.library tbl in
+      let rng = Workloads.Prng.create (seed + 1) in
+      (* pin: the node's row collapses to the pinned type's cell *)
+      let node = Workloads.Prng.int rng n and ftype = Workloads.Prng.int rng k in
+      let pinned_rows rows =
+        Array.mapi
+          (fun v row -> if v = node then Array.make k row.(ftype) else row)
+          rows
+      in
+      let pin_ok =
+        same_flat
+          (Fulib.Table.pin tbl ~node ~ftype)
+          (Fulib.Table.make ~library ~time:(pinned_rows time)
+             ~cost:(pinned_rows cost))
+      in
+      (* project: tree node i takes original node origin.(i)'s row *)
+      let origin =
+        Array.init (Workloads.Prng.int rng (2 * n)) (fun _ ->
+            Workloads.Prng.int rng n)
+      in
+      let project_ok =
+        same_flat
+          (Fulib.Table.project tbl ~origin)
+          (Fulib.Table.make ~library
+             ~time:(Array.map (fun v -> time.(v)) origin)
+             ~cost:(Array.map (fun v -> cost.(v)) origin))
+      in
+      (* with_mem_capacity: new capacities, the same rows *)
+      let caps = Array.init k (fun _ -> Workloads.Prng.int rng 50) in
+      let capped = Fulib.Table.with_mem_capacity tbl caps in
+      let mem_ok =
+        same_flat capped
+          (Fulib.Table.make
+             ~library:(Fulib.Library.with_mem_capacity library caps)
+             ~time ~cost)
+        && Fulib.Table.mem_capacities capped = caps
+      in
+      !ok && pin_ok && project_ok && mem_ok)
 
 (* --- Flat kernels vs references --------------------------------------- *)
 

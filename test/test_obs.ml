@@ -157,6 +157,38 @@ let test_json_bad_unicode_escapes () =
   decodes "upper-case hex" {|"\u00E9"|} "\xc3\xa9";
   decodes "surrogate pair" {|"\uD83D\uDE00"|} "\xf0\x9f\x98\x80"
 
+(* Nesting is bounded: [max_depth] open containers parse, one more is a
+   [Parse_error] naming the offset and the bound, for arrays and objects
+   alike, and a far deeper document is rejected the same way instead of
+   exhausting the stack. *)
+let test_json_depth_bound () =
+  let open Obs.Json in
+  let arrays d = String.make d '[' ^ String.make d ']' in
+  let objects d =
+    String.concat "" (List.init d (fun _ -> {|{"a":|}))
+    ^ "1" ^ String.make d '}'
+  in
+  let too_deep offset =
+    Error (Printf.sprintf "at offset %d: nesting deeper than %d" offset max_depth)
+  in
+  Alcotest.(check int) "the bound" 512 max_depth;
+  (match (parse (arrays max_depth), parse (objects max_depth)) with
+  | Ok (List _), Ok (Obj _) -> ()
+  | _ -> Alcotest.fail "nesting at the bound rejected");
+  let check what want got =
+    Alcotest.(check (result string string)) what want
+      (Result.map to_string got)
+  in
+  check "arrays, bound + 1" (too_deep max_depth) (parse (arrays (max_depth + 1)));
+  check "objects, bound + 1"
+    (too_deep (5 * max_depth))
+    (parse (objects (max_depth + 1)));
+  check "a million brackets" (too_deep max_depth)
+    (parse (String.make 1_000_000 '['));
+  match parse_exn (arrays (max_depth + 1)) with
+  | _ -> Alcotest.fail "parse_exn accepted bound + 1"
+  | exception Parse_error _ -> ()
+
 let test_trace_round_trip () =
   fresh ();
   with_tracing true (fun () ->
@@ -397,6 +429,7 @@ let () =
           quick "document round trip" test_json_round_trip;
           quick "trace round trip" test_trace_round_trip;
           quick "bad \\u escapes are errors" test_json_bad_unicode_escapes;
+          quick "nesting at and past the bound" test_json_depth_bound;
         ] );
       ( "parity",
         [ quick "1 vs 2 domains" test_counter_parity_across_domains ] );

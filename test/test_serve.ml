@@ -376,11 +376,6 @@ let qcheck_sharded_matches_single_shard =
 let test_shard_concurrent_hammer () =
   let cache = Serve.Cache.create ~entries:256 ~shards:8 () in
   let reqs = Array.init 8 (fun i -> request (instance ~seed:(300 + i))) in
-  Array.iter
-    (fun (r : Core.Synthesis.request) ->
-      Dfg.Graph.preheat r.Core.Synthesis.graph;
-      Fulib.Table.preheat r.Core.Synthesis.table)
-    reqs;
   let expected = Array.map Core.Synthesis.solve reqs in
   let rounds = 6 in
   let h0 = counter "serve.cache.hit" and m0 = counter "serve.cache.miss" in
