@@ -39,11 +39,6 @@ let rec fill_ints a i = function
 
 let ints_of cells = fill_ints (Array.make (List.length cells) 0) 0 cells
 
-let rec int_list = function
-  | [] -> []
-  | J.Int x :: rest -> x :: int_list rest
-  | _ :: _ -> raise Not_ints
-
 let parse_nodes = function
   | J.List nodes ->
       let n = List.length nodes in
@@ -227,7 +222,7 @@ let parse_levels json table =
         try
           List.map
             (function
-              | J.List (_ :: _ as cells) -> int_list cells
+              | J.List (_ :: _ as cells) -> Array.to_list (ints_of cells)
               | _ -> raise Not_ints)
             ladders
         with Not_ints ->

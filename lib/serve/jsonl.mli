@@ -17,7 +17,7 @@
       ([{"nodes": [{"name": "a", "op": "mul"}, ...],
       "edges": [[src, dst, delay], ...]}]) with a [table]
       ([{"types": ["P1", ...], "time": [[...], ...], "cost": [[...], ...]}],
-      node-major).
+      node-major, one row per graph node).
     - deadline — [deadline] (absolute control steps) or [deadline_factor]
       (multiplied by the instance's minimum feasible deadline, rounded
       down, at least the minimum).

@@ -246,6 +246,16 @@ let ints a = J.List (Array.to_list (Array.map (fun v -> J.Int v) a))
 (* Replaces element [i] of a list (no-op past the end). *)
 let set_nth l i x = List.mapi (fun j y -> if j = i then x else y) l
 
+(* The parts of an inline line that faults are injected into. *)
+type parts = {
+  nodes : J.t list;
+  edges : J.t list;
+  types : J.t list;
+  time : J.t list;
+  cost : J.t list;
+  mem : J.t;
+}
+
 let inline_line rng =
   let n = 1 + P.int rng 40 and k = 1 + P.int rng 3 in
   let g = Workloads.Random_dfg.random_dag rng ~n ~extra_edges:(n / 3) in
@@ -284,26 +294,34 @@ let inline_line rng =
           ([ ("name", J.String (Printf.sprintf "v%d" v)) ]
           @ opt 70 ("op", J.String (pick rng [| "add"; "mul"; "sub" |]))))
   in
-  let types = List.init k (fun t -> J.String (Printf.sprintf "P%d" t)) in
-  let mem = ints (Array.init k (fun _ -> P.int rng 200)) in
   (* Most lines carry one or two structural faults, so every decode error
      is reached and two at once must be reported in the oracle's order:
      bad cells, widths, rows, edges, nodes, types and capacities, and row
      counts that differ from the node count. *)
   let anywhere l = P.int rng (max 1 (List.length l)) in
   let junk () = pick rng [| J.String "x"; J.Float 1.5; J.Null; J.List [] |] in
-  let fault (nodes, edges, types, time, cost, mem) =
+  let row width x = ints (Array.make width x) in
+  let fault p =
     match P.int rng 12 with
-    | 0 -> (nodes, edges, types, set_nth time (anywhere time) (ints (Array.make k 0)), cost, mem)
-    | 1 -> (nodes, edges, types, time, set_nth cost (anywhere cost) (ints (Array.make k (-1))), mem)
-    | 2 -> (nodes, edges, types, set_nth time (anywhere time) (ints (Array.make (k + 1) 1)), cost, mem)
-    | 3 -> (nodes, edges, types, time, set_nth cost (anywhere cost) (junk ()), mem)
-    | 4 -> (nodes, edges, types, set_nth time (anywhere time) (J.List [ J.Int 1; junk () ]), cost, mem)
-    | 5 -> (nodes, set_nth edges (anywhere edges) (pick rng [| ints [| 0 |]; J.List [ J.Int 0; junk () ]; junk () |]), types, time, cost, mem)
+    | 0 -> { p with time = set_nth p.time (anywhere p.time) (row k 0) }
+    | 1 -> { p with cost = set_nth p.cost (anywhere p.cost) (row k (-1)) }
+    | 2 -> { p with time = set_nth p.time (anywhere p.time) (row (k + 1) 1) }
+    | 3 -> { p with cost = set_nth p.cost (anywhere p.cost) (junk ()) }
+    | 4 ->
+        let bad = J.List [ J.Int 1; junk () ] in
+        { p with time = set_nth p.time (anywhere p.time) bad }
+    | 5 ->
+        let bad = pick rng [| ints [| 0 |]; J.List [ J.Int 0; junk () ]; junk () |] in
+        { p with edges = set_nth p.edges (anywhere p.edges) bad }
     | 6 ->
+        (* self-loop, node out of range, negative delay or size *)
         let v = P.int rng n in
-        let bad = pick rng [| ints [| v; v |]; ints [| v; n |]; ints [| -1; v |]; ints [| 0; v; -1 |]; ints [| 0; v; 0; -2 |] |] in
-        (nodes, bad :: edges, types, time, cost, mem)
+        let bad =
+          pick rng
+            [| ints [| v; v |]; ints [| v; n |]; ints [| -1; v |];
+               ints [| 0; v; -1 |]; ints [| 0; v; 0; -2 |] |]
+        in
+        { p with edges = bad :: p.edges }
     | 7 ->
         (* a zero-delay back edge: a cycle unless it closes nothing *)
         let back =
@@ -311,22 +329,29 @@ let inline_line rng =
           | e :: _ -> ints [| perm.(e.Dfg.Graph.dst); perm.(e.Dfg.Graph.src) |]
           | [] -> ints [| 0; 0 |]
         in
-        (nodes, back :: edges, types, time, cost, mem)
-    | 8 -> (set_nth nodes (anywhere nodes) (pick rng [| J.Obj []; J.Obj [ ("name", J.Int 3) ]; junk () |]), edges, types, time, cost, mem)
-    | 9 -> (nodes, edges, pick rng [| []; set_nth types 0 (junk ()) |], time, cost, mem)
-    | 10 -> (nodes, edges, types, time, cost, pick rng [| ints [| 1 |]; ints (Array.make k (-1)); J.List [ junk () ]; junk () |])
+        { p with edges = back :: p.edges }
+    | 8 ->
+        let bad = pick rng [| J.Obj []; J.Obj [ ("name", J.Int 3) ]; junk () |] in
+        { p with nodes = set_nth p.nodes (anywhere p.nodes) bad }
+    | 9 -> { p with types = pick rng [| []; set_nth p.types 0 (junk ()) |] }
+    | 10 ->
+        { p with mem = pick rng [| row 1 1; row k (-1); J.List [ junk () ]; junk () |] }
     | _ ->
         (* one row too few or too many, in both matrices *)
-        let fix l = if P.bool rng && n > 1 then List.tl l else ints (Array.make k 1) :: l in
-        (nodes, edges, types, fix time, fix cost, mem)
+        let fix l = if P.bool rng && n > 1 then List.tl l else row k 1 :: l in
+        { p with time = fix p.time; cost = fix p.cost }
   in
-  let nodes, edges, types, time, cost, mem =
-    let parts = (nodes, edges, types, time, cost, mem) in
-    match P.int rng 4 with
-    | 0 -> parts
-    | 1 -> fault parts
-    | _ -> fault (fault parts)
+  let p =
+    {
+      nodes;
+      edges;
+      types = List.init k (fun t -> J.String (Printf.sprintf "P%d" t));
+      time;
+      cost;
+      mem = ints (Array.init k (fun _ -> P.int rng 200));
+    }
   in
+  let p = match P.int rng 4 with 0 -> p | 1 -> fault p | _ -> fault (fault p) in
   let ladder () =
     ints (Array.of_list (100 :: List.filter (fun _ -> P.bool rng) [ 80; 60; 40; 20 ]))
   in
@@ -338,18 +363,20 @@ let inline_line rng =
     @ opt 97
         ( "graph",
           J.Obj
-            (opt 98 ("nodes", J.List nodes) @ opt 98 ("edges", J.List edges)) )
+            (opt 98 ("nodes", J.List p.nodes) @ opt 98 ("edges", J.List p.edges)) )
     @ opt 97
         ( "table",
           J.Obj
-            (opt 98 ("types", J.List types)
-            @ opt 98 ("time", J.List time)
-            @ opt 98 ("cost", J.List cost)
-            @ opt 40 ("mem_capacity", mem)) )
+            (opt 98 ("types", J.List p.types)
+            @ opt 98 ("time", J.List p.time)
+            @ opt 98 ("cost", J.List p.cost)
+            @ opt 40 ("mem_capacity", p.mem)) )
     @ (match P.int rng 7 with
       | 0 -> []
       | 1 -> [ ("deadline", junk ()) ]
-      | 2 -> [ ("deadline_factor", pick rng [| J.Float 1e308; J.Float (-1.0); J.Int 2; J.String "x" |]) ]
+      | 2 ->
+          let bad = [| J.Float 1e308; J.Float (-1.0); J.Int 2; J.String "x" |] in
+          [ ("deadline_factor", pick rng bad) ]
       | 3 | 4 -> [ ("deadline", J.Int (P.int_in rng 0 300)) ]
       | _ -> [ ("deadline_factor", J.Float (0.5 +. P.float rng)) ])
     @ opt 40 ("algorithm", J.String (pick rng [| "repeat"; "greedy"; "tree"; "bogus" |]))
@@ -363,7 +390,9 @@ let inline_line rng =
           match P.int rng 4 with
           | 0 -> J.Int (P.int_in rng 0 17)
           | 1 -> J.List (List.init k (fun _ -> ladder ()))
-          | 2 -> J.List (set_nth (List.init k (fun _ -> ladder ())) 0 (pick rng [| J.List []; ints [| 100; 150 |]; ints [| 50 |]; junk () |]))
+          | 2 ->
+              let bad = [| J.List []; ints [| 100; 150 |]; ints [| 50 |]; junk () |] in
+              J.List (set_nth (List.init k (fun _ -> ladder ())) 0 (pick rng bad))
           | _ -> J.List (List.init (P.int rng (k + 2)) (fun _ -> ladder ())) )
   in
   let line = J.to_string (J.Obj fields) in
