@@ -206,7 +206,6 @@ let transfer ~src_type ~dst_type ~size =
 
 let topo_arr g = g.csr.topo
 
-(* Graphs hold nothing lazy any more; kept so existing callers link. *)
 let preheat (_ : t) = ()
 
 let iter_dag_succs g v f =

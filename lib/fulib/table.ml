@@ -84,7 +84,6 @@ let cost t ~node ~ftype =
   check t ~node ~ftype;
   Array.unsafe_get t.costs ((node * t.k) + ftype)
 
-(* Tables hold nothing lazy any more; kept so existing callers link. *)
 let preheat (_ : t) = ()
 let flat_times t = t.times
 let flat_costs t = t.costs

@@ -1,7 +1,8 @@
 (** Minimal JSON tree: enough to emit traces and bench rows and to read
-    them back ({!Trace}, [bin/bench_gate]). Not a general-purpose library
-    — no streaming, no number-precision guarantees beyond round-tripping
-    what {!to_string} itself emits. *)
+    them back ({!Trace}, [bin/bench_gate]), and to parse every wire
+    request ([Serve.Jsonl]). Not a general-purpose library — no
+    streaming, no number-precision guarantees beyond round-tripping what
+    {!to_string} itself emits. *)
 
 type t =
   | Null
