@@ -232,24 +232,19 @@ let digits p =
    (floats, longer integers, a bare minus) goes through the text, as
    [int_of_string_opt] then [float_of_string_opt] see it. *)
 let parse_number p =
-  let s = p.src and n = p.len and start = p.pos in
-  let neg = String.unsafe_get s start = '-' in
-  let i = ref (if neg then start + 1 else start) in
-  let first = !i in
-  let acc = ref 0 in
-  while
-    !i < n && match String.unsafe_get s !i with '0' .. '9' -> true | _ -> false
-  do
-    acc := (!acc * 10) + (Char.code (String.unsafe_get s !i) - Char.code '0');
-    incr i
-  done;
-  let count = !i - first in
-  let fractional =
-    !i < n && match String.unsafe_get s !i with '.' | 'e' | 'E' -> true | _ -> false
-  in
-  p.pos <- !i;
-  if (not fractional) && count >= 1 && count <= 18 then
-    Int (if neg then - !acc else !acc)
+  let start = p.pos in
+  if peek p = '-' then p.pos <- p.pos + 1;
+  let first = p.pos in
+  digits p;
+  let count = p.pos - first in
+  let fractional = match peek p with '.' | 'e' | 'E' -> true | _ -> false in
+  if (not fractional) && count >= 1 && count <= 18 then begin
+    let v = ref 0 in
+    for i = first to p.pos - 1 do
+      v := (!v * 10) + (Char.code (String.unsafe_get p.src i) - Char.code '0')
+    done;
+    Int (if first > start then - !v else !v)
+  end
   else begin
     if peek p = '.' then begin
       p.pos <- p.pos + 1;
@@ -261,7 +256,7 @@ let parse_number p =
         (match peek p with '+' | '-' -> p.pos <- p.pos + 1 | _ -> ());
         digits p
     | _ -> ());
-    let text = String.sub s start (p.pos - start) in
+    let text = String.sub p.src start (p.pos - start) in
     if fractional then
       match float_of_string_opt text with
       | Some f -> Float f
