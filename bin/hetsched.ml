@@ -438,17 +438,27 @@ let serve_out_arg =
   let doc = "Write JSONL responses to $(docv) ($(b,-) for stdout)." in
   Arg.(value & opt string "-" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
 
+(* Sizes and counts that must be at least 1: zero or a negative value is
+   a usage error naming the flag, not an exception from deep inside. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let serve_domains_arg =
   let doc = "Domain-pool size for sharded dispatch (default: HETSCHED_DOMAINS)." in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "domains" ] ~doc)
 
 let cache_entries_arg =
   let doc = "Result-cache capacity (default: HETSCHED_CACHE_ENTRIES or 512)." in
-  Arg.(value & opt (some int) None & info [ "cache-entries" ] ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "cache-entries" ] ~doc)
 
 let cache_shards_arg =
   let doc = "Result-cache shard count (default: HETSCHED_CACHE_SHARDS or 8)." in
-  Arg.(value & opt (some int) None & info [ "shards" ] ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "shards" ] ~doc)
 
 let no_cache_arg =
   let doc = "Disable the content-addressed result cache." in
@@ -459,7 +469,9 @@ let queue_arg =
     "Requests per dispatch wave (bounded queue capacity; the daemon's \
      admission window)."
   in
-  Arg.(value & opt int Serve.Server.default_queue_capacity & info [ "queue" ] ~doc)
+  Arg.(value
+       & opt positive_int Serve.Server.default_queue_capacity
+       & info [ "queue" ] ~doc)
 
 let with_in path f =
   if path = "-" then f stdin
@@ -515,8 +527,7 @@ let serve_summary ~served () =
   let v name = Option.value (Obs.Counter.value_of name) ~default:0 in
   Printf.eprintf "cache: %d hit(s), %d miss(es), %d eviction(s)\n"
     (v "serve.cache.hit") (v "serve.cache.miss") (v "serve.cache.evict");
-  Printf.eprintf "malformed input lines: %d\n"
-    (v "serve.jsonl.malformed" + v "serve.daemon.malformed");
+  Printf.eprintf "malformed input lines: %d\n" (v "serve.daemon.malformed");
   let h = Serve.Daemon.latency_histogram () in
   if Obs.Histogram.count h > 0 then
     Printf.eprintf "latency: %d timed, mean %s, p50 %s, p90 %s, p99 %s\n"
@@ -538,7 +549,7 @@ let serve_summary ~served () =
   let summarised =
     [
       "serve.cache.hit"; "serve.cache.miss"; "serve.cache.evict";
-      "serve.jsonl.malformed"; "serve.daemon.malformed";
+      "serve.daemon.malformed";
       "serve.rt.admitted"; "serve.rt.rejected"; "serve.rt.released";
     ]
   in
@@ -557,15 +568,17 @@ let serve_summary ~served () =
 let serve_cmd =
   let run input output domains cache_entries cache_shards no_cache queue
       capacity =
-    let admission = Rt.Admission.create ?capacity:(rt_capacity capacity) () in
+    let capacity = rt_capacity capacity in
     let server =
       make_server ~domains ~cache_entries ~cache_shards ~no_cache ~queue
+    in
+    let daemon =
+      Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup ?capacity server
     in
     let served =
       with_in input @@ fun input ->
       with_out output @@ fun output ->
-      Serve.Jsonl.serve ~lookup:Workloads.Catalogue.lookup ~admission server
-        ~input ~output
+      Serve.Daemon.serve_channel daemon ~input ~output
     in
     serve_summary ~served ()
   in
@@ -586,25 +599,29 @@ let socket_arg =
 let daemon_cmd =
   let connections_arg =
     let doc = "Exit after $(docv) connections (default: accept forever)." in
-    Arg.(value & opt (some int) None & info [ "connections" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive_int) None
+         & info [ "connections" ] ~docv:"N" ~doc)
   in
   let idle_timeout_arg =
+    let positive_float =
+      let parse s =
+        match float_of_string_opt s with
+        | Some f when Float.is_finite f && f > 0.0 -> Ok f
+        | _ -> Error (`Msg (Printf.sprintf "%S is not a positive number" s))
+      in
+      Arg.conv (parse, Format.pp_print_float)
+    in
     let doc =
-      "Close a connection after $(docv) seconds of silence with nothing in \
-       flight (default: never)."
+      "Close a connection after $(docv) seconds without a complete line \
+       while nothing is in flight (default: never)."
     in
     let env = Cmd.Env.info "HETSCHED_IDLE_TIMEOUT" in
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some positive_float) None
          & info [ "idle-timeout" ] ~env ~docv:"SECONDS" ~doc)
   in
   let run socket connections domains cache_entries cache_shards no_cache queue
       capacity idle_timeout =
     let capacity = rt_capacity capacity in
-    (match idle_timeout with
-    | Some s when not (Float.is_finite s && s > 0.0) ->
-        Printf.eprintf "hetsched: --idle-timeout must be > 0 (got %g)\n" s;
-        exit 2
-    | _ -> ());
     let server =
       make_server ~domains ~cache_entries ~cache_shards ~no_cache ~queue
     in
@@ -659,9 +676,11 @@ let admit_cmd =
     let adm = Rt.Admission.create ?capacity:(rt_capacity capacity) () in
     (with_in input @@ fun input ->
      with_out output @@ fun output ->
-     ignore
-       (Serve.Jsonl.serve ~lookup:Workloads.Catalogue.lookup ~admission:adm
-          (Serve.Server.create ()) ~input ~output));
+     let daemon =
+       Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup
+         (Serve.Server.create ())
+     in
+     ignore (Serve.Daemon.serve_channel ~admission:adm daemon ~input ~output));
     let entries = Rt.Admission.admitted adm in
     Printf.eprintf "admitted %d task(s), utilization %.3f\n"
       (List.length entries)

@@ -19,15 +19,14 @@ type t = {
 }
 
 let create ?lookup ?capacity server = { server; lookup; capacity }
-let server t = t.server
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
 (* --- raw-fd line reader ---------------------------------------------- *)
 
-(* The admission loop needs to distinguish "no line ready right now" from
+(* The session loop needs to distinguish "no line ready right now" from
    "no line ever again": input that is merely slow must not stall the
-   drain of already-admitted requests. in_channel cannot express that, so
+   drain of already-queued requests. in_channel cannot express that, so
    lines are assembled by hand from Unix.read with a zero-timeout select
    probing readability. *)
 
@@ -114,43 +113,26 @@ let rec read_chunk r =
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       r.at_eof <- true
 
-(* A blocking wait bounded by [timeout] seconds (negative = forever). The
-   remaining wait is recomputed from a clock deadline on every EINTR —
-   restarting the full timeout instead would let a signal storm with a
-   sub-timeout interval keep an idle session alive indefinitely. (Unix
-   does not expose the monotonic clock; the wall clock is the closest
-   available approximation, and a clock step only shifts one wait.) *)
-let wait_readable fd ~timeout =
-  if timeout < 0.0 then
-    let rec forever () =
-      match Unix.select [ fd ] [] [] (-1.0) with
-      | [ _ ], _, _ -> true
-      | _ -> false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> forever ()
-    in
-    forever ()
-  else begin
-    let deadline = Unix.gettimeofday () +. timeout in
-    let rec wait remaining =
-      (* a final zero-timeout probe so data racing the deadline wins *)
-      if remaining <= 0.0 then readable_now fd
-      else
-        match Unix.select [ fd ] [] [] remaining with
-        | [ _ ], _, _ -> true
-        | _ -> false
-        | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-            wait (deadline -. Unix.gettimeofday ())
-    in
-    wait timeout
-  end
+(* A blocking wait for input until [deadline], an absolute wall-clock
+   time ([None] waits forever). The remaining wait is recomputed from the
+   deadline on every EINTR — restarting a full timeout instead would let
+   a signal storm with a sub-timeout interval keep an idle session alive
+   indefinitely. (Unix does not expose the monotonic clock; the wall
+   clock is the closest available approximation, and a clock step only
+   shifts one wait.) *)
+let rec wait_readable fd ~deadline =
+  let timeout =
+    match deadline with None -> -1.0 | Some d -> d -. Unix.gettimeofday ()
+  in
+  (* a final zero-timeout probe so data racing the deadline wins *)
+  if Option.is_some deadline && timeout <= 0.0 then readable_now fd
+  else
+    match Unix.select [ fd ] [] [] timeout with
+    | [ _ ], _, _ -> true
+    | _ -> false
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable fd ~deadline
 
-(* [take_line r ~block ~idle_timeout]: the next full line if one is
-   buffered or can be obtained without waiting; [Would_block] when
-   [block] is false and the peer has sent nothing further yet; [Idle]
-   when a blocking wait outlasts [idle_timeout] seconds of silence; [Eof]
-   once the peer is done (a final unterminated line is still delivered
-   first). *)
-let rec take_line r ~block ~idle_timeout =
+let rec take r ~block ~deadline =
   match find_newline r with
   | Some i -> Line (take_buffered r i)
   | None ->
@@ -164,17 +146,30 @@ let rec take_line r ~block ~idle_timeout =
           Line line
         end
       else if block then
-        let timeout = Option.value idle_timeout ~default:(-1.0) in
-        if wait_readable r.fd ~timeout then begin
+        if wait_readable r.fd ~deadline then begin
           read_chunk r;
-          take_line r ~block ~idle_timeout
+          take r ~block ~deadline
         end
         else Idle
       else if readable_now r.fd then begin
         read_chunk r;
-        take_line r ~block ~idle_timeout
+        take r ~block ~deadline
       end
       else Would_block
+
+(* [take_line r ~block ~idle_timeout]: the next full line if one is
+   buffered or can be obtained without waiting; [Would_block] when
+   [block] is false and the peer has sent nothing further yet; [Idle]
+   when a blocking call completes no line within [idle_timeout] seconds
+   (the deadline is set once per call, so a peer trickling bytes with no
+   newline cannot keep moving it); [Eof] once the peer is done (a final
+   unterminated line is still delivered first). *)
+let take_line r ~block ~idle_timeout =
+  let deadline =
+    if block then Option.map (fun s -> Unix.gettimeofday () +. s) idle_timeout
+    else None
+  in
+  take r ~block ~deadline
 
 (* --- writes ----------------------------------------------------------- *)
 
@@ -197,14 +192,126 @@ let emit fd line =
   try write_all fd (line ^ "\n") 0 (String.length line + 1)
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> raise Hung_up
 
-(* --- admission loop --------------------------------------------------- *)
+(* --- session ----------------------------------------------------------- *)
 
-(* Policy: admit request lines as fast as they arrive; when the server's
-   bounded queue is full, shed the request with a "busy" line instead of
-   blocking or dropping it. Drain — and stream the responses back — the
-   moment input is not immediately available, and block for more input
-   only when nothing is in flight. Within one burst this yields exactly
-   [queue_capacity] solved responses and a busy line per overflow. *)
+(* One client's request stream: its line counter, its admission
+   controller and a FIFO of what each fed non-blank line is owed. A
+   [Reply] (an error or a busy line) is ready when fed; a [Solved] or
+   [Verdict] line takes the next response of the drain, a [Released] line
+   none. Answers leave in input order, and admits and releases reach the
+   controller in line order during the drain, so no answer depends on
+   where the waves were cut. Only an admit keeps its request past the
+   feed: its verdict is derived from the instance. *)
+type owed =
+  | Reply of string
+  | Solved of { id : Obs.Json.t; t0 : float }  (* fed at, ns *)
+  | Verdict of {
+      id : Obs.Json.t;
+      task : string;
+      periodic : Core.Synthesis.periodic;
+      t0 : float;
+    }
+  | Released of { id : Obs.Json.t; task : string }
+
+type session = {
+  daemon : t;
+  admission : Rt.Admission.t;
+  owed : owed Queue.t;
+  mutable line_no : int;
+  mutable written : int;
+}
+
+let session ?admission daemon =
+  let admission =
+    match admission with
+    | Some a -> a
+    | None -> Rt.Admission.create ?capacity:daemon.capacity ()
+  in
+  { daemon; admission; owed = Queue.create (); line_no = 0; written = 0 }
+
+(* Queue a job, or shed it with a busy reply when the server's bounded
+   queue is full: never block. *)
+let submit s ~id request owed =
+  if Server.try_submit s.daemon.server request then Queue.add owed s.owed
+  else begin
+    Obs.Counter.incr busy;
+    Queue.add (Reply (Jsonl.busy_to_string ~id)) s.owed
+  end
+
+let feed s line =
+  s.line_no <- s.line_no + 1;
+  if String.trim line <> "" then
+    match Jsonl.line_of_string ?lookup:s.daemon.lookup ~line:s.line_no line with
+    | Error msg ->
+        Obs.Counter.incr malformed;
+        Queue.add
+          (Reply (Jsonl.error_to_string ~id:(Obs.Json.Int s.line_no) msg))
+          s.owed
+    | Ok l -> (
+        Obs.Counter.incr requests;
+        match l with
+        | Jsonl.Solve { id; request } ->
+            submit s ~id request (Solved { id; t0 = now_ns () })
+        | Jsonl.Admit { id; task; periodic } ->
+            submit s ~id periodic.Core.Synthesis.request
+              (Verdict { id; task; periodic; t0 = now_ns () })
+        | Jsonl.Release { id; task } -> Queue.add (Released { id; task }) s.owed)
+
+let set_utilization adm =
+  Obs.Gauge.set rt_utilization
+    (int_of_float (Rt.Admission.utilization adm *. 100.0))
+
+(* Solve the queued wave once, then [emit] every owed answer in input
+   order. *)
+let drain s emit =
+  let responses = ref (Server.drain s.daemon.server) in
+  let next () =
+    match !responses with
+    | resp :: rest ->
+        responses := rest;
+        resp
+    | [] -> invalid_arg "Serve.Daemon: drain/owed mismatch"
+  in
+  let adm = s.admission in
+  let answer = function
+    | Reply line -> line
+    | Solved { id; t0 } ->
+        let resp = next () in
+        Obs.Histogram.observe latency (now_ns () -. t0);
+        Obs.Counter.incr served;
+        Jsonl.response_to_string ~id resp
+    | Verdict { id; task; periodic; t0 } ->
+        let verdict =
+          match Core.Synthesis.periodic_of_response periodic (next ()) with
+          | Stdlib.Ok an -> Rt.Admission.try_admit adm ~id:task an
+          | Stdlib.Error reason -> Rt.Verdict.Rejected reason
+        in
+        (match verdict with
+        | Rt.Verdict.Admitted _ -> Obs.Counter.incr rt_admitted
+        | Rt.Verdict.Rejected _ -> Obs.Counter.incr rt_rejected);
+        set_utilization adm;
+        Obs.Histogram.observe latency (now_ns () -. t0);
+        Jsonl.verdict_to_string ~id ~task verdict
+    | Released { id; task } ->
+        let known = Rt.Admission.release adm ~id:task in
+        if known then begin
+          Obs.Counter.incr rt_released;
+          set_utilization adm
+        end;
+        Jsonl.released_to_string ~id ~task ~known
+  in
+  while not (Queue.is_empty s.owed) do
+    emit (answer (Queue.pop s.owed));
+    s.written <- s.written + 1
+  done;
+  if !responses <> [] then invalid_arg "Serve.Daemon: drain/owed mismatch"
+
+(* --- request loops ------------------------------------------------------ *)
+
+(* Feed lines as fast as they arrive; drain, and stream the answers back,
+   the moment input is not immediately available; block for more input
+   only when nothing is owed. Within one burst this yields exactly
+   [queue_capacity] solved jobs and a busy line per overflow. *)
 let serve_fd ?idle_timeout t ~input ~output =
   (match idle_timeout with
   | Some s when not (Float.is_finite s && s > 0.0) ->
@@ -214,90 +321,19 @@ let serve_fd ?idle_timeout t ~input ~output =
   ignore_sigpipe ();
   Obs.Counter.incr connections;
   let r = reader input in
-  let pending : (Obs.Json.t * float) Queue.t = Queue.create () in
-  let adm = Rt.Admission.create ?capacity:t.capacity () in
-  let written = ref 0 in
-  let send line =
-    emit output line;
-    incr written
-  in
-  let flush_pending () =
-    if not (Queue.is_empty pending) then begin
-      let responses = Server.drain t.server in
-      List.iter
-        (fun resp ->
-          let id, t0 = Queue.pop pending in
-          Obs.Histogram.observe latency (now_ns () -. t0);
-          Obs.Counter.incr served;
-          send (Jsonl.response_to_string ~id resp))
-        responses;
-      if not (Queue.is_empty pending) then
-        invalid_arg "Serve.Daemon.serve_fd: drain/pending mismatch"
-    end
-  in
-  (* Admission verdicts are synchronous and order-dependent: flush the
-     in-flight solve wave first (keeping the bounded queue whole for
-     plain solves), then solve the admit's own job cache-fronted on this
-     domain and apply the controller. *)
-  let admit ~id ~task (periodic : Core.Synthesis.periodic) =
-    flush_pending ();
-    let t0 = now_ns () in
-    let resp = Server.guarded_solve t.server periodic.Core.Synthesis.request in
-    let verdict =
-      match Core.Synthesis.periodic_of_response periodic resp with
-      | Stdlib.Ok an -> Rt.Admission.try_admit adm ~id:task an
-      | Stdlib.Error reason -> Rt.Verdict.Rejected reason
-    in
-    (match verdict with
-    | Rt.Verdict.Admitted _ -> Obs.Counter.incr rt_admitted
-    | Rt.Verdict.Rejected _ -> Obs.Counter.incr rt_rejected);
-    Obs.Gauge.set rt_utilization
-      (int_of_float (Rt.Admission.utilization adm *. 100.0));
-    Obs.Histogram.observe latency (now_ns () -. t0);
-    send (Jsonl.verdict_to_string ~id ~task verdict)
-  in
-  let release ~id ~task =
-    let known = Rt.Admission.release adm ~id:task in
-    if known then begin
-      Obs.Counter.incr rt_released;
-      Obs.Gauge.set rt_utilization
-        (int_of_float (Rt.Admission.utilization adm *. 100.0))
-    end;
-    send (Jsonl.released_to_string ~id ~task ~known)
-  in
-  let line_no = ref 0 in
+  let s = session t in
   let rec loop () =
-    match take_line r ~block:(Queue.is_empty pending) ~idle_timeout with
-    | Line s ->
-        incr line_no;
-        if String.trim s <> "" then begin
-          match Jsonl.line_of_string ?lookup:t.lookup ~line:!line_no s with
-          | Error msg ->
-              Obs.Counter.incr malformed;
-              send (Jsonl.error_to_string ~id:(Obs.Json.Int !line_no) msg)
-          | Ok (Jsonl.Solve item) ->
-              Obs.Counter.incr requests;
-              if Server.try_submit t.server item.Jsonl.request then
-                Queue.add (item.Jsonl.id, now_ns ()) pending
-              else begin
-                Obs.Counter.incr busy;
-                send (Jsonl.busy_to_string ~id:item.Jsonl.id)
-              end
-          | Ok (Jsonl.Admit a) ->
-              Obs.Counter.incr requests;
-              admit ~id:a.id ~task:a.task a.periodic
-          | Ok (Jsonl.Release rel) ->
-              Obs.Counter.incr requests;
-              release ~id:rel.id ~task:rel.task
-        end;
+    match take_line r ~block:(Queue.is_empty s.owed) ~idle_timeout with
+    | Line line ->
+        feed s line;
         loop ()
     | Would_block ->
-        flush_pending ();
+        drain s (emit output);
         loop ()
     | Idle ->
-        (* only reachable while blocking, i.e. with nothing in flight *)
+        (* only reachable while blocking, i.e. with nothing owed *)
         Obs.Counter.incr idle_closed
-    | Eof -> flush_pending ()
+    | Eof -> drain s (emit output)
   in
   (try loop ()
    with Hung_up ->
@@ -305,7 +341,28 @@ let serve_fd ?idle_timeout t ~input ~output =
         unsolved, so the next connection starts from an empty queue. *)
      Server.discard t.server;
      Obs.Counter.incr dropped);
-  !written
+  s.written
+
+(* Feed every line to EOF, draining whenever the queue fills, so nothing
+   is shed. *)
+let serve_channel ?admission t ~input ~output =
+  let s = session ?admission t in
+  let emit line =
+    output_string output line;
+    output_char output '\n'
+  in
+  let rec loop () =
+    match input_line input with
+    | line ->
+        feed s line;
+        if Server.pending t.server = Server.queue_capacity t.server then
+          drain s emit;
+        loop ()
+    | exception End_of_file -> drain s emit
+  in
+  loop ();
+  flush output;
+  s.written
 
 (* --- unix-domain socket listener -------------------------------------- *)
 

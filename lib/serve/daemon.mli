@@ -1,78 +1,88 @@
-(** Always-on streaming front-end: admission with backpressure over a
-    Unix-domain socket (or any fd pair), dispatching to a {!Server}.
+(** The request session behind every JSONL entry point, and its two
+    request loops: a streaming one over a raw fd pair or a Unix-domain socket
+    ([hetsched daemon]) and a batch one over channels ([hetsched serve]
+    and [hetsched admit]).
 
-    {!Jsonl.serve} reads its whole input to EOF before solving anything —
-    right for a one-shot batch, wrong for a daemon that must answer while
-    clients keep the connection open. The daemon admits request lines
-    {e as they arrive}: each well-formed line is offered to the server's
-    bounded queue immediately, and the moment no further input is ready
-    the queued wave is drained over the pool and its response lines
-    stream back, tagged by request id. Clients can hold the connection
-    open indefinitely, alternating bursts and reads.
+    {2 The session}
+
+    A session is one client's request stream. It holds a line counter,
+    an {!Rt.Admission} controller and a FIFO of what each non-blank line
+    is owed. Feeding a line decodes it ({!Jsonl.line_of_string}) and
+    offers its synthesis job (a solve, or the inner request of an admit)
+    to the server's bounded queue at once. Draining solves the queued
+    wave over the pool in one {!Server.drain}, then answers every owed
+    line {e in input order}: solved responses, admission verdicts,
+    releases, and the busy and error lines fed since the last drain.
+    Admits and releases reach the controller in line order during the
+    drain, so a verdict never depends on where the waves were cut or on
+    which loop fed the line. Blank lines are skipped but still counted,
+    so a malformed line's error reply carries its 1-based line number as
+    its id.
 
     {2 Backpressure}
 
-    The server's queue is the admission window. When it is full, an
-    incoming request is {e shed}, not blocked and not dropped: the daemon
-    replies immediately with [{"id": ..., "status": "busy"}] and forgets
-    the request. The client owns the retry. Every admitted request is
-    answered exactly once, every shed request earns exactly one busy
-    line, and every malformed line one error line — ids are never
-    dropped. A burst of [k] lines against a queue of capacity [c] yields
-    [min k c] solved responses and [max 0 (k - c)] busy lines. Busy and
-    error lines are written during admission, so within a burst they
-    precede the solved responses; clients must match replies by id, not
-    by position.
+    The server's queue is the admission window. When it is full, a solve
+    or admit line is {e shed}, not blocked and not dropped: its answer is
+    [{"id": ..., "status": "busy"}] and the request is forgotten. The
+    client owns the retry. Every line is answered exactly once: a queued
+    job with its response or verdict, a shed line with one busy line, a
+    malformed line with one error line. A burst of [k] jobs against a
+    queue of capacity [c] yields [min k c] solved jobs and
+    [max 0 (k - c)] busy lines, and the answers keep the burst's order,
+    so clients can pair replies with requests by position.
+
+    {2 Request loops}
+
+    {!serve_fd} feeds lines as they arrive and drains the moment no
+    further input is ready, so answers stream back while the client
+    keeps the connection open. {!serve_channel} feeds lines to EOF and
+    drains whenever the queue fills, so it sheds nothing. Both print the
+    same bytes for the same lines when [serve_fd]'s queue is at least as
+    long as the input.
 
     {2 Real-time admission}
 
-    ["cmd": "admit"] / ["cmd": "release"] lines (see {!Jsonl}) are served
-    {e synchronously}, against a per-connection {!Rt.Admission}
-    controller: the in-flight solve wave is flushed, the admit's own
-    synthesis job runs cache-fronted ({!Server.guarded_solve}), and the
-    verdict line is written before the next line is read — admission
-    state is order-dependent, so these lines never ride the batch queue.
-    The controller (and every reservation it granted) dies with the
-    connection.
+    ["cmd": "admit"] / ["cmd": "release"] lines (see {!Jsonl}) go to the
+    session's controller. An admit's synthesis job rides the wave with
+    the solves around it and shares their cache; its verdict is derived
+    from the response during the drain. The controller (and every
+    reservation it granted) dies with the session unless the caller
+    passed its own to {!serve_channel}.
 
     {2 Observability}
 
-    Counters [serve.daemon.requests] (well-formed lines),
-    [serve.daemon.busy] (shed), [serve.daemon.served] (solved responses),
-    [serve.daemon.malformed], [serve.daemon.connections],
-    [serve.daemon.idle_closed] (sessions reaped by the idle timeout) and
-    [serve.daemon.dropped] (sessions whose client hung up before reading
-    its responses);
-    admission verdicts count in [serve.rt.admitted] / [serve.rt.rejected]
-    / [serve.rt.released], and the [serve.rt.utilization_pct] gauge
-    tracks the admitted set's total utilization (percent, last
-    connection to move wins). Per-request end-to-end latency — admission
-    to response write — is recorded in the [serve.daemon.latency_ns]
-    {!Obs.Histogram}, so end-of-run summaries and traces report
-    p50/p90/p99. *)
+    Both loops count [serve.daemon.requests] (well-formed lines),
+    [serve.daemon.busy] (shed), [serve.daemon.served] (solved
+    responses) and [serve.daemon.malformed]; [serve_fd] also counts
+    [serve.daemon.connections], [serve.daemon.idle_closed] (sessions
+    reaped by the idle timeout) and [serve.daemon.dropped] (sessions
+    whose client hung up before reading its responses). Admission
+    verdicts count in [serve.rt.admitted] / [serve.rt.rejected] /
+    [serve.rt.released], and the [serve.rt.utilization_pct] gauge tracks
+    the admitted set's total utilization (percent, last session to move
+    wins). Per-request latency, from feed to answer, is recorded in the
+    [serve.daemon.latency_ns] {!Obs.Histogram}, so end-of-run summaries
+    and traces report p50/p90/p99. *)
 
 type t
 
-(** [create ?lookup ?capacity server] — a daemon front-end over [server].
-    [lookup] resolves ["benchmark"] names in request lines, as in
-    {!Jsonl.serve}; [capacity] is the RT platform each connection's
-    admission controller starts from (default
-    {!Rt.Admission.spec_from_env}). *)
+(** [create ?lookup ?capacity server] — a front-end over [server].
+    [lookup] resolves ["benchmark"] names in request lines; [capacity] is
+    the RT platform each session's admission controller starts from
+    (default {!Rt.Admission.spec_from_env}). *)
 val create : ?lookup:Jsonl.lookup -> ?capacity:Rt.Admission.spec -> Server.t -> t
-
-val server : t -> Server.t
 
 (** The process-global [serve.daemon.latency_ns] histogram. *)
 val latency_histogram : unit -> Obs.Histogram.t
 
-(** [serve_fd ?idle_timeout t ~input ~output] — run the admission loop
-    over a raw fd pair until [input] reaches EOF and every admitted
-    request has been answered. [idle_timeout] (seconds, default off;
-    raises [Invalid_argument] unless [> 0] and finite) closes a session
-    that stays silent that long {e while nothing is in flight} — a
-    client mid-burst is never reaped — counting it in
-    [serve.daemon.idle_closed]. Returns the number of response lines
-    written (solved + busy + error + verdicts).
+(** [serve_fd ?idle_timeout t ~input ~output] — run one session over a
+    raw fd pair until [input] reaches EOF and every fed line has been
+    answered. [idle_timeout] (seconds, default off; raises
+    [Invalid_argument] unless [> 0] and finite) closes a session that
+    sends no complete line for that long {e while nothing is owed} — a
+    client mid-burst is never reaped, and bytes without a newline do not
+    extend the wait — counting it in [serve.daemon.idle_closed]. Returns
+    the number of response lines written.
 
     A client that hangs up early ends only its own session: SIGPIPE is
     ignored process-wide (by this function and {!listen}), and a write
@@ -83,6 +93,16 @@ val latency_histogram : unit -> Obs.Histogram.t
     {!listen}; tests drive it over pipes. *)
 val serve_fd :
   ?idle_timeout:float -> t -> input:Unix.file_descr -> output:Unix.file_descr -> int
+
+(** [serve_channel ?admission t ~input ~output] — run one session over
+    every line of [input] to EOF, writing one answer per non-blank line
+    to [output] in input order, and return the number written. The queue
+    is drained whenever it fills, so no line is shed. [admission] is the
+    session's controller (default a fresh one with [t]'s capacity); pass
+    one to read the admitted set afterwards. [hetsched serve] and
+    [hetsched admit] run on this. *)
+val serve_channel :
+  ?admission:Rt.Admission.t -> t -> input:in_channel -> output:out_channel -> int
 
 (** [listen ?connections ?idle_timeout t ~path ()] — bind a Unix-domain
     socket at [path] (unlinking any stale one), accept connections one

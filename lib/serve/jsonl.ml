@@ -3,8 +3,6 @@ module J = Obs.Json
 type lookup = string -> seed:int -> (Dfg.Graph.t * Fulib.Table.t) option
 type item = { id : J.t; request : Core.Synthesis.request }
 
-let malformed = Obs.Counter.make "serve.jsonl.malformed"
-
 (* --- field accessors ------------------------------------------------- *)
 
 let field name json = J.member name json
@@ -481,72 +479,3 @@ let released_to_string ~id ~task ~known =
          ])
   else
     error_to_string ~id (Printf.sprintf "unknown task %S" task)
-
-(* --- channel driver -------------------------------------------------- *)
-
-let read_lines input =
-  let rec loop line acc =
-    match input_line input with
-    | s -> loop (line + 1) ((line, s) :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  loop 1 []
-
-let serve ?lookup ?admission server ~input ~output =
-  let lines =
-    List.filter (fun (_, s) -> String.trim s <> "") (read_lines input)
-  in
-  let parsed =
-    List.map
-      (fun (line, s) ->
-        let r = line_of_string ?lookup ~line s in
-        (match r with
-        | Error _ -> Obs.Counter.incr malformed
-        | Ok _ -> ());
-        (line, r))
-      lines
-  in
-  (* Batch-solve every synthesis job — plain solves and the inner
-     requests of admit lines — sharded over the pool; admission state is
-     order-dependent, so verdicts are derived afterwards by walking the
-     lines in input order against one controller. *)
-  let requests =
-    List.filter_map
-      (function
-        | _, Ok (Solve item) -> Some item.request
-        | _, Ok (Admit a) -> Some a.periodic.Core.Synthesis.request
-        | _ -> None)
-      parsed
-  in
-  let responses = Server.solve_batch server requests in
-  let adm =
-    match admission with Some a -> a | None -> Rt.Admission.create ()
-  in
-  let emit_line s = output_string output s; output_char output '\n' in
-  let rec emit count parsed responses =
-    match (parsed, responses) with
-    | [], [] -> count
-    | (line, Error msg) :: parsed, responses ->
-        emit_line (error_to_string ~id:(J.Int line) msg);
-        emit (count + 1) parsed responses
-    | (_, Ok (Solve item)) :: parsed, resp :: responses ->
-        emit_line (response_to_string ~id:item.id resp);
-        emit (count + 1) parsed responses
-    | (_, Ok (Admit a)) :: parsed, resp :: responses ->
-        let verdict =
-          match Core.Synthesis.periodic_of_response a.periodic resp with
-          | Stdlib.Ok an -> Rt.Admission.try_admit adm ~id:a.task an
-          | Stdlib.Error reason -> Rt.Verdict.Rejected reason
-        in
-        emit_line (verdict_to_string ~id:a.id ~task:a.task verdict);
-        emit (count + 1) parsed responses
-    | (_, Ok (Release r)) :: parsed, responses ->
-        let known = Rt.Admission.release adm ~id:r.task in
-        emit_line (released_to_string ~id:r.id ~task:r.task ~known);
-        emit (count + 1) parsed responses
-    | (_, Ok (Solve _ | Admit _)) :: _, [] | [], _ :: _ ->
-        invalid_arg "Serve.Jsonl.serve: response count mismatch"
-  in
-  let count = emit 0 parsed responses in
-  flush output;
-  count

@@ -1,5 +1,6 @@
-(** JSONL wire format for the batch service: one request per input line,
-    one response per output line, same order.
+(** JSONL wire format for the synthesis service: one request per input
+    line, one response per output line, same order. This module decodes
+    lines and renders answers; {!Daemon} runs the request session.
 
     {2 Request line}
 
@@ -118,22 +119,3 @@ val verdict_to_string : id:Obs.Json.t -> task:string -> Rt.Verdict.t -> string
 (** The ["released"] response line; with [known:false], the ["error"]
     line naming the unknown task instead. *)
 val released_to_string : id:Obs.Json.t -> task:string -> known:bool -> string
-
-(** [serve ?lookup ?admission server ~input ~output] — read request lines
-    from [input] until EOF, solve them through [server] in waves (batched
-    via {!Server.solve_batch}, sharded over the server's pool), and write
-    one response line per request line to [output], preserving line
-    order. Admit/release lines go to the [admission] controller (default
-    a fresh one, capacity {!Rt.Admission.spec_from_env}), which holds the
-    admitted set afterwards; their synthesis jobs join the batch, the
-    order-dependent admission verdicts are derived afterwards in input
-    order. Malformed lines produce ["error"] response lines in place
-    without disturbing their neighbours. Blank lines are skipped
-    entirely. Returns the number of response lines written. *)
-val serve :
-  ?lookup:lookup ->
-  ?admission:Rt.Admission.t ->
-  Server.t ->
-  input:in_channel ->
-  output:out_channel ->
-  int

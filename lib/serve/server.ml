@@ -2,8 +2,6 @@ let submitted = Obs.Counter.make "serve.requests"
 let drains = Obs.Counter.make "serve.drains"
 let failures = Obs.Counter.make "serve.failures"
 
-exception Queue_full
-
 let default_queue_capacity = 256
 
 type t = {
@@ -22,8 +20,6 @@ let create ?pool ?cache ?(queue_capacity = default_queue_capacity) () =
   let cache = match cache with Some c -> c | None -> Cache.create () in
   { pool; cache; queue_capacity; queue = Queue.create () }
 
-let pool t = t.pool
-let cache t = t.cache
 let queue_capacity t = t.queue_capacity
 let pending t = Queue.length t.queue
 let discard t = Queue.clear t.queue
@@ -35,8 +31,6 @@ let try_submit t req =
     Obs.Counter.incr submitted;
     true
   end
-
-let submit t req = if not (try_submit t req) then raise Queue_full
 
 (* Core.Synthesis.solve already converts solver exceptions into [Error]
    responses; this belt-and-braces handler additionally covers anything the
@@ -56,27 +50,13 @@ let guarded_solve t req =
     }
 
 let drain t =
-  Obs.Counter.incr drains;
   let batch = Array.of_seq (Queue.to_seq t.queue) in
   Queue.clear t.queue;
   if Array.length batch = 0 then []
-  else
+  else begin
+    Obs.Counter.incr drains;
     Obs.Span.with_
       (Printf.sprintf "serve.drain:%d" (Array.length batch))
     @@ fun () ->
     Array.to_list (Par.Pool.map_array t.pool (guarded_solve t) batch)
-
-let solve_batch t reqs =
-  let rec waves acc = function
-    | [] -> List.concat (List.rev acc)
-    | reqs ->
-        let rec fill n = function
-          | req :: rest when n < t.queue_capacity ->
-              submit t req;
-              fill (n + 1) rest
-          | rest -> rest
-        in
-        let rest = fill (pending t) reqs in
-        waves (drain t :: acc) rest
-  in
-  waves [] reqs
+  end

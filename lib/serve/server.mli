@@ -14,15 +14,11 @@
     phase-boundary deadlines), so an oversized request times out on its own
     shard while its neighbours complete normally.
 
-    The queue is bounded and non-blocking by design: {!submit} raises
-    {!Queue_full} rather than blocking (the CLI driver is single-threaded —
-    a blocking submit with no concurrent drainer would deadlock). Callers
-    stream arbitrarily large workloads by alternating fill and {!drain},
-    which is exactly what {!solve_batch} and {!Jsonl.serve} do. *)
+    The queue is bounded and never blocks: {!try_submit} returns [false]
+    at capacity. The one caller, a {!Daemon} session, either sheds the
+    request or drains first. *)
 
 type t
-
-exception Queue_full
 
 (** Queue capacity used by default: 256 requests per wave. *)
 val default_queue_capacity : int
@@ -35,8 +31,6 @@ val default_queue_capacity : int
 val create :
   ?pool:Par.Pool.t -> ?cache:Cache.t -> ?queue_capacity:int -> unit -> t
 
-val pool : t -> Par.Pool.t
-val cache : t -> Cache.t
 val queue_capacity : t -> int
 
 (** Requests currently queued (not yet drained). *)
@@ -46,25 +40,12 @@ val pending : t -> int
     client that queued them hangs up). *)
 val discard : t -> unit
 
-(** Enqueue a request for the next {!drain}. Raises {!Queue_full} at
-    capacity. *)
-val submit : t -> Core.Synthesis.request -> unit
-
-(** Like {!submit} but returns [false] instead of raising. *)
+(** Enqueue a request for the next {!drain}; [false] (and nothing queued)
+    at capacity. *)
 val try_submit : t -> Core.Synthesis.request -> bool
 
 (** Solve everything queued, in submission order, over the pool; the queue
     is empty afterwards. Cache lookups happen on the solving shard. Graphs
     and tables are immutable once built, so the shards share them with no
-    preparation. *)
+    preparation. [serve.drains] counts the non-empty waves. *)
 val drain : t -> Core.Synthesis.response list
-
-(** [solve_batch t reqs] streams an arbitrarily long request list through
-    the bounded queue in capacity-sized waves and returns all responses in
-    input order. *)
-val solve_batch : t -> Core.Synthesis.request list -> Core.Synthesis.response list
-
-(** [guarded_solve t req] — cache-fronted solve of one request with the
-    failure-isolation handler applied; what each shard runs during
-    {!drain}. *)
-val guarded_solve : t -> Core.Synthesis.request -> Core.Synthesis.response

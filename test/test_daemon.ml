@@ -1,8 +1,10 @@
-(* The streaming daemon: admission as lines arrive (no EOF needed),
-   busy-shedding when the bounded queue is full, malformed-line error
-   replies, the latency histogram, and the socket listener + client
-   pump. Pipe-based tests drive Serve.Daemon.serve_fd directly; the
-   socket test exercises listen/call end to end. *)
+(* The request session and its loops: answers as lines arrive (no EOF
+   needed) and in input order, busy-shedding when the bounded queue is
+   full, malformed-line error replies, the latency histogram, the idle
+   timeout, the socket listener + client pump, and a differential of
+   both loops against the batch oracle. Pipe-based tests drive
+   Serve.Daemon.serve_fd directly; the socket test exercises listen/call
+   end to end. *)
 
 module J = Obs.Json
 
@@ -81,7 +83,7 @@ let finish h =
 
 (* Responses must stream back while the connection stays open: two bursts
    on one connection, each answered before the next is sent — something
-   the EOF-batch Jsonl.serve cannot do. *)
+   a loop that reads to EOF first cannot do. *)
 let test_streaming_two_bursts () =
   let h = start () in
   let served0 = counter "serve.daemon.served" in
@@ -106,10 +108,10 @@ let test_streaming_two_bursts () =
 
 (* --- busy backpressure -------------------------------------------------- *)
 
-(* The ISSUE-mandated admission test: a queue-capacity-1 daemon under a
-   one-write burst of five requests sheds four with "busy" (no blocking,
-   no drops — every id is answered exactly once), and a retry of each
-   shed id then succeeds. *)
+(* A queue-capacity-1 daemon under a one-write burst of five requests
+   sheds four with "busy" (no blocking, no drops — every id is answered
+   exactly once, in request order), and a retry of each shed id then
+   succeeds. *)
 let test_busy_backpressure () =
   let h = start ~queue_capacity:1 () in
   let busy0 = counter "serve.daemon.busy" in
@@ -122,15 +124,11 @@ let test_busy_backpressure () =
      buffer together, so exactly one fits the queue and four are shed *)
   Alcotest.(check bool) "burst is atomic" true (String.length burst < 4096);
   send h burst;
-  (* busy lines are shed synchronously during admission, so q2..q5 come
-     back first; the solved q1 follows once the wave drains *)
+  (* q1 is queued and q2..q5 are shed in the same wave; the answers
+     keep the burst's order *)
   let replies = recv_lines h 5 in
   Alcotest.(check (list string))
-    "no id dropped" ids
-    (List.sort compare (List.map id_of replies));
-  Alcotest.(check (list string))
-    "shed replies stream back before the drain" [ "q2"; "q3"; "q4"; "q5"; "q1" ]
-    (List.map id_of replies);
+    "answers in request order" ids (List.map id_of replies);
   let solved, shed =
     List.partition (fun l -> status_of l = "ok") replies
   in
@@ -159,15 +157,14 @@ let test_malformed_and_blank_lines () =
   let h = start () in
   let malformed0 = counter "serve.daemon.malformed" in
   (* blank lines are skipped but still counted for default ids: the
-     garbage on line 3 is reported as id 3, like Jsonl.serve. The error
-     reply is written during admission, so it precedes the drained ok. *)
+     garbage on line 3 is reported as id 3, after the ok for line 1 *)
   send h (request_line ~id:"m1" ~seed:20 ^ "\n\nthis is not json\n");
   let replies = recv_lines h 2 in
   Alcotest.(check (list string))
-    "statuses" [ "error"; "ok" ]
+    "statuses in input order" [ "ok"; "error" ]
     (List.map status_of replies);
   Alcotest.(check string) "error line carries the line number as id" "3"
-    (id_of (List.hd replies));
+    (id_of (List.nth replies 1));
   Alcotest.(check int) "malformed counter" (malformed0 + 1)
     (counter "serve.daemon.malformed");
   ignore (finish h)
@@ -346,6 +343,25 @@ let test_admission_state_per_connection () =
     (status_of (List.hd (recv_lines h2 1)));
   ignore (finish h2)
 
+(* An admit's job rides the wave like a solve, so a full queue sheds it
+   too: at capacity 1, a one-write burst of a solve then an admit answers
+   ok, then busy, and the retried admit is admitted. *)
+let test_admit_shed_when_full () =
+  let h = start ~queue_capacity:1 ~capacity:(Rt.Admission.Uniform 2) () in
+  send h
+    (request_line ~id:"s1" ~seed:60 ^ "\n"
+    ^ admit_line ~id:"a1" ~task:"t1" ~period:64
+    ^ "\n");
+  let replies = recv_lines h 2 in
+  Alcotest.(check (list string)) "ids in order" [ "s1"; "a1" ]
+    (List.map id_of replies);
+  Alcotest.(check (list string)) "ok, then busy" [ "ok"; "busy" ]
+    (List.map status_of replies);
+  send h (admit_line ~id:"a1" ~task:"t1" ~period:64 ^ "\n");
+  Alcotest.(check string) "retried admit" "admitted"
+    (status_of (List.hd (recv_lines h 1)));
+  Alcotest.(check int) "three answers" 3 (finish h)
+
 (* --- idle timeout -------------------------------------------------------- *)
 
 let test_idle_timeout_reaps_silent_client () =
@@ -404,6 +420,44 @@ let test_idle_timeout_survives_signal_storm () =
         (Printf.sprintf "reap bounded under the storm (waited %.3fs)" waited)
         true
         (waited >= 0.2 && waited < 5.0);
+      Alcotest.(check int) "idle_closed counter" (idle0 + 1)
+        (counter "serve.daemon.idle_closed"))
+
+(* The idle deadline is per line, not per chunk: a writer that sends one
+   byte every 50 ms and never a newline is reaped like a silent client.
+   The writer gives up after 4 s, so a deadline that each byte pushed
+   back shows as a slow reap, not a hang. *)
+let test_idle_timeout_reaps_trickling_client () =
+  let idle0 = counter "serve.daemon.idle_closed" in
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  let server =
+    Serve.Server.create ~cache:(Serve.Cache.create ~entries:4 ()) ()
+  in
+  let d = Serve.Daemon.create ~lookup server in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let t0 = Unix.gettimeofday () in
+        while (not (Atomic.get stop)) && Unix.gettimeofday () -. t0 < 4.0 do
+          ignore (Unix.write_substring in_w "{" 0 1);
+          Unix.sleepf 0.05
+        done)
+  in
+  let finally () =
+    Atomic.set stop true;
+    Domain.join writer;
+    List.iter Unix.close [ in_r; in_w; out_r; out_w ]
+  in
+  Fun.protect ~finally (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let n =
+        Serve.Daemon.serve_fd ~idle_timeout:0.25 d ~input:in_r ~output:out_w
+      in
+      let waited = Unix.gettimeofday () -. t0 in
+      Alcotest.(check int) "no responses to a line that never ends" 0 n;
+      Alcotest.(check bool)
+        (Printf.sprintf "reaped within 2 s (waited %.3fs)" waited)
+        true (waited < 2.0);
       Alcotest.(check int) "idle_closed counter" (idle0 + 1)
         (counter "serve.daemon.idle_closed"))
 
@@ -541,6 +595,120 @@ let test_early_hangup_keeps_listener () =
   Alcotest.(check int) "hang-up counted" (dropped + 1)
     (counter "serve.daemon.dropped")
 
+(* --- differential against the batch oracle ---------------------------------- *)
+
+module P = Workloads.Prng
+
+let smoke_lines =
+  lazy
+    (List.concat_map
+       (fun name ->
+         match
+           List.find_opt Sys.file_exists [ "../data/" ^ name; "data/" ^ name ]
+         with
+         | None -> Alcotest.failf "data/%s not found" name
+         | Some p -> In_channel.with_open_text p In_channel.input_lines)
+       [ "serve_smoke.jsonl"; "rt_smoke.jsonl" ]
+    |> List.filter (fun l -> String.trim l <> "")
+    |> Array.of_list)
+
+let pick rng a = a.(P.int rng (Array.length a))
+
+(* Smoke lines, inline admits and releases over a few task keys, malformed
+   lines and blank lines, one per input line. *)
+let random_line rng i =
+  let id = Printf.sprintf "x%d" i and task = pick rng [| "t0"; "t1"; "t2" |] in
+  match P.int rng 6 with
+  | 0 | 1 -> pick rng (Lazy.force smoke_lines)
+  | 2 -> admit_line ~id ~task ~period:(pick rng [| 1; 64 |])
+  | 3 -> release_line ~id ~task
+  | 4 ->
+      pick rng
+        [|
+          "this is not json"; "{"; {|{"cmd": "evict"}|};
+          {|{"benchmark": "no-such-filter", "deadline": 9}|};
+          {|{"cmd": "admit", "benchmark": "diffeq", "deadline": 40}|};
+        |]
+  | _ -> pick rng [| ""; "   " |]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* One channel run from [text] to the bytes it writes. *)
+let channel_bytes run text =
+  let in_path = Filename.temp_file "hetsched-diff" ".in" in
+  let out_path = Filename.temp_file "hetsched-diff" ".out" in
+  Out_channel.with_open_bin in_path (fun oc -> output_string oc text);
+  In_channel.with_open_bin in_path (fun input ->
+      Out_channel.with_open_bin out_path (fun output ->
+          ignore (run ~input ~output)));
+  let out = read_file out_path in
+  Sys.remove in_path;
+  Sys.remove out_path;
+  out
+
+(* [serve_fd] over a pipe pair: the input fits in the pipe buffer, so it
+   is written whole before the answers are read back to EOF. *)
+let fd_bytes d text =
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  let daemon =
+    Domain.spawn (fun () ->
+        ignore (Serve.Daemon.serve_fd d ~input:in_r ~output:out_w);
+        Unix.close out_w)
+  in
+  ignore (Unix.write_substring in_w text 0 (String.length text));
+  Unix.close in_w;
+  let out = In_channel.input_all (Unix.in_channel_of_descr out_r) in
+  Domain.join daemon;
+  Unix.close in_r;
+  Unix.close out_r;
+  out
+
+let loops_match_oracle ~domains =
+  Alcotest.test_case
+    (Printf.sprintf "loops = batch oracle, %d domain%s" domains
+       (if domains = 1 then "" else "s"))
+    `Quick
+    (fun () ->
+      Par.Pool.with_pool ~domains @@ fun pool ->
+      (* one cache for every run: a hit answers with a fresh solve's bytes *)
+      let cache = Serve.Cache.create ~entries:512 () in
+      let capacity = Rt.Admission.Uniform 6 in
+      let daemon queue_capacity =
+        Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup ~capacity
+          (Serve.Server.create ~pool ~cache ~queue_capacity ())
+      in
+      QCheck.Test.check_exn
+        ~rand:(Random.State.make [| 19; domains |])
+        (QCheck.Test.make ~name:"loops = batch oracle" ~count:100
+           (QCheck.make ~print:string_of_int QCheck.Gen.(map abs int))
+           (fun seed ->
+             let rng = P.create seed in
+             let n = 1 + P.int rng 40 in
+             let text =
+               String.concat ""
+                 (List.init n (fun i -> random_line rng i ^ "\n"))
+             in
+             let oracle =
+               channel_bytes
+                 (Oracle.Jsonl_serve.serve ~lookup:Workloads.Catalogue.lookup
+                    ~admission:(Rt.Admission.create ~capacity ())
+                    (Serve.Server.create ~pool ~cache ()))
+                 text
+             in
+             List.iter
+               (fun q ->
+                 let got =
+                   channel_bytes (Serve.Daemon.serve_channel (daemon q)) text
+                 in
+                 if got <> oracle then
+                   QCheck.Test.fail_reportf
+                     "serve_channel at queue %d:@.%s@.oracle:@.%s" q got oracle)
+               [ 1; 2; 3; 256 ];
+             let got = fd_bytes (daemon n) text in
+             if got <> oracle then
+               QCheck.Test.fail_reportf "serve_fd:@.%s@.oracle:@.%s" got oracle;
+             true)))
+
 let () =
   Alcotest.run "daemon"
     [
@@ -561,6 +729,8 @@ let () =
         [
           Alcotest.test_case "capacity-1 burst sheds busy, retry succeeds"
             `Quick test_busy_backpressure;
+          Alcotest.test_case "capacity-1 solve then admit: ok, busy, admitted"
+            `Quick test_admit_shed_when_full;
         ] );
       ( "admission",
         [
@@ -575,6 +745,8 @@ let () =
             test_idle_timeout_reaps_silent_client;
           Alcotest.test_case "reap survives a SIGALRM storm" `Quick
             test_idle_timeout_survives_signal_storm;
+          Alcotest.test_case "byte-a-time client reaped" `Quick
+            test_idle_timeout_reaps_trickling_client;
           Alcotest.test_case "bad timeouts rejected" `Quick
             test_idle_timeout_validated;
         ] );
@@ -585,4 +757,6 @@ let () =
           Alcotest.test_case "early hang-up drops only that connection" `Quick
             test_early_hangup_keeps_listener;
         ] );
+      ( "oracle differential",
+        [ loops_match_oracle ~domains:1; loops_match_oracle ~domains:2 ] );
     ]

@@ -1,6 +1,7 @@
 (* The batch synthesis service: content-addressed cache (digest canonical
    in edge order, byte-identical replay, LRU), bounded-queue server
-   (order, isolation, pool parity) and the JSONL wire format. *)
+   (order, isolation, pool parity), the JSONL wire format and the batch
+   channel loop. *)
 
 let lib3 = Fulib.Library.standard3
 
@@ -430,17 +431,29 @@ let test_shard_concurrent_hammer () =
 
 (* --- server ------------------------------------------------------------ *)
 
+(* Fill the bounded queue, drain, repeat: every response in input order. *)
+let solve_batch server reqs =
+  let rec waves acc = function
+    | req :: rest when Serve.Server.try_submit server req -> waves acc rest
+    | reqs -> (
+        let acc = Serve.Server.drain server :: acc in
+        match reqs with
+        | [] -> List.concat (List.rev acc)
+        | _ -> waves acc reqs)
+  in
+  waves [] reqs
+
 let test_queue_bounds_and_order () =
   Par.Pool.with_pool ~domains:1 @@ fun pool ->
   let server = Serve.Server.create ~pool ~queue_capacity:2 () in
   let r1 = request (instance ~seed:12) in
   let r2 = request (instance ~seed:13) in
-  Serve.Server.submit server r1;
-  Serve.Server.submit server r2;
+  Alcotest.(check bool) "room" true (Serve.Server.try_submit server r1);
+  Alcotest.(check bool) "room" true (Serve.Server.try_submit server r2);
   Alcotest.(check int) "pending" 2 (Serve.Server.pending server);
   Alcotest.(check bool) "full" false (Serve.Server.try_submit server r1);
-  Alcotest.check_raises "submit raises" Serve.Server.Queue_full (fun () ->
-      Serve.Server.submit server r1);
+  Alcotest.(check int) "nothing queued when full" 2
+    (Serve.Server.pending server);
   let responses = Serve.Server.drain server in
   Alcotest.(check int) "drained" 0 (Serve.Server.pending server);
   Alcotest.(check bool)
@@ -451,7 +464,7 @@ let test_solve_batch_waves () =
   Par.Pool.with_pool ~domains:2 @@ fun pool ->
   let server = Serve.Server.create ~pool ~queue_capacity:3 () in
   let reqs = List.init 8 (fun i -> request (instance ~seed:(20 + i))) in
-  let responses = Serve.Server.solve_batch server reqs in
+  let responses = solve_batch server reqs in
   Alcotest.(check int) "all answered" 8 (List.length responses);
   Alcotest.(check bool)
     "matches sequential" true
@@ -472,7 +485,7 @@ let test_poisoned_request_isolated () =
   let statuses =
     List.map
       (fun r -> r.Core.Synthesis.status)
-      (Serve.Server.solve_batch server [ ok1; timeout; infeasible; ok2 ])
+      (solve_batch server [ ok1; timeout; infeasible; ok2 ])
   in
   Alcotest.(check bool)
     "ok / timeout / infeasible / ok" true
@@ -491,7 +504,7 @@ let qcheck_server_matches_sequential =
       in
       Par.Pool.with_pool ~domains:2 @@ fun pool ->
       let server = Serve.Server.create ~pool ~queue_capacity:4 () in
-      Serve.Server.solve_batch server reqs = List.map Core.Synthesis.solve reqs)
+      solve_batch server reqs = List.map Core.Synthesis.solve reqs)
 
 let qcheck_cache_parity =
   QCheck.Test.make ~count:15 ~name:"cache on/off parity (with duplicates)"
@@ -506,8 +519,8 @@ let qcheck_cache_parity =
       let without_cache =
         Serve.Server.create ~pool ~cache:(Serve.Cache.create ~entries:1 ()) ()
       in
-      Serve.Server.solve_batch with_cache reqs
-      = Serve.Server.solve_batch without_cache reqs)
+      solve_batch with_cache reqs
+      = solve_batch without_cache reqs)
 
 let qcheck_domain_parity =
   QCheck.Test.make ~count:10 ~name:"domains 1 vs 4 parity"
@@ -516,7 +529,7 @@ let qcheck_domain_parity =
       let reqs = List.init 6 (fun i -> request (instance ~seed:(seed + (7 * i)))) in
       let solve_at domains =
         Par.Pool.with_pool ~domains @@ fun pool ->
-        Serve.Server.solve_batch (Serve.Server.create ~pool ()) reqs
+        solve_batch (Serve.Server.create ~pool ()) reqs
       in
       solve_at 1 = solve_at 4)
 
@@ -529,7 +542,7 @@ let qcheck_timeout_neighbours_survive =
       let ok2 = request (instance ~seed:(seed + 2)) in
       Par.Pool.with_pool ~domains:2 @@ fun pool ->
       let server = Serve.Server.create ~pool () in
-      match Serve.Server.solve_batch server [ ok1; huge; ok2 ] with
+      match solve_batch server [ ok1; huge; ok2 ] with
       | [ a; b; c ] ->
           a.Core.Synthesis.status = Core.Synthesis.Ok
           && b.Core.Synthesis.status = Core.Synthesis.Timeout
@@ -630,7 +643,7 @@ let test_rtl_digest_covers_ops () =
         let lines =
           List.map
             (Serve.Jsonl.response_to_string ~id:(Obs.Json.String "ops"))
-            (Serve.Server.solve_batch server reqs)
+            (solve_batch server reqs)
         in
         (lines, Serve.Cache.length cache))
   in
@@ -859,9 +872,10 @@ let test_jsonl_serve_admission () =
       let server = Serve.Server.create ~pool () in
       let ic = open_in in_path and oc = open_out out_path in
       let served =
-        Serve.Jsonl.serve ~lookup
+        Serve.Daemon.serve_channel
           ~admission:(Rt.Admission.create ~capacity:(Rt.Admission.Uniform 2) ())
-          server ~input:ic ~output:oc
+          (Serve.Daemon.create ~lookup server)
+          ~input:ic ~output:oc
       in
       close_in ic;
       close_out oc;
@@ -902,9 +916,9 @@ let test_jsonl_serve_admission () =
   Sys.remove out_path;
   Sys.rmdir dir
 
-(* The controller handed to [serve] is the one its admit/release lines
-   use: it holds the admitted set afterwards, and a second [serve] over the
-   same controller releases a task the first one admitted. *)
+(* The controller handed to [serve_channel] is the one its admit/release
+   lines use: it holds the admitted set afterwards, and a second run over
+   the same controller releases a task the first one admitted. *)
 let test_jsonl_serve_keeps_controller () =
   let adm = Rt.Admission.create ~capacity:(Rt.Admission.Uniform 2) () in
   let serve lines =
@@ -915,7 +929,8 @@ let test_jsonl_serve_keeps_controller () =
     close_out oc;
     let ic = open_in in_path and oc = open_out out_path in
     ignore
-      (Serve.Jsonl.serve ~lookup ~admission:adm (Serve.Server.create ())
+      (Serve.Daemon.serve_channel ~admission:adm
+         (Serve.Daemon.create ~lookup (Serve.Server.create ()))
          ~input:ic ~output:oc);
     close_in ic;
     close_out oc;
@@ -977,7 +992,8 @@ let test_jsonl_serve_channels () =
       let server = Serve.Server.create ~pool () in
       let ic = open_in in_path and oc = open_out out_path in
       let served =
-        Serve.Jsonl.serve ~lookup server ~input:ic ~output:oc
+        Serve.Daemon.serve_channel (Serve.Daemon.create ~lookup server)
+          ~input:ic ~output:oc
       in
       close_in ic;
       close_out oc;
@@ -1018,7 +1034,9 @@ let serve_lines ~lookup lines =
   Par.Pool.with_pool ~domains:2 (fun pool ->
       let server = Serve.Server.create ~pool () in
       let ic = open_in in_path and oc = open_out out_path in
-      ignore (Serve.Jsonl.serve ~lookup server ~input:ic ~output:oc);
+      ignore
+        (Serve.Daemon.serve_channel (Serve.Daemon.create ~lookup server)
+           ~input:ic ~output:oc);
       close_in ic;
       close_out oc);
   let ic = open_in_bin out_path in
