@@ -352,6 +352,44 @@ let inline_line =
             ("algorithm", J.String "repeat");
           ]))
 
+(* The cache hammer: one find-or-churn-store step against a full
+   256-entry cache. Every eighth step stores a fresh key, which evicts
+   the owning shard's least-recently-used entry by scanning that shard;
+   the others probe one of 16 hot keys. The hot keys are stored after the
+   fill, so they are the entries the churn never evicts. With 8 shards a
+   store scans a 32-entry slice, with 1 shard all 256 entries: these two
+   rows are the evidence for sharding. *)
+let cache_hammer ~shards =
+  let capacity = 256 and churn_every = 8 in
+  let keys tag count =
+    Array.init count (fun i ->
+        Digest.to_hex (Digest.string (Printf.sprintf "%s-%d" tag i)))
+  in
+  let g = Workloads.Filters.diffeq () in
+  let tbl = table_for ~seed:7 g in
+  let resp =
+    Core.Synthesis.solve
+      (Core.Synthesis.request ~algorithm:Core.Synthesis.Repeat
+         ~deadline:(mid_deadline g tbl) g tbl)
+  in
+  let cache = Serve.Cache.create ~entries:capacity ~shards () in
+  let hot = keys "hot" 16 and churn = keys "churn" 4096 in
+  (* built eagerly: a lazy fill would land in the first timed sample *)
+  Array.iter
+    (fun key -> Serve.Cache.store_digest cache key resp)
+    (Array.append (keys "fill" capacity) hot);
+  let step = ref 0 in
+  Staged.stage (fun () ->
+      let k = !step in
+      step := k + 1;
+      if k mod churn_every = churn_every - 1 then
+        Serve.Cache.store_digest cache
+          churn.(k / churn_every mod Array.length churn)
+          resp
+      else
+        ignore
+          (Serve.Cache.find_digest cache hot.(k mod Array.length hot)))
+
 (* The serve bench group prices the new entry points: a full
    Core.Synthesis.solve through the request facade (cold), the same
    request answered by a pre-warmed Serve.Cache (hit — should be digest
@@ -400,6 +438,8 @@ let serve_tests =
          in
          Staged.stage (fun () ->
              Serve.Jsonl.line_of_json ~line:1 (Lazy.force json)));
+      Test.make ~name:"cache-hot-sharded" (cache_hammer ~shards:8);
+      Test.make ~name:"cache-hot-single" (cache_hammer ~shards:1);
     ]
 
 (* --- Memory dimension: capacity pruning vs unconstrained solves ------- *)

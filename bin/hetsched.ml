@@ -36,9 +36,7 @@ let instance ~name ~file ~seed =
   | Some path -> (
       match Netlist.load ~path with
       | g, Some table -> (g, table)
-      | g, None ->
-          let rng = Workloads.Prng.create seed in
-          (g, Workloads.Tables.for_graph rng ~library:Fulib.Library.standard3 g)
+      | g, None -> (g, table_for ~seed g)
       | exception Netlist.Parse_error (line, msg) ->
           Printf.eprintf "%s:%d: %s\n" path line msg;
           exit 2)
@@ -49,6 +47,19 @@ let instance ~name ~file ~seed =
 let seed_arg =
   let doc = "Seed for the random time/cost table." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
+
+(* Checked integers: a value out of range is a usage error naming the
+   flag, not an exception from deep inside. *)
+let int_in ~lo ~hi ~what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Sizes and counts that must be at least 1. *)
+let positive_int = int_in ~lo:1 ~hi:max_int ~what:"a positive integer"
 
 let list_cmd =
   let run () =
@@ -94,30 +105,29 @@ let deadline_arg =
   let doc = "Timing constraint (control steps); default 1.2x the minimum." in
   Arg.(value & opt (some int) None & info [ "deadline"; "T" ] ~doc)
 
+let deadline_or_default deadline g table =
+  match deadline with
+  | Some t -> t
+  | None -> Core.Synthesis.default_deadline g table
+
 let levels_arg =
   let doc =
     "DVFS frequency levels per FU type (uniform ladders from 100%% down to \
      50%%); the cost column becomes energy and static slack is reclaimed \
      after scheduling."
   in
-  Arg.(value & opt (some int) None & info [ "levels" ] ~docv:"N" ~doc)
+  let levels = int_in ~lo:1 ~hi:16 ~what:"an integer in 1..16" in
+  Arg.(value & opt (some levels) None & info [ "levels" ] ~docv:"N" ~doc)
 
 let synth_cmd =
   let run name seed algo deadline file levels =
     let g, table = instance ~name ~file ~seed in
-    let deadline =
-      match deadline with
-      | Some t -> t
-      | None -> Core.Synthesis.default_deadline g table
-    in
+    let deadline = deadline_or_default deadline g table in
     let levels =
-      match levels with
-      | None -> None
-      | Some n when n >= 1 && n <= 16 ->
-          Some (Fulib.Dvfs.uniform ~levels:n ~types:(Fulib.Table.num_types table))
-      | Some n ->
-          Printf.eprintf "hetsched: --levels must be in 1..16 (got %d)\n" n;
-          exit 2
+      Option.map
+        (fun n ->
+          Fulib.Dvfs.uniform ~levels:n ~types:(Fulib.Table.num_types table))
+        levels
     in
     let label = match file with Some p -> p | None -> name in
     Printf.printf "instance %s, deadline %d (minimum %d)\n" label deadline
@@ -164,29 +174,17 @@ let synth_cmd =
 let dvfs_cmd =
   let rounds_arg =
     let doc = "Perturbation rounds to run." in
-    Arg.(value & opt int 20 & info [ "rounds" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 20 & info [ "rounds" ] ~docv:"N" ~doc)
   in
   let run name seed algo deadline file levels rounds =
     ignore algo;
     let g, base = instance ~name ~file ~seed in
     let levels = Option.value levels ~default:3 in
-    if levels < 1 || levels > 16 then begin
-      Printf.eprintf "hetsched: --levels must be in 1..16 (got %d)\n" levels;
-      exit 2
-    end;
-    if rounds < 1 then begin
-      Printf.eprintf "hetsched: --rounds must be >= 1 (got %d)\n" rounds;
-      exit 2
-    end;
     let table, _mapping =
       Fulib.Dvfs.expand base
         ~levels:(Fulib.Dvfs.uniform ~levels ~types:(Fulib.Table.num_types base))
     in
-    let deadline =
-      match deadline with
-      | Some t -> t
-      | None -> Core.Synthesis.default_deadline g base
-    in
+    let deadline = deadline_or_default deadline g base in
     let label = match file with Some p -> p | None -> name in
     Printf.printf "instance %s, %d levels (%d expanded types), deadline %d\n"
       label levels (Fulib.Table.num_types table) deadline;
@@ -314,27 +312,15 @@ let rtl_cmd =
   in
   let width_arg =
     let doc = "Datapath bit width." in
-    Arg.(value & opt int 16 & info [ "width" ] ~docv:"W" ~doc)
+    Arg.(value & opt positive_int 16 & info [ "width" ] ~docv:"W" ~doc)
   in
   let iterations_arg =
     let doc = "Co-simulation / testbench iterations." in
-    Arg.(value & opt int 4 & info [ "iterations" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 4 & info [ "iterations" ] ~docv:"N" ~doc)
   in
   let run name seed algo deadline file outdir width iterations =
     let g, table = instance ~name ~file ~seed in
-    let deadline =
-      match deadline with
-      | Some t -> t
-      | None -> Core.Synthesis.default_deadline g table
-    in
-    if width < 1 then begin
-      Printf.eprintf "hetsched: --width must be >= 1 (got %d)\n" width;
-      exit 2
-    end;
-    if iterations < 1 then begin
-      Printf.eprintf "hetsched: --iterations must be >= 1 (got %d)\n" iterations;
-      exit 2
-    end;
+    let deadline = deadline_or_default deadline g table in
     let label = match file with Some p -> p | None -> name in
     match
       (Core.Synthesis.solve
@@ -391,11 +377,7 @@ let rtl_cmd =
 let analyze_cmd =
   let run name seed algo deadline file =
     let g, table = instance ~name ~file ~seed in
-    let deadline =
-      match deadline with
-      | Some t -> t
-      | None -> Core.Synthesis.default_deadline g table
-    in
+    let deadline = deadline_or_default deadline g table in
     match Assign.Solve.dispatch algo g table ~deadline with
     | None -> print_endline "infeasible"; exit 1
     | Some a ->
@@ -411,11 +393,7 @@ let analyze_cmd =
 let gantt_cmd =
   let run name seed algo deadline file =
     let g, table = instance ~name ~file ~seed in
-    let deadline =
-      match deadline with
-      | Some t -> t
-      | None -> Core.Synthesis.default_deadline g table
-    in
+    let deadline = deadline_or_default deadline g table in
     match
       (Core.Synthesis.solve
          (Core.Synthesis.request ~algorithm:algo ~deadline g table))
@@ -438,31 +416,16 @@ let serve_out_arg =
   let doc = "Write JSONL responses to $(docv) ($(b,-) for stdout)." in
   Arg.(value & opt string "-" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
 
-(* Sizes and counts that must be at least 1: zero or a negative value is
-   a usage error naming the flag, not an exception from deep inside. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let serve_domains_arg =
   let doc = "Domain-pool size for sharded dispatch (default: HETSCHED_DOMAINS)." in
   Arg.(value & opt (some positive_int) None & info [ "domains" ] ~doc)
 
 let cache_entries_arg =
-  let doc = "Result-cache capacity (default: HETSCHED_CACHE_ENTRIES or 512)." in
-  Arg.(value & opt (some positive_int) None & info [ "cache-entries" ] ~doc)
-
-let cache_shards_arg =
-  let doc = "Result-cache shard count (default: HETSCHED_CACHE_SHARDS or 8)." in
-  Arg.(value & opt (some positive_int) None & info [ "shards" ] ~doc)
-
-let no_cache_arg =
-  let doc = "Disable the content-addressed result cache." in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
+  let doc = "Result-cache capacity ($(b,1) keeps one response)." in
+  let env = Cmd.Env.info "HETSCHED_CACHE_ENTRIES" in
+  Arg.(value
+       & opt positive_int Serve.Cache.default_entries
+       & info [ "cache-entries" ] ~env ~doc)
 
 let queue_arg =
   let doc =
@@ -470,7 +433,7 @@ let queue_arg =
      admission window)."
   in
   Arg.(value
-       & opt positive_int Serve.Server.default_queue_capacity
+       & opt positive_int Serve.Daemon.default_queue_capacity
        & info [ "queue" ] ~doc)
 
 let with_in path f =
@@ -490,28 +453,26 @@ let rt_capacity_arg =
     "Real-time platform capacity for admit/release lines: an instance \
      count per FU type ($(b,4)) or per-type counts ($(b,2-1-3))."
   in
-  let env = Cmd.Env.info "HETSCHED_RT_CAPACITY" in
-  Arg.(value & opt (some string) None & info [ "rt-capacity" ] ~env ~docv:"SPEC" ~doc)
-
-let rt_capacity spec =
-  match spec with
-  | None -> None
-  | Some s -> (
-      match Rt.Admission.spec_of_string s with
-      | Ok spec -> Some spec
-      | Error msg ->
-          Printf.eprintf "hetsched: --rt-capacity: %s\n" msg;
-          exit 2)
-
-let make_server ~domains ~cache_entries ~cache_shards ~no_cache ~queue =
-  (match domains with
-  | Some n -> Par.Pool.set_global_domains n
-  | None -> ());
-  let cache =
-    if no_cache then Serve.Cache.create ~entries:1 ()
-    else Serve.Cache.create ?entries:cache_entries ?shards:cache_shards ()
+  let spec =
+    let parse s =
+      Result.map_error (fun m -> `Msg m) (Rt.Admission.spec_of_string s)
+    in
+    let print ppf spec =
+      Format.pp_print_string ppf (Rt.Admission.spec_to_string spec)
+    in
+    Arg.conv (parse, print)
   in
-  Serve.Server.create ~cache ~queue_capacity:queue ()
+  let env = Cmd.Env.info "HETSCHED_RT_CAPACITY" in
+  Arg.(value
+       & opt spec (Rt.Admission.Uniform Rt.Admission.default_uniform_capacity)
+       & info [ "rt-capacity" ] ~env ~docv:"SPEC" ~doc)
+
+(* The pool size is set first: Daemon.create takes Par.Pool.global (). *)
+let make_daemon ~domains ~cache_entries ~queue ~capacity =
+  Option.iter Par.Pool.set_global_domains domains;
+  Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup ~capacity
+    ~cache:(Serve.Cache.create ~entries:cache_entries ())
+    ~queue_capacity:queue ()
 
 let fmt_ns ns =
   if ns < 1e3 then Printf.sprintf "%.0fns" ns
@@ -566,15 +527,8 @@ let serve_summary ~served () =
     (Obs.Counter.snapshot ())
 
 let serve_cmd =
-  let run input output domains cache_entries cache_shards no_cache queue
-      capacity =
-    let capacity = rt_capacity capacity in
-    let server =
-      make_server ~domains ~cache_entries ~cache_shards ~no_cache ~queue
-    in
-    let daemon =
-      Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup ?capacity server
-    in
+  let run input output domains cache_entries queue capacity =
+    let daemon = make_daemon ~domains ~cache_entries ~queue ~capacity in
     let served =
       with_in input @@ fun input ->
       with_out output @@ fun output ->
@@ -587,8 +541,7 @@ let serve_cmd =
        ~doc:"Batch synthesis service: JSONL requests in, JSONL responses out \
              (content-addressed cache, sharded over a domain pool)")
     Term.(const run $ serve_in_arg $ serve_out_arg $ serve_domains_arg
-          $ cache_entries_arg $ cache_shards_arg $ no_cache_arg $ queue_arg
-          $ rt_capacity_arg)
+          $ cache_entries_arg $ queue_arg $ rt_capacity_arg)
 
 let socket_arg =
   let doc =
@@ -619,15 +572,9 @@ let daemon_cmd =
     Arg.(value & opt (some positive_float) None
          & info [ "idle-timeout" ] ~env ~docv:"SECONDS" ~doc)
   in
-  let run socket connections domains cache_entries cache_shards no_cache queue
-      capacity idle_timeout =
-    let capacity = rt_capacity capacity in
-    let server =
-      make_server ~domains ~cache_entries ~cache_shards ~no_cache ~queue
-    in
-    let daemon =
-      Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup ?capacity server
-    in
+  let run socket connections domains cache_entries queue capacity
+      idle_timeout =
+    let daemon = make_daemon ~domains ~cache_entries ~queue ~capacity in
     let served =
       if socket = "-" then
         Serve.Daemon.serve_fd ?idle_timeout daemon ~input:Unix.stdin
@@ -642,8 +589,7 @@ let daemon_cmd =
              Unix-domain socket (or stdio), busy-shedding backpressure, \
              p50/p99 latency summary")
     Term.(const run $ socket_arg $ connections_arg $ serve_domains_arg
-          $ cache_entries_arg $ cache_shards_arg $ no_cache_arg $ queue_arg
-          $ rt_capacity_arg $ idle_timeout_arg)
+          $ cache_entries_arg $ queue_arg $ rt_capacity_arg $ idle_timeout_arg)
 
 let client_cmd =
   let run socket input output =
@@ -673,13 +619,10 @@ let admit_cmd =
     Arg.(value & flag & info [ "no-verify" ] ~doc)
   in
   let run input output capacity no_verify =
-    let adm = Rt.Admission.create ?capacity:(rt_capacity capacity) () in
+    let adm = Rt.Admission.create ~capacity () in
     (with_in input @@ fun input ->
      with_out output @@ fun output ->
-     let daemon =
-       Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup
-         (Serve.Server.create ())
-     in
+     let daemon = Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup () in
      ignore (Serve.Daemon.serve_channel ~admission:adm daemon ~input ~output));
     let entries = Rt.Admission.admitted adm in
     Printf.eprintf "admitted %d task(s), utilization %.3f\n"

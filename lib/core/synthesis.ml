@@ -32,15 +32,13 @@ type request = {
   algorithm : algorithm;
   scheduler : scheduler;
   validate : bool;
-  trace : bool;
   budget_ms : int option;
   levels : Fulib.Dvfs.level array array option;
   rtl : bool;
 }
 
-let request ?(scheduler = List_scheduling) ?(validate = false)
-    ?(trace = false) ?budget_ms ?levels ?(rtl = false) ~algorithm ~deadline
-    graph table =
+let request ?(scheduler = List_scheduling) ?(validate = false) ?budget_ms
+    ?levels ?(rtl = false) ~algorithm ~deadline graph table =
   {
     graph;
     table;
@@ -48,7 +46,6 @@ let request ?(scheduler = List_scheduling) ?(validate = false)
     algorithm;
     scheduler;
     validate;
-    trace;
     budget_ms;
     levels;
     rtl;
@@ -100,7 +97,6 @@ let encode
       algorithm;
       scheduler;
       validate;
-      trace = _;
       budget_ms;
       levels;
       rtl;
@@ -536,16 +532,7 @@ let solve_raw req =
                                   (List.hd violations).Check.Violation.code))
                             ~result:r ~violations ?dvfs ?rtl stats)))
 
-let with_trace req f =
-  if not req.trace then f ()
-  else begin
-    let saved = Obs.Env.get_trace () in
-    Obs.Env.set_trace (Some true);
-    Fun.protect ~finally:(fun () -> Obs.Env.set_trace saved) f
-  end
-
 let solve req =
-  with_trace req @@ fun () ->
   try solve_raw req
   with e ->
     count_status (Error "");
@@ -562,14 +549,14 @@ let solve req =
 
 type periodic = { request : request; period : int }
 
-let periodic ?scheduler ?validate ?trace ?budget_ms ~algorithm ~period
+let periodic ?scheduler ?validate ?budget_ms ~algorithm ~period
     ~deadline graph table =
   if period < 1 then
     invalid_arg
       (Printf.sprintf "Core.Synthesis.periodic: period %d < 1" period);
   {
     request =
-      request ?scheduler ?validate ?trace ?budget_ms ~algorithm ~deadline
+      request ?scheduler ?validate ?budget_ms ~algorithm ~deadline
         graph table;
     period;
   }

@@ -54,10 +54,6 @@ type request = {
       (** audit the result with the [lib/check] oracles and report the
           violations in the response (also forced on by
           [HETSCHED_VALIDATE] / [Check.Env]) *)
-  trace : bool;
-      (** force span recording ({!Obs.Env.set_trace}) for the duration of
-          this request — process-global, meant for debugging a single
-          request, not for concurrent batches *)
   budget_ms : int option;
       (** wall-clock budget. Checked cooperatively at phase boundaries
           (a started phase is never interrupted) and translated into a
@@ -78,13 +74,12 @@ type request = {
           byte-identical. *)
 }
 
-(** [request ?scheduler ?validate ?trace ?budget_ms ?levels ?rtl
-    ~algorithm ~deadline graph table] — defaults: {!List_scheduling}, no
-    validation, no tracing, no budget, no DVFS levels, no RTL. *)
+(** [request ?scheduler ?validate ?budget_ms ?levels ?rtl ~algorithm
+    ~deadline graph table] — defaults: {!List_scheduling}, no
+    validation, no budget, no DVFS levels, no RTL. *)
 val request :
   ?scheduler:scheduler ->
   ?validate:bool ->
-  ?trace:bool ->
   ?budget_ms:int ->
   ?levels:Fulib.Dvfs.level array array ->
   ?rtl:bool ->
@@ -104,8 +99,7 @@ val request :
     scheduler, validate, budget, DVFS-ladder and rtl fields. Under [rtl]
     it also covers node ops, node names and FU type names, which shape
     the lowered module and its unsupported list; otherwise they are
-    cosmetic to the solvers and left out. [trace] only controls span
-    emission and is left out.
+    cosmetic to the solvers and left out.
 
     - Edge insertion order is canonicalized away: the solvers sweep the
       smallest-ready-first topological orders, never raw adjacency.
@@ -217,13 +211,12 @@ val default_deadline : Dfg.Graph.t -> Fulib.Table.t -> int
 
 type periodic = { request : request; period : int }
 
-(** [periodic ?scheduler ?validate ?trace ?budget_ms ~algorithm ~period
+(** [periodic ?scheduler ?validate ?budget_ms ~algorithm ~period
     ~deadline graph table]. Raises [Invalid_argument] when [period < 1]
     (the deadline is validated by {!Rt.Task.make} at classification). *)
 val periodic :
   ?scheduler:scheduler ->
   ?validate:bool ->
-  ?trace:bool ->
   ?budget_ms:int ->
   algorithm:algorithm ->
   period:int ->
@@ -244,8 +237,9 @@ val periodic_of_response :
   (Rt.Task.analysed, Rt.Verdict.reason) Stdlib.result
 
 (** [analyse_periodic p] — {!solve} the inner request, then
-    {!periodic_of_response}. The standalone (non-serve) admission path:
-    [bin/hetsched admit] and the tests use it directly. *)
+    {!periodic_of_response}. The serve layer solves through its cache and
+    calls {!periodic_of_response} itself; [bench/main.exe rt] times this
+    uncached path. *)
 val analyse_periodic :
   ?heavy_threshold:float ->
   periodic ->

@@ -10,8 +10,7 @@
    fetch-and-add — no lock, no allocation. Quantiles are computed from a
    snapshot of the cells; between [buckets] and [quantile_of_buckets] a
    caller can also diff two snapshots to get the quantiles of just the
-   observations in between (the serve-load bench does exactly that per
-   workload phase). *)
+   observations in between. *)
 
 let num_buckets = 64
 

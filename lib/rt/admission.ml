@@ -27,22 +27,6 @@ let spec_of_string s =
         Ok (Per_type (Array.of_list counts))
     | _ -> Error (Printf.sprintf "capacity %S: negative instance count" s)
 
-let spec_from_env ?(getenv = Sys.getenv_opt) () =
-  let default = Uniform default_uniform_capacity in
-  match getenv "HETSCHED_RT_CAPACITY" with
-  | None -> default
-  | Some raw when String.trim raw = "" -> default
-  | Some raw -> (
-      match spec_of_string raw with
-      | Ok spec -> spec
-      | Error msg ->
-          Printf.eprintf
-            "hetsched: warning: HETSCHED_RT_CAPACITY: %s; using the default \
-             (%s)\n%!"
-            msg
-            (spec_to_string default);
-          default)
-
 type admitted = {
   id : string;
   analysed : Task.analysed;
@@ -51,11 +35,8 @@ type admitted = {
 
 type t = { spec : spec; mutable entries : admitted list }
 
-let create ?capacity () =
-  let spec =
-    match capacity with Some s -> s | None -> spec_from_env ()
-  in
-  (match spec with
+let create ?(capacity = Uniform default_uniform_capacity) () =
+  (match capacity with
   | Uniform n when n < 1 ->
       invalid_arg (Printf.sprintf "Rt.Admission.create: capacity %d < 1" n)
   | Uniform _ -> ()
@@ -68,7 +49,7 @@ let create ?capacity () =
             invalid_arg
               (Printf.sprintf "Rt.Admission.create: capacity %d < 0" c))
         a);
-  { spec; entries = [] }
+  { spec = capacity; entries = [] }
 
 let capacity t = t.spec
 let admitted t = t.entries

@@ -26,17 +26,13 @@ val spec_of_string : string -> (spec, string) result
 
 val spec_to_string : spec -> string
 
-(** [HETSCHED_RT_CAPACITY] in {!spec_of_string} syntax; the default —
-    also used on an unset or unparsable value (with a warning on
-    garbage) — is [Uniform default_uniform_capacity]. *)
-val spec_from_env : ?getenv:(string -> string option) -> unit -> spec
-
+(** The instance count per FU type {!create} defaults to: 2. *)
 val default_uniform_capacity : int
 
 type t
 
 (** [create ?capacity ()] — an empty controller (default capacity
-    {!spec_from_env}). Raises [Invalid_argument] on a non-positive
+    [Uniform default_uniform_capacity]). Raises [Invalid_argument] on a non-positive
     uniform capacity, an empty per-type array, or a negative entry. *)
 val create : ?capacity:spec -> unit -> t
 

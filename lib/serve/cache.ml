@@ -10,33 +10,6 @@ let default_entries = 512
 let default_shards = 8
 let max_shards = 64
 
-let warn_unparsable ~var raw ~default =
-  Printf.eprintf
-    "hetsched: warning: %s=%S is not an integer; using the default (%d)\n%!"
-    var raw default
-
-let int_from_env ?(getenv = Sys.getenv_opt) ~var ~default ~clamp () =
-  match getenv var with
-  | None -> default
-  | Some raw -> (
-      match int_of_string_opt (String.trim raw) with
-      | Some n -> clamp n
-      | None ->
-          (* mirror Par.Pool.domains_from_env: empty/whitespace counts as
-             unset, but actual garbage earns a warning instead of a silent
-             fallback *)
-          if String.trim raw <> "" then warn_unparsable ~var raw ~default;
-          default)
-
-let entries_from_env ?getenv () =
-  int_from_env ?getenv ~var:"HETSCHED_CACHE_ENTRIES" ~default:default_entries
-    ~clamp:(max 1) ()
-
-let shards_from_env ?getenv () =
-  int_from_env ?getenv ~var:"HETSCHED_CACHE_SHARDS" ~default:default_shards
-    ~clamp:(fun n -> max 1 (min n max_shards))
-    ()
-
 type entry = { response : Core.Synthesis.response; mutable used : int }
 
 (* One shard is the whole former cache in miniature: its own hash table,
@@ -70,23 +43,16 @@ let make_shard ~slice i =
     s_evictions = c "evict";
   }
 
-let create ?entries ?shards () =
-  let capacity =
-    match entries with Some n -> n | None -> entries_from_env ()
-  in
-  if capacity < 1 then
-    invalid_arg (Printf.sprintf "Serve.Cache.create: entries %d < 1" capacity);
-  let shards =
-    match shards with Some n -> n | None -> shards_from_env ()
-  in
+let create ?(entries = default_entries) ?(shards = default_shards) () =
+  if entries < 1 then
+    invalid_arg (Printf.sprintf "Serve.Cache.create: entries %d < 1" entries);
   if shards < 1 then
     invalid_arg (Printf.sprintf "Serve.Cache.create: shards %d < 1" shards);
   (* never more shards than entries: a capacity-1 cache stays one shard
-     with one slot (the --no-cache configuration), and every shard's
-     slice is at least 1 *)
-  let shards = min (min shards max_shards) capacity in
-  let slice = (capacity + shards - 1) / shards in
-  { shards = Array.init shards (make_shard ~slice); capacity }
+     with one slot, and every shard's slice is at least 1 *)
+  let shards = min (min shards max_shards) entries in
+  let slice = (entries + shards - 1) / shards in
+  { shards = Array.init shards (make_shard ~slice); capacity = entries }
 
 let capacity t = t.capacity
 let shard_count t = Array.length t.shards
@@ -176,8 +142,6 @@ let store_digest t key resp =
           Obs.Counter.incr stores
         end)
   end
-
-let store t req resp = store_digest t (digest req) resp
 
 let solve t req =
   (* digest once; find/store on the precomputed key so a miss does not

@@ -13,7 +13,7 @@
     canonical binary encoding, in hex. Two builders assembling the same
     graph in different edge order collide into one cache entry; node
     relabelings, and (under [rtl]) different ops, names or FU type names,
-    do not. [trace] never reaches the key. Digests are stable across
+    do not. Digests are stable across
     processes of one build, but not across changes to the encoding:
     nothing persists them.
 
@@ -35,39 +35,26 @@
 
     Only [Ok], [Infeasible] and [Infeasible_memory] responses are cached —
     [Timeout] depends on the wall clock and [Error] on transient state,
-    neither is content. Capacity defaults to [HETSCHED_CACHE_ENTRIES] and
-    the shard count to [HETSCHED_CACHE_SHARDS] (see {!entries_from_env} /
-    {!shards_from_env}). All operations are mutex-guarded per shard and
-    safe to call from concurrent pool tasks. Hits, misses, stores and
+    neither is content. Capacity defaults to {!default_entries} and the
+    shard count to {!default_shards}; no environment variable is read
+    here. All operations are mutex-guarded per shard and safe to call from concurrent pool tasks. Hits, misses, stores and
     evictions bump both the aggregate [serve.cache.*] {!Obs.Counter}s and
     the owning shard's [serve.cache.shard<i>.*] counters. *)
 
 type t
 
-(** Capacity used when [HETSCHED_CACHE_ENTRIES] is unset: 512. *)
+(** Capacity used when [entries] is not given: 512. *)
 val default_entries : int
 
-(** Shard count used when [HETSCHED_CACHE_SHARDS] is unset: 8. *)
+(** Shard count used when [shards] is not given: 8. *)
 val default_shards : int
 
 (** Hard cap on the shard count: 64. *)
 val max_shards : int
 
-(** Resolve the capacity from the environment. [HETSCHED_CACHE_ENTRIES] is
-    trimmed and parsed as an integer: unset/empty → {!default_entries};
-    unparsable → {!default_entries} with a warning on stderr; [< 1] → [1].
-    [?getenv] exists for tests. *)
-val entries_from_env : ?getenv:(string -> string option) -> unit -> int
-
-(** Resolve the shard count from the environment, same conventions as
-    {!entries_from_env}: unset/empty → {!default_shards}; unparsable →
-    {!default_shards} with a stderr warning; clamped into
-    [1 .. max_shards]. *)
-val shards_from_env : ?getenv:(string -> string option) -> unit -> int
-
 (** [create ?entries ?shards ()] — an empty cache holding at most
-    [entries] responses (default {!entries_from_env}) across [shards]
-    shards (default {!shards_from_env}). The effective shard count is
+    [entries] responses (default {!default_entries}) across [shards]
+    shards (default {!default_shards}). The effective shard count is
     clamped to [min shards (min max_shards entries)], so every shard owns
     at least one slot. Raises [Invalid_argument] when [entries < 1] or
     [shards < 1]. *)
@@ -99,21 +86,19 @@ val find : t -> Core.Synthesis.request -> Core.Synthesis.response option
 
 (** {!find} keyed by a precomputed {!digest}: the pure probe (shard pick,
     lock, hashtable lookup, recency bump). Callers holding a request's
-    digest — repeated lookups of one hot request, or the load bench
-    timing the shards themselves — skip re-serializing the instance. *)
+    digest — repeated lookups of one hot request, or the
+    [serve/cache-hot-*] bench rows timing the shards themselves — skip
+    re-serializing the instance. *)
 val find_digest : t -> string -> Core.Synthesis.response option
 
-(** [store t req resp] memoizes cacheable responses
-    ([Ok]/[Infeasible]/[Infeasible_memory]), evicting the owning shard's
-    least-recently-used entry when its slice is full; [Timeout] and
-    [Error] responses are ignored. *)
-val store : t -> Core.Synthesis.request -> Core.Synthesis.response -> unit
-
-(** {!store} keyed by a precomputed {!digest}. *)
+(** [store_digest t key resp] memoizes a cacheable response
+    ([Ok]/[Infeasible]/[Infeasible_memory]) under a precomputed {!digest},
+    evicting the owning shard's least-recently-used entry when its slice
+    is full; [Timeout] and [Error] responses are ignored. *)
 val store_digest : t -> string -> Core.Synthesis.response -> unit
 
 (** [solve t req] — {!find}, falling back to {!Core.Synthesis.solve} +
-    {!store} (the digest is computed once and reused). The returned
+    {!store_digest} (the digest is computed once and reused). The returned
     response is structurally identical whether it was served from the
     cache or computed fresh. *)
 val solve : t -> Core.Synthesis.request -> Core.Synthesis.response

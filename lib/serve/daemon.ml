@@ -1,3 +1,6 @@
+let submitted = Obs.Counter.make "serve.requests"
+let drains = Obs.Counter.make "serve.drains"
+let failures = Obs.Counter.make "serve.failures"
 let requests = Obs.Counter.make "serve.daemon.requests"
 let busy = Obs.Counter.make "serve.daemon.busy"
 let served = Obs.Counter.make "serve.daemon.served"
@@ -12,13 +15,25 @@ let rt_utilization = Obs.Gauge.make "serve.rt.utilization_pct"
 let latency = Obs.Histogram.make "serve.daemon.latency_ns"
 let latency_histogram () = latency
 
+let default_queue_capacity = 256
+
 type t = {
-  server : Server.t;
   lookup : Jsonl.lookup option;
   capacity : Rt.Admission.spec option;
+  pool : Par.Pool.t;
+  cache : Cache.t;
+  queue_capacity : int;
 }
 
-let create ?lookup ?capacity server = { server; lookup; capacity }
+let create ?lookup ?capacity ?pool ?cache
+    ?(queue_capacity = default_queue_capacity) () =
+  if queue_capacity < 1 then
+    invalid_arg
+      (Printf.sprintf "Serve.Daemon.create: queue_capacity %d < 1"
+         queue_capacity);
+  let pool = match pool with Some p -> p | None -> Par.Pool.global () in
+  let cache = match cache with Some c -> c | None -> Cache.create () in
+  { lookup; capacity; pool; cache; queue_capacity }
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
@@ -197,14 +212,20 @@ let emit fd line =
 (* One client's request stream: its line counter, its admission
    controller and a FIFO of what each fed non-blank line is owed. A
    [Reply] (an error or a busy line) is ready when fed; a [Solved] or
-   [Verdict] line takes the next response of the drain, a [Released] line
-   none. Answers leave in input order, and admits and releases reach the
+   [Verdict] line is a job of the next wave and keeps its request until
+   then; a [Released] line needs no solve. [queued] counts the jobs in
+   the FIFO, so the FIFO itself is the wave: nothing else holds the
+   session's work, and a dropped session takes its jobs with it.
+   Answers leave in input order, and admits and releases reach the
    controller in line order during the drain, so no answer depends on
-   where the waves were cut. Only an admit keeps its request past the
-   feed: its verdict is derived from the instance. *)
+   where the waves were cut. *)
 type owed =
   | Reply of string
-  | Solved of { id : Obs.Json.t; t0 : float }  (* fed at, ns *)
+  | Solved of {
+      id : Obs.Json.t;
+      request : Core.Synthesis.request;
+      t0 : float;  (* fed at, ns *)
+    }
   | Verdict of {
       id : Obs.Json.t;
       task : string;
@@ -217,6 +238,7 @@ type session = {
   daemon : t;
   admission : Rt.Admission.t;
   owed : owed Queue.t;
+  mutable queued : int;  (* [Solved] and [Verdict] entries in [owed] *)
   mutable line_no : int;
   mutable written : int;
 }
@@ -227,12 +249,23 @@ let session ?admission daemon =
     | Some a -> a
     | None -> Rt.Admission.create ?capacity:daemon.capacity ()
   in
-  { daemon; admission; owed = Queue.create (); line_no = 0; written = 0 }
+  {
+    daemon;
+    admission;
+    owed = Queue.create ();
+    queued = 0;
+    line_no = 0;
+    written = 0;
+  }
 
-(* Queue a job, or shed it with a busy reply when the server's bounded
-   queue is full: never block. *)
-let submit s ~id request owed =
-  if Server.try_submit s.daemon.server request then Queue.add owed s.owed
+(* Queue a job, or shed it with a busy reply when the wave is full:
+   never block. *)
+let submit s ~id owed =
+  if s.queued < s.daemon.queue_capacity then begin
+    Queue.add owed s.owed;
+    s.queued <- s.queued + 1;
+    Obs.Counter.incr submitted
+  end
   else begin
     Obs.Counter.incr busy;
     Queue.add (Reply (Jsonl.busy_to_string ~id)) s.owed
@@ -251,38 +284,73 @@ let feed s line =
         Obs.Counter.incr requests;
         match l with
         | Jsonl.Solve { id; request } ->
-            submit s ~id request (Solved { id; t0 = now_ns () })
+            submit s ~id (Solved { id; request; t0 = now_ns () })
         | Jsonl.Admit { id; task; periodic } ->
-            submit s ~id periodic.Core.Synthesis.request
-              (Verdict { id; task; periodic; t0 = now_ns () })
+            submit s ~id (Verdict { id; task; periodic; t0 = now_ns () })
         | Jsonl.Release { id; task } -> Queue.add (Released { id; task }) s.owed)
+
+(* Core.Synthesis.solve already converts solver exceptions into [Error]
+   responses; this handler also covers anything the cache layer itself
+   could raise, so a pool shard can never die on a poisoned request. *)
+let guarded_solve cache req =
+  try Cache.solve cache req
+  with e ->
+    Obs.Counter.incr failures;
+    {
+      Core.Synthesis.result = None;
+      status = Core.Synthesis.Error (Printexc.to_string e);
+      violations = [];
+      stats = [];
+      dvfs = None;
+      rtl = None;
+    }
+
+(* The session's jobs in FIFO order, solved over the pool. The pool joins
+   by index, never by completion time, so response [i] answers job [i]. *)
+let solve_wave s =
+  let jobs =
+    Array.of_seq
+      (Seq.filter_map
+         (function
+           | Solved { request; _ } -> Some request
+           | Verdict { periodic; _ } -> Some periodic.Core.Synthesis.request
+           | Reply _ | Released _ -> None)
+         (Queue.to_seq s.owed))
+  in
+  s.queued <- 0;
+  if Array.length jobs = 0 then [||]
+  else begin
+    Obs.Counter.incr drains;
+    Obs.Span.with_ (Printf.sprintf "serve.drain:%d" (Array.length jobs))
+    @@ fun () ->
+    Par.Pool.map_array s.daemon.pool (guarded_solve s.daemon.cache) jobs
+  end
 
 let set_utilization adm =
   Obs.Gauge.set rt_utilization
     (int_of_float (Rt.Admission.utilization adm *. 100.0))
 
-(* Solve the queued wave once, then [emit] every owed answer in input
+(* Solve the session's wave once, then [emit] every owed answer in input
    order. *)
 let drain s emit =
-  let responses = ref (Server.drain s.daemon.server) in
-  let next () =
-    match !responses with
-    | resp :: rest ->
-        responses := rest;
-        resp
-    | [] -> invalid_arg "Serve.Daemon: drain/owed mismatch"
+  let responses = solve_wave s in
+  let next = ref 0 in
+  let response () =
+    let resp = responses.(!next) in
+    incr next;
+    resp
   in
   let adm = s.admission in
   let answer = function
     | Reply line -> line
-    | Solved { id; t0 } ->
-        let resp = next () in
+    | Solved { id; t0; _ } ->
+        let resp = response () in
         Obs.Histogram.observe latency (now_ns () -. t0);
         Obs.Counter.incr served;
         Jsonl.response_to_string ~id resp
     | Verdict { id; task; periodic; t0 } ->
         let verdict =
-          match Core.Synthesis.periodic_of_response periodic (next ()) with
+          match Core.Synthesis.periodic_of_response periodic (response ()) with
           | Stdlib.Ok an -> Rt.Admission.try_admit adm ~id:task an
           | Stdlib.Error reason -> Rt.Verdict.Rejected reason
         in
@@ -303,8 +371,7 @@ let drain s emit =
   while not (Queue.is_empty s.owed) do
     emit (answer (Queue.pop s.owed));
     s.written <- s.written + 1
-  done;
-  if !responses <> [] then invalid_arg "Serve.Daemon: drain/owed mismatch"
+  done
 
 (* --- request loops ------------------------------------------------------ *)
 
@@ -335,15 +402,11 @@ let serve_fd ?idle_timeout t ~input ~output =
         Obs.Counter.incr idle_closed
     | Eof -> drain s (emit output)
   in
-  (try loop ()
-   with Hung_up ->
-     (* Only this connection ends: its queued requests are dropped
-        unsolved, so the next connection starts from an empty queue. *)
-     Server.discard t.server;
-     Obs.Counter.incr dropped);
+  (* Only this connection ends; its unsolved jobs die with the session. *)
+  (try loop () with Hung_up -> Obs.Counter.incr dropped);
   s.written
 
-(* Feed every line to EOF, draining whenever the queue fills, so nothing
+(* Feed every line to EOF, draining whenever the wave fills, so nothing
    is shed. *)
 let serve_channel ?admission t ~input ~output =
   let s = session ?admission t in
@@ -355,8 +418,7 @@ let serve_channel ?admission t ~input ~output =
     match input_line input with
     | line ->
         feed s line;
-        if Server.pending t.server = Server.queue_capacity t.server then
-          drain s emit;
+        if s.queued = t.queue_capacity then drain s emit;
         loop ()
     | exception End_of_file -> drain s emit
   in
@@ -384,7 +446,7 @@ let listen ?connections:limit ?idle_timeout t ~path () =
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 16;
   (* Connections are served one at a time: a connection is a batch
-     session, and the server's pool is busy solving it anyway. Later
+     session, and the pool is busy solving it anyway. Later
      arrivals queue in the kernel backlog until accept. *)
   let total = ref 0 in
   let rec accept_loop remaining =

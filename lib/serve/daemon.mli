@@ -8,26 +8,27 @@
     A session is one client's request stream. It holds a line counter,
     an {!Rt.Admission} controller and a FIFO of what each non-blank line
     is owed. Feeding a line decodes it ({!Jsonl.line_of_string}) and
-    offers its synthesis job (a solve, or the inner request of an admit)
-    to the server's bounded queue at once. Draining solves the queued
-    wave over the pool in one {!Server.drain}, then answers every owed
-    line {e in input order}: solved responses, admission verdicts,
-    releases, and the busy and error lines fed since the last drain.
-    Admits and releases reach the controller in line order during the
-    drain, so a verdict never depends on where the waves were cut or on
+    queues its synthesis job (a solve, or the inner request of an admit)
+    in that FIFO at once; the FIFO's jobs are the next wave. Draining
+    solves the wave over the pool, each job through the {!Cache} in FIFO
+    order, then answers every owed line {e in input order}: solved
+    responses, admission verdicts, releases, and the busy and error
+    lines fed since the last drain. Admits and releases reach the
+    controller in line order during the drain, so a verdict never depends on where the waves were cut or on
     which loop fed the line. Blank lines are skipped but still counted,
     so a malformed line's error reply carries its 1-based line number as
     its id.
 
     {2 Backpressure}
 
-    The server's queue is the admission window. When it is full, a solve
-    or admit line is {e shed}, not blocked and not dropped: its answer is
+    The wave is the admission window: it holds at most [queue_capacity]
+    jobs. When it is full, a solve or admit line is {e shed}, not
+    blocked and not dropped: its answer is
     [{"id": ..., "status": "busy"}] and the request is forgotten. The
     client owns the retry. Every line is answered exactly once: a queued
     job with its response or verdict, a shed line with one busy line, a
     malformed line with one error line. A burst of [k] jobs against a
-    queue of capacity [c] yields [min k c] solved jobs and
+    wave of capacity [c] yields [min k c] solved jobs and
     [max 0 (k - c)] busy lines, and the answers keep the burst's order,
     so clients can pair replies with requests by position.
 
@@ -36,9 +37,9 @@
     {!serve_fd} feeds lines as they arrive and drains the moment no
     further input is ready, so answers stream back while the client
     keeps the connection open. {!serve_channel} feeds lines to EOF and
-    drains whenever the queue fills, so it sheds nothing. Both print the
-    same bytes for the same lines when [serve_fd]'s queue is at least as
-    long as the input.
+    drains whenever the wave fills, so it sheds nothing. Both print the
+    same bytes for the same lines when [serve_fd]'s [queue_capacity] is
+    at least the input's line count.
 
     {2 Real-time admission}
 
@@ -49,9 +50,20 @@
     reservation it granted) dies with the session unless the caller
     passed its own to {!serve_channel}.
 
+    {2 Failure isolation}
+
+    Every job is solved under a handler that turns any escaped exception
+    into an [Error] response, counted in [serve.failures], so one
+    poisoned request never takes down the pool or the rest of its wave.
+    Per-request [budget_ms] is enforced inside {!Core.Synthesis.solve},
+    so an oversized request times out on its own shard while its
+    neighbours complete normally.
+
     {2 Observability}
 
-    Both loops count [serve.daemon.requests] (well-formed lines),
+    Queued jobs count in [serve.requests] and non-empty waves in
+    [serve.drains]; each wave runs in a [serve.drain:N] span. Both loops
+    count [serve.daemon.requests] (well-formed lines),
     [serve.daemon.busy] (shed), [serve.daemon.served] (solved
     responses) and [serve.daemon.malformed]; [serve_fd] also counts
     [serve.daemon.connections], [serve.daemon.idle_closed] (sessions
@@ -66,11 +78,26 @@
 
 type t
 
-(** [create ?lookup ?capacity server] — a front-end over [server].
+(** Jobs per wave used by default: 256. *)
+val default_queue_capacity : int
+
+(** [create ?lookup ?capacity ?pool ?cache ?queue_capacity ()].
     [lookup] resolves ["benchmark"] names in request lines; [capacity] is
     the RT platform each session's admission controller starts from
-    (default {!Rt.Admission.spec_from_env}). *)
-val create : ?lookup:Jsonl.lookup -> ?capacity:Rt.Admission.spec -> Server.t -> t
+    (default [Rt.Admission.Uniform Rt.Admission.default_uniform_capacity]).
+    Waves are solved on [pool] (default [Par.Pool.global ()], read here)
+    through [cache] (default a fresh [Cache.create ()], shared by every
+    session of [t]); a session queues at most [queue_capacity] jobs per
+    wave (default {!default_queue_capacity}). Raises [Invalid_argument]
+    when [queue_capacity < 1]. *)
+val create :
+  ?lookup:Jsonl.lookup ->
+  ?capacity:Rt.Admission.spec ->
+  ?pool:Par.Pool.t ->
+  ?cache:Cache.t ->
+  ?queue_capacity:int ->
+  unit ->
+  t
 
 (** The process-global [serve.daemon.latency_ns] histogram. *)
 val latency_histogram : unit -> Obs.Histogram.t
@@ -87,7 +114,7 @@ val latency_histogram : unit -> Obs.Histogram.t
     A client that hangs up early ends only its own session: SIGPIPE is
     ignored process-wide (by this function and {!listen}), and a write
     failing with [EPIPE] or [ECONNRESET] stops the loop, drops the
-    session's queued requests unsolved ({!Server.discard}) and counts
+    session with its unsolved jobs and counts
     [serve.daemon.dropped]. This is the stdio
     streaming mode ([--socket -]) and the per-connection loop of
     {!listen}; tests drive it over pipes. *)
@@ -96,7 +123,7 @@ val serve_fd :
 
 (** [serve_channel ?admission t ~input ~output] — run one session over
     every line of [input] to EOF, writing one answer per non-blank line
-    to [output] in input order, and return the number written. The queue
+    to [output] in input order, and return the number written. The wave
     is drained whenever it fills, so no line is shed. [admission] is the
     session's controller (default a fresh one with [t]'s capacity); pass
     one to read the admitted set afterwards. [hetsched serve] and

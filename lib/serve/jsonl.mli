@@ -24,8 +24,8 @@
       down, at least the minimum).
     - [algorithm] (optional, default ["repeat"]) — any
       {!Assign.Solve.of_name} spelling; [scheduler] (["list"] or
-      ["force"], default ["list"]); [validate] / [trace] / [rtl] (bools,
-      default false); [budget_ms] (optional).
+      ["force"], default ["list"]); [validate] / [rtl] (bools, default
+      false); [budget_ms] (optional). Other fields are ignored.
 
     {2 Response line}
 
@@ -68,13 +68,9 @@ type lookup = string -> seed:int -> (Dfg.Graph.t * Fulib.Table.t) option
 (** A parsed request plus the identity echoed into its response line. *)
 type item = { id : Obs.Json.t; request : Core.Synthesis.request }
 
-(** [request_of_json ?lookup ~line json] — [line] is the 1-based line
-    number used as the default [id]. [Error] describes the field at
-    fault. *)
-val request_of_json :
-  ?lookup:lookup -> line:int -> Obs.Json.t -> (item, string) result
-
-(** {!request_of_json} over a raw line ([Error] on malformed JSON too). *)
+(** [request_of_string ?lookup ~line s] — decode one raw solve line.
+    [line] is the 1-based line number used as the default [id]. [Error]
+    describes the field at fault, or the malformed JSON. *)
 val request_of_string :
   ?lookup:lookup -> line:int -> string -> (item, string) result
 
@@ -96,9 +92,7 @@ val line_of_json :
 val line_of_string :
   ?lookup:lookup -> line:int -> string -> (line, string) result
 
-val response_to_json : id:Obs.Json.t -> Core.Synthesis.response -> Obs.Json.t
-
-(** Compact one-line rendering of {!response_to_json}. *)
+(** The compact one-line response for a solve line. *)
 val response_to_string : id:Obs.Json.t -> Core.Synthesis.response -> string
 
 (** The error line emitted in place of a response when a request line
@@ -109,8 +103,6 @@ val error_to_string : id:Obs.Json.t -> string -> string
     [{"id": ..., "status": "busy"}]. The request was not solved and not
     queued — the client owns the retry. *)
 val busy_to_string : id:Obs.Json.t -> string
-
-val verdict_to_json : id:Obs.Json.t -> task:string -> Rt.Verdict.t -> Obs.Json.t
 
 (** The ["admitted"] / ["rejected"] response line for an admit request;
     rejections carry the machine-checkable ["witness"] object. *)

@@ -76,3 +76,10 @@ let against_oracle ?(exact = false) name g tbl ~deadline result =
         Alcotest.failf "%s: cost %d is not optimal (oracle %d)" name c opt
 
 let quick name f = Alcotest.test_case name `Quick f
+
+(* [var] set to [value] for the duration of [f]; Unix has no unsetenv, so
+   an unset variable is restored as the empty string. *)
+let with_env var value f =
+  let saved = Option.value (Sys.getenv_opt var) ~default:"" in
+  Unix.putenv var value;
+  Fun.protect ~finally:(fun () -> Unix.putenv var saved) f

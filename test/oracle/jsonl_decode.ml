@@ -286,14 +286,13 @@ let request_of_json ?lookup ~line json =
     in
     let* levels = lift (parse_levels json table) in
     let validate = Option.value (bool_field "validate" json) ~default:false in
-    let trace = Option.value (bool_field "trace" json) ~default:false in
     let rtl = Option.value (bool_field "rtl" json) ~default:false in
     let budget_ms = int_field "budget_ms" json in
     Ok
       {
         id;
         request =
-          Core.Synthesis.request ~scheduler ~validate ~trace ~rtl ?budget_ms
+          Core.Synthesis.request ~scheduler ~validate ~rtl ?budget_ms
             ?levels ~algorithm ~deadline g table;
       }
   in

@@ -1,10 +1,11 @@
 (* The batch JSONL loop as it was before requests ran through a
-   daemon session: read every line to EOF, solve all synthesis jobs in
-   capacity-sized waves, then walk the lines in input order and derive
-   the admission verdicts against one controller. Kept as the byte
-   reference for [Serve.Daemon.serve_channel] and [serve_fd]. The wave
-   loop the server used to export is inlined, and the malformed-line
-   counter is dropped: it no longer exists. *)
+   daemon session: read every line to EOF, solve every synthesis job,
+   then walk the lines in input order and derive the admission verdicts
+   against one controller. Kept as the byte reference for
+   [Serve.Daemon.serve_channel] and [serve_fd]. Each job is solved with
+   plain [Core.Synthesis.solve], with no pool, wave or cache, so the
+   reference shares none of that code with the loops it checks, and a
+   cache hit in a loop must give a fresh solve's bytes. *)
 
 open Serve.Jsonl
 module J = Obs.Json
@@ -17,43 +18,26 @@ let read_lines input =
   in
   loop 1 []
 
-let serve ?lookup ?admission server ~input ~output =
+let serve ?lookup ?admission () ~input ~output =
   let lines =
     List.filter (fun (_, s) -> String.trim s <> "") (read_lines input)
   in
   let parsed =
     List.map (fun (line, s) -> (line, line_of_string ?lookup ~line s)) lines
   in
-  (* Batch-solve every synthesis job — plain solves and the inner
-     requests of admit lines — sharded over the pool; admission state is
-     order-dependent, so verdicts are derived afterwards by walking the
-     lines in input order against one controller. *)
-  let requests =
+  (* Solve every synthesis job — plain solves and the inner requests of
+     admit lines — first; admission state is order-dependent, so
+     verdicts are derived afterwards by walking the lines in input order
+     against one controller. *)
+  let responses =
     List.filter_map
       (function
-        | _, Ok (Solve item) -> Some item.request
-        | _, Ok (Admit a) -> Some a.periodic.Core.Synthesis.request
+        | _, Ok (Solve item) -> Some (Core.Synthesis.solve item.request)
+        | _, Ok (Admit a) ->
+            Some (Core.Synthesis.solve a.periodic.Core.Synthesis.request)
         | _ -> None)
       parsed
   in
-  let solve_batch reqs =
-    let capacity = Serve.Server.queue_capacity server in
-    let rec waves acc = function
-      | [] -> List.concat (List.rev acc)
-      | reqs ->
-          let rec fill n = function
-            | req :: rest when n < capacity ->
-                if not (Serve.Server.try_submit server req) then
-                  invalid_arg "Oracle.Jsonl_serve: queue full";
-                fill (n + 1) rest
-            | rest -> rest
-          in
-          let rest = fill (Serve.Server.pending server) reqs in
-          waves (Serve.Server.drain server :: acc) rest
-    in
-    waves [] reqs
-  in
-  let responses = solve_batch requests in
   let adm =
     match admission with Some a -> a | None -> Rt.Admission.create ()
   in

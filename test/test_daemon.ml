@@ -58,8 +58,7 @@ type harness = {
 let start ?(queue_capacity = 4) ?(entries = 64) ?capacity ?idle_timeout () =
   let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
   let cache = Serve.Cache.create ~entries () in
-  let server = Serve.Server.create ~cache ~queue_capacity () in
-  let d = Serve.Daemon.create ~lookup ?capacity server in
+  let d = Serve.Daemon.create ~lookup ?capacity ~cache ~queue_capacity () in
   let daemon =
     Domain.spawn (fun () ->
         let n = Serve.Daemon.serve_fd ?idle_timeout d ~input:in_r ~output:out_w in
@@ -394,10 +393,9 @@ let test_idle_timeout_reaps_silent_client () =
 let test_idle_timeout_survives_signal_storm () =
   let idle0 = counter "serve.daemon.idle_closed" in
   let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
-  let server =
-    Serve.Server.create ~cache:(Serve.Cache.create ~entries:4 ()) ()
+  let d =
+    Serve.Daemon.create ~lookup ~cache:(Serve.Cache.create ~entries:4 ()) ()
   in
-  let d = Serve.Daemon.create ~lookup server in
   let old_handler = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> ())) in
   ignore
     (Unix.setitimer Unix.ITIMER_REAL
@@ -430,10 +428,9 @@ let test_idle_timeout_survives_signal_storm () =
 let test_idle_timeout_reaps_trickling_client () =
   let idle0 = counter "serve.daemon.idle_closed" in
   let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
-  let server =
-    Serve.Server.create ~cache:(Serve.Cache.create ~entries:4 ()) ()
+  let d =
+    Serve.Daemon.create ~lookup ~cache:(Serve.Cache.create ~entries:4 ()) ()
   in
-  let d = Serve.Daemon.create ~lookup server in
   let stop = Atomic.make false in
   let writer =
     Domain.spawn (fun () ->
@@ -462,8 +459,9 @@ let test_idle_timeout_reaps_trickling_client () =
         (counter "serve.daemon.idle_closed"))
 
 let test_idle_timeout_validated () =
-  let server = Serve.Server.create ~cache:(Serve.Cache.create ~entries:4 ()) () in
-  let d = Serve.Daemon.create ~lookup server in
+  let d =
+    Serve.Daemon.create ~lookup ~cache:(Serve.Cache.create ~entries:4 ()) ()
+  in
   List.iter
     (fun bad ->
       Alcotest.(check bool)
@@ -484,8 +482,9 @@ let test_socket_roundtrip () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "hetsched-test-%d.sock" (Unix.getpid ()))
   in
-  let server = Serve.Server.create ~cache:(Serve.Cache.create ~entries:64 ()) () in
-  let d = Serve.Daemon.create ~lookup server in
+  let d =
+    Serve.Daemon.create ~lookup ~cache:(Serve.Cache.create ~entries:64 ()) ()
+  in
   let listener =
     Domain.spawn (fun () -> Serve.Daemon.listen ~connections:1 d ~path ())
   in
@@ -529,15 +528,17 @@ let test_socket_roundtrip () =
 
 (* A client that streams rtl+validate lines and hangs up without reading
    a byte: the daemon's writes to it fail. Only that connection may end
-   (counted in serve.daemon.dropped, its queued requests discarded); the
+   (counted in serve.daemon.dropped, its unsolved jobs dropped with it); the
    same listener must go on to answer the next client. *)
 let test_early_hangup_keeps_listener () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "hetsched-hangup-%d.sock" (Unix.getpid ()))
   in
-  let server = Serve.Server.create ~cache:(Serve.Cache.create ~entries:64 ()) () in
-  let d = Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup server in
+  let d =
+    Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup
+      ~cache:(Serve.Cache.create ~entries:64 ()) ()
+  in
   let dropped = counter "serve.daemon.dropped" in
   let listener =
     Domain.spawn (fun () -> Serve.Daemon.listen ~connections:2 d ~path ())
@@ -674,8 +675,8 @@ let loops_match_oracle ~domains =
       let cache = Serve.Cache.create ~entries:512 () in
       let capacity = Rt.Admission.Uniform 6 in
       let daemon queue_capacity =
-        Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup ~capacity
-          (Serve.Server.create ~pool ~cache ~queue_capacity ())
+        Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup ~capacity ~pool
+          ~cache ~queue_capacity ()
       in
       QCheck.Test.check_exn
         ~rand:(Random.State.make [| 19; domains |])
@@ -692,7 +693,7 @@ let loops_match_oracle ~domains =
                channel_bytes
                  (Oracle.Jsonl_serve.serve ~lookup:Workloads.Catalogue.lookup
                     ~admission:(Rt.Admission.create ~capacity ())
-                    (Serve.Server.create ~pool ~cache ()))
+                    ())
                  text
              in
              List.iter

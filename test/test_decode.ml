@@ -49,11 +49,9 @@ let parse_diff s (got : (J.t, string) result) =
 (* --- decode ---------------------------------------------------------- *)
 
 (* Everything a decoded line carries that reaches a response: the kind,
-   id, task and period, the request's canonical encoding and its trace
-   flag (the one field the encoding leaves out). *)
+   id, task and period, and the request's canonical encoding. *)
 let request_fp (r : Core.Synthesis.request) =
-  Printf.sprintf "%s trace=%b" (Digest.to_hex (Digest.string (Core.Synthesis.encode r)))
-    r.Core.Synthesis.trace
+  Digest.to_hex (Digest.string (Core.Synthesis.encode r))
 
 let line_fp = function
   | Serve.Jsonl.Solve { id; request } ->

@@ -255,7 +255,8 @@ let test_histogram_buckets_and_quantiles () =
   within_factor "p90" 100.0 (Obs.Histogram.quantile h 0.9);
   within_factor "p99" 1_000_000.0 (Obs.Histogram.quantile h 0.99);
   within_factor "mean" 100_090.0 (Obs.Histogram.mean h);
-  (* the diffable-snapshot path used by the serve-load bench *)
+  (* the diffable-snapshot path: quantiles of the observations between
+     two snapshots *)
   let before = Obs.Histogram.buckets h in
   for _ = 1 to 50 do Obs.Histogram.observe h 1_000_000.0 done;
   let delta =

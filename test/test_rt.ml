@@ -32,16 +32,13 @@ let test_spec_parse () =
       | Error e -> Alcotest.failf "round-trip failed: %s" e)
     [ Rt.Admission.Uniform 7; Rt.Admission.Per_type [| 1; 4; 2 |] ]
 
+(* The library reads no environment: [hetsched]'s [--rt-capacity] binds
+   [HETSCHED_RT_CAPACITY], and an in-process controller keeps the
+   constant default whatever the variable says. *)
 let test_spec_env () =
-  let getenv_of v _ = v in
-  (match Rt.Admission.spec_from_env ~getenv:(getenv_of (Some "3-1")) () with
-  | Rt.Admission.Per_type [| 3; 1 |] -> ()
-  | _ -> Alcotest.fail "env 3-1 should win");
-  check "unset env falls back to default" true
-    (Rt.Admission.spec_from_env ~getenv:(getenv_of None) ()
-    = Rt.Admission.Uniform Rt.Admission.default_uniform_capacity);
-  check "garbage env falls back to default" true
-    (Rt.Admission.spec_from_env ~getenv:(getenv_of (Some "nope")) ()
+  Helpers.with_env "HETSCHED_RT_CAPACITY" "3-1" @@ fun () ->
+  check "default capacity despite the variable" true
+    (Rt.Admission.capacity (Rt.Admission.create ())
     = Rt.Admission.Uniform Rt.Admission.default_uniform_capacity)
 
 (* --- witnesses ---------------------------------------------------------- *)

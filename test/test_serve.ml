@@ -1,5 +1,5 @@
 (* The batch synthesis service: content-addressed cache (digest canonical
-   in edge order, byte-identical replay, LRU), bounded-queue server
+   in edge order, byte-identical replay, LRU), a session's bounded waves
    (order, isolation, pool parity), the JSONL wire format and the batch
    channel loop. *)
 
@@ -47,12 +47,7 @@ let test_digest_sensitivity () =
   differs "algorithm" (request ~algorithm:Core.Synthesis.Greedy (g, tbl));
   differs "scheduler" (request ~scheduler:Core.Synthesis.Force_directed (g, tbl));
   differs "validate" (request ~validate:true (g, tbl));
-  differs "budget" (request ~budget_ms:1000 (g, tbl));
-  (* trace is excluded: it toggles span emission, never the response *)
-  Alcotest.(check string)
-    "trace ignored" d
-    (Serve.Cache.digest
-       { base with Core.Synthesis.trace = true })
+  differs "budget" (request ~budget_ms:1000 (g, tbl))
 
 (* Satellite 3 regression: two builders assembling the same graph with
    edges inserted in opposite orders are the same instance and must land
@@ -294,28 +289,18 @@ let test_cache_skips_timeout () =
     (resp.Core.Synthesis.status = Core.Synthesis.Timeout);
   Alcotest.(check int) "not cached" 0 (Serve.Cache.length cache)
 
-let test_entries_from_env () =
-  let parse v =
-    Serve.Cache.entries_from_env
-      ~getenv:(fun _ -> v) ()
-  in
-  Alcotest.(check int) "unset" Serve.Cache.default_entries (parse None);
-  Alcotest.(check int) "empty" Serve.Cache.default_entries (parse (Some ""));
-  (* garbage falls back to the default too, but now warns on stderr
-     (mirrors Par.Pool.domains_from_env's documented edge cases) *)
-  Alcotest.(check int) "junk" Serve.Cache.default_entries (parse (Some "junk"));
-  Alcotest.(check int) "trimmed" 7 (parse (Some " 7 "));
-  Alcotest.(check int) "zero clamps to 1" 1 (parse (Some "0"));
-  Alcotest.(check int) "negative clamps to 1" 1 (parse (Some "-3"))
+(* The library reads no serve setting from the environment: [hetsched]
+   binds the variable to a flag, and an in-process cache keeps its
+   constant defaults whatever the variable says. *)
+let test_entries_ignore_env () =
+  Helpers.with_env "HETSCHED_CACHE_ENTRIES" "7" @@ fun () ->
+  Alcotest.(check int) "default capacity" Serve.Cache.default_entries
+    (Serve.Cache.capacity (Serve.Cache.create ()))
 
-let test_shards_from_env () =
-  let parse v = Serve.Cache.shards_from_env ~getenv:(fun _ -> v) () in
-  Alcotest.(check int) "unset" Serve.Cache.default_shards (parse None);
-  Alcotest.(check int) "junk warns, default" Serve.Cache.default_shards
-    (parse (Some "garbage"));
-  Alcotest.(check int) "value" 16 (parse (Some "16"));
-  Alcotest.(check int) "zero clamps to 1" 1 (parse (Some "0"));
-  Alcotest.(check int) "cap" Serve.Cache.max_shards (parse (Some "9999"))
+let test_shards_ignore_env () =
+  Helpers.with_env "HETSCHED_CACHE_SHARDS" "2" @@ fun () ->
+  Alcotest.(check int) "default shard count" Serve.Cache.default_shards
+    (Serve.Cache.shard_count (Serve.Cache.create ()))
 
 (* --- sharding ----------------------------------------------------------- *)
 
@@ -431,66 +416,100 @@ let test_shard_concurrent_hammer () =
 
 (* --- server ------------------------------------------------------------ *)
 
-(* Fill the bounded queue, drain, repeat: every response in input order. *)
-let solve_batch server reqs =
-  let rec waves acc = function
-    | req :: rest when Serve.Server.try_submit server req -> waves acc rest
-    | reqs -> (
-        let acc = Serve.Server.drain server :: acc in
-        match reqs with
-        | [] -> List.concat (List.rev acc)
-        | _ -> waves acc reqs)
+(* A session's waves, driven through [Daemon.serve_channel]. Job lines
+   name the seeded lookup's instance, so every answer can be checked
+   against a plain [Core.Synthesis.solve] of the same request. *)
+let seeded_lookup _name ~seed = Some (instance ~seed)
+
+(* One session over [lines]: everything it writes. *)
+let channel_output daemon lines =
+  let in_path = Filename.temp_file "serve_lines" ".in" in
+  let out_path = Filename.temp_file "serve_lines" ".out" in
+  Out_channel.with_open_text in_path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  In_channel.with_open_text in_path (fun input ->
+      Out_channel.with_open_text out_path (fun output ->
+          ignore (Serve.Daemon.serve_channel daemon ~input ~output)));
+  let out = In_channel.with_open_bin out_path In_channel.input_all in
+  Sys.remove in_path;
+  Sys.remove out_path;
+  out
+
+(* A job line for instance [seed] and the request it decodes to: the
+   default deadline is the minimum plus 3, as [request] builds it. *)
+let job ?budget_ms ?deadline seed =
+  let g, tbl = instance ~seed in
+  let deadline =
+    Option.value deadline ~default:(Core.Synthesis.min_deadline g tbl + 3)
   in
-  waves [] reqs
+  let budget =
+    Option.fold budget_ms ~none:"" ~some:(Printf.sprintf {|, "budget_ms": %d|})
+  in
+  ( Printf.sprintf {|{"benchmark": "rand", "seed": %d, "deadline": %d%s}|}
+      seed deadline budget,
+    Core.Synthesis.request ?budget_ms ~algorithm:Core.Synthesis.Repeat
+      ~deadline g tbl )
+
+(* The answer lines of one session over [jobs]. *)
+let session_answers ~domains ?cache ?queue_capacity jobs =
+  Par.Pool.with_pool ~domains @@ fun pool ->
+  let daemon =
+    Serve.Daemon.create ~lookup:seeded_lookup ~pool ?cache ?queue_capacity ()
+  in
+  String.split_on_char '\n'
+    (String.trim (channel_output daemon (List.map fst jobs)))
+
+(* The same lines from sequential solves, ids being line numbers. *)
+let sequential_answers jobs =
+  List.mapi
+    (fun i (_, req) ->
+      Serve.Jsonl.response_to_string ~id:(Obs.Json.Int (i + 1))
+        (Core.Synthesis.solve req))
+    jobs
+
+let status_of line =
+  Option.bind
+    (Obs.Json.member "status" (Obs.Json.parse_exn line))
+    Obs.Json.to_string_opt
 
 let test_queue_bounds_and_order () =
-  Par.Pool.with_pool ~domains:1 @@ fun pool ->
-  let server = Serve.Server.create ~pool ~queue_capacity:2 () in
-  let r1 = request (instance ~seed:12) in
-  let r2 = request (instance ~seed:13) in
-  Alcotest.(check bool) "room" true (Serve.Server.try_submit server r1);
-  Alcotest.(check bool) "room" true (Serve.Server.try_submit server r2);
-  Alcotest.(check int) "pending" 2 (Serve.Server.pending server);
-  Alcotest.(check bool) "full" false (Serve.Server.try_submit server r1);
-  Alcotest.(check int) "nothing queued when full" 2
-    (Serve.Server.pending server);
-  let responses = Serve.Server.drain server in
-  Alcotest.(check int) "drained" 0 (Serve.Server.pending server);
-  Alcotest.(check bool)
-    "submission order" true
-    (responses = [ Core.Synthesis.solve r1; Core.Synthesis.solve r2 ])
+  Alcotest.(check bool) "capacity 0 rejected" true
+    (match Serve.Daemon.create ~queue_capacity:0 () with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let jobs = [ job 12; job 13; job 12 ] in
+  let drains0 = counter "serve.drains" in
+  let requests0 = counter "serve.requests" in
+  let answers = session_answers ~domains:1 ~queue_capacity:2 jobs in
+  (* two non-empty waves for three jobs: neither held more than two *)
+  Alcotest.(check int) "two waves" 2 (counter "serve.drains" - drains0);
+  Alcotest.(check int) "every job queued" 3
+    (counter "serve.requests" - requests0);
+  Alcotest.(check (list string))
+    "submission order" (sequential_answers jobs) answers
 
 let test_solve_batch_waves () =
-  Par.Pool.with_pool ~domains:2 @@ fun pool ->
-  let server = Serve.Server.create ~pool ~queue_capacity:3 () in
-  let reqs = List.init 8 (fun i -> request (instance ~seed:(20 + i))) in
-  let responses = solve_batch server reqs in
-  Alcotest.(check int) "all answered" 8 (List.length responses);
-  Alcotest.(check bool)
-    "matches sequential" true
-    (responses = List.map Core.Synthesis.solve reqs)
+  let jobs = List.init 8 (fun i -> job (20 + i)) in
+  let drains0 = counter "serve.drains" in
+  let answers = session_answers ~domains:2 ~queue_capacity:3 jobs in
+  Alcotest.(check int) "waves of 3, 3 and 2" 3
+    (counter "serve.drains" - drains0);
+  Alcotest.(check (list string))
+    "matches sequential" (sequential_answers jobs) answers
 
 let test_poisoned_request_isolated () =
-  (* deadline 0 with an over-budget neighbour: the batch must come back
-     [Ok; Timeout; Infeasible; Ok] with no exception escaping the pool *)
-  Par.Pool.with_pool ~domains:2 @@ fun pool ->
-  let server = Serve.Server.create ~pool () in
-  let ok1 = request (instance ~seed:30) in
-  let timeout = request ~budget_ms:0 (instance ~seed:31) in
-  let g, tbl = instance ~seed:32 in
-  let infeasible =
-    Core.Synthesis.request ~algorithm:Core.Synthesis.Repeat ~deadline:1 g tbl
-  in
-  let ok2 = request (instance ~seed:33) in
+  (* deadline 1 and a zero budget among ordinary jobs: the wave must come
+     back ok / timeout / infeasible / ok with no exception escaping the
+     pool *)
   let statuses =
-    List.map
-      (fun r -> r.Core.Synthesis.status)
-      (solve_batch server [ ok1; timeout; infeasible; ok2 ])
+    List.map status_of
+      (session_answers ~domains:2
+         [ job 30; job ~budget_ms:0 31; job ~deadline:1 32; job 33 ])
   in
-  Alcotest.(check bool)
-    "ok / timeout / infeasible / ok" true
-    (statuses
-    = Core.Synthesis.[ Ok; Timeout; Infeasible; Ok ])
+  Alcotest.(check (list (option string)))
+    "ok / timeout / infeasible / ok"
+    [ Some "ok"; Some "timeout"; Some "infeasible"; Some "ok" ]
+    statuses
 
 (* --- qcheck differentials ---------------------------------------------- *)
 
@@ -498,56 +517,40 @@ let qcheck_server_matches_sequential =
   QCheck.Test.make ~count:15 ~name:"server batch == sequential solves"
     QCheck.(pair (int_bound 1000) (int_bound 6))
     (fun (seed, extra) ->
-      let reqs =
-        List.init (2 + extra) (fun i ->
-            request (instance ~seed:(seed + (17 * i))))
-      in
-      Par.Pool.with_pool ~domains:2 @@ fun pool ->
-      let server = Serve.Server.create ~pool ~queue_capacity:4 () in
-      solve_batch server reqs = List.map Core.Synthesis.solve reqs)
+      let jobs = List.init (2 + extra) (fun i -> job (seed + (17 * i))) in
+      session_answers ~domains:2 ~queue_capacity:4 jobs
+      = sequential_answers jobs)
 
+(* A hit must answer with a fresh solve's bytes: both sessions are
+   checked against sequential solves, not only against each other. *)
 let qcheck_cache_parity =
   QCheck.Test.make ~count:15 ~name:"cache on/off parity (with duplicates)"
     (QCheck.int_bound 1000)
     (fun seed ->
-      let base = List.init 3 (fun i -> request (instance ~seed:(seed + i))) in
-      let reqs = base @ base @ List.rev base in
-      Par.Pool.with_pool ~domains:1 @@ fun pool ->
-      let with_cache =
-        Serve.Server.create ~pool ~cache:(Serve.Cache.create ~entries:64 ()) ()
+      let base = List.init 3 (fun i -> job (seed + i)) in
+      let jobs = base @ base @ List.rev base in
+      let answers entries =
+        session_answers ~domains:1
+          ~cache:(Serve.Cache.create ~entries ()) jobs
       in
-      let without_cache =
-        Serve.Server.create ~pool ~cache:(Serve.Cache.create ~entries:1 ()) ()
-      in
-      solve_batch with_cache reqs
-      = solve_batch without_cache reqs)
+      let expected = sequential_answers jobs in
+      answers 64 = expected && answers 1 = expected)
 
 let qcheck_domain_parity =
   QCheck.Test.make ~count:10 ~name:"domains 1 vs 4 parity"
     (QCheck.int_bound 1000)
     (fun seed ->
-      let reqs = List.init 6 (fun i -> request (instance ~seed:(seed + (7 * i)))) in
-      let solve_at domains =
-        Par.Pool.with_pool ~domains @@ fun pool ->
-        solve_batch (Serve.Server.create ~pool ()) reqs
-      in
-      solve_at 1 = solve_at 4)
+      let jobs = List.init 6 (fun i -> job (seed + (7 * i))) in
+      session_answers ~domains:1 jobs = session_answers ~domains:4 jobs)
 
 let qcheck_timeout_neighbours_survive =
   QCheck.Test.make ~count:10 ~name:"zero-budget request times out alone"
     (QCheck.int_bound 1000)
     (fun seed ->
-      let ok1 = request (instance ~seed) in
-      let huge = request ~budget_ms:0 (instance ~seed:(seed + 1)) in
-      let ok2 = request (instance ~seed:(seed + 2)) in
-      Par.Pool.with_pool ~domains:2 @@ fun pool ->
-      let server = Serve.Server.create ~pool () in
-      match solve_batch server [ ok1; huge; ok2 ] with
-      | [ a; b; c ] ->
-          a.Core.Synthesis.status = Core.Synthesis.Ok
-          && b.Core.Synthesis.status = Core.Synthesis.Timeout
-          && c.Core.Synthesis.status = Core.Synthesis.Ok
-      | _ -> false)
+      List.map status_of
+        (session_answers ~domains:2
+           [ job seed; job ~budget_ms:0 (seed + 1); job (seed + 2) ])
+      = [ Some "ok"; Some "timeout"; Some "ok" ])
 
 (* --- jsonl ------------------------------------------------------------- *)
 
@@ -623,29 +626,19 @@ let test_jsonl_rtl_block () =
 (* Regression: under "rtl": true the node ops decide the module text and
    the unsupported list, so two requests that differ only in ops must not
    share a cache entry; without the knob they still do. The 1-domain pool
-   solves the batch in order, so the second request meets the first one's
+   solves the wave in order, so the second request meets the first one's
    entry in the cache. *)
 let test_rtl_digest_covers_ops () =
   let request ~ops:(op0, op1) ~rtl =
-    let line =
-      Printf.sprintf
-        {|{"id": "ops", "graph": {"nodes": [{"name": "a", "op": %S}, {"name": "b", "op": %S}], "edges": [[0, 1]]}, "table": {"types": ["P1", "P2"], "time": [[4, 8], [4, 8]], "cost": [[9, 4], [8, 3]]}, "deadline": 16, "rtl": %b}|}
-        op0 op1 rtl
-    in
-    match Serve.Jsonl.request_of_string ~line:1 line with
-    | Ok item -> item.Serve.Jsonl.request
-    | Error msg -> Alcotest.failf "parse failed: %s" msg
+    Printf.sprintf
+      {|{"id": "ops", "graph": {"nodes": [{"name": "a", "op": %S}, {"name": "b", "op": %S}], "edges": [[0, 1]]}, "table": {"types": ["P1", "P2"], "time": [[4, 8], [4, 8]], "cost": [[9, 4], [8, 3]]}, "deadline": 16, "rtl": %b}|}
+      op0 op1 rtl
   in
-  let serve reqs =
+  let serve lines =
     Par.Pool.with_pool ~domains:1 (fun pool ->
         let cache = Serve.Cache.create ~entries:8 ~shards:1 () in
-        let server = Serve.Server.create ~pool ~cache () in
-        let lines =
-          List.map
-            (Serve.Jsonl.response_to_string ~id:(Obs.Json.String "ops"))
-            (solve_batch server reqs)
-        in
-        (lines, Serve.Cache.length cache))
+        let out = channel_output (Serve.Daemon.create ~pool ~cache ()) lines in
+        (String.split_on_char '\n' (String.trim out), Serve.Cache.length cache))
   in
   let frob = request ~ops:("mul", "frob") ~rtl:true in
   let batch, entries = serve [ request ~ops:("add", "add") ~rtl:true; frob ] in
@@ -869,12 +862,11 @@ let test_jsonl_serve_admission () =
   List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc;
   Par.Pool.with_pool ~domains:2 (fun pool ->
-      let server = Serve.Server.create ~pool () in
       let ic = open_in in_path and oc = open_out out_path in
       let served =
         Serve.Daemon.serve_channel
           ~admission:(Rt.Admission.create ~capacity:(Rt.Admission.Uniform 2) ())
-          (Serve.Daemon.create ~lookup server)
+          (Serve.Daemon.create ~lookup ~pool ())
           ~input:ic ~output:oc
       in
       close_in ic;
@@ -930,7 +922,7 @@ let test_jsonl_serve_keeps_controller () =
     let ic = open_in in_path and oc = open_out out_path in
     ignore
       (Serve.Daemon.serve_channel ~admission:adm
-         (Serve.Daemon.create ~lookup (Serve.Server.create ()))
+         (Serve.Daemon.create ~lookup ())
          ~input:ic ~output:oc);
     close_in ic;
     close_out oc;
@@ -989,10 +981,9 @@ let test_jsonl_serve_channels () =
   List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc;
   Par.Pool.with_pool ~domains:2 (fun pool ->
-      let server = Serve.Server.create ~pool () in
       let ic = open_in in_path and oc = open_out out_path in
       let served =
-        Serve.Daemon.serve_channel (Serve.Daemon.create ~lookup server)
+        Serve.Daemon.serve_channel (Serve.Daemon.create ~lookup ~pool ())
           ~input:ic ~output:oc
       in
       close_in ic;
@@ -1026,25 +1017,8 @@ let test_jsonl_serve_channels () =
   Sys.rmdir dir
 
 let serve_lines ~lookup lines =
-  let in_path = Filename.temp_file "serve_lines" ".in" in
-  let out_path = Filename.temp_file "serve_lines" ".out" in
-  let oc = open_out in_path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-  close_out oc;
   Par.Pool.with_pool ~domains:2 (fun pool ->
-      let server = Serve.Server.create ~pool () in
-      let ic = open_in in_path and oc = open_out out_path in
-      ignore
-        (Serve.Daemon.serve_channel (Serve.Daemon.create ~lookup server)
-           ~input:ic ~output:oc);
-      close_in ic;
-      close_out oc);
-  let ic = open_in_bin out_path in
-  let out = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove in_path;
-  Sys.remove out_path;
-  out
+      channel_output (Serve.Daemon.create ~lookup ~pool ()) lines)
 
 (* Serving from the resident catalogue answers every benchmark line byte
    for byte as rebuilding the suite per line did: every name, repeated
@@ -1154,6 +1128,25 @@ let test_tree_needs_forest () =
         [ out_tree; in_tree; delayed ]
   | _ -> Alcotest.fail "expected one response per line"
 
+(* A "trace" field is ignored like any unknown field: with tracing off,
+   serving it records no span (the spans once piled up in a serving
+   process that never writes them) and answers the bytes the line
+   without it gets. *)
+let test_trace_field_ignored () =
+  let line extra =
+    Printf.sprintf {|{"id":1,"benchmark":"diffeq","deadline_factor":1.2%s}|}
+      extra
+  in
+  let saved = Obs.Env.get_trace () in
+  Obs.Env.set_trace (Some false);
+  Obs.Span.clear ();
+  Fun.protect ~finally:(fun () -> Obs.Env.set_trace saved) @@ fun () ->
+  let traced = serve_lines ~lookup [ line {|,"trace":true|} ] in
+  Alcotest.(check int) "no span recorded" 0 (Obs.Span.sink_length ());
+  Alcotest.(check string) "bytes of the line without it"
+    (serve_lines ~lookup [ line "" ])
+    traced
+
 (* --- run --------------------------------------------------------------- *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -1181,9 +1174,9 @@ let () =
           Alcotest.test_case "timeout not cached" `Quick
             test_cache_skips_timeout;
           Alcotest.test_case "HETSCHED_CACHE_ENTRIES" `Quick
-            test_entries_from_env;
+            test_entries_ignore_env;
           Alcotest.test_case "HETSCHED_CACHE_SHARDS" `Quick
-            test_shards_from_env;
+            test_shards_ignore_env;
         ] );
       ( "shards",
         [
@@ -1231,5 +1224,9 @@ let () =
           Alcotest.test_case "rtl digest covers ops" `Quick
             test_rtl_digest_covers_ops;
         ]
-        @ qsuite [ qcheck_jsonl_round_trips_encoding ] );
+        @ qsuite [ qcheck_jsonl_round_trips_encoding ]
+        @ [
+            Alcotest.test_case "trace field records no spans" `Quick
+              test_trace_field_ignored;
+          ] );
     ]
