@@ -3,19 +3,16 @@
 
 open Cmdliner
 
-let find_benchmark name =
-  match List.assoc_opt name (Workloads.Filters.all ()) with
-  | Some g -> g
+(* Benchmark names resolve through the catalogue the daemon serves from,
+   so the CLI and the wire accept the same names and build the same
+   graph and seeded table. *)
+let benchmark ~seed name =
+  match Workloads.Catalogue.lookup name ~seed with
+  | Some instance -> instance
   | None ->
-      let known =
-        String.concat ", " (List.map fst (Workloads.Filters.all ()))
-      in
-      Printf.eprintf "unknown benchmark %S (known: %s)\n" name known;
+      Printf.eprintf "unknown benchmark %S (known: %s)\n" name
+        (String.concat ", " (Workloads.Catalogue.names ()));
       exit 2
-
-let table_for ~seed g =
-  let rng = Workloads.Prng.create seed in
-  Workloads.Tables.for_graph rng ~library:Fulib.Library.standard3 g
 
 let benchmark_arg =
   let doc = "Benchmark DFG name (see $(b,list))." in
@@ -36,13 +33,14 @@ let instance ~name ~file ~seed =
   | Some path -> (
       match Netlist.load ~path with
       | g, Some table -> (g, table)
-      | g, None -> (g, table_for ~seed g)
+      | g, None ->
+          ( g,
+            Workloads.Tables.for_graph (Workloads.Prng.create seed)
+              ~library:Fulib.Library.standard3 g )
       | exception Netlist.Parse_error (line, msg) ->
           Printf.eprintf "%s:%d: %s\n" path line msg;
           exit 2)
-  | None ->
-      let g = find_benchmark name in
-      (g, table_for ~seed g)
+  | None -> benchmark ~seed name
 
 let seed_arg =
   let doc = "Seed for the random time/cost table." in
@@ -64,20 +62,21 @@ let positive_int = int_in ~lo:1 ~hi:max_int ~what:"a positive integer"
 let list_cmd =
   let run () =
     List.iter
-      (fun (name, g) ->
+      (fun name ->
+        let g, _ = benchmark ~seed:42 name in
         let _, tree = Assign.Dfg_assign.choose_tree g in
-        Printf.printf "%-16s %3d nodes, %3d edges, %s, %d duplicated nodes\n"
+        Printf.printf "%-21s %3d nodes, %3d edges, %s, %d duplicated nodes\n"
           name (Dfg.Graph.num_nodes g) (Dfg.Graph.num_edges g)
           (if Dfg.Graph.is_tree g || Dfg.Graph.is_tree (Dfg.Transpose.transpose g)
            then "tree" else "DAG")
           (List.length (Dfg.Expand.duplicated_nodes tree)))
-      (Workloads.Filters.all ())
+      (Workloads.Catalogue.names ())
   in
   Cmd.v (Cmd.info "list" ~doc:"List benchmark DFGs") Term.(const run $ const ())
 
 let show_cmd =
   let run name =
-    let g = find_benchmark name in
+    let g, _ = benchmark ~seed:42 name in
     Format.printf "%a@." Dfg.Graph.pp g
   in
   Cmd.v (Cmd.info "show" ~doc:"Print a benchmark DFG")
@@ -85,7 +84,7 @@ let show_cmd =
 
 let dot_cmd =
   let run name =
-    let g = find_benchmark name in
+    let g, _ = benchmark ~seed:42 name in
     print_string (Dfg.Dot.to_dot g)
   in
   Cmd.v (Cmd.info "dot" ~doc:"Export a benchmark DFG as Graphviz DOT")
@@ -181,8 +180,14 @@ let dvfs_cmd =
     let g, base = instance ~name ~file ~seed in
     let levels = Option.value levels ~default:3 in
     let table, _mapping =
-      Fulib.Dvfs.expand base
-        ~levels:(Fulib.Dvfs.uniform ~levels ~types:(Fulib.Table.num_types base))
+      match
+        Fulib.Dvfs.expand base
+          ~levels:(Fulib.Dvfs.uniform ~levels ~types:(Fulib.Table.num_types base))
+      with
+      | expanded -> expanded
+      | exception Invalid_argument msg ->
+          Printf.eprintf "levels: %s\n" msg;
+          exit 2
     in
     let deadline = deadline_or_default deadline g base in
     let label = match file with Some p -> p | None -> name in
@@ -269,8 +274,7 @@ let frontier_cmd =
 
 let netlist_cmd =
   let run name seed =
-    let g = find_benchmark name in
-    let table = table_for ~seed g in
+    let g, table = benchmark ~seed name in
     print_string (Netlist.to_string ~table g)
   in
   Cmd.v

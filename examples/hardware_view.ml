@@ -1,6 +1,6 @@
 (* The hardware engineer's view of a synthesis result: Gantt chart of the
    bound schedule, register demand, interconnect statistics, and the effect
-   of a pipelined multiplier class and of a fixed FU inventory.
+   of a pipelined multiplier class.
 
    Run with: dune exec examples/hardware_view.exe *)
 
@@ -36,22 +36,12 @@ let () =
         st.Rtl.Netlist_ir.fu_instances st.Rtl.Netlist_ir.wires;
       (* pipelined multipliers: P1 as a pipelined class *)
       let pipelined t = t = 0 in
-      (match
-         Sched.Min_resource.run ~pipelined graph table
-           r.Core.Synthesis.assignment ~deadline
-       with
+      match
+        Sched.Min_resource.run ~pipelined graph table
+          r.Core.Synthesis.assignment ~deadline
+      with
       | Some { Sched.Min_resource.config; _ } ->
           Printf.printf
             "\nwith a pipelined (II = 1) P1 class, the same assignment fits %s\n"
             (Sched.Config.to_string config)
-      | None -> ());
-      (* fixed inventory: a single FU of each type *)
-      let inventory = Array.make 3 1 in
-      (match Core.Config_aware.solve graph table ~deadline ~inventory with
-      | Some fit ->
-          Printf.printf
-            "\nforced into inventory 1-1-1: cost %d (unconstrained %d)\n"
-            fit.Core.Config_aware.cost r.Core.Synthesis.cost;
-          print_string (Sched.Gantt.render ~graph ~table fit.Core.Config_aware.schedule)
-      | None ->
-          Printf.printf "\ninventory 1-1-1 cannot meet T = %d\n" deadline)
+      | None -> ()

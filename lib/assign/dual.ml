@@ -1,3 +1,7 @@
+(* The smallest deadline in [lo..hi] whose optimal cost is within
+   [budget], with its witness; [solve] must be a primal optimiser whose
+   cost is non-increasing in the deadline. [None] if even [hi] busts the
+   budget. *)
 let via_binary_search ~solve ~lo ~hi ~budget =
   if lo > hi then None
   else begin

@@ -4,21 +4,9 @@
     an energy/price budget and want the fastest design inside it. Because
     the optimal cost of the primal DPs is non-increasing in the deadline,
     the dual is solved exactly by binary-searching the deadline over the
-    primal ({!via_binary_search}); a direct prefix DP over the cost
+    primal ({!for_tree}); a direct prefix DP over the cost
     dimension ({!path_dp}) is provided for simple paths as an independent
     cross-check. *)
-
-(** [via_binary_search ~solve ~lo ~hi ~budget] finds the smallest deadline
-    [T] in [lo..hi] whose optimal cost is within [budget], returning the
-    deadline and the witnessing assignment. [solve ~deadline] must be a
-    primal optimiser whose cost is non-increasing in the deadline (e.g.
-    {!Tree_assign.solve_with_cost}). [None] if even [hi] busts the budget. *)
-val via_binary_search :
-  solve:(deadline:int -> (Assignment.t * int) option) ->
-  lo:int ->
-  hi:int ->
-  budget:int ->
-  (int * Assignment.t) option
 
 (** [for_tree g table ~budget] — minimum feasible makespan of a forest (in
     either orientation, as {!Tree_assign.solve_auto}) within the cost

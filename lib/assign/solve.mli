@@ -26,18 +26,11 @@ type algorithm =
 val name : algorithm -> string
 
 (** Parse an algorithm name: case-insensitive, accepting both the display
-    name (["DFG_Assign_Repeat"]) and the bare constructor (["repeat"]).
-    [None] on anything else. *)
-val of_name : string -> algorithm option
-
-(** Like {!of_name}, but an unknown name yields a structured error message
-    naming the offending string and the valid catalogue — what the CLI and
-    JSONL layers surface to the user. *)
+    name (["DFG_Assign_Repeat"]) and the bare constructor (["repeat"]). An
+    unknown name yields a structured error message naming the offending
+    string and every accepted spelling (["greedy (Greedy), ..."]) — what
+    the JSONL layer surfaces to the user. *)
 val of_name_result : string -> (algorithm, string) result
-
-(** Human-readable list of every accepted algorithm spelling, e.g.
-    ["greedy (Greedy), ..."]. *)
-val catalogue : unit -> string
 
 (** Every algorithm, in ladder order (weakest baseline first). *)
 val all : algorithm list

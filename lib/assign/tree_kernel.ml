@@ -170,8 +170,6 @@ let copy t =
     dirty = Array.copy t.dirty;
   }
 
-let deadline t = t.deadline
-
 (* One DP row on budgets [lo(v), top]: X_v(j) = min over allowed types of
    cost(v,t) + the sum over children c of X_c(j - time(v,t)). Types are
    the outer loop and the comparison is strict, so the first minimum in

@@ -75,8 +75,6 @@ val of_table :
     other alone. *)
 val copy : t -> t
 
-val deadline : t -> int
-
 (** [solve t] is [Some (assignment, total_cost)] or [None] when some root's
     subtree cannot meet the deadline. First call runs the full DP; later
     calls recompute only rows dirtied by {!pin}. *)

@@ -29,26 +29,6 @@ type benchmark_report = {
     feasible deadline, then five relaxations up to 1.75x. *)
 val deadlines : Dfg.Graph.t -> Fulib.Table.t -> int list
 
-(** [nth_deadline ~name ds i] indexes a precomputed {!deadlines} ladder.
-    Raises [Invalid_argument] naming the benchmark and the requested index
-    when the ladder is shorter — never the bare [Failure "nth"] the study
-    drivers used to die with. *)
-val nth_deadline : name:string -> int list -> int -> int
-
-(** [deadline_at ~name g table i] is
-    [nth_deadline ~name (deadlines g table) i]. When several indices of
-    the same ladder are needed, compute {!deadlines} once and use
-    {!nth_deadline}. *)
-val deadline_at : name:string -> Dfg.Graph.t -> Fulib.Table.t -> int -> int
-
-(** One (deadline, algorithm) grid cell as a first-class
-    {!Synthesis.request}: the Phase-1 solve of the request (its scheduler
-    field is ignored) and the cost of the produced assignment, [None] when
-    infeasible. Validation follows {!Synthesis.assign}'s fail-fast
-    contract — under [HETSCHED_VALIDATE] (or [request.validate]) a corrupt
-    cell raises [Check.Violation.Failed]. *)
-val run_cell : Synthesis.request -> int option
-
 (** Run a benchmark with the given algorithms. [seed] feeds the time/cost
     table generator. The (deadline x algorithm) grid cells are independent
     solves and are evaluated on [pool] (default {!Par.Pool.global}); the

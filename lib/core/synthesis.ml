@@ -10,7 +10,6 @@ type algorithm = Assign.Solve.algorithm =
   | Exact
 
 let algorithm_name = Assign.Solve.name
-let algorithm_of_name = Assign.Solve.of_name
 let all_algorithms = Assign.Solve.all
 
 type scheduler = List_scheduling | Force_directed
@@ -341,18 +340,26 @@ let solve_raw req =
     (fun () ->
       (* Leveled requests solve over the DVFS-expanded table: a (type,
          level) pair is just one more selectable type, so every algorithm
-         is level-aware for free. An invalid ladder raises out of here
-         into {!solve}'s Error boundary. *)
-      let expansion =
-        Option.map (fun levels -> Fulib.Dvfs.expand req.table ~levels)
-          req.levels
+         is level-aware for free. *)
+      let expansion, bad_levels =
+        match
+          Option.map (fun levels -> Fulib.Dvfs.expand req.table ~levels)
+            req.levels
+        with
+        | expansion -> (expansion, None)
+        | exception Invalid_argument msg -> (None, Some ("levels: " ^ msg))
       in
       let table =
         match expansion with None -> req.table | Some (t, _) -> t
       in
-      (* an algorithm that cannot run on this graph is a plain error, not
-         the exception its solver would raise *)
-      let applicable = Assign.Solve.applicable req.algorithm req.graph in
+      (* levels that slow a time past [Fulib.Table.max_cell], or an
+         algorithm that cannot run on this graph, are plain errors, not the
+         exception text the expansion or the solver would raise *)
+      let applicable =
+        match bad_levels with
+        | Some msg -> Result.Error msg
+        | None -> Assign.Solve.applicable req.algorithm req.graph
+      in
       if over_budget () then finish Timeout (base_stats req)
       else if Result.is_error applicable then
         finish (Error (Result.get_error applicable)) (base_stats req)

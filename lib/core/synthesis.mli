@@ -22,10 +22,6 @@ type algorithm = Assign.Solve.algorithm =
 
 val algorithm_name : algorithm -> string
 
-(** Case-insensitive inverse of {!algorithm_name}, also accepting bare
-    constructor spellings (["repeat"]); [None] on unknown names. *)
-val algorithm_of_name : string -> algorithm option
-
 val all_algorithms : algorithm list
 
 (** Phase-2 scheduler choice: the paper's revised list scheduling

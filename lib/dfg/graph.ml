@@ -220,12 +220,6 @@ let iter_dag_succs_sized g v f =
     f c.succ_tgt.(i) c.succ_size.(i)
   done
 
-let iter_dag_preds g v f =
-  let c = g.csr in
-  for i = c.pred_off.(v) to c.pred_off.(v + 1) - 1 do
-    f c.pred_tgt.(i)
-  done
-
 let fold_dag_succs g v ~init ~f =
   let c = g.csr in
   let acc = ref init in

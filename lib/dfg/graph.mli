@@ -134,7 +134,6 @@ val iter_dag_succs : t -> int -> (int -> unit) -> unit
     size. *)
 val iter_dag_succs_sized : t -> int -> (int -> int -> unit) -> unit
 
-val iter_dag_preds : t -> int -> (int -> unit) -> unit
 val fold_dag_succs : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 val fold_dag_preds : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 

@@ -107,7 +107,3 @@ let expand table ~levels =
   done;
   let library = Library.make ~mem_capacity:caps names in
   (Table.make ~library ~time ~cost, { base; level = lvl; first; levels })
-
-let pp_level ppf l =
-  Format.fprintf ppf "%d%% (time x%d%%, energy x%d%%)" l.freq_pct l.time_pct
-    l.energy_pct

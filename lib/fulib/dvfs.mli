@@ -68,7 +68,6 @@ val siblings : mapping -> int -> int list
     ["P1@75"]-style, times/costs scaled per {!scale_time}/{!scale_energy},
     and [b]'s memory capacity copied to each sibling (each (type, level)
     pair models the same physical FU, just clocked lower). Raises
-    [Invalid_argument] when [levels] has one ladder per base type. *)
+    [Invalid_argument] unless [levels] has one non-empty ladder per base
+    type, and when a scaled time passes {!Table.max_cell}. *)
 val expand : Table.t -> levels:level array array -> Table.t * mapping
-
-val pp_level : Format.formatter -> level -> unit

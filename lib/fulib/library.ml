@@ -27,13 +27,3 @@ let with_mem_capacity t caps =
   make ~mem_capacity:caps t.names
 
 let standard3 = make [| "P1"; "P2"; "P3" |]
-
-let pp ppf t =
-  Format.fprintf ppf "{%s}" (String.concat ", " (Array.to_list t.names));
-  if mem_bounded t then
-    Format.fprintf ppf "[mem %s]"
-      (String.concat ", "
-         (Array.to_list
-            (Array.map
-               (fun c -> if c = unbounded_mem then "inf" else string_of_int c)
-               t.mem_capacity)))

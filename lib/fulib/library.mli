@@ -41,5 +41,3 @@ val with_mem_capacity : t -> int array -> t
 (** The paper's three-type library [P1] (fastest, most expensive), [P2],
     [P3] (slowest, cheapest). *)
 val standard3 : t
-
-val pp : Format.formatter -> t -> unit

@@ -38,6 +38,8 @@ let of_flat library ~k times costs =
   done;
   { library; k; times; costs; min_times; min_time_types; min_costs; min_cost_types }
 
+let max_cell = 1 lsl 32
+
 (* Rows are checked and copied in one pass, time rows before cost rows.
    The copy is an explicit loop: [n * k] often passes the minor-heap size
    limit, and [Array.blit] into a major-heap block stores field by field
@@ -51,6 +53,8 @@ let flatten ~what ~least ~bad ~k rows =
       for t = 0 to k - 1 do
         let x = row.(t) in
         if x < least then invalid_arg bad;
+        if x > max_cell then
+          invalid_arg (Printf.sprintf "Table.make: %s > %d" what max_cell);
         flat.((v * k) + t) <- x
       done)
     rows;

@@ -6,10 +6,17 @@
 
 type t
 
+(** Largest time or cost a table holds: [2^32]. The solvers add cells
+    without overflow checks; under this bound any [n < 2^30] cells sum
+    below [max_int], so a sum never wraps and never reaches the
+    [max_int] that the DPs read as "infeasible". *)
+val max_cell : int
+
 (** [make ~library ~time ~cost] with [time.(v).(k)] / [cost.(v).(k)] indexed
     node-major. Raises [Invalid_argument] on dimension mismatches, times
-    < 1, or negative costs. The rows are copied into the flat views below;
-    the table keeps no reference to [time] or [cost]. *)
+    < 1, negative costs, or a time or cost above {!max_cell}. The rows are
+    copied into the flat views below; the table keeps no reference to
+    [time] or [cost]. *)
 val make : library:Library.t -> time:int array array -> cost:int array array -> t
 
 val library : t -> Library.t

@@ -20,8 +20,6 @@ val set_trace : bool option -> unit
 val get_trace : unit -> bool option
 
 (** Where {!Trace.finish} writes when no explicit path is given: the
-    [HETSCHED_TRACE] value when it names a file, {!default_path}
+    [HETSCHED_TRACE] value when it names a file, [hetsched_trace.json]
     otherwise. *)
 val trace_path : unit -> string
-
-val default_path : string

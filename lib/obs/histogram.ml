@@ -120,5 +120,3 @@ let snapshot () =
         Hashtbl.fold (fun name h acc -> (name, h) :: acc) registry [])
   in
   List.sort (fun (a, _) (b, _) -> compare a b) rows
-
-let reset_all () = locked (fun () -> Hashtbl.iter (fun _ h -> reset h) registry)

@@ -67,10 +67,8 @@ val quantile_of_buckets : int array -> float -> float
     (atomically per cell; [src] is unchanged). *)
 val merge_into : src:t -> dst:t -> unit
 
-(** Zero one histogram / every registered histogram. *)
+(** Zero one histogram. *)
 val reset : t -> unit
-
-val reset_all : unit -> unit
 
 (** Look a histogram up by name; [None] when never registered. *)
 val value_of : string -> t option

@@ -40,12 +40,6 @@ let snapshot () =
              (Span.roots ())) );
     ]
 
-let reset () =
-  Span.clear ();
-  Counter.reset_all ();
-  Gauge.reset_all ();
-  Histogram.reset_all ()
-
 let write ~path =
   let oc = open_out path in
   Fun.protect

@@ -8,18 +8,7 @@
       "spans":      [{"domain": d, "span": {name, start_ns, dur_ns, children}}, ...] }
     v} *)
 
-val span_to_json : Span.t -> Json.t
-
-(** The per-histogram summary object embedded in {!snapshot}. *)
-val histogram_to_json : Histogram.t -> Json.t
-
 val snapshot : unit -> Json.t
-
-(** Clear the span sink and zero all counters, gauges and histograms. *)
-val reset : unit -> unit
-
-(** Write {!snapshot} to [path]. *)
-val write : path:string -> unit
 
 (** When tracing is enabled, write the snapshot to [path] (default:
     {!Env.trace_path}) and return where it went; [None] (and no write)

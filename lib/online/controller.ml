@@ -83,17 +83,17 @@ let create ?max_nodes g table ~deadline =
   ignore (resolve t);
   t
 
-let table t =
-  sync_table t;
-  t.table
-
 let current t = t.current
 
 let set_times t ~node row =
   if Array.length row <> t.k then
     invalid_arg "Controller.set_times: row width mismatch";
   Array.iter
-    (fun x -> if x < 1 then invalid_arg "Controller.set_times: time < 1")
+    (fun x ->
+      if x < 1 then invalid_arg "Controller.set_times: time < 1";
+      if x > Fulib.Table.max_cell then
+        invalid_arg
+          (Printf.sprintf "Controller.set_times: time > %d" Fulib.Table.max_cell))
     row;
   Obs.Counter.incr c_perturbs;
   t.times.(node) <- Array.copy row;
@@ -103,7 +103,9 @@ let set_times t ~node row =
 let scale_node t ~node ~pct =
   if pct < 1 then invalid_arg "Controller.scale_node: pct must be >= 1";
   set_times t ~node
-    (Array.map (fun x -> max 1 (((x * pct) + 99) / 100)) t.times.(node))
+    (Array.map
+       (fun x -> min Fulib.Table.max_cell (max 1 (((x * pct) + 99) / 100)))
+       t.times.(node))
 
 let at_risk t =
   match t.current with

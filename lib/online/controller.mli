@@ -27,20 +27,19 @@ type outcome = {
     meet the deadline. Raises [Invalid_argument] on a negative deadline. *)
 val create : ?max_nodes:int -> Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> t
 
-(** The drifted table the controller currently believes in. *)
-val table : t -> Fulib.Table.t
-
 (** The last successfully resolved design, if any. *)
 val current : t -> outcome option
 
 (** [set_times t ~node row] installs measured execution times for one
-    node (a [num_types]-wide row, each entry >= 1). Costs are not
+    node (a [num_types]-wide row, each entry in
+    [1 .. Fulib.Table.max_cell]). Costs are not
     perturbed — energy is a property of the implementation, not of the
     measurement. Raises [Invalid_argument] on shape or range errors. *)
 val set_times : t -> node:int -> int array -> unit
 
 (** [scale_node t ~node ~pct] scales the node's whole time row by
-    [pct]/100, rounded up, never below 1 ([pct >= 1]). *)
+    [pct]/100, rounded up, never below 1 and never above
+    {!Fulib.Table.max_cell} ([pct >= 1]). *)
 val scale_node : t -> node:int -> pct:int -> unit
 
 (** Is the current schedule in danger under the drifted times? True when

@@ -26,7 +26,7 @@ let domain_task_counter =
     c
 
 type batch = {
-  run : int -> unit;  (* must not raise: combinators capture per index *)
+  run : int -> unit;  (* must not raise: map_array captures per index *)
   count : int;
   next : int Atomic.t;
   unfinished : int Atomic.t;
@@ -118,7 +118,6 @@ let create ?domains () =
   t
 
 let domain_count t = t.size
-let is_sequential t = t.size = 1
 
 let shutdown t =
   if in_task () then raise Nested_pool;
@@ -237,7 +236,7 @@ let reraise_first errors =
       | None -> ())
     errors
 
-(* --- Combinators ------------------------------------------------------- *)
+(* --- The combinator ---------------------------------------------------- *)
 
 let map_array t f arr =
   let n = Array.length arr in
@@ -261,42 +260,4 @@ let map_array t f arr =
                raced past the batch count)"
               n i)
       results
-  end
-
-let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
-let fanout t thunks = map_list t (fun f -> f ()) thunks
-
-let fanout2 t fa fb =
-  match fanout t [ (fun () -> `A (fa ())); (fun () -> `B (fb ())) ] with
-  | [ `A a; `B b ] -> (a, b)
-  | results ->
-      invariant_violation
-        "fanout2: expected the order-preserving join [`A; `B], got %d \
-         result(s) %s (fanout returned out of submission order)"
-        (List.length results)
-        (String.concat ";"
-           (List.map (function `A _ -> "`A" | `B _ -> "`B") results))
-
-let parallel_for t ?chunk ~lo ~hi body =
-  let len = hi - lo in
-  if len > 0 then begin
-    let chunk =
-      match chunk with
-      | Some c when c < 1 -> invalid_arg "Par.Pool.parallel_for: chunk < 1"
-      | Some c -> c
-      | None -> max 1 (len / (t.size * 4))
-    in
-    let nchunks = (len + chunk - 1) / chunk in
-    let errors = Array.make nchunks None in
-    run_batch t ~count:nchunks ~run:(fun ci ->
-        let start = lo + (ci * chunk) in
-        let stop = min hi (start + chunk) in
-        match
-          for i = start to stop - 1 do
-            body i
-          done
-        with
-        | () -> ()
-        | exception e -> errors.(ci) <- Some (e, Printexc.get_raw_backtrace ()));
-    reraise_first errors
   end

@@ -3,13 +3,13 @@
     The experiment grid, Pareto sweeps, Repeat's candidate search and batch
     workload generation are all embarrassingly parallel: independent (graph,
     table, deadline) subproblems whose results are combined by index. This
-    pool fans such work out over OCaml 5 domains while keeping a hard
-    determinism contract:
+    pool fans such work out over OCaml 5 domains through one combinator,
+    {!map_array}, while keeping a hard determinism contract:
 
-    - every combinator returns results in submission order (joins are by
-      index, never by completion time);
-    - with a pool of [domains = 1] no domain is ever spawned and the
-      combinators degrade to plain sequential loops — the parallel and
+    - results come back in submission order (joins are by index, never by
+      completion time);
+    - with a pool of [domains = 1] no domain is ever spawned and
+      {!map_array} degrades to a plain sequential loop — the parallel and
       sequential paths are bit-identical for deterministic task functions;
     - exceptions raised by tasks are captured per index and the one with the
       {e lowest index} is re-raised after the whole batch has drained, so
@@ -21,7 +21,7 @@
     randomness only from per-task PRNG streams split by index
     ([Rng.Prng.split]).
 
-    Nesting: calling a combinator from inside a pool task runs the inner
+    Nesting: calling {!map_array} from inside a pool task runs the inner
     batch sequentially on the calling domain (same results, no deadlock);
     {e creating} a pool inside a pool task raises {!Nested_pool}. The pool
     executes one batch at a time; concurrent submissions queue. *)
@@ -54,9 +54,6 @@ val create : ?domains:int -> unit -> t
 (** Number of domains the pool computes with (including the submitter). *)
 val domain_count : t -> int
 
-(** [true] iff the pool runs everything inline on the submitting domain. *)
-val is_sequential : t -> bool
-
 (** Join the worker domains. The pool must not be used afterwards
     ([Invalid_argument]); shutting down twice is a no-op. *)
 val shutdown : t -> unit
@@ -81,19 +78,3 @@ val in_task : unit -> bool
     over the pool's domains; element [i] of the result is always
     [f arr.(i)]. *)
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [map_list t f l] is [List.map f l], parallel, order-preserving. *)
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [parallel_for t ?chunk ~lo ~hi body] runs [body i] for every
-    [lo <= i < hi], split into contiguous chunks of [chunk] indices
-    (default: a size that yields a few chunks per domain). [body] must not
-    depend on cross-iteration effects. *)
-val parallel_for : t -> ?chunk:int -> lo:int -> hi:int -> (int -> unit) -> unit
-
-(** [fanout t thunks] runs heterogeneous thunks concurrently and returns
-    their results in order. *)
-val fanout : t -> (unit -> 'a) list -> 'a list
-
-(** [fanout2 t f g] is [(f (), g ())] with both computed concurrently. *)
-val fanout2 : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b

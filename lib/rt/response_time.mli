@@ -25,9 +25,6 @@
 
 type light = { id : string; cost : int; period : int; deadline : int }
 
-(** Total utilization [sum cost/period] of the set. *)
-val total_utilization : light list -> float
-
 (** The shared pool is one serialized server, so its utilization bound. *)
 val utilization_bound : float
 

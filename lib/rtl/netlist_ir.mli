@@ -103,8 +103,6 @@ type t = {
           XOR-fold placeholder, matching {!Dfg.Interp.apply}) *)
 }
 
-val supported_op : string -> bool
-
 (** [build ?module_name ?width ?binding g table s] lowers a valid
     schedule under [binding] (default {!Sched.Binding.bind}, which must be
     valid for [s]). Raises [Invalid_argument] on [width < 1]. *)

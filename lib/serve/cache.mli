@@ -49,13 +49,10 @@ val default_entries : int
 (** Shard count used when [shards] is not given: 8. *)
 val default_shards : int
 
-(** Hard cap on the shard count: 64. *)
-val max_shards : int
-
 (** [create ?entries ?shards ()] — an empty cache holding at most
     [entries] responses (default {!default_entries}) across [shards]
     shards (default {!default_shards}). The effective shard count is
-    clamped to [min shards (min max_shards entries)], so every shard owns
+    clamped to [min shards (min 64 entries)], so every shard owns
     at least one slot. Raises [Invalid_argument] when [entries < 1] or
     [shards < 1]. *)
 val create : ?entries:int -> ?shards:int -> unit -> t

@@ -18,12 +18,17 @@
       ([{"nodes": [{"name": "a", "op": "mul"}, ...],
       "edges": [[src, dst, delay], ...]}]) with a [table]
       ([{"types": ["P1", ...], "time": [[...], ...], "cost": [[...], ...]}],
-      node-major, one row per graph node).
+      node-major, one row per graph node). Times are ints in
+      [1 .. 2^32] and costs ints in [0 .. 2^32]
+      ({!Fulib.Table.max_cell}); any other cell is a per-line
+      ["table: Table.make: ..."] error, so no sum of cells can wrap. A
+      DVFS [levels] ladder that slows a time past the bound answers a
+      ["levels: Table.make: ..."] error.
     - deadline — [deadline] (absolute control steps) or [deadline_factor]
       (multiplied by the instance's minimum feasible deadline, rounded
       down, at least the minimum).
     - [algorithm] (optional, default ["repeat"]) — any
-      {!Assign.Solve.of_name} spelling; [scheduler] (["list"] or
+      {!Assign.Solve.of_name_result} spelling; [scheduler] (["list"] or
       ["force"], default ["list"]); [validate] / [rtl] (bools, default
       false); [budget_ms] (optional). Other fields are ignored.
 

@@ -7,15 +7,6 @@ let random_node rng b i =
     ~name:(Printf.sprintf "v%d" i)
     ~op:ops.(Prng.int rng (Array.length ops))
 
-let random_path rng ~n =
-  if n < 1 then invalid_arg "Random_dfg.random_path: n < 1";
-  let b = B.create () in
-  let nodes = Array.init n (random_node rng b) in
-  for i = 0 to n - 2 do
-    B.add_edge b ~src:nodes.(i) ~dst:nodes.(i + 1)
-  done;
-  B.finish b
-
 let random_tree rng ~n ~max_children =
   if n < 1 then invalid_arg "Random_dfg.random_tree: n < 1";
   if max_children < 1 then invalid_arg "Random_dfg.random_tree: max_children < 1";

@@ -1,8 +1,5 @@
 (** Random DFG generators for property tests and scaling benchmarks. *)
 
-(** [random_path rng ~n] — the simple path [v0 -> v1 -> ... -> v_{n-1}]. *)
-val random_path : Prng.t -> n:int -> Dfg.Graph.t
-
 (** [random_tree rng ~n ~max_children] — a rooted out-tree: every node
     except the root gets one parent chosen among earlier nodes that still
     have capacity. *)

@@ -6,6 +6,9 @@ type spec = {
   deadline : int;
 }
 
+(* All-fastest critical path of the DAG portion — the smallest deadline
+   any assignment can meet, recomputed here so the generator stays
+   independent of the solver stack. *)
 let critical_path g table =
   let order = Dfg.Graph.topo_arr g in
   let min_times = Fulib.Table.min_times_arr table in

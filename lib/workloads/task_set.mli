@@ -15,17 +15,12 @@ type spec = {
   deadline : int;
 }
 
-(** All-fastest critical path of the DAG portion — the smallest deadline
-    any assignment can meet, recomputed here so the generator stays
-    independent of the solver stack. *)
-val critical_path : Dfg.Graph.t -> Fulib.Table.t -> int
-
 (** [random rng ~tasks] — a mixed feasible-leaning set: periods 1-8x the
-    critical path's power-of-two ceiling, deadlines uniform in
-    [critical_path .. period] (constrained), except roughly one task in
-    eight gets [deadline = 2 * period] to exercise the pipelined-heavy
-    path. Node counts uniform in [min_nodes .. max_nodes] (defaults
-    [6 .. 14]); [library] defaults to [Fulib.Library.standard3]. *)
+    power-of-two ceiling of the all-fastest critical path, deadlines
+    uniform from that critical path to the period (constrained), except
+    roughly one task in eight gets [deadline = 2 * period] to exercise the
+    pipelined-heavy path. Node counts uniform in [min_nodes .. max_nodes]
+    (defaults [6 .. 14]); [library] defaults to [Fulib.Library.standard3]. *)
 val random :
   ?min_nodes:int ->
   ?max_nodes:int ->

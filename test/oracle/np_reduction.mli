@@ -24,10 +24,10 @@ val of_knapsack : items:Knapsack.item array -> capacity:int -> instance
 val cost_threshold : instance -> target_value:int -> int
 
 (** Decide the knapsack instance by solving the assignment instance with
-    {!Path_assign} — the round-trip used by the tests. *)
+    {!Assign.Path_assign} — the round-trip used by the tests. *)
 val decide_via_assignment :
   items:Knapsack.item array -> capacity:int -> target_value:int -> bool
 
 (** Map a path assignment back to the chosen item subset (type [0] =
     selected). *)
-val subset_of_assignment : Assignment.t -> bool array
+val subset_of_assignment : Assign.Assignment.t -> bool array

@@ -196,59 +196,6 @@ let test_csv_of_frontier () =
   let csv = Core.Csv.of_frontier points in
   Alcotest.(check bool) "header" true (contains csv "deadline,cost,config")
 
-(* --- Config-aware assignment ------------------------------------------- *)
-
-let test_config_aware_fits () =
-  List.iter
-    (fun (name, g) ->
-      let rng = Workloads.Prng.create 87 in
-      let tbl = Workloads.Tables.for_graph rng ~library:lib3 g in
-      let tmin = Assign.Assignment.min_makespan g tbl in
-      let deadline = tmin * 2 in
-      let inventory = [| 1; 1; 2 |] in
-      match Core.Config_aware.solve g tbl ~deadline ~inventory with
-      | None -> () (* allowed: heuristic, or genuinely infeasible *)
-      | Some r ->
-          Alcotest.(check bool) (name ^ ": fits inventory") true
-            (Sched.Schedule.fits tbl r.Core.Config_aware.schedule ~config:inventory);
-          Alcotest.(check bool) (name ^ ": meets deadline") true
-            (Sched.Schedule.meets_deadline tbl r.Core.Config_aware.schedule ~deadline);
-          Alcotest.(check bool) (name ^ ": precedence") true
-            (Sched.Schedule.respects_precedence g tbl r.Core.Config_aware.schedule);
-          (* constrained can never beat the unconstrained optimum's cost
-             reported by the same heuristic *)
-          (match Assign.Dfg_assign.repeat g tbl ~deadline with
-          | Some a ->
-              Alcotest.(check bool) (name ^ ": cost >= unconstrained") true
-                (r.Core.Config_aware.cost >= Assign.Assignment.total_cost tbl a)
-          | None -> ()))
-    (Workloads.Filters.dags ())
-
-let test_config_aware_generous_inventory_is_free () =
-  (* with a huge inventory the repair loop must terminate immediately at
-     Repeat's own assignment *)
-  let g = Workloads.Filters.diffeq () in
-  let rng = Workloads.Prng.create 88 in
-  let tbl = Workloads.Tables.for_graph rng ~library:lib3 g in
-  let deadline = Assign.Assignment.min_makespan g tbl + 4 in
-  let inventory = Array.make 3 20 in
-  match
-    (Core.Config_aware.solve g tbl ~deadline ~inventory,
-     Assign.Dfg_assign.repeat g tbl ~deadline)
-  with
-  | Some r, Some a ->
-      Alcotest.(check int) "same cost as repeat"
-        (Assign.Assignment.total_cost tbl a)
-        r.Core.Config_aware.cost
-  | _ -> Alcotest.fail "feasible"
-
-let test_config_aware_impossible () =
-  (* 4 independent unit ops, 1 FU, deadline 2: no assignment fits *)
-  let g = Helpers.graph 4 [] in
-  let tbl = Helpers.table lib2 (List.init 4 (fun _ -> ([ 1; 1 ], [ 1; 1 ]))) in
-  Alcotest.(check bool) "impossible" true
-    (Core.Config_aware.solve g tbl ~deadline:2 ~inventory:[| 1; 0 |] = None)
-
 (* --- DVS tables -------------------------------------------------------- *)
 
 let test_dvs_monotone_tradeoff () =
@@ -309,12 +256,6 @@ let () =
           quick "of_report" test_csv_of_report;
           quick "of_reports" test_csv_of_reports_prefixes_benchmark;
           quick "of_frontier" test_csv_of_frontier;
-        ] );
-      ( "config_aware",
-        [
-          quick "fits inventory on benchmarks" test_config_aware_fits;
-          quick "generous inventory" test_config_aware_generous_inventory_is_free;
-          quick "impossible inventory" test_config_aware_impossible;
         ] );
       ( "dvs",
         [

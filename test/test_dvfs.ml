@@ -305,7 +305,16 @@ let test_controller_basics () =
   Alcotest.check_raises "time zero rejected"
     (Invalid_argument "Controller.set_times: time < 1") (fun () ->
       Online.Controller.set_times ctrl ~node:0
-        (Array.make (Fulib.Table.num_types tbl) 0))
+        (Array.make (Fulib.Table.num_types tbl) 0));
+  Alcotest.check_raises "time above the table bound rejected"
+    (Invalid_argument "Controller.set_times: time > 4294967296") (fun () ->
+      Online.Controller.set_times ctrl ~node:0
+        (Array.make (Fulib.Table.num_types tbl) (Fulib.Table.max_cell + 1)));
+  (* drift saturates at the table bound, so the rebuilt table is valid *)
+  for _ = 1 to 20 do
+    Online.Controller.scale_node ctrl ~node:0 ~pct:800
+  done;
+  ignore (Online.Controller.resolve ctrl)
 
 let test_controller_leveled_round_trip () =
   (* drift a leveled elliptic design through risky territory and back;

@@ -56,7 +56,18 @@ let test_validation () =
     (Invalid_argument "Table.make: negative cost") (fun () ->
       ignore (table lib2 [ ([ 1; 1 ], [ 1; -2 ]) ]));
   Alcotest.check_raises "row width" (Invalid_argument "Table.make: time row has wrong width")
-    (fun () -> ignore (table lib2 [ ([ 1 ], [ 1; 1 ]) ]))
+    (fun () -> ignore (table lib2 [ ([ 1 ], [ 1; 1 ]) ]));
+  let m = Fulib.Table.max_cell in
+  Alcotest.(check int) "bound is 2^32" 4294967296 m;
+  let t = table lib2 [ ([ 1; m ], [ m; 0 ]) ] in
+  Alcotest.(check (pair int int)) "cells at the bound accepted" (m, m)
+    (Fulib.Table.time t ~node:0 ~ftype:1, Fulib.Table.cost t ~node:0 ~ftype:0);
+  Alcotest.check_raises "time above the bound"
+    (Invalid_argument "Table.make: time > 4294967296") (fun () ->
+      ignore (table lib2 [ ([ 1; m + 1 ], [ 1; 1 ]) ]));
+  Alcotest.check_raises "cost above the bound"
+    (Invalid_argument "Table.make: cost > 4294967296") (fun () ->
+      ignore (table lib2 [ ([ 1; 1 ], [ m + 1; 1 ]) ]))
 
 let test_make_copies_input () =
   let time = [| [| 1; 2 |] |] and cost = [| [| 3; 4 |] |] in

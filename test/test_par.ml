@@ -25,32 +25,6 @@ let test_map_array_order () =
     (Par.Pool.map_array p1 (fun x -> (x * x) + 1) arr);
   Alcotest.(check (array int)) "empty" [||] (Par.Pool.map_array p4 succ [||])
 
-let test_map_list_order () =
-  let l = List.init 100 (fun i -> i) in
-  Alcotest.(check (list int))
-    "map_list order" (List.map succ l)
-    (Par.Pool.map_list p4 succ l)
-
-let test_parallel_for () =
-  let a = Array.make 100 0 in
-  Par.Pool.parallel_for p4 ~lo:0 ~hi:100 (fun i -> a.(i) <- i * i);
-  Alcotest.(check (array int)) "default chunking"
-    (Array.init 100 (fun i -> i * i))
-    a;
-  let b = Array.make 100 0 in
-  Par.Pool.parallel_for p4 ~chunk:7 ~lo:5 ~hi:95 (fun i -> b.(i) <- i + 1);
-  Alcotest.(check (array int)) "explicit chunk, half-open bounds"
-    (Array.init 100 (fun i -> if i >= 5 && i < 95 then i + 1 else 0))
-    b
-
-let test_fanout () =
-  let a, b = Par.Pool.fanout2 p4 (fun () -> 6 * 7) (fun () -> "ok") in
-  Alcotest.(check int) "fanout2 fst" 42 a;
-  Alcotest.(check string) "fanout2 snd" "ok" b;
-  Alcotest.(check (list int))
-    "fanout order" [ 0; 10; 20 ]
-    (Par.Pool.fanout p4 (List.init 3 (fun i () -> i * 10)))
-
 let test_exception_propagation () =
   let raised =
     try
@@ -102,9 +76,7 @@ let test_nested_map_degrades () =
     result
 
 let test_sequential_fallback () =
-  Alcotest.(check bool) "domains:1 is sequential" true (Par.Pool.is_sequential p1);
   Alcotest.(check int) "domain_count 1" 1 (Par.Pool.domain_count p1);
-  Alcotest.(check bool) "domains:4 is parallel" false (Par.Pool.is_sequential p4);
   Alcotest.(check int) "domain_count 4" 4 (Par.Pool.domain_count p4)
 
 let test_create_invalid () =
@@ -295,9 +267,6 @@ let () =
       ( "pool",
         [
           quick "map_array order" test_map_array_order;
-          quick "map_list order" test_map_list_order;
-          quick "parallel_for" test_parallel_for;
-          quick "fanout" test_fanout;
           quick "exception propagation" test_exception_propagation;
           quick "nested pool creation rejected" test_nested_create_rejected;
           quick "nested combinators degrade" test_nested_map_degrades;

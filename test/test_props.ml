@@ -131,13 +131,13 @@ let knapsack_reduction_sound =
       let n = 1 + Workloads.Prng.int rng 6 in
       let items =
         Array.init n (fun _ ->
-            { Assign.Knapsack.value = Workloads.Prng.int rng 12;
+            { Oracle.Knapsack.value = Workloads.Prng.int rng 12;
               weight = Workloads.Prng.int rng 8 })
       in
       let capacity = Workloads.Prng.int rng 16 in
       let target_value = Workloads.Prng.int rng 30 in
-      Assign.Knapsack.decision ~items ~capacity ~target_value
-      = Assign.Np_reduction.decide_via_assignment ~items ~capacity ~target_value)
+      Oracle.Knapsack.decision ~items ~capacity ~target_value
+      = Oracle.Np_reduction.decide_via_assignment ~items ~capacity ~target_value)
 
 (* --- Phase 2 properties --------------------------------------------- *)
 

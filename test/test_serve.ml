@@ -1128,6 +1128,41 @@ let test_tree_needs_forest () =
         [ out_tree; in_tree; delayed ]
   | _ -> Alcotest.fail "expected one response per line"
 
+(* Costs past [Fulib.Table.max_cell] are a per-line table error naming
+   the bound. Unbounded, three cells of 3*10^18 wrapped to a negative
+   "ok" cost (validation included), and cells of [max_int] answered
+   OCaml exception text. A time inside the bound that a DVFS ladder
+   slows past it is a plain levels error. *)
+let test_table_cell_bound () =
+  let line ~time ~extra cost =
+    let row = Printf.sprintf "[%d,%d]" cost cost in
+    Printf.sprintf
+      {|{"id":1,"graph":{"nodes":[{"name":"a"},{"name":"b"},{"name":"c"}],"edges":[[0,1],[1,2]]},"table":{"types":["P1","P2"],"time":[[1,%d],[1,2],[1,2]],"cost":[%s,%s,%s]},"deadline":6,"validate":true%s}|}
+      time row row row extra
+  in
+  let probes =
+    [
+      (line ~time:2 ~extra:"" 3_000_000_000_000_000_000, {|"error":"table: |});
+      (line ~time:2 ~extra:"" max_int, {|"error":"table: |});
+      ( line ~time:Fulib.Table.max_cell ~extra:{|,"levels":3|} 1,
+        {|"error":"levels: |} );
+    ]
+  in
+  let out = serve_lines ~lookup (List.map fst probes) in
+  let answers = String.split_on_char '\n' (String.trim out) in
+  Alcotest.(check int) "one response per line" (List.length probes)
+    (List.length answers);
+  List.iter2
+    (fun (_, prefix) resp ->
+      if
+        not
+          (contains resp prefix
+          && contains resp (string_of_int Fulib.Table.max_cell))
+        || List.exists (contains resp)
+             [ "Invalid_argument"; "Failure"; "Not_found"; "exception" ]
+      then Alcotest.failf "over-bound cell answered %s" resp)
+    probes answers
+
 (* A "trace" field is ignored like any unknown field: with tracing off,
    serving it records no span (the spans once piled up in a serving
    process that never writes them) and answers the bytes the line
@@ -1214,6 +1249,8 @@ let () =
             test_deadline_factor_range;
           Alcotest.test_case "tree needs a forest" `Quick
             test_tree_needs_forest;
+          Alcotest.test_case "table cells bounded" `Quick
+            test_table_cell_bound;
           Alcotest.test_case "serve channels" `Quick test_jsonl_serve_channels;
           Alcotest.test_case "resident catalogue serves identically" `Quick
             test_catalogue_serves_identically;
