@@ -107,7 +107,7 @@ let ablation_tests =
     [
       Test.make ~name:"forward" (Staged.stage (fun () -> Dfg.Expand.expand g));
       Test.make ~name:"transposed"
-        (Staged.stage (fun () -> Dfg.Expand.expand (Dfg.Transpose.transpose g)));
+        (Staged.stage (fun () -> Dfg.Expand.expand_transposed g));
     ]
 
 (* --- Extensions: refinement, force-directed, series-parallel ---------- *)
@@ -200,12 +200,12 @@ let scaling_dag_assigned n =
   | None -> failwith "bench: kernel assignment infeasible"
 
 (* Measures what the solver-context refactor bought on the SCALE sweep:
-   incremental DFG_Assign_Repeat (one Tree_kernel, ancestor-chain re-solves
-   per pin) against the original full-re-solve Repeat, and the flat tree DP
-   against the list-based reference, on the random-DAG/tree scaling
-   instances up to n = 200; plus the phase-2 kernels (Lower_Bound_FU,
-   Min_FU_Scheduling with threaded frames) and the tree choice on the same
-   DAGs. *)
+   incremental DFG_Assign_Repeat (one Tree_kernel, re-solves per pin that
+   climb only while a row changes) against the original full-re-solve
+   Repeat, and the flat tree DP against the list-based reference, on the
+   random-DAG/tree scaling instances up to n = 200; plus the phase-2
+   kernels (Lower_Bound_FU, Min_FU_Scheduling with threaded frames) and
+   the tree choice on the same DAGs. *)
 let kernel_tests =
   Test.make_grouped ~name:"kernel"
     [
@@ -502,7 +502,7 @@ let mem_tests =
 (* The headline pair is online-incremental vs online-scratch on n >= 100
    random DAGs over a 3-level expanded table: each measured run drifts one
    node's times and re-solves — the incremental side through the
-   controller's Repeat_session (refresh one row + dirty-ancestor chain),
+   controller's Repeat_session (refresh one row, recompute up its chain),
    the scratch side through a full Dfg_assign.repeat. Same drifted table,
    same answer (the qcheck differential in test/test_dvfs.ml), so the row
    prices exactly the incremental machinery. *)

@@ -9,7 +9,7 @@ let c_search_candidates = Obs.Counter.make "repeat_search.candidates"
 let expand_oriented ?max_nodes orientation g =
   match orientation with
   | Forward -> Dfg.Expand.expand ?max_nodes g
-  | Transposed -> Dfg.Expand.expand ?max_nodes (Dfg.Transpose.transpose g)
+  | Transposed -> Dfg.Expand.expand_transposed ?max_nodes g
 
 (* Count both orientations' trees, build only the smaller. Building both
    used to raise [Too_large] when either exceeded the bound, so the counts
@@ -52,14 +52,14 @@ let complete table tree ta a =
 
 (* The kernel on [g]'s expanded tree: copy [i] stands for original node
    [origin.(i)], whose rows and footprint it takes. *)
-let tree_kernel tree g table ~deadline =
-  Tree_kernel.of_table ~tree:tree.Dfg.Expand.graph
-    ~origin:tree.Dfg.Expand.origin g table ~deadline
+let tree_kernel (tree : Dfg.Expand.tree) g table ~deadline =
+  Tree_kernel.of_table ~origin:tree.origin ~parent:tree.parent g table
+    ~deadline
 
 let once_on_tree tree g table ~deadline =
   let solved =
     if deadline < 0 then None
-    else if Dfg.Graph.num_nodes tree.Dfg.Expand.graph = 0 then Some [||]
+    else if Array.length tree.Dfg.Expand.origin = 0 then Some [||]
     else
       Option.map fst (Tree_kernel.solve (tree_kernel tree g table ~deadline))
   in
@@ -128,9 +128,10 @@ let fix_duplicates kernel tree table dups ~n =
   with Infeasible -> None
 
 (* [DFG_Assign_Repeat], incremental: one kernel is created for the expanded
-   tree, and each pinning pass re-solves only the DP rows of the pinned
-   copies' ancestor chains (the rows below them are unaffected by the pin),
-   instead of re-running the whole O(n·T·K) DP per duplicated node. *)
+   tree, and each pinning pass re-solves only the pinned copies' rows and
+   the ancestors whose children's rows changed (the rows below them are
+   unaffected by the pin), instead of re-running the whole O(n·T·K) DP per
+   duplicated node. *)
 let repeat_with_order ?max_nodes ~order g table ~deadline =
   if deadline < 0 then None
   else begin
@@ -233,7 +234,7 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
    fixing order, the placement mask, and the kernel survive across solves,
    so when execution times drift at run time only the perturbed nodes'
    copies (plus previously pinned duplicates) are [Tree_kernel.refresh]ed
-   and the DP recomputes just their ancestor chains — no re-expansion, no
+   and the DP recomputes at most their ancestor chains — no re-expansion, no
    re-allocation, no full first DP. [resolve] replays the exact pin
    sequence of [repeat_with_order ~order:`By_copies], so its result is
    bit-identical to a from-scratch [repeat] on the session's current
@@ -271,7 +272,11 @@ module Repeat_session = struct
       Fulib.Table.num_types table' <> t.k
       || Fulib.Table.num_nodes table' <> t.n
     then invalid_arg "Repeat_session.retime: table shape mismatch";
-    if Fulib.Table.mem_capacities table' <> Fulib.Table.mem_capacities t.table
+    let caps = Fulib.Table.mem_capacities t.table
+    and caps' = Fulib.Table.mem_capacities table' in
+    if
+      Array.length caps <> Array.length caps'
+      || not (Array.for_all2 Int.equal caps caps')
     then invalid_arg "Repeat_session.retime: memory capacities changed";
     let ft' = Fulib.Table.flat_times table'
     and fc' = Fulib.Table.flat_costs table' in

@@ -22,7 +22,8 @@ type orientation = Forward | Transposed
     [expand (transpose g)] (ties prefer [Forward]). Critical-path sums are
     orientation-invariant, so either is sound. Both sizes are counted in
     O(n + e) with {!Dfg.Expand.tree_sizes} and only the chosen tree is
-    built. Raises {!Dfg.Expand.Too_large} when either size exceeds
+    built, the transposed one by {!Dfg.Expand.expand_transposed} without
+    a transposed graph. Raises {!Dfg.Expand.Too_large} when either size exceeds
     [max_nodes] (default {!Dfg.Expand.default_max_nodes}), exactly as
     building both trees would. *)
 val choose_tree : ?max_nodes:int -> Dfg.Graph.t -> orientation * Dfg.Expand.tree
@@ -34,11 +35,13 @@ val once :
   deadline:int ->
   Assignment.t option
 
-(** Incremental: pinning a duplicated node re-solves only the DP rows of
-    its copies' ancestor chains in the expanded tree ({!Tree_kernel}),
-    not the whole tree, and fixing a node traces back only its own copies
-    ({!Tree_kernel.type_at}). Bit-identical to the full-re-solve reference
-    kept with the tests. *)
+(** Incremental: one {!Tree_kernel} on the expanded tree's parent array
+    serves the whole fixing loop. Pinning a duplicated node dirties only
+    its copies' rows; the re-solve before the next node recomputes them
+    and climbs to a parent only while a recomputed row's least feasible
+    budget or costs changed. Fixing a node traces back only its own
+    copies ({!Tree_kernel.type_at}). Bit-identical to the full-re-solve
+    reference kept with the tests. *)
 val repeat :
   ?max_nodes:int ->
   Dfg.Graph.t ->
@@ -79,7 +82,7 @@ val repeat_with_order :
     the expanded tree, fixing order, placement mask, and {!Tree_kernel}
     survive across solves. After {!Repeat_session.retime} with a perturbed
     table, only the changed nodes' copies (plus previously pinned
-    duplicates) are refreshed and the DP recomputes just their ancestor
+    duplicates) are refreshed and the DP recomputes at most their ancestor
     chains — no re-expansion, no re-allocation, no full first DP.
     {!Repeat_session.resolve} is bit-identical to a from-scratch {!repeat}
     on the session's current table. *)

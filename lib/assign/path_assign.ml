@@ -5,12 +5,11 @@
    carries no data sizes, so no memory mask applies. *)
 let kernel table ~deadline =
   let n = Fulib.Table.num_nodes table in
-  let chain =
-    Dfg.Graph.of_edges ~names:(Array.make n "")
-      (List.init (max 0 (n - 1)) (fun i ->
-           { Dfg.Graph.src = i + 1; dst = i; delay = 0; size = 0 }))
-  in
-  Tree_kernel.of_table chain table ~deadline
+  Tree_kernel.create
+    (Array.init n (fun i -> if i = n - 1 then -1 else i + 1))
+    ~times:(Array.copy (Fulib.Table.flat_times table))
+    ~costs:(Array.copy (Fulib.Table.flat_costs table))
+    ~k:(Fulib.Table.num_types table) ~deadline
 
 let solve_with_cost table ~deadline =
   if deadline < 0 then None

@@ -1,24 +1,35 @@
-let check_tree g =
-  if not (Dfg.Graph.is_tree g) then
-    invalid_arg "Tree_assign: DAG portion is not a forest"
+let not_a_forest () = invalid_arg "Tree_assign: DAG portion is not a forest"
 
-(* The DP on [tree], which is [g] or its transpose; the kernel reads the
-   memory footprints from [g] either way. *)
-let solve_on tree g table ~deadline =
-  check_tree tree;
+(* [g]'s own forest as a parent array. *)
+let forest g =
+  if not (Dfg.Graph.is_tree g) then not_a_forest ();
+  Tree_kernel.parents (Dfg.Graph.csr_preds g)
+
+(* The DP on the forest [parent], which is [g]'s own or its transpose's;
+   the kernel reads the memory footprints from [g] either way. *)
+let solve_on parent g table ~deadline =
   if deadline < 0 then None
   else if Dfg.Graph.num_nodes g = 0 then Some ([||], 0)
-  else Tree_kernel.solve (Tree_kernel.of_table ~tree g table ~deadline)
+  else Tree_kernel.solve (Tree_kernel.of_table ~parent g table ~deadline)
 
-let solve_with_cost g table ~deadline = solve_on g g table ~deadline
+let solve_with_cost g table ~deadline = solve_on (forest g) g table ~deadline
 
 let solve g table ~deadline =
   Option.map fst (solve_with_cost g table ~deadline)
 
+(* The transpose's forest gives each node its one zero-delay successor as
+   its parent. *)
 let solve_auto g table ~deadline =
-  let tree = if Dfg.Graph.is_tree g then g else Dfg.Transpose.transpose g in
-  solve_on tree g table ~deadline
+  let parent =
+    if Dfg.Graph.is_tree g then forest g
+    else
+      match Tree_kernel.parents (Dfg.Graph.csr_succs g) with
+      | p -> p
+      | exception Invalid_argument _ -> not_a_forest ()
+  in
+  solve_on parent g table ~deadline
 
 let dp_row g table ~deadline ~node =
-  check_tree g;
-  Tree_kernel.dp_row (Tree_kernel.of_table g table ~deadline) ~node
+  Tree_kernel.dp_row
+    (Tree_kernel.of_table ~parent:(forest g) g table ~deadline)
+    ~node

@@ -284,7 +284,7 @@ let ablation_expand () =
         let table = benchmark_table ~seed:(seed_of_name name) g in
         let deadline = deadline_at ~name g table 2 in
         let forward = Dfg.Expand.expand g in
-        let transposed = Dfg.Expand.expand (Dfg.Transpose.transpose g) in
+        let transposed = Dfg.Expand.expand_transposed g in
         let cost orientation =
           match
             Assign.Dfg_assign.once_oriented orientation g table ~deadline
@@ -295,8 +295,8 @@ let ablation_expand () =
         [
           name;
           string_of_int (Dfg.Graph.num_nodes g);
-          string_of_int (Dfg.Graph.num_nodes forward.Dfg.Expand.graph);
-          string_of_int (Dfg.Graph.num_nodes transposed.Dfg.Expand.graph);
+          string_of_int (Array.length forward.Dfg.Expand.origin);
+          string_of_int (Array.length transposed.Dfg.Expand.origin);
           cost Assign.Dfg_assign.Forward;
           cost Assign.Dfg_assign.Transposed;
         ])

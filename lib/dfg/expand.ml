@@ -1,5 +1,5 @@
 type tree = {
-  graph : Graph.t;
+  parent : int array;
   origin : int array;
   copies : int list array;
 }
@@ -8,33 +8,27 @@ exception Too_large of int
 
 let default_max_nodes = 200_000
 
-(* One DFS over [g]'s DAG portion clones every root's sub-DAG into a tree,
-   numbering copies in preorder (children in adjacency order) into flat
-   origin/parent/size arrays. The DAG portion is acyclic, so a DFS path
-   holds each original node at most once and the stack of pending
-   (original node, parent copy, edge size) entries stays within
-   roots + zero-delay edges. *)
-let expand ?(max_nodes = default_max_nodes) g =
+(* One DFS from [roots] over the adjacency [(off, tgt)] of [g]'s DAG
+   portion clones every root's sub-DAG into a tree, numbering copies in
+   preorder (children in adjacency order) into flat origin/parent arrays.
+   The DAG portion is acyclic, so a DFS path holds each original node at
+   most once and the stack of pending (original node, parent copy) entries
+   stays within roots + zero-delay edges. *)
+let clone ~max_nodes g roots (off, tgt) =
   let n = Graph.num_nodes g in
-  let off, tgt = Graph.csr_succs g in
-  let sizes = Graph.csr_succ_sizes g in
-  let roots = Graph.roots_arr g in
   let depth = Array.length roots + off.(n) in
   let st_node = Array.make depth 0 and st_par = Array.make depth 0 in
-  let st_size = Array.make depth 0 in
   let sp = ref 0 in
-  let push v p s =
+  let push v p =
     st_node.(!sp) <- v;
     st_par.(!sp) <- p;
-    st_size.(!sp) <- s;
     incr sp
   in
   for i = Array.length roots - 1 downto 0 do
-    push roots.(i) (-1) 0
+    push roots.(i) (-1)
   done;
   let cap = ref (Int.max 16 (Int.min max_nodes (2 * n))) in
   let origin = ref (Array.make !cap 0) and parent = ref (Array.make !cap 0) in
-  let size = ref (Array.make !cap 0) in
   let grow a = Array.append !a (Array.make !cap 0) in
   let m = ref 0 in
   while !sp > 0 do
@@ -44,34 +38,43 @@ let expand ?(max_nodes = default_max_nodes) g =
     if !m = !cap then begin
       origin := grow origin;
       parent := grow parent;
-      size := grow size;
       cap := 2 * !cap
     end;
     !origin.(!m) <- v;
     !parent.(!m) <- st_par.(!sp);
-    !size.(!m) <- st_size.(!sp);
     for e = off.(v + 1) - 1 downto off.(v) do
-      push tgt.(e) !m sizes.(e)
+      push tgt.(e) !m
     done;
     incr m
   done;
-  let m = !m and parent = !parent and size = !size in
-  let origin = Array.sub !origin 0 m in
-  let names = Array.map (Graph.name g) origin in
-  let ops = Array.map (Graph.op g) origin in
-  let edges = ref [] in
-  for i = m - 1 downto 0 do
-    if parent.(i) >= 0 then
-      edges :=
-        { Graph.src = parent.(i); dst = i; delay = 0; size = size.(i) }
-        :: !edges
-  done;
-  let graph = Graph.of_edges ~names ~ops !edges in
+  let m = !m in
+  let origin = Array.sub !origin 0 m and parent = Array.sub !parent 0 m in
   let copies = Array.make n [] in
   for t = m - 1 downto 0 do
     copies.(origin.(t)) <- t :: copies.(origin.(t))
   done;
-  { graph; origin; copies }
+  { parent; origin; copies }
+
+let expand ?(max_nodes = default_max_nodes) g =
+  clone ~max_nodes g (Graph.roots_arr g) (Graph.csr_succs g)
+
+(* The transpose's edges are [g]'s in source order ([Graph.edges]), so its
+   adjacency lists each node's zero-delay predecessors by ascending id.
+   [Graph.csr_preds] keeps them in edge-insertion order instead, so they
+   are regrouped here by one pass over the successor view. *)
+let expand_transposed ?(max_nodes = default_max_nodes) g =
+  let n = Graph.num_nodes g in
+  let pred_off, _ = Graph.csr_preds g in
+  let succ_off, succ_tgt = Graph.csr_succs g in
+  let next = Array.sub pred_off 0 n and tgt = Array.make pred_off.(n) 0 in
+  for u = 0 to n - 1 do
+    for e = succ_off.(u) to succ_off.(u + 1) - 1 do
+      let w = succ_tgt.(e) in
+      tgt.(next.(w)) <- u;
+      next.(w) <- next.(w) + 1
+    done
+  done;
+  clone ~max_nodes g (Graph.leaves_arr g) (pred_off, tgt)
 
 (* A node has one copy per root-to-node path (forward) or per node-to-leaf
    path (transposed: the roots of [Transpose.transpose g] are [g]'s

@@ -5,10 +5,14 @@
     DAG appears as a root-to-leaf path of the tree. The paper obtains it by
     duplicating, bottom-up in post-order, the subtree rooted at every common
     node that has several parents; we build the same forest top-down by
-    cloning shared subtrees per incoming path. *)
+    cloning shared subtrees per incoming path.
+
+    The forest is three flat arrays, not a {!Graph.t}: the phase-1 kernel
+    ([Assign.Tree_kernel]) reads a tree only as a parent array, and every
+    copy's rows, name and memory footprint come from its original node. *)
 
 type tree = {
-  graph : Graph.t;  (** the forest: every node has at most one parent *)
+  parent : int array;  (** forest node -> its parent copy, [-1] for a root *)
   origin : int array;  (** forest node -> original node *)
   copies : int list array;
       (** original node -> its forest copies, ascending *)
@@ -26,18 +30,24 @@ val default_max_nodes : int
     {!default_max_nodes}) bounds it, raising {!Too_large} beyond.
 
     Tree nodes are numbered in preorder: roots in ascending order, each
-    node's children in [g]'s adjacency order. Every tree edge therefore
-    goes from a lower id to a higher one, so the tree's topological order
-    is the identity ({!Graph.of_edges}). One explicit-stack DFS fills flat
-    origin, parent and edge-size arrays; no recursion, however deep [g]. *)
+    node's children in [g]'s adjacency order. Every parent is therefore
+    numbered below its children. One explicit-stack DFS fills the flat
+    arrays; no recursion, however deep [g]. *)
 val expand : ?max_nodes:int -> Graph.t -> tree
 
+(** [expand_transposed ?max_nodes g] is [expand ?max_nodes
+    (Transpose.transpose g)], numbering included, without building the
+    transposed graph: the DFS starts from [g]'s leaves and walks each
+    node's zero-delay predecessors in ascending id order, which is the
+    transpose's adjacency order. *)
+val expand_transposed : ?max_nodes:int -> Graph.t -> tree
+
 (** [tree_sizes ~max_nodes g] is [(forward, transposed)]: the node counts
-    of [expand g] and of [expand (Transpose.transpose g)], computed in
-    O(n + e) without building either tree. A node has one forward copy per
+    of [expand g] and of [expand_transposed g], computed in O(n + e)
+    without building either tree. A node has one forward copy per
     root-to-node path and one transposed copy per node-to-leaf path. Each
     count saturates at [max_nodes + 1], so a count above [max_nodes] means
-    exactly that the matching {!expand} raises {!Too_large} (for a
+    exactly that the matching expansion raises {!Too_large} (for a
     non-empty graph). *)
 val tree_sizes : max_nodes:int -> Graph.t -> int * int
 

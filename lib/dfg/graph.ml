@@ -12,7 +12,6 @@ type csr = {
   succ_off : int array;  (* length n+1; zero-delay succs of v at
                             [succ_off.(v) .. succ_off.(v+1) - 1] *)
   succ_tgt : int array;
-  succ_size : int array;  (* parallel to succ_tgt: zero-delay edge sizes *)
   pred_off : int array;
   pred_tgt : int array;
   out_data : int array;  (* per node: total size over ALL outgoing edges *)
@@ -113,22 +112,20 @@ let build_csr n succs preds ~ascending =
       off.(v + 1) <- off.(v) + count_zero adj.(v)
     done;
     let tgt = Array.make off.(n) 0 in
-    let sz = Array.make off.(n) 0 in
     for v = 0 to n - 1 do
       let i = ref off.(v) in
       List.iter
-        (fun (w, d, s) ->
+        (fun (w, d, _) ->
           if d = 0 then begin
             tgt.(!i) <- w;
-            sz.(!i) <- s;
             incr i
           end)
         adj.(v)
     done;
-    (off, tgt, sz)
+    (off, tgt)
   in
-  let succ_off, succ_tgt, succ_size = fill succs in
-  let pred_off, pred_tgt, _ = fill preds in
+  let succ_off, succ_tgt = fill succs in
+  let pred_off, pred_tgt = fill preds in
   (* Computing the topological order is also the acyclicity check. When
      every zero-delay edge climbs in id, the heap pass would pop 0, 1, ..,
      n-1: once 0..m-1 are out, all of m's predecessors are, and every
@@ -149,7 +146,7 @@ let build_csr n succs preds ~ascending =
       succs
   in
   let has_data = Array.exists (fun d -> d > 0) out_data in
-  let collect pred =
+  let collect (pred : int array) =
     let count = ref 0 in
     for v = 0 to n - 1 do
       if pred.(v + 1) = pred.(v) then incr count
@@ -177,7 +174,6 @@ let build_csr n succs preds ~ascending =
     num_edges;
     succ_off;
     succ_tgt;
-    succ_size;
     pred_off;
     pred_tgt;
     out_data;
@@ -192,7 +188,6 @@ let build_csr n succs preds ~ascending =
 
 let csr_succs g = (g.csr.succ_off, g.csr.succ_tgt)
 let csr_preds g = (g.csr.pred_off, g.csr.pred_tgt)
-let csr_succ_sizes g = g.csr.succ_size
 let out_data_arr g = g.csr.out_data
 let out_data g v = g.csr.out_data.(v)
 let has_data_sizes g = g.csr.has_data
@@ -201,7 +196,7 @@ let leaves_arr g = g.csr.leaves
 
 (* Data only crosses FU boundaries when producer and consumer land on
    different types; a same-type hop is a local-memory access and free. *)
-let transfer ~src_type ~dst_type ~size =
+let transfer ~(src_type : int) ~dst_type ~size =
   if src_type = dst_type then 0 else size
 
 let topo_arr g = g.csr.topo
@@ -212,12 +207,6 @@ let iter_dag_succs g v f =
   let c = g.csr in
   for i = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
     f c.succ_tgt.(i)
-  done
-
-let iter_dag_succs_sized g v f =
-  let c = g.csr in
-  for i = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
-    f c.succ_tgt.(i) c.succ_size.(i)
   done
 
 let fold_dag_succs g v ~init ~f =

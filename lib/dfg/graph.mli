@@ -87,9 +87,6 @@ val is_tree : t -> bool
 val csr_succs : t -> int array * int array
 val csr_preds : t -> int array * int array
 
-(** Zero-delay edge sizes, parallel to the targets array of {!csr_succs}. *)
-val csr_succ_sizes : t -> int array
-
 (** {2 Data sizes and the memory model} *)
 
 (** [out_data g v] is node [v]'s memory footprint: the total [size] over
@@ -129,10 +126,6 @@ val preheat : t -> unit
 (** Allocation-free iteration over zero-delay neighbours, in adjacency
     order. *)
 val iter_dag_succs : t -> int -> (int -> unit) -> unit
-
-(** Like {!iter_dag_succs} but the callback also receives the edge's data
-    size. *)
-val iter_dag_succs_sized : t -> int -> (int -> int -> unit) -> unit
 
 val fold_dag_succs : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 val fold_dag_preds : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a

@@ -17,7 +17,7 @@ type t = {
 
 (* Index of the first minimum of [a.(off) .. a.(off + k - 1)], relative
    to [off]: the smallest type on ties. *)
-let arg_min a off k =
+let arg_min (a : int array) off k =
   let best = ref 0 in
   for t = 1 to k - 1 do
     if a.(off + t) < a.(off + !best) then best := t

@@ -2,7 +2,7 @@ type t = int array
 
 let total = Array.fold_left ( + ) 0
 
-let dominates c c' =
+let dominates (c : int array) c' =
   Array.length c = Array.length c'
   && Array.for_all2 (fun a b -> a >= b) c c'
 

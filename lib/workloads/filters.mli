@@ -25,7 +25,7 @@ val volterra : unit -> Dfg.Graph.t
     multiplies. *)
 val diffeq : unit -> Dfg.Graph.t
 
-(** RLS-Laguerre lattice filter: 19 nodes, lightly reconvergent. *)
+(** RLS-Laguerre lattice filter: 18 nodes, lightly reconvergent. *)
 val rls_laguerre : unit -> Dfg.Graph.t
 
 (** Fifth-order elliptic wave filter: 34 nodes (26 additions, 8

@@ -83,3 +83,6 @@ let with_env var value f =
   let saved = Option.value (Sys.getenv_opt var) ~default:"" in
   Unix.putenv var value;
   Fun.protect ~finally:(fun () -> Unix.putenv var saved) f
+
+(* The parent array of a forest graph, as [Assign.Tree_kernel] takes it. *)
+let forest_parent g = Assign.Tree_kernel.parents (Dfg.Graph.csr_preds g)

@@ -1,9 +1,12 @@
 (* The full-re-solve [DFG_Assign_Repeat] (paper §5.3) that the incremental
    kernel replaced, kept as a differential-testing oracle and benchmark
    baseline: [Assign.Dfg_assign.repeat] must return the same assignment.
-   Each duplicated node costs a fresh list-based DP ([Tree_assign]) over a
-   freshly pinned table. The helpers below are copies of the library's, so
-   the oracle fixes nodes in the same order and breaks ties the same way. *)
+   The tree is the smaller of the list-based expansions ([Expand]) of [g]
+   and of its transpose, and each duplicated node costs a fresh list-based
+   DP ([Tree_assign]) over a freshly pinned table, so no library
+   expansion, tree choice or kernel is involved. The helpers below are
+   copies of the library's, so the oracle fixes nodes in the same order
+   and breaks ties the same way. *)
 
 (* Among the tree copies of original node [v], pick the type with minimum
    execution time; break ties toward lower cost, then lower type index, so
@@ -40,14 +43,25 @@ let by_copies tree dups =
       compare (Dfg.Expand.copy_count tree v) (Dfg.Expand.copy_count tree u))
     dups
 
+(* The smaller of the two expansions, ties toward [g]'s own; building
+   both raises [Too_large] when either exceeds [max_nodes]. *)
+let smaller_tree ?max_nodes g =
+  let forward = Expand.expand_reference ?max_nodes g in
+  let transposed =
+    Expand.expand_reference ?max_nodes (Dfg.Transpose.transpose g)
+  in
+  if Array.length forward.origin <= Array.length transposed.origin then
+    forward
+  else transposed
+
 let repeat_reference ?max_nodes g table ~deadline =
-  let _, tree = Assign.Dfg_assign.choose_tree ?max_nodes g in
+  let tree = smaller_tree ?max_nodes g in
   let dups = by_copies tree (Dfg.Expand.duplicated_nodes tree) in
   let n = Dfg.Graph.num_nodes g in
   let a = Array.make n (-1) in
+  let graph = Expand.tree_graph g tree in
   let solve_tree tbl =
-    Option.map fst
-      (Tree_assign.solve_with_cost_reference tree.Dfg.Expand.graph tbl ~deadline)
+    Option.map fst (Tree_assign.solve_with_cost_reference graph tbl ~deadline)
   in
   let exception Infeasible in
   try

@@ -129,7 +129,7 @@ let choose_tree ?max_nodes g =
   let forward = expand_oriented ?max_nodes Forward g in
   let transposed = expand_oriented ?max_nodes Transposed g in
   if
-    Dfg.Graph.num_nodes forward.Dfg.Expand.graph
-    <= Dfg.Graph.num_nodes transposed.Dfg.Expand.graph
+    Array.length forward.Dfg.Expand.origin
+    <= Array.length transposed.Dfg.Expand.origin
   then (Assign.Dfg_assign.Forward, forward)
   else (Assign.Dfg_assign.Transposed, transposed)

@@ -78,7 +78,7 @@ let test_choose_tree_picks_smaller () =
   let orientation, tree = Assign.Dfg_assign.choose_tree g in
   Alcotest.(check bool) "transposed chosen" true
     (orientation = Assign.Dfg_assign.Transposed);
-  Alcotest.(check int) "4 nodes" 4 (Dfg.Graph.num_nodes tree.Dfg.Expand.graph)
+  Alcotest.(check int) "4 nodes" 4 (Array.length tree.Dfg.Expand.origin)
 
 let test_once_oriented_both_feasible () =
   let g = diamond () and tbl = diamond_table () in

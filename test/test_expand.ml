@@ -1,18 +1,25 @@
 open Helpers
 
-let tree_is_forest t = Dfg.Graph.is_tree t.Dfg.Expand.graph
+(* Preorder numbering puts every parent below its children, which also
+   rules out a cycle. *)
+let tree_is_forest (t : Dfg.Expand.tree) =
+  let ok = ref true in
+  Array.iteri (fun i p -> if p < -1 || p >= i then ok := false) t.parent;
+  !ok
+
+let size (t : Dfg.Expand.tree) = Array.length t.origin
 
 let test_tree_unchanged () =
   let g = graph 5 [ (0, 1); (0, 2); (1, 3); (1, 4) ] in
   let t = Dfg.Expand.expand g in
-  Alcotest.(check int) "same size" 5 (Dfg.Graph.num_nodes t.Dfg.Expand.graph);
+  Alcotest.(check int) "same size" 5 (size t);
   Alcotest.(check (list int)) "no duplicates" [] (Dfg.Expand.duplicated_nodes t);
   Alcotest.(check bool) "still a tree" true (tree_is_forest t)
 
 let test_diamond_duplicates_join () =
   let g = diamond () in
   let t = Dfg.Expand.expand g in
-  Alcotest.(check int) "5 tree nodes" 5 (Dfg.Graph.num_nodes t.Dfg.Expand.graph);
+  Alcotest.(check int) "5 tree nodes" 5 (size t);
   Alcotest.(check (list int)) "join duplicated" [ 3 ] (Dfg.Expand.duplicated_nodes t);
   Alcotest.(check int) "two copies" 2 (Dfg.Expand.copy_count t 3);
   Alcotest.(check bool) "result is a tree" true (tree_is_forest t)
@@ -26,14 +33,15 @@ let test_origin_and_copies_consistent () =
         "copies lists its tree node" true
         (List.mem tree_node t.Dfg.Expand.copies.(orig)))
     t.Dfg.Expand.origin;
-  (* names and ops carried over *)
+  (* every tree edge is a zero-delay edge between the copies' originals *)
   Array.iteri
-    (fun tree_node orig ->
-      Alcotest.(check string)
-        "name preserved"
-        (Dfg.Graph.name g orig)
-        (Dfg.Graph.name t.Dfg.Expand.graph tree_node))
-    t.Dfg.Expand.origin
+    (fun tree_node p ->
+      if p >= 0 then
+        Alcotest.(check bool)
+          "tree edge maps to a graph edge" true
+          (List.mem t.Dfg.Expand.origin.(tree_node)
+             (Dfg.Graph.dag_succs g t.Dfg.Expand.origin.(p))))
+    t.Dfg.Expand.parent
 
 let sorted_path_names g path = List.map (Dfg.Graph.name g) path
 
@@ -43,16 +51,14 @@ let test_all_critical_paths_preserved () =
   let g =
     graph 7 [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4); (3, 5); (4, 6); (5, 6) ]
   in
-  let t = Dfg.Expand.expand g in
+  let tg = Oracle.Expand.tree_graph g (Dfg.Expand.expand g) in
   let original =
     List.sort_uniq compare
       (List.map (sorted_path_names g) (Dfg.Paths.critical_paths g))
   in
   let expanded =
     List.sort_uniq compare
-      (List.map
-         (sorted_path_names t.Dfg.Expand.graph)
-         (Dfg.Paths.critical_paths t.Dfg.Expand.graph))
+      (List.map (sorted_path_names tg) (Dfg.Paths.critical_paths tg))
   in
   Alcotest.(check (list (list string))) "same critical paths" original expanded
 
@@ -76,20 +82,24 @@ let test_tree_size_equals_path_to_node_counts () =
       (Dfg.Topo.sort g);
     Array.fold_left ( + ) 0 counts
   in
-  Alcotest.(check int) "tree size" expected (Dfg.Graph.num_nodes t.Dfg.Expand.graph)
+  Alcotest.(check int) "tree size" expected (size t)
 
 let test_multi_root () =
   let g = graph 3 [ (0, 2); (1, 2) ] in
   let t = Dfg.Expand.expand g in
-  Alcotest.(check int) "4 nodes" 4 (Dfg.Graph.num_nodes t.Dfg.Expand.graph);
-  Alcotest.(check int) "2 roots" 2 (List.length (Dfg.Graph.roots t.Dfg.Expand.graph))
+  let roots p =
+    Array.fold_left (fun acc q -> if q < 0 then acc + 1 else acc) 0 p
+  in
+  Alcotest.(check int) "4 nodes" 4 (size t);
+  Alcotest.(check int) "2 roots" 2 (roots t.Dfg.Expand.parent)
 
 let test_delay_edges_dropped () =
   let g = graph_with_delays 3 [ (0, 1, 0); (1, 2, 0); (2, 0, 1) ] in
   let t = Dfg.Expand.expand g in
-  Alcotest.(check int) "3 nodes" 3 (Dfg.Graph.num_nodes t.Dfg.Expand.graph);
+  Alcotest.(check int) "3 nodes" 3 (size t);
   Alcotest.(check int) "only zero-delay edges" 2
-    (Dfg.Graph.num_edges t.Dfg.Expand.graph)
+    (Array.fold_left (fun acc p -> if p >= 0 then acc + 1 else acc) 0
+       t.Dfg.Expand.parent)
 
 let test_too_large () =
   (* 12 stacked diamonds -> 2^13 - ... paths; cap at 100 nodes *)
@@ -106,7 +116,7 @@ let test_too_large () =
 
 let test_empty () =
   let t = Dfg.Expand.expand (graph 0 []) in
-  Alcotest.(check int) "empty" 0 (Dfg.Graph.num_nodes t.Dfg.Expand.graph)
+  Alcotest.(check int) "empty" 0 (size t)
 
 (* --- Flat DFS and identity topo vs the list-based oracles -------------- *)
 
@@ -166,19 +176,16 @@ let ids_numbered g =
     (Dfg.Graph.edges g)
 
 let same_tree (a : Dfg.Expand.tree) (b : Dfg.Expand.tree) =
-  let ops t = Array.init (Dfg.Graph.num_nodes t) (Dfg.Graph.op t) in
-  a.origin = b.origin && a.copies = b.copies
-  && Dfg.Graph.names a.graph = Dfg.Graph.names b.graph
-  && ops a.graph = ops b.graph
-  && Dfg.Graph.edges a.graph = Dfg.Graph.edges b.graph
-  && Dfg.Graph.topo_arr a.graph = Dfg.Graph.topo_arr b.graph
+  a.parent = b.parent && a.origin = b.origin && a.copies = b.copies
 
 let outcome f =
   match f () with t -> Ok t | exception Dfg.Expand.Too_large m -> Error m
 
-(* Both expansions agree (and their trees' orders match the heap oracle)
-   with the default bound and at one below, at, and one above the tree's
-   size; so does the input graph's own order. *)
+(* Both expansions agree with the default bound and at one below, at, and
+   one above the tree's size, forward and transposed (the flat walk over
+   [g]'s predecessors against the list-based expansion of the transposed
+   graph); the input graph's order and the reference tree's, as a graph,
+   match the heap oracle. *)
 let expand_matches_oracle =
   QCheck.Test.make ~name:"flat expand and identity topo = list/heap oracles"
     ~count:500
@@ -186,21 +193,27 @@ let expand_matches_oracle =
     (fun seed ->
       let g = random_graph (Workloads.Prng.create seed) in
       let reference = Oracle.Expand.expand_reference g in
-      let size = Array.length reference.origin in
+      let rg = Oracle.Expand.tree_graph g reference in
+      let agrees expand source =
+        let size = size (Oracle.Expand.expand_reference source) in
+        List.for_all
+          (fun max_nodes ->
+            match
+              ( outcome (fun () -> expand ?max_nodes g),
+                outcome (fun () ->
+                    Oracle.Expand.expand_reference ?max_nodes source) )
+            with
+            | Ok a, Ok b -> same_tree a b
+            | Error m, Error m' -> m = m'
+            | _ -> false)
+          [ None; Some (size - 1); Some size; Some (size + 1) ]
+      in
       Dfg.Graph.topo_arr g = Oracle.Topo.topo_reference g
-      && Dfg.Graph.topo_arr reference.graph
-         = Oracle.Topo.topo_reference reference.graph
-      && List.for_all
-           (fun max_nodes ->
-             let reference () = Oracle.Expand.expand_reference ?max_nodes g in
-             match
-               ( outcome (fun () -> Dfg.Expand.expand ?max_nodes g),
-                 outcome reference )
-             with
-             | Ok a, Ok b -> same_tree a b
-             | Error m, Error m' -> m = m'
-             | _ -> false)
-           [ None; Some (size - 1); Some size; Some (size + 1) ])
+      && Dfg.Graph.topo_arr rg = Oracle.Topo.topo_reference rg
+      && agrees (fun ?max_nodes g -> Dfg.Expand.expand ?max_nodes g) g
+      && agrees
+           (fun ?max_nodes g -> Dfg.Expand.expand_transposed ?max_nodes g)
+           (Dfg.Transpose.transpose g))
 
 (* The random graphs above cover both kinds of numbering. *)
 let test_numbering_coverage () =

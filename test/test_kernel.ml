@@ -3,6 +3,8 @@
    must be bit-identical to the reference (pre-refactor) implementations
    they replaced, which live in the test-only [Oracle] library. *)
 
+let quick name f = Alcotest.test_case name `Quick f
+
 let of_seed f =
   QCheck.make ~print:string_of_int QCheck.Gen.(map abs int) |> fun arb ->
   (arb, f)
@@ -241,12 +243,18 @@ let copy_is_independent =
         List.iter (fun (node, ftype) -> Assign.Tree_kernel.pin kr ~node ~ftype)
       in
       let pinned pins =
-        let kr = Assign.Tree_kernel.of_table g tbl ~deadline in
+        let kr =
+          Assign.Tree_kernel.of_table ~parent:(Helpers.forest_parent g) g tbl
+            ~deadline
+        in
         pin_all kr pins;
         kr
       in
       let before = [ pin () ] and after = [ pin (); pin () ] in
-      let master = Assign.Tree_kernel.of_table g tbl ~deadline in
+      let master =
+        Assign.Tree_kernel.of_table ~parent:(Helpers.forest_parent g) g tbl
+          ~deadline
+      in
       if seed mod 2 = 0 then ignore (Assign.Tree_kernel.solve master);
       pin_all master before;
       let c = Assign.Tree_kernel.copy master in
@@ -330,7 +338,8 @@ let windows_match_fresh =
       let live =
         Assign.Tree_kernel.create
           ?forbid:(if masked then Some forbid0 else None)
-          g ~times:(Array.copy times) ~costs:(Array.copy costs) ~k ~deadline
+          (Helpers.forest_parent g) ~times:(Array.copy times)
+          ~costs:(Array.copy costs) ~k ~deadline
       in
       let type_at kr node =
         match Assign.Tree_kernel.type_at kr ~node with
@@ -341,7 +350,8 @@ let windows_match_fresh =
         let fresh =
           Assign.Tree_kernel.create
             ?forbid:(if masked then Some forbid else None)
-            g ~times:(Array.copy times) ~costs:(Array.copy costs) ~k ~deadline
+            (Helpers.forest_parent g) ~times:(Array.copy times)
+            ~costs:(Array.copy costs) ~k ~deadline
         in
         let probe = Assign.Tree_kernel.copy live in
         let nodes = List.init n Fun.id in
@@ -412,6 +422,108 @@ let windows_match_fresh =
         end
       done;
       !ok)
+
+(* Early cutoff: a pin that leaves its row unchanged dirties nothing above
+   it. On the tree 0 -> {1, 2}, 1 -> {3, 4}, node 3's type 0 is both
+   faster and cheaper, so its row takes type 0 at every budget; pinning it
+   there recomputes one row. Pinning node 4 to its slow type raises its
+   least feasible budget, so the recompute climbs through 1 to the root. *)
+let test_cutoff_stops_at_unchanged_row () =
+  let times = [| 1; 2; 1; 2; 1; 2; 1; 2; 1; 3 |] in
+  let costs = [| 4; 3; 6; 2; 5; 1; 1; 5; 2; 1 |] in
+  let kr =
+    Assign.Tree_kernel.create [| -1; 0; 0; 1; 1 |] ~times ~costs ~k:2
+      ~deadline:12
+  in
+  let dirty_rows () =
+    Option.value (Obs.Counter.value_of "kernel.dirty_rows") ~default:0
+  in
+  Alcotest.(check bool) "feasible" true (Assign.Tree_kernel.feasible kr);
+  let before = dirty_rows () in
+  Assign.Tree_kernel.pin kr ~node:3 ~ftype:0;
+  Alcotest.(check bool) "still feasible" true (Assign.Tree_kernel.feasible kr);
+  Alcotest.(check int) "one row recomputed" 1 (dirty_rows () - before);
+  let before = dirty_rows () in
+  Assign.Tree_kernel.pin kr ~node:4 ~ftype:1;
+  ignore (Assign.Tree_kernel.feasible kr);
+  Alcotest.(check int) "a changed row climbs to the root" 3
+    (dirty_rows () - before)
+
+(* [create] checks its parent array is a forest: a cycle (a self-loop
+   included) or an entry outside [-1, n) is rejected before any row is
+   laid out. *)
+let test_parent_array_checked () =
+  let create parent =
+    let n = Array.length parent in
+    Assign.Tree_kernel.create parent ~times:(Array.make n 1)
+      ~costs:(Array.make n 1) ~k:1 ~deadline:5
+  in
+  let rejected parent =
+    match create parent with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "forest accepted" false (rejected [| -1; 0; 0; -1; 3 |]);
+  Alcotest.(check bool) "two-node cycle" true (rejected [| 1; 0; -1 |]);
+  Alcotest.(check bool) "self-loop" true (rejected [| -1; 1 |]);
+  Alcotest.(check bool) "cycle below a root" true (rejected [| -1; 3; 1; 2 |]);
+  Alcotest.(check bool) "parent out of range" true (rejected [| -1; 2 |]);
+  Alcotest.(check bool) "parent below -1" true (rejected [| -2 |])
+
+(* A DAG with many sources and one sink: the transpose of a random DAG,
+   whose only root becomes the only sink, so the transposed tree (the
+   original's forward one) is usually the smaller and [choose_tree] picks
+   it. [repeat] and a [Repeat_session] resolve, before and after a retime
+   that moves some nodes' times both ways, match the reference, which
+   makes its own tree choice from list-based expansions. *)
+let transposed_repeat_equals_reference =
+  of_seed (fun seed ->
+      let rng = Workloads.Prng.create seed in
+      let n = 2 + Workloads.Prng.int rng 40 in
+      let g =
+        Dfg.Transpose.transpose
+          (Workloads.Random_dfg.random_dag rng ~n
+             ~extra_edges:(1 + Workloads.Prng.int rng (n / 2)))
+      in
+      let library = Fulib.Library.standard3 in
+      let tbl = Workloads.Tables.random_tradeoff rng ~library ~num_nodes:n in
+      let time, cost = rows_of tbl in
+      let drifted = Array.map Array.copy time in
+      for _ = 1 to 1 + Workloads.Prng.int rng 4 do
+        let v = Workloads.Prng.int rng n in
+        drifted.(v) <-
+          Array.map
+            (fun t -> max 1 (t + Workloads.Prng.int_in rng (-2) 3))
+            time.(v)
+      done;
+      let tbl' = Fulib.Table.make ~library ~time:drifted ~cost in
+      let tmin = Assign.Assignment.min_makespan g tbl in
+      let deadline = tmin + Workloads.Prng.int rng (1 + (tmin / 2)) in
+      let reference = Oracle.Dfg_assign.repeat_reference g tbl ~deadline in
+      let session = Assign.Dfg_assign.Repeat_session.create g tbl ~deadline in
+      let first = Assign.Dfg_assign.Repeat_session.resolve session in
+      Assign.Dfg_assign.Repeat_session.retime session tbl';
+      Assign.Dfg_assign.repeat g tbl ~deadline = reference
+      && first = reference
+      && Assign.Dfg_assign.Repeat_session.resolve session
+         = Oracle.Dfg_assign.repeat_reference g tbl' ~deadline)
+
+(* The graphs above do exercise the transposed tree. *)
+let test_transposed_trees_chosen () =
+  let picked = ref 0 in
+  for seed = 0 to 99 do
+    let rng = Workloads.Prng.create seed in
+    let n = 2 + Workloads.Prng.int rng 40 in
+    let g =
+      Dfg.Transpose.transpose
+        (Workloads.Random_dfg.random_dag rng ~n
+           ~extra_edges:(1 + Workloads.Prng.int rng (n / 2)))
+    in
+    match Assign.Dfg_assign.choose_tree g with
+    | Assign.Dfg_assign.Transposed, _ -> incr picked
+    | Forward, _ -> ()
+  done;
+  Alcotest.(check bool) "most pick the transposed tree" true (!picked > 50)
 
 let frames_equal_asap_alap =
   of_seed (fun seed ->
@@ -540,7 +652,6 @@ let test_synthesis_config_on_benchmarks () =
     (Workloads.Filters.all ())
 
 let () =
-  let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "kernel"
     [
       ( "csr",
@@ -561,6 +672,14 @@ let () =
           prop "kernel copy is independent" 200 copy_is_independent;
           prop "windowed rows = fresh kernel under pins and refreshes" 400
             windows_match_fresh;
+          quick "early cutoff stops at an unchanged row"
+            test_cutoff_stops_at_unchanged_row;
+          quick "parent arrays that are not forests are rejected"
+            test_parent_array_checked;
+          prop "transposed repeat and session = reference" 200
+            transposed_repeat_equals_reference;
+          quick "many-source DAGs pick the transposed tree"
+            test_transposed_trees_chosen;
         ] );
       ( "frames",
         [

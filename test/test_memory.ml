@@ -98,7 +98,9 @@ let test_forbid_mask () =
   let costs () = [| 1; 5; 1; 5; 1; 5 |] in
   (match
      Assign.Tree_kernel.(
-       solve (create g ~times:(times ()) ~costs:(costs ()) ~k:2 ~deadline:10))
+       solve
+         (create (Helpers.forest_parent g) ~times:(times ()) ~costs:(costs ())
+            ~k:2 ~deadline:10))
    with
   | Some (a, c) ->
       Alcotest.(check (array int)) "unmasked: all on the cheap type" [| 0; 0; 0 |] a;
@@ -110,7 +112,8 @@ let test_forbid_mask () =
   (match
      Assign.Tree_kernel.(
        solve
-         (create ~forbid g ~times:(times ()) ~costs:(costs ()) ~k:2 ~deadline:10))
+         (create ~forbid (Helpers.forest_parent g) ~times:(times ())
+            ~costs:(costs ()) ~k:2 ~deadline:10))
    with
   | Some (a, c) ->
       Alcotest.(check (array int)) "mask reroutes node 1" [| 0; 1; 0 |] a;
@@ -122,7 +125,8 @@ let test_forbid_mask () =
   match
     Assign.Tree_kernel.(
       solve
-        (create ~forbid g ~times:(times ()) ~costs:(costs ()) ~k:2 ~deadline:10))
+        (create ~forbid (Helpers.forest_parent g) ~times:(times ())
+           ~costs:(costs ()) ~k:2 ~deadline:10))
   with
   | Some _ -> Alcotest.fail "fully masked node still placed"
   | None -> ()

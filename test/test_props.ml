@@ -112,7 +112,7 @@ let dp_monotone_in_deadline =
 let expansion_preserves_critical_paths =
   of_seed (fun seed ->
       let g, _, _ = instance ~max_nodes:7 seed in
-      let t = Dfg.Expand.expand g in
+      let tg = Oracle.Expand.tree_graph g (Dfg.Expand.expand g) in
       let names gr path = List.map (Dfg.Graph.name gr) path in
       let original =
         List.sort_uniq compare
@@ -120,10 +120,9 @@ let expansion_preserves_critical_paths =
       in
       let expanded =
         List.sort_uniq compare
-          (List.map (names t.Dfg.Expand.graph)
-             (Dfg.Paths.critical_paths t.Dfg.Expand.graph))
+          (List.map (names tg) (Dfg.Paths.critical_paths tg))
       in
-      Dfg.Graph.is_tree t.Dfg.Expand.graph && original = expanded)
+      Dfg.Graph.is_tree tg && original = expanded)
 
 let knapsack_reduction_sound =
   of_seed (fun seed ->

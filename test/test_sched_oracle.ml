@@ -86,12 +86,11 @@ let phase2_matches_oracle seed =
         [ deadline; deadline - 1; 2 * deadline ])
     (assignments g tbl ~deadline)
 
-let tree_shape (o, (t : Dfg.Expand.tree)) =
-  (o, Dfg.Graph.edges t.graph, t.origin, t.copies)
+let tree_shape (o, (t : Dfg.Expand.tree)) = (o, t.parent, t.origin, t.copies)
 
 let choice ~max_nodes g f =
   match f ~max_nodes g with
-  | o, (t : Dfg.Expand.tree) -> Ok (o, Dfg.Graph.num_nodes t.graph)
+  | o, (t : Dfg.Expand.tree) -> Ok (o, Array.length t.origin)
   | exception Dfg.Expand.Too_large m -> Error m
 
 let choose_tree_matches_oracle seed =
@@ -109,9 +108,9 @@ let choose_tree_matches_oracle seed =
   (* the same tree, and the counts are the built trees' sizes *)
   tree_shape fresh = tree_shape old
   && forward
-     = Dfg.Graph.num_nodes (Oracle.Sched_oracle.expand_oriented Forward g).graph
+     = Array.length (Oracle.Sched_oracle.expand_oriented Forward g).origin
   && transposed
-     = Dfg.Graph.num_nodes (Oracle.Sched_oracle.expand_oriented Transposed g).graph
+     = Array.length (Oracle.Sched_oracle.expand_oriented Transposed g).origin
   &&
   (* bounds around both sizes: raise exactly when the oracle does *)
   let lo = min forward transposed and hi = max forward transposed in
@@ -145,7 +144,7 @@ let test_only_transposed_too_large () =
   match Assign.Dfg_assign.choose_tree ~max_nodes:110 g with
   | Forward, t ->
       Alcotest.(check int) "forward tree at the bound" 20
-        (Dfg.Graph.num_nodes t.graph)
+        (Array.length t.origin)
   | Transposed, _ -> Alcotest.fail "picked the larger tree"
 
 (* Saturation: a ladder of diamonds has 2^k paths; the counts must cap at
@@ -178,7 +177,7 @@ let kernel_traceback_matches_solve seed =
     Array.init (tn * k) (fun i -> flat.((origin.(i / k) * k) + (i mod k)))
   in
   let kernel =
-    Assign.Tree_kernel.create tree.Dfg.Expand.graph
+    Assign.Tree_kernel.create tree.Dfg.Expand.parent
       ~times:(row (Fulib.Table.flat_times tbl))
       ~costs:(row (Fulib.Table.flat_costs tbl))
       ~k
