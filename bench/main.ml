@@ -640,8 +640,10 @@ let rt_tests =
 (* --- Structural RTL: lowering and co-simulation throughput ------------ *)
 
 (* Schedules are solved once outside the staged thunks; the rows price the
-   backend itself — netlist lowering, SystemVerilog emission, and the
-   cycle-accurate co-simulation — as the DAG size scales. *)
+   backend itself — netlist lowering, SystemVerilog emission, the wire
+   path of an rtl request (netlist, stats and the module and testbench
+   digests, as Core.Synthesis runs it), and the cycle-accurate
+   co-simulation — as the DAG size scales. *)
 let rtl_tests =
   let lowered n =
     lazy
@@ -674,6 +676,11 @@ let rtl_tests =
               let _, _, _, nl = Lazy.force inst in
               Rtl.Sim.run nl ~iterations:4
                 ~input:Rtl.Backend.default_stimulus));
+      Test.make_indexed ~name:"digest" ~args:sized (fun n ->
+          let inst = List.assoc n pool in
+          Staged.stage (fun () ->
+              let g, tbl, s, _ = Lazy.force inst in
+              Rtl.Backend.summarize (Rtl.Backend.request g tbl s)));
     ]
 
 (* --- Observability overhead: the disabled-mode no-op contract --------- *)

@@ -33,10 +33,7 @@ let instance ~name ~file ~seed =
   | Some path -> (
       match Netlist.load ~path with
       | g, Some table -> (g, table)
-      | g, None ->
-          ( g,
-            Workloads.Tables.for_graph (Workloads.Prng.create seed)
-              ~library:Fulib.Library.standard3 g )
+      | g, None -> (g, Workloads.Tables.seeded ~seed g)
       | exception Netlist.Parse_error (line, msg) ->
           Printf.eprintf "%s:%d: %s\n" path line msg;
           exit 2)
@@ -67,8 +64,8 @@ let list_cmd =
         let _, tree = Assign.Dfg_assign.choose_tree g in
         Printf.printf "%-21s %3d nodes, %3d edges, %s, %d duplicated nodes\n"
           name (Dfg.Graph.num_nodes g) (Dfg.Graph.num_edges g)
-          (if Dfg.Graph.is_tree g || Dfg.Graph.is_tree (Dfg.Transpose.transpose g)
-           then "tree" else "DAG")
+          (if Dfg.Graph.is_tree g || Dfg.Graph.is_in_tree g then "tree"
+           else "DAG")
           (List.length (Dfg.Expand.duplicated_nodes tree)))
       (Workloads.Catalogue.names ())
   in

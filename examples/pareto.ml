@@ -23,7 +23,7 @@ let () =
   let heuristic = Core.Frontier.trace graph table ~max_deadline in
   Printf.printf "Repeat frontier (%d points):\n%s\n" (List.length heuristic)
     (Core.Frontier.to_string heuristic);
-  (if Dfg.Graph.is_tree graph || Dfg.Graph.is_tree (Dfg.Transpose.transpose graph)
+  (if Dfg.Graph.is_tree graph || Dfg.Graph.is_in_tree graph
    then begin
      let optimal =
        Core.Frontier.trace ~algorithm:Core.Synthesis.Tree graph table ~max_deadline

@@ -62,8 +62,7 @@ let of_name_result s =
 let applicable algorithm g =
   match algorithm with
   | Tree ->
-      if Dfg.Graph.is_tree g || Dfg.Graph.is_tree (Dfg.Transpose.transpose g)
-      then Ok ()
+      if Dfg.Graph.is_tree g || Dfg.Graph.is_in_tree g then Ok ()
       else
         Error
           (Printf.sprintf

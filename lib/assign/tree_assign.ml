@@ -22,10 +22,9 @@ let solve g table ~deadline =
 let solve_auto g table ~deadline =
   let parent =
     if Dfg.Graph.is_tree g then forest g
-    else
-      match Tree_kernel.parents (Dfg.Graph.csr_succs g) with
-      | p -> p
-      | exception Invalid_argument _ -> not_a_forest ()
+    else if Dfg.Graph.is_in_tree g then
+      Tree_kernel.parents (Dfg.Graph.csr_succs g)
+    else not_a_forest ()
   in
   solve_on parent g table ~deadline
 

@@ -35,10 +35,6 @@ let nth_deadline ~name ds i =
 
 let deadline_at ~name g table i = nth_deadline ~name (deadlines g table) i
 
-let benchmark_table ~seed g =
-  let rng = Workloads.Prng.create seed in
-  Workloads.Tables.for_graph rng ~library:Fulib.Library.standard3 g
-
 (* One (deadline, algorithm) grid cell, expressed as a first-class
    synthesis request: Phase-1 solve, fail-fast audit under
    HETSCHED_VALIDATE, cost of the produced assignment. *)
@@ -55,7 +51,7 @@ let run_benchmark ?pool ~name ~seed ~algorithms g =
       "Experiments.run_benchmark: algorithms must include Greedy, the \
        baseline average_reduction is computed against";
   let pool = match pool with Some p -> p | None -> Par.Pool.global () in
-  let table = benchmark_table ~seed g in
+  let table = Workloads.Tables.seeded ~seed g in
   Obs.Span.with_ ("experiments.benchmark:" ^ name) @@ fun () ->
   (* the graph and table are shared read-only across domains below *)
   let _, tree = Assign.Dfg_assign.choose_tree g in
@@ -281,7 +277,7 @@ let ablation_expand () =
   let rows =
     List.map
       (fun (name, g) ->
-        let table = benchmark_table ~seed:(seed_of_name name) g in
+        let table = Workloads.Tables.seeded ~seed:(seed_of_name name) g in
         let deadline = deadline_at ~name g table 2 in
         let forward = Dfg.Expand.expand g in
         let transposed = Dfg.Expand.expand_transposed g in
@@ -310,7 +306,7 @@ let ablation_order () =
   let rows =
     List.concat_map
       (fun (name, g) ->
-        let table = benchmark_table ~seed:(seed_of_name name) g in
+        let table = Workloads.Tables.seeded ~seed:(seed_of_name name) g in
         List.map
           (fun deadline ->
             let cost order =
@@ -343,7 +339,7 @@ let extension_refinement () =
   let rows =
     List.concat_map
       (fun (name, g) ->
-        let table = benchmark_table ~seed:(seed_of_name name) g in
+        let table = Workloads.Tables.seeded ~seed:(seed_of_name name) g in
         let ds = deadlines g table in
         List.filter_map
           (fun deadline ->
@@ -383,7 +379,7 @@ let extension_schedulers () =
   let rows =
     List.filter_map
       (fun (name, g) ->
-        let table = benchmark_table ~seed:(seed_of_name name) g in
+        let table = Workloads.Tables.seeded ~seed:(seed_of_name name) g in
         let deadline = deadline_at ~name g table 2 in
         let run scheduler =
           match
@@ -451,7 +447,7 @@ let extension_min_config () =
       (fun (name, g) ->
         if Dfg.Graph.num_nodes g > 20 then None
         else begin
-          let table = benchmark_table ~seed:(seed_of_name name) g in
+          let table = Workloads.Tables.seeded ~seed:(seed_of_name name) g in
           let deadline = deadline_at ~name g table 2 in
           match
             (Synthesis.solve
@@ -496,7 +492,7 @@ let extension_heuristic_ladder () =
   let rows =
     List.map
       (fun (name, g) ->
-        let table = benchmark_table ~seed:(seed_of_name name) g in
+        let table = Workloads.Tables.seeded ~seed:(seed_of_name name) g in
         let deadline = deadline_at ~name g table 2 in
         name :: string_of_int deadline
         :: List.map
@@ -525,7 +521,7 @@ let seed_sensitivity () =
           List.filter_map
             (fun seed ->
               (* each seed draws its own table, so the ladder is per seed *)
-              let table = benchmark_table ~seed g in
+              let table = Workloads.Tables.seeded ~seed g in
               let deadline = deadline_at ~name g table 2 in
               match
                 ( run_cell
@@ -568,7 +564,7 @@ let seed_sensitivity () =
 
 let extension_throughput () =
   let g = Workloads.Filters.lattice ~stages:4 in
-  let table = benchmark_table ~seed:(seed_of_name "4-stage lattice") g in
+  let table = Workloads.Tables.seeded ~seed:(seed_of_name "4-stage lattice") g in
   let cheapest =
     Assign.Assignment.total_cost table (Assign.Assignment.all_cheapest table)
   in
@@ -615,7 +611,7 @@ let extension_rotation () =
   let rows =
     List.filter_map
       (fun (name, g) ->
-        let table = benchmark_table ~seed:(seed_of_name name) g in
+        let table = Workloads.Tables.seeded ~seed:(seed_of_name name) g in
         match
           (Synthesis.solve
              (Synthesis.request ~algorithm:Synthesis.Repeat

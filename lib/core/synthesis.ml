@@ -181,7 +181,7 @@ type response = {
   violations : Check.Violation.t list;
   stats : (string * int) list;
   dvfs : dvfs option;
-  rtl : Rtl.Backend.response option;
+  rtl : Rtl.Backend.summary option;
 }
 
 (** The table a response's result refers to: the DVFS-expanded table on
@@ -470,7 +470,7 @@ let solve_raw req =
                       else
                         Some
                           (Obs.Span.with_ "phase.rtl" (fun () ->
-                               Rtl.Backend.lower
+                               Rtl.Backend.summarize
                                  (Rtl.Backend.request req.graph table
                                     r.schedule)))
                     in

@@ -64,10 +64,10 @@ type request = {
           and carries the expanded table in the response's [dvfs] field. *)
   rtl : bool;
       (** lower the solved design to structural SystemVerilog
-          ({!Rtl.Backend}, style [Structural]) and carry the artifacts,
-          interconnect stats and unsupported-op report in the response's
-          [rtl] field. Deterministic, so cached responses stay
-          byte-identical. *)
+          ({!Rtl.Backend.summarize}, style [Structural]) and carry the
+          artifact digests, interconnect stats and unsupported-op report
+          in the response's [rtl] field. Deterministic, so cached
+          responses stay byte-identical. *)
 }
 
 (** [request ?scheduler ?validate ?budget_ms ?levels ?rtl ~algorithm
@@ -151,12 +151,15 @@ type response = {
           instead). *)
   dvfs : dvfs option;  (** present exactly on leveled requests that
                            produced a result *)
-  rtl : Rtl.Backend.response option;
+  rtl : Rtl.Backend.summary option;
       (** present exactly on [rtl] requests that produced a result: the
-          structural module + testbench texts, the netlist IR, the
-          register/mux/wire interconnect stats, and the unsupported-op
-          report. On leveled requests the lowering refers to the
-          expanded table ({!response_table}). *)
+          MD5 digests of the structural module and testbench texts, the
+          period, the register/mux/wire interconnect stats, and the
+          unsupported-op report. No text and no netlist: a cached
+          response holds only these, and a caller that wants the
+          artifacts lowers the same schedule with {!Rtl.Backend.lower},
+          whose texts the digests identify. On leveled requests the
+          lowering refers to the expanded table ({!response_table}). *)
 }
 
 (** The table a response's result refers to: [dvfs.expanded] on leveled

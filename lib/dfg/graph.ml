@@ -18,7 +18,8 @@ type csr = {
   has_data : bool;  (* any edge (any delay) with size > 0 *)
   roots : int array;  (* ascending *)
   leaves : int array;  (* ascending *)
-  is_tree : bool;
+  is_tree : bool;  (* at most one zero-delay predecessor per node *)
+  is_in_tree : bool;  (* at most one zero-delay successor per node *)
   topo : int array;  (* also the acyclicity check *)
 }
 
@@ -163,13 +164,15 @@ let build_csr n succs preds ~ascending =
   in
   let roots = collect pred_off in
   let leaves = collect succ_off in
-  let is_tree =
+  let at_most_one (off : int array) =
     let ok = ref true in
     for v = 0 to n - 1 do
-      if pred_off.(v + 1) - pred_off.(v) > 1 then ok := false
+      if off.(v + 1) - off.(v) > 1 then ok := false
     done;
     !ok
   in
+  let is_tree = at_most_one pred_off in
+  let is_in_tree = at_most_one succ_off in
   {
     num_edges;
     succ_off;
@@ -181,6 +184,7 @@ let build_csr n succs preds ~ascending =
     roots;
     leaves;
     is_tree;
+    is_in_tree;
     topo;
   }
 
@@ -255,6 +259,7 @@ let dag_in_degree g v = g.csr.pred_off.(v + 1) - g.csr.pred_off.(v)
 let roots g = Array.to_list g.csr.roots
 let leaves g = Array.to_list g.csr.leaves
 let is_tree g = g.csr.is_tree
+let is_in_tree g = g.csr.is_in_tree
 let mem_edge g ~src ~dst = List.exists (fun (w, _, _) -> w = dst) g.succs.(src)
 
 let of_edges ~names ?ops ?sizes edge_list =

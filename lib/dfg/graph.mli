@@ -74,6 +74,11 @@ val leaves : t -> int list
     most one zero-delay parent. *)
 val is_tree : t -> bool
 
+(** [is_in_tree g] is true when every node has at most one zero-delay
+    child, i.e. exactly when [is_tree (Transpose.transpose g)], without
+    building the transpose. *)
+val is_in_tree : t -> bool
+
 (** {2 Flat (CSR) views of the DAG portion}
 
     The zero-delay subgraph is also cached in compressed-sparse-row form at

@@ -120,10 +120,6 @@ let compile ?(algorithm = Core.Synthesis.Repeat) ?deadline g table ~outdir =
 let compile_file ?algorithm ?deadline ?(seed = 42) ~outdir path =
   let g, table = Netlist.load ~path in
   let table =
-    match table with
-    | Some t -> t
-    | None ->
-        let rng = Workloads.Prng.create seed in
-        Workloads.Tables.for_graph rng ~library:Fulib.Library.standard3 g
+    match table with Some t -> t | None -> Workloads.Tables.seeded ~seed g
   in
   compile ?algorithm ?deadline g table ~outdir

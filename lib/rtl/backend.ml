@@ -47,39 +47,60 @@ type response = {
   unsupported : unsupported list;
 }
 
-let lower req =
+type summary = {
+  module_digest : Digest.t;
+  testbench_digest : Digest.t option;
+  period : int;
+  stats : Netlist_ir.stats;
+  unsupported : unsupported list;
+}
+
+let netlist req =
   let { graph = g; table; schedule = s; _ } = req in
   let binding =
     match req.style with
     | Structural -> Sched.Binding.bind table s
     | Unshared -> Sched.Binding.unshared table s
   in
-  let nl =
-    Netlist_ir.build ~module_name:req.module_name ~width:req.width ~binding g
-      table s
-  in
-  let testbench_text =
-    if req.testbench_iterations = 0 then None
-    else
-      Some
-        (Sv.emit_testbench nl g ~iterations:req.testbench_iterations
-           ~input:req.stimulus)
-  in
-  let vcd_text =
-    if req.vcd_iterations = 0 then None
-    else Some (Vcd.trace ~iterations:req.vcd_iterations nl)
-  in
+  Netlist_ir.build ~module_name:req.module_name ~width:req.width ~binding g
+    table s
+
+let testbench finish req nl =
+  if req.testbench_iterations = 0 then None
+  else
+    Some
+      (Sv.testbench finish nl req.graph ~iterations:req.testbench_iterations
+         ~input:req.stimulus)
+
+let unsupported nl =
+  List.map (fun (node, op) -> { node; op }) nl.Netlist_ir.unsupported
+
+let lower req =
+  let nl = netlist req in
+  let stats = Netlist_ir.stats nl in
   {
     style = req.style;
-    module_text = Sv.emit_module nl;
-    testbench_text;
-    vcd_text;
+    module_text = Sv.module_ Sv.text stats nl;
+    testbench_text = testbench Sv.text req nl;
+    vcd_text =
+      (if req.vcd_iterations = 0 then None
+       else Some (Vcd.trace ~iterations:req.vcd_iterations nl));
     netlist = nl;
-    stats = Netlist_ir.stats nl;
+    stats;
     period = nl.Netlist_ir.period;
     config = nl.Netlist_ir.config;
-    unsupported =
-      List.map (fun (node, op) -> { node; op }) nl.Netlist_ir.unsupported;
+    unsupported = unsupported nl;
+  }
+
+let summarize req =
+  let nl = netlist req in
+  let stats = Netlist_ir.stats nl in
+  {
+    module_digest = Sv.module_ Sv.digest stats nl;
+    testbench_digest = testbench Sv.digest req nl;
+    period = nl.Netlist_ir.period;
+    stats;
+    unsupported = unsupported nl;
   }
 
 let pp_stats ppf (st : Netlist_ir.stats) =

@@ -7,7 +7,9 @@
     response (artifact texts, the netlist IR, interconnect statistics,
     and the structured [unsupported] report — emission still succeeds
     with the documented XOR placeholder, but the response says so per
-    node).
+    node). [summarize : request -> summary] is the same lowering for a
+    caller that only needs to identify the artifacts: MD5 digests of the
+    module and testbench texts in place of the texts, and no netlist.
 
     There is one lowering path: {!Netlist_ir.build}, then {!Sv} for the
     module and testbench and {!Vcd} for the trace. The style only chooses
@@ -74,5 +76,24 @@ type response = {
 (** Deterministic; never raises on a valid request over a valid
     schedule. *)
 val lower : request -> response
+
+(** What the serving path keeps of a lowering: the digests identify the
+    texts {!lower} returns for the same request byte for byte
+    ([module_digest = Digest.string module_text], [testbench_digest =
+    Option.map Digest.string testbench_text]), and [period], [stats] and
+    [unsupported] equal {!lower}'s. *)
+type summary = {
+  module_digest : Digest.t;
+  testbench_digest : Digest.t option;
+  period : int;
+  stats : Netlist_ir.stats;
+  unsupported : unsupported list;
+}
+
+(** [summarize req] builds the netlist once and digests the module and
+    testbench texts in {!Sv}'s per-domain buffer, so no text is copied
+    out; the request's VCD iteration count is ignored. Deterministic;
+    never raises on a valid request over a valid schedule. *)
+val summarize : request -> summary
 
 val pp_stats : Format.formatter -> Netlist_ir.stats -> unit

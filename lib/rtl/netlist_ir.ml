@@ -168,7 +168,12 @@ let build ?(module_name = "hetsched") ?(width = 16) ?binding g table s =
           }
           :: !acc
     done;
-    List.sort (fun a b -> compare (a.step, a.reg) (b.step, b.reg)) !acc
+    List.sort
+      (fun a b ->
+        match Int.compare a.step b.step with
+        | 0 -> Int.compare a.reg b.reg
+        | c -> c)
+      !acc
     |> Array.of_list
   in
   (* inter-iteration history chains, advanced on the period boundary; a

@@ -340,21 +340,22 @@ let violation_json (v : Check.Violation.t) =
 (* Artifacts travel as content digests, not inline text: a wire client
    that wants the RTL itself runs [hetsched rtl]; the digests let it
    detect artifact drift cheaply, and unsupported ops surface exactly
-   like Check violations ({code, node, detail}). *)
+   like Check violations ({code, node, detail}). The digests were taken
+   when the response was solved; this only prints them. *)
 let rtl_fields (resp : Core.Synthesis.response) =
   match resp.Core.Synthesis.rtl with
   | None -> []
   | Some r ->
       let st = r.Rtl.Backend.stats in
-      let digest s = J.String (Digest.to_hex (Digest.string s)) in
+      let hex d = J.String (Digest.to_hex d) in
       [
         ( "rtl",
           J.Obj
             [
-              ("module_digest", digest r.Rtl.Backend.module_text);
+              ("module_digest", hex r.Rtl.Backend.module_digest);
               ( "testbench_digest",
-                match r.Rtl.Backend.testbench_text with
-                | Some tb -> digest tb
+                match r.Rtl.Backend.testbench_digest with
+                | Some d -> hex d
                 | None -> J.Null );
               ("period", J.Int r.Rtl.Backend.period);
               ("fu_instances", J.Int st.Rtl.Netlist_ir.fu_instances);

@@ -46,7 +46,9 @@
 
     With ["rtl": true], a result additionally carries an ["rtl"] object:
     MD5 content digests of the structural module and its testbench (the
-    artifacts themselves come from [hetsched rtl], not the wire), the
+    artifacts themselves come from [hetsched rtl], not the wire; the
+    digests are the ones {!Core.Synthesis.solve} stored in the response's
+    {!Rtl.Backend.summary}, so rendering hashes nothing), the
     lowered ["period"], interconnect stats ([fu_instances], [registers],
     [mux_count], [mux_inputs], [wires]) and an ["unsupported"] list whose
     entries mirror violation objects ([{code, node, detail}] with code

@@ -14,9 +14,7 @@ let arrivals : (string * int) Queue.t = Queue.create ()
 let names () = Mutex.protect lock (fun () -> List.map fst (Lazy.force suite))
 
 let draw name ~seed g =
-  let table =
-    Tables.for_graph (Prng.create seed) ~library:Fulib.Library.standard3 g
-  in
+  let table = Tables.seeded ~seed g in
   if Hashtbl.length tables >= table_slots then
     Hashtbl.remove tables (Queue.pop arrivals);
   Hashtbl.replace tables (name, seed) table;

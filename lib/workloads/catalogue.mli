@@ -3,8 +3,7 @@
 
     The nine {!Filters.extended} graphs are built once per process, on
     first use, and kept; every lookup of a name returns the same graph.
-    The seeded table of a (name, seed) pair is
-    [Tables.for_graph (Prng.create seed) ~library:Fulib.Library.standard3 g],
+    The seeded table of a (name, seed) pair is [Tables.seeded ~seed g],
     so an instance from here is structurally identical to one built from
     scratch, and every response computed from it is too.
 

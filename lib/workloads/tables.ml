@@ -26,6 +26,10 @@ let for_graph rng ~library g =
       | "mul" -> Prng.int_in rng 2 4
       | _ -> Prng.int_in rng 1 2)
 
+
+let seeded ~seed g =
+  for_graph (Prng.create seed) ~library:Fulib.Library.standard3 g
+
 let dvs rng ~levels g =
   if levels < 1 then invalid_arg "Tables.dvs: levels < 1";
   let library =

@@ -15,6 +15,12 @@ val random_tradeoff :
 val for_graph :
   Prng.t -> library:Fulib.Library.t -> Dfg.Graph.t -> Fulib.Table.t
 
+(** [seeded ~seed g] is the table a seed names for a benchmark graph:
+    [for_graph (Prng.create seed) ~library:Fulib.Library.standard3 g]. The
+    catalogue, the experiment tables and the CLI's netlist-without-table
+    fallback all draw their tables here. *)
+val seeded : seed:int -> Dfg.Graph.t -> Fulib.Table.t
+
 (** [dvs rng ~levels g] models a voltage/frequency-scaled FU library
     (levels [V0] fastest ... [V_{levels-1}] slowest): per node, an op-aware
     base time [t0] and base energy [e0] scale as

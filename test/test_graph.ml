@@ -19,7 +19,8 @@ let test_diamond_degrees () =
   Alcotest.(check int) "in degree of join" 2 (Dfg.Graph.dag_in_degree g 3);
   Alcotest.(check (list int)) "roots" [ 0 ] (Dfg.Graph.roots g);
   Alcotest.(check (list int)) "leaves" [ 3 ] (Dfg.Graph.leaves g);
-  Alcotest.(check bool) "diamond is not a tree" false (Dfg.Graph.is_tree g)
+  Alcotest.(check bool) "diamond is not a tree" false (Dfg.Graph.is_tree g);
+  Alcotest.(check bool) "nor an in-tree" false (Dfg.Graph.is_in_tree g)
 
 let test_succs_preds_consistency () =
   let g = diamond () in
@@ -106,7 +107,22 @@ let test_builder_matches_of_edges () =
 let test_multi_root_forest () =
   let g = graph 4 [ (0, 2); (1, 3) ] in
   Alcotest.(check (list int)) "two roots" [ 0; 1 ] (Dfg.Graph.roots g);
-  Alcotest.(check bool) "forest is a tree" true (Dfg.Graph.is_tree g)
+  Alcotest.(check bool) "forest is a tree" true (Dfg.Graph.is_tree g);
+  Alcotest.(check bool) "and an in-tree" true (Dfg.Graph.is_in_tree g);
+  (* a fork is a tree and a join an in-tree, and only that; a delayed
+     second successor does not count *)
+  let fork = graph 3 [ (0, 1); (0, 2) ] and join = graph 3 [ (0, 2); (1, 2) ] in
+  let delayed = graph_with_delays 3 [ (0, 1, 0); (0, 2, 1) ] in
+  List.iter
+    (fun (name, g, tree, in_tree) ->
+      Alcotest.(check bool) (name ^ ": is_tree") tree (Dfg.Graph.is_tree g);
+      Alcotest.(check bool) (name ^ ": is_in_tree") in_tree
+        (Dfg.Graph.is_in_tree g);
+      Alcotest.(check bool) (name ^ ": in-tree = tree of the transpose")
+        (Dfg.Graph.is_tree (Dfg.Transpose.transpose g))
+        (Dfg.Graph.is_in_tree g))
+    [ ("fork", fork, true, false); ("join", join, false, true);
+      ("delayed fork", delayed, true, true) ]
 
 let () =
   Alcotest.run "dfg.graph"

@@ -1,8 +1,10 @@
 (* The RTL backend: netlist lowering invariants, the OCaml co-simulation
    differential against the functional model under both bindings (random
    DAGs with delay edges, plus all six paper benchmarks), SystemVerilog
-   emission sanity, identifier uniquification, and unsupported-op
-   reporting through the facade. *)
+   emission sanity and its byte-for-byte differential against the
+   Printf emitters in Oracle.Sv, the digest summary against the texts,
+   reuse of the per-domain emission buffer, identifier uniquification,
+   and unsupported-op reporting through the facade. *)
 
 open Helpers
 
@@ -178,6 +180,212 @@ let structural_emission =
          | None -> false)
       && Rtl.Netlist_ir.stats resp.Rtl.Backend.netlist = st)
 
+(* --- emission against the Printf oracle ---------------------------------- *)
+
+(* Names that need sanitising (and collide once sanitised), and ops the
+   module must escape in its UNSUPPORTED comments: a quote, a backslash
+   and non-ASCII bytes. *)
+let awkward_names = [| "a.b"; "a_b"; "9x"; "sp ace"; ""; "a b"; "a_b_2" |]
+let awkward_ops = [| "q\"uote"; "back\\slash"; "caf\xc3\xa9"; "\xff\x01" |]
+
+let relabel rng g =
+  let pick arr = arr.(Workloads.Prng.int rng (Array.length arr)) in
+  let n = Dfg.Graph.num_nodes g in
+  let names =
+    Array.init n (fun v ->
+        if Workloads.Prng.int rng 2 = 0 then pick awkward_names
+        else Dfg.Graph.name g v)
+  in
+  let ops =
+    Array.init n (fun v ->
+        if Workloads.Prng.int rng 3 = 0 then pick awkward_ops
+        else Dfg.Graph.op g v)
+  in
+  Dfg.Graph.of_edges ~names ~ops (Dfg.Graph.edges g)
+
+let netlist ~width style g tbl s =
+  (lower ~width style g tbl s).Rtl.Backend.netlist
+
+(* Both bindings, widths 16 and 4, 1 and 4 testbench iterations: the
+   module and the bench equal the oracle's bytes, through Sv directly and
+   through the facade. *)
+let emitters_match_oracle =
+  of_seed (fun seed ->
+      let rng, g, tbl, s = scheduled_instance seed in
+      let g = relabel rng g in
+      List.for_all
+        (fun ((name, style), width) ->
+          let nl = netlist ~width style g tbl s in
+          let want = Oracle.Sv.emit_module nl in
+          let fail what =
+            QCheck.Test.fail_reportf "%s, width %d: %s differs from the oracle"
+              name width what
+          in
+          if Rtl.Sv.emit_module nl <> want then fail "emit_module";
+          List.iter
+            (fun iterations ->
+              let want_tb =
+                Oracle.Sv.emit_testbench nl g ~iterations ~input:stimulus
+              in
+              if
+                Rtl.Sv.emit_testbench nl g ~iterations ~input:stimulus
+                <> want_tb
+              then fail (Printf.sprintf "emit_testbench (%d)" iterations);
+              let resp =
+                lower ~width ~testbench_iterations:iterations style g tbl s
+              in
+              if resp.Rtl.Backend.module_text <> want then fail "module_text";
+              if resp.Rtl.Backend.testbench_text <> Some want_tb then
+                fail "testbench_text")
+            [ 1; 4 ];
+          true)
+        (List.concat_map (fun st -> [ (st, 16); (st, 4) ]) styles))
+
+(* Integers of every sign and length, min_int and max_int included: at
+   width 63 the mask keeps all bits, so the stimulus reaches the bench
+   unchanged. *)
+let test_integer_digits () =
+  let g = graph ~ops:[| "in"; "in"; "add" |] 3 [ (0, 2); (1, 2) ] in
+  let tbl = table lib2 (List.init 3 (fun _ -> ([ 1; 1 ], [ 1; 1 ]))) in
+  let s = { Sched.Schedule.start = [| 0; 0; 1 |]; assignment = [| 0; 0; 0 |] } in
+  let values =
+    [| 0; 7; -1; 9; 10; -10; 99; 100; 12345; -98765; max_int; min_int;
+       max_int / 10; min_int / 10 |]
+  in
+  let input v i = values.(((2 * i) + v) mod Array.length values) in
+  List.iter
+    (fun width ->
+      let nl = netlist ~width Rtl.Backend.Structural g tbl s in
+      Alcotest.(check string)
+        (Printf.sprintf "bench at width %d" width)
+        (Oracle.Sv.emit_testbench nl g ~iterations:7 ~input)
+        (Rtl.Sv.emit_testbench nl g ~iterations:7 ~input))
+    [ 62; 63 ]
+
+(* --- the digest summary -------------------------------------------------- *)
+
+let summary_digests_texts =
+  of_seed (fun seed ->
+      let rng, g, tbl, s = scheduled_instance seed in
+      let g = relabel rng g in
+      List.for_all
+        (fun ((_, style), testbench_iterations) ->
+          let req =
+            Rtl.Backend.request ~style ~testbench_iterations ~stimulus g tbl s
+          in
+          let full = Rtl.Backend.lower req in
+          let sum = Rtl.Backend.summarize req in
+          sum.Rtl.Backend.module_digest
+          = Digest.string full.Rtl.Backend.module_text
+          && sum.Rtl.Backend.testbench_digest
+             = Option.map Digest.string full.Rtl.Backend.testbench_text
+          && sum.Rtl.Backend.period = full.Rtl.Backend.period
+          && sum.Rtl.Backend.stats = full.Rtl.Backend.stats
+          && sum.Rtl.Backend.unsupported = full.Rtl.Backend.unsupported)
+        (List.concat_map (fun st -> [ (st, 0); (st, 4) ]) styles))
+
+(* --- the per-domain buffer ---------------------------------------------- *)
+
+(* Every catalogue filter solved at its default deadline and lowered
+   structurally, largest module first. *)
+let catalogue_requests =
+  lazy
+    (List.filter_map
+       (fun name ->
+         let g, tbl = Option.get (Workloads.Catalogue.lookup name ~seed:1) in
+         let deadline = Core.Synthesis.default_deadline g tbl in
+         match
+           (Core.Synthesis.solve
+              (Core.Synthesis.request ~algorithm:Core.Synthesis.Repeat
+                 ~deadline g tbl))
+             .Core.Synthesis.result
+         with
+         | None -> None
+         | Some r ->
+             Some (Rtl.Backend.request g tbl r.Core.Synthesis.schedule))
+       (Workloads.Catalogue.names ())
+    |> List.map (fun req -> (req, (Rtl.Backend.lower req).Rtl.Backend.netlist))
+    |> List.sort (fun (_, a) (_, b) ->
+           compare
+             (String.length (Oracle.Sv.emit_module b))
+             (String.length (Oracle.Sv.emit_module a))))
+
+(* One [comp] node over 18 operands: its nested ternaries double per
+   operand, so this module is over a megabyte and the buffer grows past
+   the size it keeps. *)
+let huge_netlist () =
+  let k = 18 in
+  let g =
+    graph
+      ~ops:(Array.init (k + 1) (fun v -> if v = k then "comp" else "in"))
+      (k + 1)
+      (List.init k (fun u -> (u, k)))
+  in
+  let tbl = table lib2 (List.init (k + 1) (fun _ -> ([ 1; 1 ], [ 1; 1 ]))) in
+  let s =
+    {
+      Sched.Schedule.start = Array.init (k + 1) (fun v -> if v = k then 1 else 0);
+      assignment = Array.make (k + 1) 0;
+    }
+  in
+  Rtl.Netlist_ir.build g tbl s
+
+(* A short emission after a long one on the same domain must not keep
+   the long one's tail, whether copied out or digested in place. *)
+let test_buffer_reuse () =
+  let reqs = Lazy.force catalogue_requests in
+  let _, largest = List.hd reqs and _, smallest = List.hd (List.rev reqs) in
+  let huge = huge_netlist () in
+  let huge_text = Oracle.Sv.emit_module huge in
+  Alcotest.(check bool) "huge module is over 1 MiB" true
+    (String.length huge_text > 1 lsl 20);
+  let small_text = Oracle.Sv.emit_module smallest in
+  List.iter
+    (fun (label, big) ->
+      ignore (Rtl.Sv.emit_module big);
+      Alcotest.(check string)
+        ("smallest after " ^ label) small_text (Rtl.Sv.emit_module smallest);
+      ignore (Rtl.Sv.module_ Rtl.Sv.digest (Rtl.Netlist_ir.stats big) big);
+      Alcotest.(check string)
+        ("smallest digest after " ^ label)
+        (Digest.to_hex (Digest.string small_text))
+        (Digest.to_hex
+           (Rtl.Sv.module_ Rtl.Sv.digest
+              (Rtl.Netlist_ir.stats smallest)
+              smallest)))
+    [ ("largest catalogue module", largest); ("a 1 MiB module", huge) ];
+  Alcotest.(check bool) "huge module itself" true
+    (Rtl.Sv.emit_module huge = huge_text)
+
+(* The same batch summarized on a 2-domain pool and sequentially: each
+   domain has its own buffer, so the digests agree request by request. *)
+let test_parallel_digests () =
+  let reqs =
+    Array.of_list (List.map fst (Lazy.force catalogue_requests))
+  in
+  let batch = Array.concat (List.init 8 (fun _ -> reqs)) in
+  let digests resp =
+    (resp.Rtl.Backend.module_digest, resp.Rtl.Backend.testbench_digest)
+  in
+  let seq = Array.map (fun r -> digests (Rtl.Backend.summarize r)) batch in
+  let par =
+    Par.Pool.with_pool ~domains:2 (fun pool ->
+        Par.Pool.map_array pool
+          (fun r -> digests (Rtl.Backend.summarize r))
+          batch)
+  in
+  Array.iteri
+    (fun i (m, tb) ->
+      let m', tb' = par.(i) in
+      Alcotest.(check string)
+        (Printf.sprintf "module digest %d" i)
+        (Digest.to_hex m) (Digest.to_hex m');
+      Alcotest.(check (option string))
+        (Printf.sprintf "testbench digest %d" i)
+        (Option.map Digest.to_hex tb)
+        (Option.map Digest.to_hex tb'))
+    seq
+
 (* --- identifiers -------------------------------------------------------- *)
 
 let test_ident_unique () =
@@ -265,6 +473,16 @@ let () =
           prop "structural SV emission well-formed" 60 structural_emission;
           prop "unshared: one activation per instance" 150
             unshared_instances;
+        ] );
+      ( "emission",
+        [
+          prop "Sv == Printf oracle, both bindings, widths 16 and 4" 100
+            emitters_match_oracle;
+          quick "integer digits match %d" test_integer_digits;
+          prop "summary digests == digests of lower's texts" 100
+            summary_digests_texts;
+          quick "buffer reuse: short after long" test_buffer_reuse;
+          quick "2-domain digests == sequential" test_parallel_digests;
         ] );
       ( "identifiers",
         [

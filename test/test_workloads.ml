@@ -45,7 +45,10 @@ let check_benchmark_shape name g ~nodes ~tree =
   let is_tree_somehow =
     Dfg.Graph.is_tree g || Dfg.Graph.is_tree (Dfg.Transpose.transpose g)
   in
-  Alcotest.(check bool) (name ^ ": tree-ness") tree is_tree_somehow
+  Alcotest.(check bool) (name ^ ": tree-ness") tree is_tree_somehow;
+  Alcotest.(check bool) (name ^ ": in-tree = tree of the transpose")
+    (Dfg.Graph.is_tree (Dfg.Transpose.transpose g))
+    (Dfg.Graph.is_in_tree g)
 
 let test_benchmark_shapes () =
   check_benchmark_shape "lattice4" (Workloads.Filters.lattice ~stages:4) ~nodes:17 ~tree:true;
