@@ -87,15 +87,25 @@ let dot_cmd =
   Cmd.v (Cmd.info "dot" ~doc:"Export a benchmark DFG as Graphviz DOT")
     Term.(const run $ benchmark_arg)
 
+(* The wire's parser: a display or bare constructor name, any case, so
+   [--algo repeat] means what ["algorithm": "repeat"] does. *)
 let algo_arg =
   let algo_conv =
-    Arg.enum
-      (List.map
-         (fun a -> (String.lowercase_ascii (Core.Synthesis.algorithm_name a), a))
-         Core.Synthesis.all_algorithms)
+    let parse s =
+      Result.map_error (fun m -> `Msg m) (Assign.Solve.of_name_result s)
+    in
+    let print ppf a =
+      Format.pp_print_string ppf
+        (String.lowercase_ascii (Core.Synthesis.algorithm_name a))
+    in
+    Arg.conv (parse, print)
   in
-  let doc = "Assignment algorithm: greedy, tree_assign, dfg_assign_once, dfg_assign_repeat, exact." in
-  Arg.(value & opt algo_conv Core.Synthesis.Repeat & info [ "algo" ] ~doc)
+  let doc =
+    "Assignment algorithm, case-insensitive: " ^ Assign.Solve.catalogue ()
+    ^ "."
+  in
+  Arg.(value & opt algo_conv Core.Synthesis.Repeat
+       & info [ "algo" ] ~docv:"ALGO" ~doc)
 
 let deadline_arg =
   let doc = "Timing constraint (control steps); default 1.2x the minimum." in
@@ -172,8 +182,7 @@ let dvfs_cmd =
     let doc = "Perturbation rounds to run." in
     Arg.(value & opt positive_int 20 & info [ "rounds" ] ~docv:"N" ~doc)
   in
-  let run name seed algo deadline file levels rounds =
-    ignore algo;
+  let run name seed deadline file levels rounds =
     let g, base = instance ~name ~file ~seed in
     let levels = Option.value levels ~default:3 in
     let table, _mapping =
@@ -249,8 +258,8 @@ let dvfs_cmd =
        ~doc:"Online re-solve demo: drift execution times on a DVFS-expanded \
              table, re-solve incrementally when the deadline is at risk, \
              and differentially check against full re-synthesis")
-    Term.(const run $ benchmark_opt_arg $ seed_arg $ algo_arg $ deadline_arg
-          $ file_arg $ levels_arg $ rounds_arg)
+    Term.(const run $ benchmark_opt_arg $ seed_arg $ deadline_arg $ file_arg
+          $ levels_arg $ rounds_arg)
 
 let frontier_cmd =
   let csv_arg =
@@ -515,8 +524,8 @@ let serve_summary ~served () =
       "serve.rt.admitted"; "serve.rt.rejected"; "serve.rt.released";
     ]
   in
-  (* zero-valued counters are omitted from the tail: with a sharded cache
-     there are four cells per shard and an idle shard says nothing *)
+  (* zero-valued counters are omitted from the tail: a counter nothing
+     bumped in this run says nothing *)
   List.iter
     (fun (name, v) ->
       if

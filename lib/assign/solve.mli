@@ -32,6 +32,9 @@ val name : algorithm -> string
     the JSONL layer surfaces to the user. *)
 val of_name_result : string -> (algorithm, string) result
 
+(** Every accepted spelling, as {!of_name_result}'s error lists it. *)
+val catalogue : unit -> string
+
 (** Every algorithm, in ladder order (weakest baseline first). *)
 val all : algorithm list
 

@@ -77,8 +77,8 @@ let expand_transposed ?(max_nodes = default_max_nodes) g =
   clone ~max_nodes g (Graph.leaves_arr g) (pred_off, tgt)
 
 (* A node has one copy per root-to-node path (forward) or per node-to-leaf
-   path (transposed: the roots of [Transpose.transpose g] are [g]'s
-   leaves). Both counts are one pass over the topological order, forward
+   path (transposed: the roots of the graph with every edge reversed are
+   [g]'s leaves). Both counts are one pass over the topological order, forward
    and backward, with sums saturating at [max_nodes + 1] so exponential
    path counts neither overflow nor matter. *)
 let tree_sizes ~max_nodes g =

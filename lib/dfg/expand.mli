@@ -35,11 +35,11 @@ val default_max_nodes : int
     arrays; no recursion, however deep [g]. *)
 val expand : ?max_nodes:int -> Graph.t -> tree
 
-(** [expand_transposed ?max_nodes g] is [expand ?max_nodes
-    (Transpose.transpose g)], numbering included, without building the
-    transposed graph: the DFS starts from [g]'s leaves and walks each
+(** [expand_transposed ?max_nodes g] is [expand ?max_nodes] applied to
+    the graph with every edge of [g] reversed, numbering included, without
+    building that graph: the DFS starts from [g]'s leaves and walks each
     node's zero-delay predecessors in ascending id order, which is the
-    transpose's adjacency order. *)
+    reversed graph's adjacency order. *)
 val expand_transposed : ?max_nodes:int -> Graph.t -> tree
 
 (** [tree_sizes ~max_nodes g] is [(forward, transposed)]: the node counts

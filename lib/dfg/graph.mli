@@ -75,8 +75,8 @@ val leaves : t -> int list
 val is_tree : t -> bool
 
 (** [is_in_tree g] is true when every node has at most one zero-delay
-    child, i.e. exactly when [is_tree (Transpose.transpose g)], without
-    building the transpose. *)
+    child, i.e. exactly when [is_tree] holds for the graph with every edge
+    reversed, without building that graph. *)
 val is_in_tree : t -> bool
 
 (** {2 Flat (CSR) views of the DAG portion}

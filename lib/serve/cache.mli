@@ -1,5 +1,4 @@
-(** Content-addressed LRU memo over synthesis responses, sharded by
-    digest prefix.
+(** Content-addressed LRU memo over synthesis responses.
 
     Repeated instances dominate real batch traffic — the same filter at the
     same deadline requested again and again. Because {!Core.Synthesis.solve}
@@ -17,81 +16,61 @@
     processes of one build, but not across changes to the encoding:
     nothing persists them.
 
-    {2 Sharding}
-
-    The cache is split into [shards] independent shards, each with its own
-    mutex, hash table, LRU clock and capacity slice
-    ([ceil (entries / shards)]). A digest's shard is its leading byte
-    modulo the shard count, so concurrent lookups of distinct digests
-    contend only when they collide on a shard — with the default 8 shards
-    a 4–8 domain pool hammering a hot cache almost never queues on a lock.
-    A [shards:1] cache is byte-for-byte the old single-mutex behaviour;
-    eviction is least-recently-used {e per shard}, so at capacities small
-    enough to evict, which entry goes differs from a single global LRU
-    (hit/miss behaviour below capacity is identical for any shard
-    count).
-
     {2 Policy}
 
-    Only [Ok], [Infeasible] and [Infeasible_memory] responses are cached —
-    [Timeout] depends on the wall clock and [Error] on transient state,
-    neither is content. Capacity defaults to {!default_entries} and the
-    shard count to {!default_shards}; no environment variable is read
-    here. All operations are mutex-guarded per shard and safe to call from concurrent pool tasks. Hits, misses, stores and
-    evictions bump both the aggregate [serve.cache.*] {!Obs.Counter}s and
-    the owning shard's [serve.cache.shard<i>.*] counters. *)
+    One hash table keyed by digest, one mutex, and one recency list: a
+    hit moves its entry to the front, and a store into a full cache drops
+    the entry at the back. Eviction is therefore O(1) and exactly
+    least-recently-used over the whole cache, and {!length} never exceeds
+    {!capacity}. Only [Ok], [Infeasible] and [Infeasible_memory] responses
+    are cached — [Timeout] depends on the wall clock and [Error] on
+    transient state, neither is content. Capacity defaults to
+    {!default_entries}; no environment variable is read here. Every
+    operation takes the mutex, so all are safe to call from concurrent
+    pool tasks; {!solve} computes the digest and the response outside it.
+    Hits, misses, stores and evictions bump the [serve.cache.hit],
+    [serve.cache.miss], [serve.cache.store] and [serve.cache.evict]
+    {!Obs.Counter}s. *)
 
 type t
 
 (** Capacity used when [entries] is not given: 512. *)
 val default_entries : int
 
-(** Shard count used when [shards] is not given: 8. *)
+(** 8. Ignored, like [create]'s [shards]: both remain only for callers
+    written when the cache was split into shards. *)
 val default_shards : int
 
-(** [create ?entries ?shards ()] — an empty cache holding at most
-    [entries] responses (default {!default_entries}) across [shards]
-    shards (default {!default_shards}). The effective shard count is
-    clamped to [min shards (min 64 entries)], so every shard owns
-    at least one slot. Raises [Invalid_argument] when [entries < 1] or
-    [shards < 1]. *)
+(** [create ?entries ()] — an empty cache holding at most [entries]
+    responses (default {!default_entries}). [shards] is ignored. Raises
+    [Invalid_argument] when [entries < 1]. *)
 val create : ?entries:int -> ?shards:int -> unit -> t
 
 val capacity : t -> int
 
-(** Effective number of shards. *)
-val shard_count : t -> int
-
-(** Live entries across all shards. *)
+(** Live entries, at most {!capacity}. *)
 val length : t -> int
-
-(** Live entries per shard, indexed by shard. *)
-val shard_lengths : t -> int array
 
 val clear : t -> unit
 
 (** Canonical content digest of a request (hex, stable across processes). *)
 val digest : Core.Synthesis.request -> string
 
-(** The shard a digest routes to (its leading byte mod {!shard_count}). *)
-val shard_of_digest : t -> string -> int
-
-(** [find t req] — the memoized response, bumping its recency on the
-    owning shard; counts a [serve.cache.hit] or [serve.cache.miss] (and
-    the shard's own cell). *)
+(** [find t req] — the memoized response, made the most recently used;
+    counts a [serve.cache.hit] or [serve.cache.miss]. *)
 val find : t -> Core.Synthesis.request -> Core.Synthesis.response option
 
-(** {!find} keyed by a precomputed {!digest}: the pure probe (shard pick,
-    lock, hashtable lookup, recency bump). Callers holding a request's
-    digest — repeated lookups of one hot request, or the
-    [serve/cache-hot-*] bench rows timing the shards themselves — skip
-    re-serializing the instance. *)
+(** {!find} keyed by a precomputed {!digest}: the pure probe (lock,
+    hashtable lookup, recency bump). Callers holding a request's digest —
+    repeated lookups of one hot request, or the [serve/cache-hot] bench
+    row timing the cache itself — skip re-serializing the instance. *)
 val find_digest : t -> string -> Core.Synthesis.response option
 
 (** [store_digest t key resp] memoizes a cacheable response
     ([Ok]/[Infeasible]/[Infeasible_memory]) under a precomputed {!digest},
-    evicting the owning shard's least-recently-used entry when its slice
-    is full; [Timeout] and [Error] responses are ignored. *)
+    evicting the least-recently-used entry when the cache is full;
+    [Timeout] and [Error] responses, and keys already present, are
+    ignored. *)
 val store_digest : t -> string -> Core.Synthesis.response -> unit
 
 (** [solve t req] — {!find}, falling back to {!Core.Synthesis.solve} +

@@ -48,7 +48,7 @@ let by_copies tree dups =
 let smaller_tree ?max_nodes g =
   let forward = Expand.expand_reference ?max_nodes g in
   let transposed =
-    Expand.expand_reference ?max_nodes (Dfg.Transpose.transpose g)
+    Expand.expand_reference ?max_nodes (Transpose.transpose g)
   in
   if Array.length forward.origin <= Array.length transposed.origin then
     forward

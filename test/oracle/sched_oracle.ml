@@ -123,7 +123,7 @@ let run ?(pipelined = fun _ -> false) ?frames g table a ~deadline =
 let expand_oriented ?max_nodes orientation g =
   match orientation with
   | Assign.Dfg_assign.Forward -> Dfg.Expand.expand ?max_nodes g
-  | Transposed -> Dfg.Expand.expand ?max_nodes (Dfg.Transpose.transpose g)
+  | Transposed -> Dfg.Expand.expand ?max_nodes (Transpose.transpose g)
 
 let choose_tree ?max_nodes g =
   let forward = expand_oriented ?max_nodes Forward g in

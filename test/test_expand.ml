@@ -135,8 +135,8 @@ let random_graph rng =
     match P.int rng 4 with
     | 0 -> dag ()
     | 1 -> tree ()
-    | 2 -> Dfg.Transpose.transpose (dag ())
-    | _ -> Dfg.Transpose.transpose (tree ())
+    | 2 -> Oracle.Transpose.transpose (dag ())
+    | _ -> Oracle.Transpose.transpose (tree ())
   in
   let perm = Array.init n Fun.id in
   if P.bool rng then
@@ -213,7 +213,7 @@ let expand_matches_oracle =
       && agrees (fun ?max_nodes g -> Dfg.Expand.expand ?max_nodes g) g
       && agrees
            (fun ?max_nodes g -> Dfg.Expand.expand_transposed ?max_nodes g)
-           (Dfg.Transpose.transpose g))
+           (Oracle.Transpose.transpose g))
 
 (* The random graphs above cover both kinds of numbering. *)
 let test_numbering_coverage () =

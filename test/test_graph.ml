@@ -119,7 +119,7 @@ let test_multi_root_forest () =
       Alcotest.(check bool) (name ^ ": is_in_tree") in_tree
         (Dfg.Graph.is_in_tree g);
       Alcotest.(check bool) (name ^ ": in-tree = tree of the transpose")
-        (Dfg.Graph.is_tree (Dfg.Transpose.transpose g))
+        (Dfg.Graph.is_tree (Oracle.Transpose.transpose g))
         (Dfg.Graph.is_in_tree g))
     [ ("fork", fork, true, false); ("join", join, false, true);
       ("delayed fork", delayed, true, true) ]

@@ -481,7 +481,7 @@ let transposed_repeat_equals_reference =
       let rng = Workloads.Prng.create seed in
       let n = 2 + Workloads.Prng.int rng 40 in
       let g =
-        Dfg.Transpose.transpose
+        Oracle.Transpose.transpose
           (Workloads.Random_dfg.random_dag rng ~n
              ~extra_edges:(1 + Workloads.Prng.int rng (n / 2)))
       in
@@ -515,7 +515,7 @@ let test_transposed_trees_chosen () =
     let rng = Workloads.Prng.create seed in
     let n = 2 + Workloads.Prng.int rng 40 in
     let g =
-      Dfg.Transpose.transpose
+      Oracle.Transpose.transpose
         (Workloads.Random_dfg.random_dag rng ~n
            ~extra_edges:(1 + Workloads.Prng.int rng (n / 2)))
     in

