@@ -354,11 +354,12 @@ let inline_line =
 
 (* The cache hammer: find-or-churn-store steps against a full 256-entry
    cache. Every eighth step stores a fresh key, which evicts the
-   least-recently-used entry; the others probe one of 16 hot keys. The
-   hot keys are stored after the fill and probes keep them recent, so the
-   churn never evicts them. One call runs a batch of 200 steps, so a
-   sample sits above bench_gate's 10-us --min-ns floor; the row divided
-   by 200 is the cost of one step. *)
+   least-recently-used entry; the others probe the 16 hot keys in turn,
+   counting probes, not steps, so each hot key is read equally often.
+   The hot keys are stored after the fill and probes keep them recent,
+   so the churn never evicts them. One call runs a batch of 200 steps,
+   so a sample sits above bench_gate's 10-us --min-ns floor; the row
+   divided by 200 is the cost of one step. *)
 let cache_hammer =
   let capacity = 256 and churn_every = 8 and batch = 200 in
   let keys tag count =
@@ -389,7 +390,8 @@ let cache_hammer =
             resp
         else
           ignore
-            (Serve.Cache.find_digest cache hot.(k mod Array.length hot))
+            (Serve.Cache.find_digest cache
+               hot.((k - (k / churn_every)) mod Array.length hot))
       done)
 
 (* The serve bench group prices the new entry points: a full

@@ -427,7 +427,7 @@ let serve_out_arg =
   Arg.(value & opt string "-" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
 
 let serve_domains_arg =
-  let doc = "Domain-pool size for sharded dispatch (default: HETSCHED_DOMAINS)." in
+  let doc = "Domain-pool size (default: HETSCHED_DOMAINS)." in
   Arg.(value & opt (some positive_int) None & info [ "domains" ] ~doc)
 
 let cache_entries_arg =
@@ -439,12 +439,13 @@ let cache_entries_arg =
 
 let queue_arg =
   let doc =
-    "Requests per dispatch wave (bounded queue capacity; the daemon's \
-     admission window)."
+    "Answers a wave may owe: the session solves and answers its queued \
+     lines once it owes $(docv), whenever its input pauses, and at its \
+     end."
   in
   Arg.(value
        & opt positive_int Serve.Daemon.default_queue_capacity
-       & info [ "queue" ] ~doc)
+       & info [ "queue" ] ~docv:"N" ~doc)
 
 let with_in path f =
   if path = "-" then f stdin
@@ -536,20 +537,29 @@ let serve_summary ~served () =
       then Printf.eprintf "  %s: %d\n" name v)
     (Obs.Counter.snapshot ())
 
+(* serve and admit: the one request loop over the input file's fd, its
+   answers written to a buffered channel that is flushed at the end *)
+let serve_file ?admission daemon ~input ~output =
+  with_in input @@ fun ic ->
+  with_out output @@ fun oc ->
+  let served =
+    Serve.Daemon.serve ?admission daemon ~input:(Unix.descr_of_in_channel ic)
+      ~emit:(fun line ->
+        output_string oc line;
+        output_char oc '\n')
+  in
+  flush oc;
+  served
+
 let serve_cmd =
   let run input output domains cache_entries queue capacity =
     let daemon = make_daemon ~domains ~cache_entries ~queue ~capacity in
-    let served =
-      with_in input @@ fun input ->
-      with_out output @@ fun output ->
-      Serve.Daemon.serve_channel daemon ~input ~output
-    in
-    serve_summary ~served ()
+    serve_summary ~served:(serve_file daemon ~input ~output) ()
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Batch synthesis service: JSONL requests in, JSONL responses out \
-             (content-addressed cache, sharded over a domain pool)")
+             (content-addressed cache)")
     Term.(const run $ serve_in_arg $ serve_out_arg $ serve_domains_arg
           $ cache_entries_arg $ queue_arg $ rt_capacity_arg)
 
@@ -596,8 +606,7 @@ let daemon_cmd =
   Cmd.v
     (Cmd.info "daemon"
        ~doc:"Always-on synthesis daemon: streaming JSONL admission over a \
-             Unix-domain socket (or stdio), busy-shedding backpressure, \
-             p50/p99 latency summary")
+             Unix-domain socket (or stdio), p50/p90/p99 latency summary")
     Term.(const run $ socket_arg $ connections_arg $ serve_domains_arg
           $ cache_entries_arg $ queue_arg $ rt_capacity_arg $ idle_timeout_arg)
 
@@ -630,10 +639,8 @@ let admit_cmd =
   in
   let run input output capacity no_verify =
     let adm = Rt.Admission.create ~capacity () in
-    (with_in input @@ fun input ->
-     with_out output @@ fun output ->
-     let daemon = Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup () in
-     ignore (Serve.Daemon.serve_channel ~admission:adm daemon ~input ~output));
+    let daemon = Serve.Daemon.create ~lookup:Workloads.Catalogue.lookup () in
+    ignore (serve_file ~admission:adm daemon ~input ~output);
     let entries = Rt.Admission.admitted adm in
     Printf.eprintf "admitted %d task(s), utilization %.3f\n"
       (List.length entries)

@@ -1,4 +1,4 @@
-type t = { name : string; cell : int Atomic.t }
+type t = int Atomic.t
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 let m = Mutex.create ()
@@ -12,14 +12,13 @@ let make name =
       match Hashtbl.find_opt registry name with
       | Some c -> c
       | None ->
-          let c = { name; cell = Atomic.make 0 } in
+          let c = Atomic.make 0 in
           Hashtbl.replace registry name c;
           c)
 
-let name c = c.name
-let incr c = ignore (Atomic.fetch_and_add c.cell 1)
-let add c n = ignore (Atomic.fetch_and_add c.cell n)
-let value c = Atomic.get c.cell
+let incr c = ignore (Atomic.fetch_and_add c 1)
+let add c n = ignore (Atomic.fetch_and_add c n)
+let value c = Atomic.get c
 
 let value_of name =
   locked (fun () -> Option.map value (Hashtbl.find_opt registry name))
@@ -32,4 +31,4 @@ let snapshot () =
   List.sort compare rows
 
 let reset_all () =
-  locked (fun () -> Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) registry)
+  locked (fun () -> Hashtbl.iter (fun _ c -> Atomic.set c 0) registry)

@@ -15,7 +15,6 @@ type t
     initialisation, not per bump. *)
 val make : string -> t
 
-val name : t -> string
 val incr : t -> unit
 
 (** [add c n] bumps by [n] ([n < 0] is allowed but breaks monotonicity —

@@ -1,4 +1,4 @@
-type t = { name : string; cell : int Atomic.t }
+type t = int Atomic.t
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 let m = Mutex.create ()
@@ -12,13 +12,12 @@ let make name =
       match Hashtbl.find_opt registry name with
       | Some g -> g
       | None ->
-          let g = { name; cell = Atomic.make 0 } in
+          let g = Atomic.make 0 in
           Hashtbl.replace registry name g;
           g)
 
-let name g = g.name
-let set g v = Atomic.set g.cell v
-let value g = Atomic.get g.cell
+let set g v = Atomic.set g v
+let value g = Atomic.get g
 
 let value_of name =
   locked (fun () -> Option.map value (Hashtbl.find_opt registry name))
@@ -31,4 +30,4 @@ let snapshot () =
   List.sort compare rows
 
 let reset_all () =
-  locked (fun () -> Hashtbl.iter (fun _ g -> Atomic.set g.cell 0) registry)
+  locked (fun () -> Hashtbl.iter (fun _ g -> Atomic.set g 0) registry)

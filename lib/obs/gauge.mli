@@ -7,7 +7,6 @@ type t
 (** Idempotent by name, like {!Counter.make}. *)
 val make : string -> t
 
-val name : t -> string
 val set : t -> int -> unit
 val value : t -> int
 val value_of : string -> int option

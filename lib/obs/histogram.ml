@@ -15,7 +15,6 @@
 let num_buckets = 64
 
 type t = {
-  name : string;
   cells : int Atomic.t array;
   sum_ns : int Atomic.t;
 }
@@ -34,15 +33,12 @@ let make name =
       | None ->
           let h =
             {
-              name;
               cells = Array.init num_buckets (fun _ -> Atomic.make 0);
               sum_ns = Atomic.make 0;
             }
           in
           Hashtbl.replace registry name h;
           h)
-
-let name h = h.name
 
 let bucket_of_ns v =
   if v < 1.0 then 0

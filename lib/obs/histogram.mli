@@ -22,8 +22,6 @@ val num_buckets : int
     the same name always yields the same cells. *)
 val make : string -> t
 
-val name : t -> string
-
 (** [observe h ns] — record one observation of [ns] nanoseconds.
     Negative, zero and non-finite values land in bucket 0 and contribute
     nothing to {!sum}. *)

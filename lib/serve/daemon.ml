@@ -2,7 +2,6 @@ let submitted = Obs.Counter.make "serve.requests"
 let drains = Obs.Counter.make "serve.drains"
 let failures = Obs.Counter.make "serve.failures"
 let requests = Obs.Counter.make "serve.daemon.requests"
-let busy = Obs.Counter.make "serve.daemon.busy"
 let served = Obs.Counter.make "serve.daemon.served"
 let connections = Obs.Counter.make "serve.daemon.connections"
 let malformed = Obs.Counter.make "serve.daemon.malformed"
@@ -211,14 +210,13 @@ let emit fd line =
 
 (* One client's request stream: its line counter, its admission
    controller and a FIFO of what each fed non-blank line is owed. A
-   [Reply] (an error or a busy line) is ready when fed; a [Solved] or
-   [Verdict] line is a job of the next wave and keeps its request until
-   then; a [Released] line needs no solve. [queued] counts the jobs in
-   the FIFO, so the FIFO itself is the wave: nothing else holds the
-   session's work, and a dropped session takes its jobs with it.
-   Answers leave in input order, and admits and releases reach the
-   controller in line order during the drain, so no answer depends on
-   where the waves were cut. *)
+   [Reply] (an error line) is ready when fed; a [Solved] or [Verdict]
+   line is a job of the next wave and keeps its request until then; a
+   [Released] line needs no solve. The FIFO itself is the wave: nothing
+   else holds the session's work, and a dropped session takes its jobs
+   with it. Answers leave in input order, and admits and releases reach
+   the controller in line order during the drain, so no answer depends
+   on where the waves were cut. *)
 type owed =
   | Reply of string
   | Solved of {
@@ -238,7 +236,6 @@ type session = {
   daemon : t;
   admission : Rt.Admission.t;
   owed : owed Queue.t;
-  mutable queued : int;  (* [Solved] and [Verdict] entries in [owed] *)
   mutable line_no : int;
   mutable written : int;
 }
@@ -249,27 +246,7 @@ let session ?admission daemon =
     | Some a -> a
     | None -> Rt.Admission.create ?capacity:daemon.capacity ()
   in
-  {
-    daemon;
-    admission;
-    owed = Queue.create ();
-    queued = 0;
-    line_no = 0;
-    written = 0;
-  }
-
-(* Queue a job, or shed it with a busy reply when the wave is full:
-   never block. *)
-let submit s ~id owed =
-  if s.queued < s.daemon.queue_capacity then begin
-    Queue.add owed s.owed;
-    s.queued <- s.queued + 1;
-    Obs.Counter.incr submitted
-  end
-  else begin
-    Obs.Counter.incr busy;
-    Queue.add (Reply (Jsonl.busy_to_string ~id)) s.owed
-  end
+  { daemon; admission; owed = Queue.create (); line_no = 0; written = 0 }
 
 let feed s line =
   s.line_no <- s.line_no + 1;
@@ -280,14 +257,19 @@ let feed s line =
         Queue.add
           (Reply (Jsonl.error_to_string ~id:(Obs.Json.Int s.line_no) msg))
           s.owed
-    | Ok l -> (
+    | Ok l ->
         Obs.Counter.incr requests;
-        match l with
-        | Jsonl.Solve { id; request } ->
-            submit s ~id (Solved { id; request; t0 = now_ns () })
-        | Jsonl.Admit { id; task; periodic } ->
-            submit s ~id (Verdict { id; task; periodic; t0 = now_ns () })
-        | Jsonl.Release { id; task } -> Queue.add (Released { id; task }) s.owed)
+        let owed =
+          match l with
+          | Jsonl.Solve { id; request } ->
+              Obs.Counter.incr submitted;
+              Solved { id; request; t0 = now_ns () }
+          | Jsonl.Admit { id; task; periodic } ->
+              Obs.Counter.incr submitted;
+              Verdict { id; task; periodic; t0 = now_ns () }
+          | Jsonl.Release { id; task } -> Released { id; task }
+        in
+        Queue.add owed s.owed
 
 (* Core.Synthesis.solve already converts solver exceptions into [Error]
    responses; this handler also covers anything the cache layer itself
@@ -317,7 +299,6 @@ let solve_wave s =
            | Reply _ | Released _ -> None)
          (Queue.to_seq s.owed))
   in
-  s.queued <- 0;
   if Array.length jobs = 0 then [||]
   else begin
     Obs.Counter.incr drains;
@@ -373,58 +354,42 @@ let drain s emit =
     s.written <- s.written + 1
   done
 
-(* --- request loops ------------------------------------------------------ *)
+(* --- the request loop ---------------------------------------------------- *)
 
-(* Feed lines as fast as they arrive; drain, and stream the answers back,
-   the moment input is not immediately available; block for more input
-   only when nothing is owed. Within one burst this yields exactly
-   [queue_capacity] solved jobs and a busy line per overflow. *)
-let serve_fd ?idle_timeout t ~input ~output =
+(* Feed lines as they arrive; drain the wave, writing its answers to
+   [emit], when input is not immediately available, at EOF, or once the
+   session owes [queue_capacity] answers; block for more input only when
+   nothing is owed. *)
+let serve ?admission ?idle_timeout t ~input ~emit =
   (match idle_timeout with
   | Some s when not (Float.is_finite s && s > 0.0) ->
       invalid_arg
-        (Printf.sprintf "Serve.Daemon.serve_fd: idle timeout %g must be > 0" s)
+        (Printf.sprintf "Serve.Daemon.serve: idle timeout %g must be > 0" s)
   | _ -> ());
-  ignore_sigpipe ();
-  Obs.Counter.incr connections;
   let r = reader input in
-  let s = session t in
+  let s = session ?admission t in
   let rec loop () =
     match take_line r ~block:(Queue.is_empty s.owed) ~idle_timeout with
     | Line line ->
         feed s line;
+        if Queue.length s.owed >= t.queue_capacity then drain s emit;
         loop ()
     | Would_block ->
-        drain s (emit output);
+        drain s emit;
         loop ()
     | Idle ->
         (* only reachable while blocking, i.e. with nothing owed *)
         Obs.Counter.incr idle_closed
-    | Eof -> drain s (emit output)
+    | Eof -> drain s emit
   in
-  (* Only this connection ends; its unsolved jobs die with the session. *)
+  (* Only this session ends; its unsolved jobs die with it. *)
   (try loop () with Hung_up -> Obs.Counter.incr dropped);
   s.written
 
-(* Feed every line to EOF, draining whenever the wave fills, so nothing
-   is shed. *)
-let serve_channel ?admission t ~input ~output =
-  let s = session ?admission t in
-  let emit line =
-    output_string output line;
-    output_char output '\n'
-  in
-  let rec loop () =
-    match input_line input with
-    | line ->
-        feed s line;
-        if s.queued = t.queue_capacity then drain s emit;
-        loop ()
-    | exception End_of_file -> drain s emit
-  in
-  loop ();
-  flush output;
-  s.written
+let serve_fd ?idle_timeout t ~input ~output =
+  ignore_sigpipe ();
+  Obs.Counter.incr connections;
+  serve ?idle_timeout t ~input ~emit:(emit output)
 
 (* --- unix-domain socket listener -------------------------------------- *)
 

@@ -414,9 +414,6 @@ let error_to_string ~id msg =
     (J.Obj
        [ ("id", id); ("status", J.String "error"); ("error", J.String msg) ])
 
-let busy_to_string ~id =
-  J.to_string (J.Obj [ ("id", id); ("status", J.String "busy") ])
-
 (* Witness objects carry exactly the numbers [Rt.Verdict.witness_holds]
    re-checks, so a wire client can verify the inequality itself. *)
 let witness_json = function

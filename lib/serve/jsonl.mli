@@ -1,5 +1,7 @@
 (** JSONL wire format for the synthesis service: one request per input
-    line, one response per output line, same order. This module decodes
+    line, one response per output line, same order. Every non-blank line
+    is answered exactly once, with a response, a verdict, a release or an
+    error line; no status refuses a line for load. This module decodes
     lines and renders answers; {!Daemon} runs the request session.
 
     {2 Request line}
@@ -40,9 +42,9 @@
        "stats": {"nodes": 31, ...}, "violations": []}
     ]}
 
-    [status] is ["ok"], ["infeasible"], ["timeout"] or ["error"] (then an
-    ["error"] field carries the message). Result fields are present only
-    when there is a result.
+    [status] is ["ok"], ["infeasible"], ["infeasible_memory"],
+    ["timeout"] or ["error"] (then an ["error"] field carries the
+    message). Result fields are present only when there is a result.
 
     With ["rtl": true], a result additionally carries an ["rtl"] object:
     MD5 content digests of the structural module and its testbench (the
@@ -105,11 +107,6 @@ val response_to_string : id:Obs.Json.t -> Core.Synthesis.response -> string
 (** The error line emitted in place of a response when a request line
     cannot be parsed: [{"id": ..., "status": "error", "error": msg}]. *)
 val error_to_string : id:Obs.Json.t -> string -> string
-
-(** The load-shed line the daemon emits when its admission queue is full:
-    [{"id": ..., "status": "busy"}]. The request was not solved and not
-    queued — the client owns the retry. *)
-val busy_to_string : id:Obs.Json.t -> string
 
 (** The ["admitted"] / ["rejected"] response line for an admit request;
     rejections carry the machine-checkable ["witness"] object. *)

@@ -1,11 +1,12 @@
 (* The batch JSONL loop as it was before requests ran through a
    daemon session: read every line to EOF, solve every synthesis job,
    then walk the lines in input order and derive the admission verdicts
-   against one controller. Kept as the byte reference for
-   [Serve.Daemon.serve_channel] and [serve_fd]. Each job is solved with
-   plain [Core.Synthesis.solve], with no pool, wave or cache, so the
-   reference shares none of that code with the loops it checks, and a
-   cache hit in a loop must give a fresh solve's bytes. *)
+   against one controller. Kept as the byte reference for the request
+   loop [Serve.Daemon.serve], over files and over pipes ([serve_fd]), at
+   any queue capacity. Each job is solved with plain
+   [Core.Synthesis.solve], with no pool, wave or cache, so the reference
+   shares none of that code with the loop it checks, and a cache hit in
+   the loop must give a fresh solve's bytes. *)
 
 open Serve.Jsonl
 module J = Obs.Json

@@ -1,10 +1,10 @@
-(* The request session and its loops: answers as lines arrive (no EOF
-   needed) and in input order, busy-shedding when the bounded queue is
-   full, malformed-line error replies, the latency histogram, the idle
-   timeout, the socket listener + client pump, and a differential of
-   both loops against the batch oracle. Pipe-based tests drive
-   Serve.Daemon.serve_fd directly; the socket test exercises listen/call
-   end to end. *)
+(* The request session and its one loop: answers as lines arrive (no
+   EOF needed) and in input order, a wave drained whenever the session
+   owes its queue capacity, malformed-line error replies, the latency
+   histogram, the idle timeout, the socket listener + client pump, and a
+   differential of the loop, over files and pipes, against the batch
+   oracle. Pipe-based tests drive Serve.Daemon.serve_fd directly; the
+   socket test exercises listen/call end to end. *)
 
 module J = Obs.Json
 
@@ -105,50 +105,32 @@ let test_streaming_two_bursts () =
     "latency histogram saw all three requests" true
     (Obs.Histogram.count (Serve.Daemon.latency_histogram ()) >= hist0 + 3)
 
-(* --- busy backpressure -------------------------------------------------- *)
+(* --- waves at the queue capacity ------------------------------------------ *)
 
 (* A queue-capacity-1 daemon under a one-write burst of five requests
-   sheds four with "busy" (no blocking, no drops — every id is answered
-   exactly once, in request order), and a retry of each shed id then
-   succeeds. *)
-let test_busy_backpressure () =
+   owes one answer after each line, so it drains five one-job waves:
+   every request is solved, answered once and in request order. *)
+let test_burst_five_waves () =
   let h = start ~queue_capacity:1 () in
-  let busy0 = counter "serve.daemon.busy" in
+  let drains0 = counter "serve.drains" in
   let ids = [ "q1"; "q2"; "q3"; "q4"; "q5" ] in
   let burst =
     String.concat ""
       (List.mapi (fun i id -> request_line ~id ~seed:(10 + i) ^ "\n") ids)
   in
   (* one write, well under PIPE_BUF: all five lines reach the daemon's
-     buffer together, so exactly one fits the queue and four are shed *)
+     buffer together, so no pause in the input cuts the waves *)
   Alcotest.(check bool) "burst is atomic" true (String.length burst < 4096);
   send h burst;
-  (* q1 is queued and q2..q5 are shed in the same wave; the answers
-     keep the burst's order *)
   let replies = recv_lines h 5 in
   Alcotest.(check (list string))
     "answers in request order" ids (List.map id_of replies);
-  let solved, shed =
-    List.partition (fun l -> status_of l = "ok") replies
-  in
-  Alcotest.(check (list string)) "first request solved" [ "q1" ] (List.map id_of solved);
   List.iter
-    (fun l -> Alcotest.(check string) "overflow is busy" "busy" (status_of l))
-    shed;
-  Alcotest.(check int) "four shed" 4 (List.length shed);
-  Alcotest.(check int) "busy counter" (busy0 + 4) (counter "serve.daemon.busy");
-  (* the client owns the retry: resubmit each shed id one at a time —
-     the queue has room now, so each is admitted and solved *)
-  List.iteri
-    (fun i l ->
-      let id = id_of l in
-      send h (request_line ~id ~seed:(11 + i) ^ "\n");
-      let reply = List.hd (recv_lines h 1) in
-      Alcotest.(check string) "retry echoes the id" id (id_of reply);
-      Alcotest.(check string) "retry succeeds" "ok" (status_of reply))
-    shed;
-  let n = finish h in
-  Alcotest.(check int) "5 burst replies + 4 retries" 9 n
+    (fun l -> Alcotest.(check string) "every request solved" "ok" (status_of l))
+    replies;
+  Alcotest.(check int) "one wave per line" (drains0 + 5)
+    (counter "serve.drains");
+  Alcotest.(check int) "five replies" 5 (finish h)
 
 (* --- malformed lines and blanks ----------------------------------------- *)
 
@@ -342,11 +324,12 @@ let test_admission_state_per_connection () =
     (status_of (List.hd (recv_lines h2 1)));
   ignore (finish h2)
 
-(* An admit's job rides the wave like a solve, so a full queue sheds it
-   too: at capacity 1, a one-write burst of a solve then an admit answers
-   ok, then busy, and the retried admit is admitted. *)
-let test_admit_shed_when_full () =
+(* An admit's job rides the wave like a solve: at capacity 1, a
+   one-write burst of a solve then an admit drains two waves and
+   answers ok, then admitted. *)
+let test_solve_then_admit () =
   let h = start ~queue_capacity:1 ~capacity:(Rt.Admission.Uniform 2) () in
+  let drains0 = counter "serve.drains" in
   send h
     (request_line ~id:"s1" ~seed:60 ^ "\n"
     ^ admit_line ~id:"a1" ~task:"t1" ~period:64
@@ -354,12 +337,11 @@ let test_admit_shed_when_full () =
   let replies = recv_lines h 2 in
   Alcotest.(check (list string)) "ids in order" [ "s1"; "a1" ]
     (List.map id_of replies);
-  Alcotest.(check (list string)) "ok, then busy" [ "ok"; "busy" ]
+  Alcotest.(check (list string)) "ok, then admitted" [ "ok"; "admitted" ]
     (List.map status_of replies);
-  send h (admit_line ~id:"a1" ~task:"t1" ~period:64 ^ "\n");
-  Alcotest.(check string) "retried admit" "admitted"
-    (status_of (List.hd (recv_lines h 1)));
-  Alcotest.(check int) "three answers" 3 (finish h)
+  Alcotest.(check int) "one wave per line" (drains0 + 2)
+    (counter "serve.drains");
+  Alcotest.(check int) "two answers" 2 (finish h)
 
 (* --- idle timeout -------------------------------------------------------- *)
 
@@ -634,18 +616,38 @@ let random_line rng i =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* One channel run from [text] to the bytes it writes. *)
-let channel_bytes run text =
-  let in_path = Filename.temp_file "hetsched-diff" ".in" in
+(* [text] in a temporary file for the duration of [f path]. *)
+let with_text_file text f =
+  let path = Filename.temp_file "hetsched-diff" ".in" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* The batch oracle over [text]: the bytes it writes. *)
+let oracle_bytes ~lookup ?admission text =
+  with_text_file text @@ fun in_path ->
   let out_path = Filename.temp_file "hetsched-diff" ".out" in
-  Out_channel.with_open_bin in_path (fun oc -> output_string oc text);
   In_channel.with_open_bin in_path (fun input ->
       Out_channel.with_open_bin out_path (fun output ->
-          ignore (run ~input ~output)));
+          ignore
+            (Oracle.Jsonl_serve.serve ~lookup ?admission () ~input ~output)));
   let out = read_file out_path in
-  Sys.remove in_path;
   Sys.remove out_path;
   out
+
+(* [serve] over [text] read from a regular file, which is always ready,
+   so the waves are cut only at the queue capacity and at EOF. *)
+let file_bytes d text =
+  with_text_file text @@ fun path ->
+  let out = Buffer.create 4096 in
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore
+        (Serve.Daemon.serve d ~input:fd ~emit:(fun line ->
+             Buffer.add_string out line;
+             Buffer.add_char out '\n')));
+  Buffer.contents out
 
 (* [serve_fd] over a pipe pair: the input fits in the pipe buffer, so it
    is written whole before the answers are read back to EOF. *)
@@ -663,6 +665,46 @@ let fd_bytes d text =
   Unix.close in_r;
   Unix.close out_r;
   out
+
+(* 1,000 job lines from a regular file at queue 4: the loop never sees
+   its input pause before EOF, so it drains at every fourth line, 250
+   waves, and every answer is the batch oracle's, a sequential solve's.
+   Error and release lines are owed answers too: at queue 2, a job, a
+   malformed line, a release and a job make two waves, not one. *)
+let test_file_waves_at_capacity () =
+  let text =
+    String.concat ""
+      (List.init 1000 (fun i ->
+           request_line ~id:(Printf.sprintf "f%d" i) ~seed:(i mod 50) ^ "\n"))
+  in
+  let d =
+    Serve.Daemon.create ~lookup ~cache:(Serve.Cache.create ~entries:64 ())
+      ~queue_capacity:4 ()
+  in
+  let drains0 = counter "serve.drains" in
+  let got = file_bytes d text in
+  Alcotest.(check int) "250 waves of 4" (drains0 + 250) (counter "serve.drains");
+  Alcotest.(check int) "1000 answers" 1000
+    (List.length (String.split_on_char '\n' (String.trim got)));
+  Alcotest.(check string) "every answer a sequential solve's"
+    (oracle_bytes ~lookup text) got;
+  let mixed =
+    String.concat "\n"
+      [
+        request_line ~id:"m1" ~seed:1; "not json";
+        release_line ~id:"m3" ~task:"t"; request_line ~id:"m4" ~seed:2; "";
+      ]
+  in
+  let d2 =
+    Serve.Daemon.create ~lookup ~cache:(Serve.Cache.create ~entries:4 ())
+      ~queue_capacity:2 ()
+  in
+  let drains0 = counter "serve.drains" in
+  let got = file_bytes d2 mixed in
+  Alcotest.(check int) "every owed answer counts" (drains0 + 2)
+    (counter "serve.drains");
+  Alcotest.(check string) "mixed lines as the oracle answers them"
+    (oracle_bytes ~lookup mixed) got
 
 let loops_match_oracle ~domains =
   Alcotest.test_case
@@ -690,24 +732,21 @@ let loops_match_oracle ~domains =
                  (List.init n (fun i -> random_line rng i ^ "\n"))
              in
              let oracle =
-               channel_bytes
-                 (Oracle.Jsonl_serve.serve ~lookup:Workloads.Catalogue.lookup
-                    ~admission:(Rt.Admission.create ~capacity ())
-                    ())
+               oracle_bytes ~lookup:Workloads.Catalogue.lookup
+                 ~admission:(Rt.Admission.create ~capacity ())
                  text
              in
              List.iter
                (fun q ->
-                 let got =
-                   channel_bytes (Serve.Daemon.serve_channel (daemon q)) text
+                 let check how got =
+                   if got <> oracle then
+                     QCheck.Test.fail_reportf
+                       "serve over a %s at queue %d:@.%s@.oracle:@.%s" how q
+                       got oracle
                  in
-                 if got <> oracle then
-                   QCheck.Test.fail_reportf
-                     "serve_channel at queue %d:@.%s@.oracle:@.%s" q got oracle)
+                 check "file" (file_bytes (daemon q) text);
+                 check "pipe" (fd_bytes (daemon q) text))
                [ 1; 2; 3; 256 ];
-             let got = fd_bytes (daemon n) text in
-             if got <> oracle then
-               QCheck.Test.fail_reportf "serve_fd:@.%s@.oracle:@.%s" got oracle;
              true)))
 
 let () =
@@ -728,10 +767,12 @@ let () =
         ] );
       ( "backpressure",
         [
-          Alcotest.test_case "capacity-1 burst sheds busy, retry succeeds"
-            `Quick test_busy_backpressure;
-          Alcotest.test_case "capacity-1 solve then admit: ok, busy, admitted"
-            `Quick test_admit_shed_when_full;
+          Alcotest.test_case "capacity-1 burst: five waves, all solved"
+            `Quick test_burst_five_waves;
+          Alcotest.test_case "capacity-1 solve then admit: ok, admitted"
+            `Quick test_solve_then_admit;
+          Alcotest.test_case "1000 file lines at queue 4: 250 waves" `Quick
+            test_file_waves_at_capacity;
         ] );
       ( "admission",
         [

@@ -1,7 +1,7 @@
 (* The batch synthesis service: content-addressed cache (digest canonical
    in edge order, byte-identical replay, LRU), a session's bounded waves
-   (order, isolation, pool parity), the JSONL wire format and the batch
-   channel loop. *)
+   (order, isolation, pool parity), the JSONL wire format and the request
+   loop over a file. *)
 
 let lib3 = Fulib.Library.standard3
 
@@ -421,24 +421,34 @@ let test_cache_concurrent_hammer () =
 
 (* --- server ------------------------------------------------------------ *)
 
-(* A session's waves, driven through [Daemon.serve_channel]. Job lines
-   name the seeded lookup's instance, so every answer can be checked
-   against a plain [Core.Synthesis.solve] of the same request. *)
+(* A session's waves, driven through the request loop [Daemon.serve].
+   Job lines name the seeded lookup's instance, so every answer can be
+   checked against a plain [Core.Synthesis.solve] of the same request. *)
 let seeded_lookup _name ~seed = Some (instance ~seed)
 
-(* One session over [lines]: everything it writes. *)
-let channel_output daemon lines =
+(* One session over [lines], read from a file: everything it answers,
+   one line each, and the count [serve] returned. *)
+let session_output_count ?admission daemon lines =
   let in_path = Filename.temp_file "serve_lines" ".in" in
-  let out_path = Filename.temp_file "serve_lines" ".out" in
   Out_channel.with_open_text in_path (fun oc ->
       List.iter (fun l -> output_string oc (l ^ "\n")) lines);
-  In_channel.with_open_text in_path (fun input ->
-      Out_channel.with_open_text out_path (fun output ->
-          ignore (Serve.Daemon.serve_channel daemon ~input ~output)));
-  let out = In_channel.with_open_bin out_path In_channel.input_all in
+  let out = Buffer.create 1024 in
+  let fd = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let n =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Serve.Daemon.serve ?admission daemon ~input:fd ~emit:(fun line ->
+            Buffer.add_string out line;
+            Buffer.add_char out '\n'))
+  in
   Sys.remove in_path;
-  Sys.remove out_path;
-  out
+  (Buffer.contents out, n)
+
+let session_output ?admission daemon lines =
+  fst (session_output_count ?admission daemon lines)
+
+let output_lines text = String.split_on_char '\n' (String.trim text)
 
 (* A job line for instance [seed] and the request it decodes to: the
    default deadline is the minimum plus 3, as [request] builds it. *)
@@ -461,8 +471,7 @@ let session_answers ~domains ?cache ?queue_capacity jobs =
   let daemon =
     Serve.Daemon.create ~lookup:seeded_lookup ~pool ?cache ?queue_capacity ()
   in
-  String.split_on_char '\n'
-    (String.trim (channel_output daemon (List.map fst jobs)))
+  output_lines (session_output daemon (List.map fst jobs))
 
 (* The same lines from sequential solves, ids being line numbers. *)
 let sequential_answers jobs =
@@ -642,7 +651,7 @@ let test_rtl_digest_covers_ops () =
   let serve lines =
     Par.Pool.with_pool ~domains:1 (fun pool ->
         let cache = Serve.Cache.create ~entries:8 () in
-        let out = channel_output (Serve.Daemon.create ~pool ~cache ()) lines in
+        let out = session_output (Serve.Daemon.create ~pool ~cache ()) lines in
         (String.split_on_char '\n' (String.trim out), Serve.Cache.length cache))
   in
   let frob = request ~ops:("mul", "frob") ~rtl:true in
@@ -858,33 +867,15 @@ let test_jsonl_serve_admission () =
       {|{"cmd": "release", "id": "r2", "task": "t1"}|};
     ]
   in
-  let dir = Filename.temp_file "serve_admit" ".d" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let in_path = Filename.concat dir "in.jsonl" in
-  let out_path = Filename.concat dir "out.jsonl" in
-  let oc = open_out in_path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-  close_out oc;
-  Par.Pool.with_pool ~domains:2 (fun pool ->
-      let ic = open_in in_path and oc = open_out out_path in
-      let served =
-        Serve.Daemon.serve_channel
+  let out, served =
+    Par.Pool.with_pool ~domains:2 (fun pool ->
+        session_output_count
           ~admission:(Rt.Admission.create ~capacity:(Rt.Admission.Uniform 2) ())
           (Serve.Daemon.create ~lookup ~pool ())
-          ~input:ic ~output:oc
-      in
-      close_in ic;
-      close_out oc;
-      Alcotest.(check int) "every line answered" 5 served);
-  let ic = open_in out_path in
-  let rec read acc =
-    match input_line ic with
-    | l -> read (l :: acc)
-    | exception End_of_file -> List.rev acc
+          lines)
   in
-  let out = read [] in
-  close_in ic;
+  Alcotest.(check int) "every line answered" 5 served;
+  let out = output_lines out in
   let json_field name l =
     Option.bind (Obs.Json.member name (Obs.Json.parse_exn l)) Obs.Json.to_string_opt
   in
@@ -908,45 +899,21 @@ let test_jsonl_serve_admission () =
   | Some msg ->
       Alcotest.(check bool) "unknown-task error names it" true
         (String.length msg > 0)
-  | None -> Alcotest.fail "double release should be an error line");
-  Sys.remove in_path;
-  Sys.remove out_path;
-  Sys.rmdir dir
+  | None -> Alcotest.fail "double release should be an error line")
 
-(* The controller handed to [serve_channel] is the one its admit/release
+(* The controller handed to [serve] is the one its admit/release
    lines use: it holds the admitted set afterwards, and a second run over
    the same controller releases a task the first one admitted. *)
 let test_jsonl_serve_keeps_controller () =
   let adm = Rt.Admission.create ~capacity:(Rt.Admission.Uniform 2) () in
   let serve lines =
-    let in_path = Filename.temp_file "serve_adm" ".in" in
-    let out_path = Filename.temp_file "serve_adm" ".out" in
-    let oc = open_out in_path in
-    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-    close_out oc;
-    let ic = open_in in_path and oc = open_out out_path in
-    ignore
-      (Serve.Daemon.serve_channel ~admission:adm
-         (Serve.Daemon.create ~lookup ())
-         ~input:ic ~output:oc);
-    close_in ic;
-    close_out oc;
-    let ic = open_in out_path in
-    let rec read acc =
-      match input_line ic with
-      | l -> read (l :: acc)
-      | exception End_of_file -> List.rev acc
-    in
-    let out = read [] in
-    close_in ic;
-    Sys.remove in_path;
-    Sys.remove out_path;
     List.map
       (fun l ->
         Option.bind
           (Obs.Json.member "status" (Obs.Json.parse_exn l))
           Obs.Json.to_string_opt)
-      out
+      (output_lines
+         (session_output ~admission:adm (Serve.Daemon.create ~lookup ()) lines))
   in
   let admitted () =
     List.map (fun (e : Rt.Admission.admitted) -> e.id) (Rt.Admission.admitted adm)
@@ -977,31 +944,12 @@ let test_jsonl_serve_channels () =
       {|{"id": 7, "benchmark": "volterra", "seed": 5, "deadline_factor": 1.2, "algorithm": "greedy"}|};
     ]
   in
-  let dir = Filename.temp_file "serve" ".d" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let in_path = Filename.concat dir "in.jsonl" in
-  let out_path = Filename.concat dir "out.jsonl" in
-  let oc = open_out in_path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-  close_out oc;
-  Par.Pool.with_pool ~domains:2 (fun pool ->
-      let ic = open_in in_path and oc = open_out out_path in
-      let served =
-        Serve.Daemon.serve_channel (Serve.Daemon.create ~lookup ~pool ())
-          ~input:ic ~output:oc
-      in
-      close_in ic;
-      close_out oc;
-      Alcotest.(check int) "blank line skipped, rest answered" 4 served);
-  let ic = open_in out_path in
-  let rec read acc =
-    match input_line ic with
-    | l -> read (l :: acc)
-    | exception End_of_file -> List.rev acc
+  let out, served =
+    Par.Pool.with_pool ~domains:2 (fun pool ->
+        session_output_count (Serve.Daemon.create ~lookup ~pool ()) lines)
   in
-  let out = read [] in
-  close_in ic;
+  Alcotest.(check int) "blank line skipped, rest answered" 4 served;
+  let out = output_lines out in
   let status l =
     Option.bind
       (Obs.Json.member "status" (Obs.Json.parse_exn l))
@@ -1016,14 +964,11 @@ let test_jsonl_serve_channels () =
   Alcotest.(check bool) "line-number id" true
     (id (List.nth out 0) = Some (Obs.Json.Int 1));
   Alcotest.(check bool) "explicit id" true
-    (id (List.nth out 3) = Some (Obs.Json.Int 7));
-  Sys.remove in_path;
-  Sys.remove out_path;
-  Sys.rmdir dir
+    (id (List.nth out 3) = Some (Obs.Json.Int 7))
 
 let serve_lines ~lookup lines =
   Par.Pool.with_pool ~domains:2 (fun pool ->
-      channel_output (Serve.Daemon.create ~lookup ~pool ()) lines)
+      session_output (Serve.Daemon.create ~lookup ~pool ()) lines)
 
 (* Serving from the resident catalogue answers every benchmark line byte
    for byte as rebuilding the suite per line did: every name, repeated
