@@ -418,9 +418,17 @@ let gantt_cmd =
 
 (* --- serving: shared plumbing for serve / daemon / client ------------- *)
 
+(* [-] or an existing file that is not a directory, so a bad path is a
+   usage error naming the flag; [Arg.non_dir_file] alone rejects [-]. *)
 let serve_in_arg =
+  let input =
+    let parse s =
+      if s = "-" then Ok s else Arg.conv_parser Arg.non_dir_file s
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   let doc = "Read JSONL requests from $(docv) ($(b,-) for stdin)." in
-  Arg.(value & opt string "-" & info [ "in"; "i" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt input "-" & info [ "in"; "i" ] ~docv:"FILE" ~doc)
 
 let serve_out_arg =
   let doc = "Write JSONL responses to $(docv) ($(b,-) for stdout)." in

@@ -210,20 +210,6 @@ let count_status = function
   | Timeout -> Obs.Counter.incr c_timeout
   | Error _ -> Obs.Counter.incr c_error
 
-(* --- budget handling ---------------------------------------------------- *)
-
-(* Exact is the one solver that can disappear into its search tree for
-   longer than any phase-boundary check can notice, and the one solver
-   with a cooperative node budget; translate milliseconds into expanded
-   nodes at a deliberately generous fixed rate so a budgeted Exact request
-   degrades to Timeout instead of wedging its pool worker. *)
-let exact_nodes_per_ms = 50_000
-
-let exact_budget req =
-  match (req.algorithm, req.budget_ms) with
-  | Exact, Some ms -> Some (max 1 (ms * exact_nodes_per_ms))
-  | _ -> None
-
 (* --- validation --------------------------------------------------------- *)
 
 let audit_reports ?dvfs g table ~deadline r =
@@ -266,291 +252,264 @@ let audit_reports ?dvfs g table ~deadline r =
 let validate g table ~deadline r =
   List.iter Check.Violation.raise_if_failed (audit_reports g table ~deadline r)
 
-(* --- the pipeline -------------------------------------------------------- *)
+(* --- the stages ---------------------------------------------------------- *)
 
-let schedule_phase req table assignment =
-  match
-    Sched.Asap_alap.frames req.graph table assignment ~deadline:req.deadline
-  with
-  | None -> None
-  | Some frames -> (
-      match req.scheduler with
-      | List_scheduling ->
-          Sched.Min_resource.run ~frames req.graph table assignment
-            ~deadline:req.deadline
-      | Force_directed ->
-          Sched.Force_directed.run ~frames req.graph table assignment
-            ~deadline:req.deadline)
+(* Each stage returns [Result.Ok] to go on or [Result.Error status] to stop
+   the solve. {!solve} chains them in this order and owns what they share:
+   the budget poll, the spans and the exception boundary. *)
+
+let ( let* ) = Result.bind
+let stop status = Result.Error status
+
+(* dvfs.expand, on leveled requests. The solve runs over the expanded
+   table: a (type, level) pair is just one more selectable type, so every
+   algorithm is level-aware for free. Levels that slow a time past
+   [Fulib.Table.max_cell] are a plain error, not the exception text. *)
+let expand_levels table levels =
+  match Fulib.Dvfs.expand table ~levels with
+  | expansion -> Result.Ok (Some expansion)
+  | exception Invalid_argument msg -> stop (Error ("levels: " ^ msg))
+
+(* Exact can search for longer than a poll between stages notices, and it
+   is the one solver with a node budget: milliseconds become nodes at a
+   generous fixed rate, so a budgeted Exact request times out (its
+   [Budget_exhausted] reaches {!solve}'s boundary) instead of wedging its
+   pool worker. *)
+let exact_nodes_per_ms = 50_000
+
+(* assign: phase 1. An algorithm that cannot run on this graph is a plain
+   error, not the solver's exception text. *)
+let assign_types req table =
+  match Assign.Solve.applicable req.algorithm req.graph with
+  | Result.Error msg -> stop (Error msg)
+  | Result.Ok () -> (
+      let budget =
+        match (req.algorithm, req.budget_ms) with
+        | Exact, Some ms -> Some (max 1 (ms * exact_nodes_per_ms))
+        | _ -> None
+      in
+      match
+        Assign.Solve.run ?budget req.algorithm req.graph table
+          ~deadline:req.deadline
+      with
+      | Assign.Solve.Feasible a -> Result.Ok a
+      | Assign.Solve.Infeasible -> stop Infeasible
+      | Assign.Solve.Infeasible_memory -> stop Infeasible_memory)
+
+(* sched.frames: phase 2's ASAP/ALAP windows *)
+let frames req table assignment =
+  Option.to_result ~none:Infeasible
+    (Sched.Asap_alap.frames req.graph table assignment ~deadline:req.deadline)
+
+(* sched.schedule: phase 2's minimum-resource schedule *)
+let schedule req table assignment frames =
+  let run =
+    match req.scheduler with
+    | List_scheduling -> Sched.Min_resource.run ?pipelined:None
+    | Force_directed -> Sched.Force_directed.run
+  in
+  match run ~frames req.graph table assignment ~deadline:req.deadline with
+  | None -> stop Infeasible
+  | Some { Sched.Min_resource.schedule; config; lower_bound } ->
+      Result.Ok
+        {
+          algorithm = req.algorithm;
+          assignment;
+          cost = Assign.Assignment.total_cost table assignment;
+          makespan = Assign.Assignment.makespan req.graph table assignment;
+          schedule;
+          config;
+          lower_bound;
+        }
+
+(* sched.reclaim, on leveled requests: reclaim static slack by stretching
+   non-critical nodes to cheaper sibling levels (starts, config and
+   deadline untouched). *)
+let reclaim req (expanded, mapping) r =
+  let { Sched.Reclaim.schedule; energy_before; energy_after; moves } =
+    if Assign.Assignment.mem_constrained req.graph expanded then
+      (* Re-leveling shifts aggregate data load between sibling types; keep
+         memory-constrained leveled results untouched so Check.Memory's
+         aggregate accounting stays exact. *)
+      {
+        Sched.Reclaim.schedule = r.schedule;
+        energy_before = r.cost;
+        energy_after = r.cost;
+        moves = 0;
+      }
+    else
+      Sched.Reclaim.run req.graph expanded ~mapping ~config:r.config
+        ~deadline:req.deadline r.schedule
+  in
+  let assignment = schedule.Sched.Schedule.assignment in
+  (* Re-leveling shifts occupancy between sibling types, so the
+     per-expanded-type view of the (unchanged) physical allocation is
+     re-derived from the re-leveled schedule. *)
+  let config =
+    if moves = 0 then r.config else Sched.Schedule.peak_usage expanded schedule
+  in
+  let makespan = Assign.Assignment.makespan req.graph expanded assignment in
+  let reclaim_moves = moves in
+  Result.Ok
+    ( { r with assignment; schedule; config; cost = energy_after; makespan },
+      Some { expanded; mapping; energy_before; energy_after; reclaim_moves } )
+
+(* rtl.lower, on rtl requests, over the solve table (the expanded one on
+   leveled requests: the schedule's steps refer to it). Deterministic, so
+   cached responses stay byte-identical. *)
+let lower_rtl req table r =
+  let design = Rtl.Backend.request req.graph table r.schedule in
+  Result.Ok (Some (Rtl.Backend.summarize design))
+
+(* check.validate: the independent audit, when the request or
+   HETSCHED_VALIDATE asks for it. The stage runs either way, so traces show
+   it ran. Findings do not stop the solve: the response keeps the corrupt
+   result next to its violations. *)
+let audit req table dvfs r =
+  if not (req.validate || Check.Env.enabled ()) then Result.Ok (Ok, [], [])
+  else
+    let reports =
+      audit_reports
+        ?dvfs:(Option.map (fun d -> (req.table, d.mapping)) dvfs)
+        req.graph table ~deadline:req.deadline r
+    in
+    let violations =
+      List.concat_map (fun rep -> rep.Check.Violation.violations) reports
+    in
+    let checked =
+      List.fold_left (fun n rep -> n + rep.Check.Violation.checked) 0 reports
+    in
+    let status =
+      match violations with
+      | [] -> Ok
+      | first :: _ ->
+          Error
+            (Printf.sprintf "validation failed: %d violation(s), first %s"
+               (List.length violations) first.Check.Violation.code)
+    in
+    Result.Ok
+      ( status,
+        violations,
+        [ ("checked", checked); ("violations", List.length violations) ] )
+
+(* --- the chain ----------------------------------------------------------- *)
 
 let base_stats req = [ ("nodes", Dfg.Graph.num_nodes req.graph) ]
 
-let result_stats ?dvfs req r =
-  let base =
+(* Transfer cost only when the graph carries edge sizes, energy only on
+   leveled requests and rtl_* only on rtl requests, so a response keeps
+   the exact stats it had before each of those features existed. *)
+let result_stats req r ~dvfs ~rtl =
+  List.concat
     [
-      ("nodes", Dfg.Graph.num_nodes req.graph);
-      ("cost", r.cost);
-      ("makespan", r.makespan);
-      ("config_total", Sched.Config.total r.config);
-      ("lower_bound_total", Sched.Config.total r.lower_bound);
+      base_stats req;
+      [
+        ("cost", r.cost);
+        ("makespan", r.makespan);
+        ("config_total", Sched.Config.total r.config);
+        ("lower_bound_total", Sched.Config.total r.lower_bound);
+      ];
+      (if Dfg.Graph.has_data_sizes req.graph then
+         [
+           ( "transfer_cost",
+             Assign.Assignment.transfer_cost req.graph r.assignment );
+         ]
+       else []);
+      (match dvfs with
+      | None -> []
+      | Some d ->
+          [
+            ("levels", Fulib.Dvfs.num_expanded d.mapping);
+            ("energy", d.energy_after);
+            ("energy_saved", d.energy_before - d.energy_after);
+            ("reclaim_moves", d.reclaim_moves);
+          ]);
+      (match rtl with
+      | None -> []
+      | Some { Rtl.Backend.stats = st; _ } ->
+          [
+            ("rtl_fu_instances", st.Rtl.Netlist_ir.fu_instances);
+            ("rtl_registers", st.Rtl.Netlist_ir.registers);
+            ("rtl_mux_count", st.Rtl.Netlist_ir.mux_count);
+            ("rtl_mux_inputs", st.Rtl.Netlist_ir.mux_inputs);
+            ("rtl_wires", st.Rtl.Netlist_ir.wires);
+            ("rtl_unsupported", st.Rtl.Netlist_ir.unsupported_ops);
+          ]);
     ]
-  in
-  (* data-movement accounting, only meaningful (and only emitted) when the
-     graph carries edge sizes — sizeless instances keep their exact
-     pre-memory stats *)
-  let base =
-    if Dfg.Graph.has_data_sizes req.graph then
-      base
-      @ [
-          ( "transfer_cost",
-            Assign.Assignment.transfer_cost req.graph r.assignment );
-        ]
-    else base
-  in
-  (* energy accounting, only emitted on leveled (DVFS) requests — unleveled
-     responses keep their exact pre-DVFS stats *)
-  match dvfs with
-  | None -> base
-  | Some d ->
-      base
-      @ [
-          ("levels", Fulib.Dvfs.num_expanded d.mapping);
-          ("energy", d.energy_after);
-          ("energy_saved", d.energy_before - d.energy_after);
-          ("reclaim_moves", d.reclaim_moves);
-        ]
 
-(* Two phases under one span each, with the cooperative budget checked at
-   every phase boundary (a started phase is never interrupted; [Some 0]
-   therefore times out before Phase 1 begins). Solver exceptions propagate
-   out of [solve_raw] — {!solve} is the catch-all boundary. *)
-let solve_raw req =
-  let started = Unix.gettimeofday () in
-  let over_budget () =
-    match req.budget_ms with
-    | None -> false
-    | Some ms -> (Unix.gettimeofday () -. started) *. 1000.0 >= float_of_int ms
-  in
-  let finish status ?result ?(violations = []) ?dvfs ?rtl stats =
-    count_status status;
-    { result; status; violations; stats; dvfs; rtl }
-  in
-  Obs.Counter.incr c_requests;
-  Obs.Span.with_
-    (Printf.sprintf "synthesis.solve:%s" (algorithm_name req.algorithm))
-    (fun () ->
-      (* Leveled requests solve over the DVFS-expanded table: a (type,
-         level) pair is just one more selectable type, so every algorithm
-         is level-aware for free. *)
-      let expansion, bad_levels =
-        match
-          Option.map (fun levels -> Fulib.Dvfs.expand req.table ~levels)
-            req.levels
-        with
-        | expansion -> (expansion, None)
-        | exception Invalid_argument msg -> (None, Some ("levels: " ^ msg))
-      in
-      let table =
-        match expansion with None -> req.table | Some (t, _) -> t
-      in
-      (* levels that slow a time past [Fulib.Table.max_cell], or an
-         algorithm that cannot run on this graph, are plain errors, not the
-         exception text the expansion or the solver would raise *)
-      let applicable =
-        match bad_levels with
-        | Some msg -> Result.Error msg
-        | None -> Assign.Solve.applicable req.algorithm req.graph
-      in
-      if over_budget () then finish Timeout (base_stats req)
-      else if Result.is_error applicable then
-        finish (Error (Result.get_error applicable)) (base_stats req)
-      else
-        let assignment =
-          Obs.Span.with_ "phase.assign" (fun () ->
-              match
-                Assign.Solve.run ?budget:(exact_budget req) req.algorithm
-                  req.graph table ~deadline:req.deadline
-              with
-              | v -> `Assigned v
-              | exception Assign.Exact.Budget_exhausted -> `Budget_exhausted)
-        in
-        match assignment with
-        | `Budget_exhausted -> finish Timeout (base_stats req)
-        | `Assigned Assign.Solve.Infeasible -> finish Infeasible (base_stats req)
-        | `Assigned Assign.Solve.Infeasible_memory ->
-            finish Infeasible_memory (base_stats req)
-        | `Assigned (Assign.Solve.Feasible assignment) -> (
-            if over_budget () then finish Timeout (base_stats req)
-            else
-              match
-                Obs.Span.with_ "phase.schedule" (fun () ->
-                    schedule_phase req table assignment)
-              with
-              | None -> finish Infeasible (base_stats req)
-              | Some { Sched.Min_resource.schedule; config; lower_bound } ->
-                  if over_budget () then finish Timeout (base_stats req)
-                  else
-                    let r0 =
-                      {
-                        algorithm = req.algorithm;
-                        assignment;
-                        cost = Assign.Assignment.total_cost table assignment;
-                        makespan =
-                          Assign.Assignment.makespan req.graph table
-                            assignment;
-                        schedule;
-                        config;
-                        lower_bound;
-                      }
-                    in
-                    (* Phase 3 on leveled requests: reclaim static slack by
-                       stretching non-critical nodes to cheaper sibling
-                       levels (starts, config and deadline untouched). *)
-                    let r, dvfs =
-                      match expansion with
-                      | None -> (r0, None)
-                      | Some (etable, mapping)
-                        when Assign.Assignment.mem_constrained req.graph
-                               etable ->
-                          (* Re-leveling shifts aggregate data load between
-                             sibling types; keep memory-constrained leveled
-                             results untouched so Check.Memory's aggregate
-                             accounting stays exact. *)
-                          ( r0,
-                            Some
-                              {
-                                expanded = etable;
-                                mapping;
-                                energy_before = r0.cost;
-                                energy_after = r0.cost;
-                                reclaim_moves = 0;
-                              } )
-                      | Some (etable, mapping) ->
-                          let rc =
-                            Obs.Span.with_ "phase.reclaim" (fun () ->
-                                Sched.Reclaim.run req.graph etable ~mapping
-                                  ~config ~deadline:req.deadline schedule)
-                          in
-                          let a' =
-                            rc.Sched.Reclaim.schedule.Sched.Schedule.assignment
-                          in
-                          (* Re-leveling shifts occupancy between sibling
-                             types, so the per-expanded-type view of the
-                             (unchanged) physical allocation is re-derived
-                             from the re-leveled schedule. *)
-                          let config' =
-                            if rc.Sched.Reclaim.moves = 0 then r0.config
-                            else
-                              Sched.Schedule.peak_usage etable
-                                rc.Sched.Reclaim.schedule
-                          in
-                          ( {
-                              r0 with
-                              assignment = a';
-                              schedule = rc.Sched.Reclaim.schedule;
-                              config = config';
-                              cost = rc.Sched.Reclaim.energy_after;
-                              makespan =
-                                Assign.Assignment.makespan req.graph etable a';
-                            },
-                            Some
-                              {
-                                expanded = etable;
-                                mapping;
-                                energy_before = rc.Sched.Reclaim.energy_before;
-                                energy_after = rc.Sched.Reclaim.energy_after;
-                                reclaim_moves = rc.Sched.Reclaim.moves;
-                              } )
-                    in
-                    (* RTL lowering over the solve table (the expanded one
-                       on leveled requests — the schedule's steps refer to
-                       it), deterministic so cached responses stay
-                       byte-identical. *)
-                    let rtl =
-                      if not req.rtl then None
-                      else
-                        Some
-                          (Obs.Span.with_ "phase.rtl" (fun () ->
-                               Rtl.Backend.summarize
-                                 (Rtl.Backend.request req.graph table
-                                    r.schedule)))
-                    in
-                    let rtl_stats =
-                      match rtl with
-                      | None -> []
-                      | Some resp ->
-                          let st = resp.Rtl.Backend.stats in
-                          [
-                            ( "rtl_fu_instances",
-                              st.Rtl.Netlist_ir.fu_instances );
-                            ("rtl_registers", st.Rtl.Netlist_ir.registers);
-                            ("rtl_mux_count", st.Rtl.Netlist_ir.mux_count);
-                            ("rtl_mux_inputs", st.Rtl.Netlist_ir.mux_inputs);
-                            ("rtl_wires", st.Rtl.Netlist_ir.wires);
-                            ( "rtl_unsupported",
-                              st.Rtl.Netlist_ir.unsupported_ops );
-                          ]
-                    in
-                    (* The validate span is always present so traces show
-                       the phase ran, even when nothing asks for an
-                       audit. *)
-                    let audit =
-                      Obs.Span.with_ "phase.validate" (fun () ->
-                          if req.validate || Check.Env.enabled () then
-                            Some
-                              (audit_reports
-                                 ?dvfs:
-                                   (Option.map
-                                      (fun d -> (req.table, d.mapping))
-                                      dvfs)
-                                 req.graph table ~deadline:req.deadline r)
-                          else None)
-                    in
-                    (match audit with
-                    | None ->
-                        finish Ok ~result:r ?dvfs ?rtl
-                          (result_stats ?dvfs req r @ rtl_stats)
-                    | Some reports ->
-                        let violations =
-                          List.concat_map
-                            (fun rep -> rep.Check.Violation.violations)
-                            reports
-                        in
-                        let checked =
-                          List.fold_left
-                            (fun acc rep -> acc + rep.Check.Violation.checked)
-                            0 reports
-                        in
-                        let stats =
-                          result_stats ?dvfs req r @ rtl_stats
-                          @ [
-                              ("checked", checked);
-                              ("violations", List.length violations);
-                            ]
-                        in
-                        if violations = [] then
-                          finish Ok ~result:r ?dvfs ?rtl stats
-                        else
-                          finish
-                            (Error
-                               (Printf.sprintf
-                                  "validation failed: %d violation(s), \
-                                   first %s"
-                                  (List.length violations)
-                                  (List.hd violations).Check.Violation.code))
-                            ~result:r ~violations ?dvfs ?rtl stats)))
+(* The response of a solve that stopped before it had a result. *)
+let stopped req status =
+  let stats = base_stats req in
+  { result = None; status; violations = []; stats; dvfs = None; rtl = None }
 
 let solve req =
-  try solve_raw req
-  with e ->
-    count_status (Error "");
-    {
-      result = None;
-      status = Error (Printexc.to_string e);
-      violations = [];
-      stats = base_stats req;
-      dvfs = None;
-      rtl = None;
-    }
+  Obs.Counter.incr c_requests;
+  let started = Unix.gettimeofday () in
+  (* The one place the budget is checked, before every stage that runs: a
+     started stage is never interrupted, so [Some 0] stops before the
+     first one. *)
+  let stage name f =
+    match req.budget_ms with
+    | Some ms
+      when (Unix.gettimeofday () -. started) *. 1000.0 >= float_of_int ms ->
+        stop Timeout
+    | _ -> Obs.Span.with_ name f
+  in
+  let stages () =
+    let* expansion =
+      match req.levels with
+      | None -> Result.Ok None
+      | Some levels ->
+          stage "dvfs.expand" (fun () -> expand_levels req.table levels)
+    in
+    let table = match expansion with Some (t, _) -> t | None -> req.table in
+    let* assignment = stage "assign" (fun () -> assign_types req table) in
+    let* frames =
+      stage "sched.frames" (fun () -> frames req table assignment)
+    in
+    let* r =
+      stage "sched.schedule" (fun () -> schedule req table assignment frames)
+    in
+    let* r, dvfs =
+      match expansion with
+      | None -> Result.Ok (r, None)
+      | Some e -> stage "sched.reclaim" (fun () -> reclaim req e r)
+    in
+    let* rtl =
+      if req.rtl then stage "rtl.lower" (fun () -> lower_rtl req table r)
+      else Result.Ok None
+    in
+    let* status, violations, checks =
+      stage "check.validate" (fun () -> audit req table dvfs r)
+    in
+    let stats = result_stats req r ~dvfs ~rtl @ checks in
+    Result.Ok { result = Some r; status; violations; stats; dvfs; rtl }
+  in
+  let resp =
+    match Obs.Span.with_ "synthesis.solve" stages with
+    | Result.Ok resp -> resp
+    | Result.Error status -> stopped req status
+    | exception Assign.Exact.Budget_exhausted -> stopped req Timeout
+    | exception e -> stopped req (Error (Printexc.to_string e))
+  in
+  count_status resp.status;
+  resp
+
+(* Phase 1 only, the experiment grid's cell runner: the assign stage on
+   the request's own table. Fail-fast audit (the grid's historical
+   contract): a corrupt assignment raises rather than being folded into a
+   response. *)
+let assign req =
+  match assign_types req req.table with
+  | Result.Error (Error msg) -> invalid_arg msg
+  | Result.Error _ -> None
+  | Result.Ok a ->
+      if req.validate || Check.Env.enabled () then
+        Check.Violation.raise_if_failed
+          (Check.Assignment.check
+             ~expect_cost:(Assign.Assignment.total_cost req.table a)
+             req.graph req.table a ~deadline:req.deadline);
+      Some a
 
 (* --- periodic requests --------------------------------------------------- *)
 
@@ -594,23 +553,6 @@ let periodic_of_response ?heavy_threshold p resp =
 
 let analyse_periodic ?heavy_threshold p =
   periodic_of_response ?heavy_threshold p (solve p.request)
-
-(* Phase 1 only — the experiment grid's cell runner. Fail-fast audit (the
-   grid's historical contract): a corrupt assignment raises rather than
-   being folded into a response. *)
-let assign req =
-  match
-    Assign.Solve.run ?budget:(exact_budget req) req.algorithm req.graph
-      req.table ~deadline:req.deadline
-  with
-  | Assign.Solve.Infeasible | Assign.Solve.Infeasible_memory -> None
-  | Assign.Solve.Feasible a ->
-      if req.validate || Check.Env.enabled () then
-        Check.Violation.raise_if_failed
-          (Check.Assignment.check
-             ~expect_cost:(Assign.Assignment.total_cost req.table a)
-             req.graph req.table a ~deadline:req.deadline);
-      Some a
 
 let pp_result ~graph ~table ppf r =
   let names = Dfg.Graph.names graph in

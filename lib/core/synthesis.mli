@@ -4,7 +4,24 @@
     The service-grade entry point is {!solve}: a {!request} record in, a
     {!response} record out, never an exception. The CLI, the experiment
     grids, the Pareto sweeps and the batch server ([lib/serve]) all go
-    through it. *)
+    through it.
+
+    A solve is one chain of stages, each under a span of its own name,
+    all under one [synthesis.solve] span:
+    + [dvfs.expand] (leveled requests): expand the table by the ladders;
+    + [assign]: check that the algorithm applies to the graph, then
+      Phase 1 ({!Assign.Solve.run});
+    + [sched.frames]: the ASAP/ALAP windows of that assignment;
+    + [sched.schedule]: Phase 2 ({!Sched.Min_resource} or
+      {!Sched.Force_directed}), whose configuration is derived in a
+      nested [sched.config] span;
+    + [sched.reclaim] (leveled requests): slack reclamation;
+    + [rtl.lower] (rtl requests): {!Rtl.Backend.summarize};
+    + [check.validate]: the audit, which runs (and is traced) on every
+      solve that gets this far but checks only when validation is on.
+
+    A stage either hands its output to the next or stops the solve with a
+    status; a stopped solve answers no result. *)
 
 (** The Phase-1 algorithm catalogue, owned by {!Assign.Solve} (the single
     dispatch point); re-exported so existing [Core.Synthesis.Repeat]-style
@@ -51,11 +68,11 @@ type request = {
           violations in the response (also forced on by
           [HETSCHED_VALIDATE] / [Check.Env]) *)
   budget_ms : int option;
-      (** wall-clock budget. Checked cooperatively at phase boundaries
-          (a started phase is never interrupted) and translated into a
+      (** wall-clock budget. Polled before every stage that runs (a
+          started stage is never interrupted) and translated into a
           search-node budget for {!Exact}; an exhausted budget yields
           status {!Timeout}. [Some 0] times out deterministically before
-          Phase 1 starts. *)
+          the first stage. *)
   levels : Fulib.Dvfs.level array array option;
       (** per-base-type DVFS frequency ladders. When present, the pipeline
           solves over the {!Fulib.Dvfs.expand}ed table (every (type,
@@ -174,12 +191,17 @@ val response_table : request -> response -> Fulib.Table.t
     responses, which is what makes the serve-layer cache sound. *)
 val solve : request -> response
 
-(** Phase 1 only, for the experiment grids: the request's assignment (its
-    [scheduler] is ignored). When validation is on (request flag or
-    [Check.Env]), the assignment is audited with [Check.Assignment] and
-    the first corrupt artifact raises [Check.Violation.Failed] — the
-    grid's historical fail-fast contract, unlike {!solve} which collects.
-    Solver exceptions propagate. *)
+(** Phase 1 only, for the experiment grids: {!solve}'s [assign] stage on
+    the request's own table (its [scheduler], [levels] and [rtl] are
+    ignored, and nothing is traced). [None] when no assignment meets the
+    deadline or the memory capacities. When validation is on (request
+    flag or [Check.Env]), the assignment is audited with
+    [Check.Assignment] and the first corrupt artifact raises
+    [Check.Violation.Failed] — the grid's historical fail-fast contract,
+    unlike {!solve} which collects. Raises [Invalid_argument] when the
+    algorithm does not apply to the graph; solver exceptions, an
+    exhausted {!Exact} node budget ([Assign.Exact.Budget_exhausted])
+    included, propagate. *)
 val assign : request -> Assign.Assignment.t option
 
 (** Audit a result with the independent [lib/check] oracles — Phase-1 path

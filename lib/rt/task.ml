@@ -53,21 +53,6 @@ let of_schedule ?(heavy_threshold = default_heavy_threshold) task ~schedule
     in
     Ok { task; schedule; config; makespan; work; utilization; min_period; heavy }
 
-let analyse ?heavy_threshold ?(algorithm = Assign.Solve.Repeat) task =
-  match
-    Assign.Solve.dispatch algorithm task.graph task.table
-      ~deadline:task.deadline
-  with
-  | None -> Error Verdict.Infeasible_deadline
-  | Some assignment -> (
-      match
-        Sched.Min_resource.run task.graph task.table assignment
-          ~deadline:task.deadline
-      with
-      | None -> Error Verdict.Infeasible_deadline
-      | Some { Sched.Min_resource.schedule; config; _ } ->
-          of_schedule ?heavy_threshold task ~schedule ~config)
-
 let reservation an ~response_time =
   {
     Verdict.heavy = an.heavy;

@@ -57,17 +57,6 @@ val of_schedule :
   config:Sched.Config.t ->
   (analysed, Verdict.reason) result
 
-(** [analyse ?heavy_threshold ?algorithm task] — standalone pipeline:
-    Phase-1 assignment (default {!Assign.Solve.Repeat}), Phase-2
-    {!Sched.Min_resource} at the task's deadline, then {!of_schedule}.
-    [Error Infeasible_deadline] when no assignment/schedule meets the
-    deadline. *)
-val analyse :
-  ?heavy_threshold:float ->
-  ?algorithm:Assign.Solve.algorithm ->
-  t ->
-  (analysed, Verdict.reason) result
-
 (** The reservation record a verdict reports for this task. *)
 val reservation : analysed -> response_time:int -> Verdict.reservation
 

@@ -119,7 +119,7 @@ let run ?frames g table a ~deadline =
             {
               Min_resource.schedule;
               config =
-                Obs.Span.with_ "phase.config" (fun () ->
+                Obs.Span.with_ "sched.config" (fun () ->
                     Schedule.peak_usage table schedule);
               lower_bound;
             }

@@ -112,9 +112,9 @@ let run ?(pipelined = fun _ -> false) ?frames g table a ~deadline =
           done;
           let schedule = { Schedule.start; assignment = Array.copy a } in
           (* the Min_FU configuration is derived from the finished
-             schedule's occupancy — this is the trace's "config" phase *)
+             schedule's occupancy, under the trace's sched.config span *)
           let config =
-            Obs.Span.with_ "phase.config" (fun () ->
+            Obs.Span.with_ "sched.config" (fun () ->
                 Schedule.peak_usage ~pipelined table schedule)
           in
           Some { schedule; config; lower_bound })

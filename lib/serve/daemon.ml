@@ -302,8 +302,7 @@ let solve_wave s =
   if Array.length jobs = 0 then [||]
   else begin
     Obs.Counter.incr drains;
-    Obs.Span.with_ (Printf.sprintf "serve.drain:%d" (Array.length jobs))
-    @@ fun () ->
+    Obs.Span.with_ "serve.drain" @@ fun () ->
     Par.Pool.map_array s.daemon.pool (guarded_solve s.daemon.cache) jobs
   end
 

@@ -58,7 +58,8 @@
     {2 Observability}
 
     Queued jobs count in [serve.requests] and waves that hold a job in
-    [serve.drains]; each such wave runs in a [serve.drain:N] span. The
+    [serve.drains], so their ratio is the mean wave size; each such wave
+    runs in a [serve.drain] span, whose name is a constant. The
     loop counts [serve.daemon.requests] (well-formed lines),
     [serve.daemon.served] (solved responses),
     [serve.daemon.malformed], [serve.daemon.idle_closed] (sessions

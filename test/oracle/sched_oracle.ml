@@ -113,9 +113,9 @@ let run ?(pipelined = fun _ -> false) ?frames g table a ~deadline =
           done;
           let schedule = { Sched.Schedule.start; assignment = Array.copy a } in
           (* the Min_FU configuration is derived from the finished
-             schedule's occupancy — this is the trace's "config" phase *)
+             schedule's occupancy, under the trace's sched.config span *)
           let config =
-            Obs.Span.with_ "phase.config" (fun () ->
+            Obs.Span.with_ "sched.config" (fun () ->
                 Sched.Schedule.peak_usage ~pipelined table schedule)
           in
           Some { Sched.Min_resource.schedule; config; lower_bound })

@@ -168,8 +168,15 @@ let tiny_task ~period ~deadline =
   let tbl = Helpers.table Helpers.lib2 [ ([ 2; 3 ], [ 2; 1 ]) ] in
   Rt.Task.make ~period ~deadline g tbl
 
+(* A task's analysis on the path admit lines take: a periodic synthesis
+   request with the Repeat assignment, solved, then classified. *)
+let analyse_task ?heavy_threshold (task : Rt.Task.t) =
+  Core.Synthesis.analyse_periodic ?heavy_threshold
+    (Core.Synthesis.periodic ~algorithm:Core.Synthesis.Repeat
+       ~period:task.period ~deadline:task.deadline task.graph task.table)
+
 let analysed_exn task =
-  match Rt.Task.analyse task with
+  match analyse_task task with
   | Ok a -> a
   | Error r -> Alcotest.failf "analyse failed: %s" (Rt.Verdict.reason_detail r)
 
@@ -203,16 +210,16 @@ let test_task_analyse () =
   (* a serial chain cannot repeat faster than its busiest FU type drains:
      3 nodes over 2 types means some type carries >= 3 steps of work per
      iteration on one instance, so period 2 is below any min_period *)
-  (match Rt.Task.analyse (chain_task ~period:2 ~deadline:8) with
+  (match analyse_task (chain_task ~period:2 ~deadline:8) with
   | Error (Rt.Verdict.Period_overrun { min_period; period = 2 }) ->
       check "period-overrun witness holds" true (min_period > 2)
   | _ -> Alcotest.fail "chain at period 2 must overrun its min period");
   (* deadline below the critical path: infeasible outright *)
-  (match Rt.Task.analyse (chain_task ~period:16 ~deadline:3) with
+  (match analyse_task (chain_task ~period:16 ~deadline:3) with
   | Error Rt.Verdict.Infeasible_deadline -> ()
   | _ -> Alcotest.fail "deadline 3 < critical path must be infeasible");
   (* lowering the threshold flips the same task heavy *)
-  let h = Rt.Task.analyse ~heavy_threshold:0.2 (chain_task ~period:16 ~deadline:12) in
+  let h = analyse_task ~heavy_threshold:0.2 (chain_task ~period:16 ~deadline:12) in
   (match h with
   | Ok a -> check "threshold 0.2 makes it heavy" true a.Rt.Task.heavy
   | Error _ -> Alcotest.fail "threshold change cannot break feasibility")
@@ -264,7 +271,7 @@ let test_admission_heavy_capacity () =
      copy cannot find a free fast unit *)
   let adm = Rt.Admission.create ~capacity:(Rt.Admission.Uniform 1) () in
   let analyse task =
-    match Rt.Task.analyse ~heavy_threshold:0.5 task with
+    match analyse_task ~heavy_threshold:0.5 task with
     | Ok a -> a
     | Error r -> Alcotest.failf "analyse: %s" (Rt.Verdict.reason_detail r)
   in
@@ -319,7 +326,7 @@ let test_sim_certificate () =
      the whole hyperperiod *)
   let adm = Rt.Admission.create ~capacity:(Rt.Admission.Uniform 2) () in
   let heavy =
-    match Rt.Task.analyse ~heavy_threshold:0.5 (chain_task ~period:8 ~deadline:8) with
+    match analyse_task ~heavy_threshold:0.5 (chain_task ~period:8 ~deadline:8) with
     | Ok a -> a
     | Error r -> Alcotest.failf "analyse: %s" (Rt.Verdict.reason_detail r)
   in
@@ -360,7 +367,7 @@ let run_admissions specs ~capacity =
         let task =
           Rt.Task.make ~period:s.period ~deadline:s.deadline s.graph s.table
         in
-        match Rt.Task.analyse task with
+        match analyse_task task with
         | Error r ->
             if not (Rt.Verdict.witness_holds r) then
               QCheck.Test.fail_reportf "analyse witness broken: %s"

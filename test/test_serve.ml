@@ -1132,6 +1132,181 @@ let test_trace_field_ignored () =
     (serve_lines ~lookup [ line "" ])
     traced
 
+(* --- stages ------------------------------------------------------------ *)
+
+(* The request a solve line decodes to. *)
+let decode_request line =
+  match Serve.Jsonl.line_of_string ~lookup ~line:1 line with
+  | Ok (Serve.Jsonl.Solve item) -> item.Serve.Jsonl.request
+  | Ok _ -> Alcotest.failf "not a solve line: %s" line
+  | Error msg -> Alcotest.failf "%s rejected: %s" line msg
+
+(* The spans directly under the one root a traced solve records. *)
+let stage_spans req =
+  let saved = Obs.Env.get_trace () in
+  Obs.Env.set_trace (Some true);
+  Obs.Span.clear ();
+  Fun.protect ~finally:(fun () ->
+      Obs.Env.set_trace saved;
+      Obs.Span.clear ())
+  @@ fun () ->
+  ignore (Core.Synthesis.solve req);
+  match Obs.Span.roots () with
+  | [ (_, root) ] ->
+      Alcotest.(check string) "one root" "synthesis.solve" root.Obs.Span.name;
+      root.Obs.Span.children
+  | roots -> Alcotest.failf "%d root spans, expected one" (List.length roots)
+
+let test_stage_spans () =
+  let names spans = List.map (fun s -> s.Obs.Span.name) spans in
+  let full =
+    stage_spans
+      (decode_request
+         {|{"benchmark":"diffeq","deadline_factor":1.2,"levels":3,"rtl":true,"validate":true}|})
+  in
+  Alcotest.(check (list string))
+    "every stage, in order"
+    [
+      "dvfs.expand";
+      "assign";
+      "sched.frames";
+      "sched.schedule";
+      "sched.reclaim";
+      "rtl.lower";
+      "check.validate";
+    ]
+    (names full);
+  Alcotest.(check (list string))
+    "the configuration is derived inside the schedule stage" [ "sched.config" ]
+    (List.concat_map
+       (fun s ->
+         if s.Obs.Span.name = "sched.schedule" then names s.children else [])
+       full);
+  Alcotest.(check (list string))
+    "a plain request skips the leveled and rtl stages"
+    [ "assign"; "sched.frames"; "sched.schedule"; "check.validate" ]
+    (names
+       (stage_spans
+          (decode_request {|{"benchmark":"diffeq","deadline_factor":1.2}|})))
+
+(* A solve stops at its first failing check, in stage order: the budget
+   before anything runs, then the DVFS ladder, then the algorithm's
+   applicability. Node 0's slow cell is at the table's bound, so three
+   levels slow it past; the graph is a diamond, not a forest. *)
+let test_stage_early_exits () =
+  let line extra =
+    Printf.sprintf
+      {|{"graph":{"nodes":[{"name":"a"},{"name":"b"},{"name":"c"},{"name":"d"}],"edges":[[0,1],[0,2],[1,3],[2,3]]},"table":{"types":["P1","P2"],"time":[[1,%d],[1,2],[1,2],[1,2]],"cost":[[5,1],[5,1],[5,1],[5,1]]},"deadline":6%s}|}
+      Fulib.Table.max_cell extra
+  in
+  let solve extra = Core.Synthesis.solve (decode_request (line extra)) in
+  Alcotest.(check bool) "the instance itself solves" true
+    ((solve "").status = Core.Synthesis.Ok);
+  let timeout = function Core.Synthesis.Timeout -> true | _ -> false in
+  let error prefix = function
+    | Core.Synthesis.Error msg -> contains msg prefix
+    | _ -> false
+  in
+  List.iter
+    (fun (extra, expected, ok) ->
+      let resp = solve extra in
+      if not (ok resp.Core.Synthesis.status) then
+        Alcotest.failf "%s: expected %s, got %s" extra expected
+          (Serve.Jsonl.response_to_string ~id:(Obs.Json.Int 1) resp);
+      Alcotest.(check bool) (extra ^ ": no result") true (resp.result = None);
+      Alcotest.(check int) (extra ^ ": no violations") 0
+        (List.length resp.violations);
+      Alcotest.(check (list (pair string int)))
+        (extra ^ ": stats") [ ("nodes", 4) ] resp.stats)
+    [
+      ({|,"budget_ms":0,"levels":3,"algorithm":"tree"|}, "timeout", timeout);
+      ({|,"budget_ms":0,"levels":3|}, "timeout", timeout);
+      ({|,"budget_ms":0,"algorithm":"tree"|}, "timeout", timeout);
+      ({|,"budget_ms":0|}, "timeout", timeout);
+      ({|,"levels":3,"algorithm":"tree"|}, "levels error", error "levels: ");
+      ({|,"levels":3|}, "levels error", error "levels: ");
+      ({|,"algorithm":"tree"|}, "forest error", error "needs a forest");
+    ];
+  (* Exact's node budget runs out inside the assign stage: solve answers
+     Timeout, and the phase-1 entry point lets the exception through *)
+  let exact =
+    decode_request
+      {|{"benchmark":"elliptic","deadline_factor":1.2,"algorithm":"exact","budget_ms":1}|}
+  in
+  let resp = Core.Synthesis.solve exact in
+  Alcotest.(check bool) "exhausted node budget times out" true
+    (timeout resp.status && resp.result = None);
+  Alcotest.check_raises "assign raises Budget_exhausted"
+    Assign.Exact.Budget_exhausted (fun () ->
+      ignore (Core.Synthesis.assign exact))
+
+(* A budget only ever turns an answer into a timeout: at 1 and 2 domains,
+   each budgeted response is the unbudgeted response's bytes, or Timeout
+   with no result and the node count alone. Exact is left out: unbudgeted,
+   it can search these 14-node instances for minutes. *)
+let qcheck_budget_answers_or_times_out =
+  QCheck.Test.make ~count:12 ~name:"budget answers as unbudgeted or times out"
+    (QCheck.int_bound 100_000)
+    (fun seed ->
+      let rng = Workloads.Prng.create seed in
+      let pick a = a.(Workloads.Prng.int rng (Array.length a)) in
+      let algorithms =
+        Array.of_list
+          (List.filter
+             (fun a -> a <> Core.Synthesis.Exact)
+             Core.Synthesis.all_algorithms)
+      in
+      let requests =
+        Array.init 6 (fun i ->
+            let g, tbl = instance ~seed:(seed + i) in
+            let levels =
+              match Workloads.Prng.int rng 3 with
+              | 0 -> None
+              | n ->
+                  Some
+                    (Fulib.Dvfs.uniform ~levels:(n + 1)
+                       ~types:(Fulib.Table.num_types tbl))
+            in
+            Core.Synthesis.request
+              ~scheduler:
+                (pick
+                   [|
+                     Core.Synthesis.List_scheduling;
+                     Core.Synthesis.Force_directed;
+                   |])
+              ~validate:(Workloads.Prng.bool rng)
+              ~budget_ms:(pick [| 0; 1; 2; 5 |])
+              ?levels ~rtl:(Workloads.Prng.bool rng) ~algorithm:(pick algorithms)
+              ~deadline:
+                (Core.Synthesis.min_deadline g tbl + Workloads.Prng.int rng 7)
+              g tbl)
+      in
+      let wire = Serve.Jsonl.response_to_string ~id:(Obs.Json.Int 0) in
+      let unbudgeted =
+        Array.map
+          (fun (r : Core.Synthesis.request) ->
+            wire (Core.Synthesis.solve { r with budget_ms = None }))
+          requests
+      in
+      let timed_out (req : Core.Synthesis.request)
+          (resp : Core.Synthesis.response) =
+        resp.status = Core.Synthesis.Timeout
+        && resp.result = None
+        && resp.stats = [ ("nodes", Dfg.Graph.num_nodes req.graph) ]
+      in
+      List.for_all
+        (fun domains ->
+          let answers =
+            Par.Pool.with_pool ~domains @@ fun pool ->
+            Par.Pool.map_array pool Core.Synthesis.solve requests
+          in
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun i resp ->
+                 wire resp = unbudgeted.(i) || timed_out requests.(i) resp)
+               answers))
+        [ 1; 2 ])
+
 (* --- run --------------------------------------------------------------- *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -1212,4 +1387,12 @@ let () =
             Alcotest.test_case "trace field records no spans" `Quick
               test_trace_field_ignored;
           ] );
+      ( "stages",
+        [
+          Alcotest.test_case "spans name every stage in order" `Quick
+            test_stage_spans;
+          Alcotest.test_case "early exits in stage order" `Quick
+            test_stage_early_exits;
+        ]
+        @ qsuite [ qcheck_budget_answers_or_times_out ] );
     ]
