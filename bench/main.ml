@@ -110,15 +110,14 @@ let ablation_tests =
         (Staged.stage (fun () -> Dfg.Expand.expand_transposed g));
     ]
 
-(* --- Extensions: refinement, force-directed, series-parallel ---------- *)
+(* --- Extensions: refinement, force-directed, dual, beam, RTL --------- *)
 
 let extension_tests =
   let g = Workloads.Filters.rls_laguerre () in
   let tbl = table_for ~seed:11 g in
   let deadline = mid_deadline g tbl in
-  let sp_graph = Workloads.Filters.volterra () in
-  let sp_tbl = table_for ~seed:13 sp_graph in
-  let sp_deadline = mid_deadline sp_graph sp_tbl in
+  let volterra = Workloads.Filters.volterra () in
+  let volterra_tbl = table_for ~seed:13 volterra in
   Test.make_grouped ~name:"extensions"
     [
       Test.make ~name:"repeat-refined"
@@ -129,12 +128,9 @@ let extension_tests =
              match Assign.Dfg_assign.repeat g tbl ~deadline with
              | Some a -> Sched.Force_directed.run g tbl a ~deadline
              | None -> None));
-      Test.make ~name:"series-parallel-solve"
-        (Staged.stage (fun () ->
-             Assign.Series_parallel.solve sp_graph sp_tbl ~deadline:sp_deadline));
       Test.make ~name:"dual-tree"
         (Staged.stage (fun () ->
-             Assign.Dual.for_tree sp_graph sp_tbl ~budget:250));
+             Assign.Dual.for_tree volterra volterra_tbl ~budget:250));
       Test.make ~name:"unfold-x4"
         (Staged.stage (fun () -> Dfg.Unfold.unfold g ~factor:4));
       Test.make ~name:"retime-min-period"

@@ -430,9 +430,25 @@ let serve_in_arg =
   let doc = "Read JSONL requests from $(docv) ($(b,-) for stdin)." in
   Arg.(value & opt input "-" & info [ "in"; "i" ] ~docv:"FILE" ~doc)
 
+(* [-] or a non-empty path that is not a directory, in a directory that
+   exists, so a bad path is a usage error naming the flag, not a failed
+   open. *)
 let serve_out_arg =
+  let output =
+    let parse s =
+      let dir = Filename.dirname s in
+      if s = "-" then Ok s
+      else if s = "" then Error (`Msg "the path is empty")
+      else if Sys.file_exists s && Sys.is_directory s then
+        Error (`Msg (Printf.sprintf "'%s' is a directory" s))
+      else if not (Sys.file_exists dir && Sys.is_directory dir) then
+        Error (`Msg (Printf.sprintf "no directory '%s' for '%s'" dir s))
+      else Ok s
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   let doc = "Write JSONL responses to $(docv) ($(b,-) for stdout)." in
-  Arg.(value & opt string "-" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt output "-" & info [ "out"; "o" ] ~docv:"FILE" ~doc)
 
 let serve_domains_arg =
   let doc = "Domain-pool size (default: HETSCHED_DOMAINS)." in
@@ -619,23 +635,38 @@ let daemon_cmd =
           $ cache_entries_arg $ queue_arg $ rt_capacity_arg $ idle_timeout_arg)
 
 let client_cmd =
-  let run socket input output =
-    if socket = "-" then begin
-      Printf.eprintf "hetsched client: --socket must name a daemon socket\n";
-      exit 2
-    end;
-    let received =
+  (* A daemon's socket: a path that exists. [-] is the daemon's stdio
+     session, which a client cannot reach. *)
+  let socket_arg =
+    let socket =
+      let parse s =
+        if s = "-" then Error (`Msg "'-' is not a daemon socket")
+        else Arg.conv_parser Arg.file s
+      in
+      Arg.conv (parse, Format.pp_print_string)
+    in
+    let doc = "Unix-domain socket of a running daemon." in
+    Arg.(required & opt (some socket) None
+         & info [ "socket"; "s" ] ~docv:"PATH" ~doc)
+  in
+  let run input output socket =
+    match
       with_in input @@ fun input ->
       with_out output @@ fun output ->
       Serve.Daemon.call ~path:socket ~input ~output
-    in
-    Printf.eprintf "received %d response line(s)\n" received
+    with
+    | received -> Printf.eprintf "received %d response line(s)\n" received
+    | exception Unix.Unix_error (err, fn, _) ->
+        Printf.eprintf "hetsched client: %s: %s: %s\n" socket fn
+          (Unix.error_message err);
+        exit 1
   in
   Cmd.v
     (Cmd.info "client"
        ~doc:"Stream JSONL requests to a running hetsched daemon and copy \
              the response lines back")
-    Term.(const run $ socket_arg $ serve_in_arg $ serve_out_arg)
+    (* A bad --in or --out is reported before a missing --socket *)
+    Term.(const run $ serve_in_arg $ serve_out_arg $ socket_arg)
 
 let admit_cmd =
   let no_verify_arg =

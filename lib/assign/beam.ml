@@ -4,7 +4,7 @@ let solve ?(width = 16) g table ~deadline =
   if width < 1 then invalid_arg "Beam.solve: width < 1";
   let n = Dfg.Graph.num_nodes g in
   let k = Fulib.Table.num_types table in
-  let order = Array.of_list (Dfg.Topo.sort g) in
+  let order = Dfg.Graph.topo_arr g in
   let min_cost_suffix = Array.make (n + 1) 0 in
   for i = n - 1 downto 0 do
     min_cost_suffix.(i) <-

@@ -6,7 +6,7 @@
 let path_through into out_of time v dt =
   into.(v) + out_of.(v) - (2 * time v) + dt
 
-let solve_with_cost g table ~deadline =
+let solve g table ~deadline =
   let n = Dfg.Graph.num_nodes g in
   let k = Fulib.Table.num_types table in
   let times = Fulib.Table.flat_times table in
@@ -55,13 +55,10 @@ let solve_with_cost g table ~deadline =
       | _ -> ()
     done;
     if constrained && not (Assignment.mem_feasible g table a) then None
-    else Some (a, Assignment.total_cost table a)
+    else Some a
   end
 
-let solve g table ~deadline =
-  Option.map fst (solve_with_cost g table ~deadline)
-
-let solve_iterative_with_cost g table ~deadline =
+let solve_iterative g table ~deadline =
   let n = Dfg.Graph.num_nodes g in
   let k = Fulib.Table.num_types table in
   let times = Fulib.Table.flat_times table in
@@ -117,8 +114,5 @@ let solve_iterative_with_cost g table ~deadline =
     in
     improve ();
     if constrained && not (Assignment.mem_feasible g table a) then None
-    else Some (a, Assignment.total_cost table a)
+    else Some a
   end
-
-let solve_iterative g table ~deadline =
-  Option.map fst (solve_iterative_with_cost g table ~deadline)

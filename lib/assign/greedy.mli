@@ -18,11 +18,5 @@
 val solve :
   Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> Assignment.t option
 
-val solve_with_cost :
-  Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> (Assignment.t * int) option
-
 val solve_iterative :
   Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> Assignment.t option
-
-val solve_iterative_with_cost :
-  Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> (Assignment.t * int) option

@@ -15,7 +15,8 @@
 (** [refine g table ~deadline ~seed ?steps ?initial_temperature ?cooling a]
     refines feasible assignment [a] (raises [Invalid_argument] when [a]
     misses the deadline). Defaults: 2000 steps, temperature 10.0,
-    cooling 0.995. *)
+    cooling 0.995. A test seam of {!repeat_plus}: the tests anneal their
+    own starting points through it. *)
 val refine :
   Dfg.Graph.t ->
   Fulib.Table.t ->

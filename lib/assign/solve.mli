@@ -35,7 +35,9 @@ val of_name_result : string -> (algorithm, string) result
 (** Every accepted spelling, as {!of_name_result}'s error lists it. *)
 val catalogue : unit -> string
 
-(** Every algorithm, in ladder order (weakest baseline first). *)
+(** Every algorithm, in ladder order (weakest baseline first): what
+    {!catalogue} lists and the name parsers search. A test seam for the
+    tests that sweep every algorithm. *)
 val all : algorithm list
 
 (** [applicable algorithm g] is [Ok ()] when [algorithm] can run on [g],

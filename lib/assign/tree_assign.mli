@@ -8,7 +8,10 @@
     multiple roots, so forests are handled directly. [O(n * deadline * K)].
 
     Optimality holds because subtree costs are independent across siblings
-    and the timing constraint decomposes per child. *)
+    and the timing constraint decomposes per child.
+
+    The paper's [Path_Assign] (§5.1) is this DP on a chain: on
+    [v_(n-1) -> ... -> v_0] the row of [v_i] is the prefix DP's [X_i]. *)
 
 (** [solve g table ~deadline] for a graph whose DAG portion is a forest
     (every node has at most one zero-delay parent). Raises
@@ -30,8 +33,9 @@ val solve_auto :
   Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> (Assignment.t * int) option
 
 (** The DP row of a given node: entry [j] is [X_v(j)] ([max_int] =
-    infeasible). Exposed for tests and the Figure-8 walk-through. Each
-    call runs the whole DP. *)
+    infeasible). Each call runs the whole DP. A test seam: the tests read
+    the Figure-5 cost profile (the chain root's row) and the Figure-8 rows
+    through it. *)
 val dp_row :
   Dfg.Graph.t ->
   Fulib.Table.t ->

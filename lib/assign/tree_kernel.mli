@@ -30,8 +30,8 @@
     [kernel.cells] counter sums the window widths computed.
 
     It is the one tree DP of [lib/assign]: [Tree_Assign] runs it on the
-    forest or its transpose, [Path_Assign] on the reversed chain and
-    [DFG_Assign] on the expanded tree. Results are bit-identical to the
+    forest or its transpose (a path is the chain forest) and [DFG_Assign]
+    on the expanded tree. Results are bit-identical to the
     list-based reference DP kept with the tests: same recurrence, same
     first-minimum tie-breaking, same traceback. *)
 
@@ -47,7 +47,9 @@ type t
     inside the DP row computation's type loop, before any DP work for
     them is done. The mask is copied. Raises [Invalid_argument] when
     [parent] is not a forest (an entry out of range, or a cycle), the
-    deadline is negative, or array sizes mismatch. *)
+    deadline is negative, or array sizes mismatch. {!of_table} builds
+    through it; a test seam for the tests that drive the kernel on bare
+    parent arrays. *)
 val create :
   ?forbid:bool array ->
   int array ->

@@ -17,7 +17,6 @@ let occupancy table (s : Sched.Schedule.t) =
   done;
   usage
 
-let peak table s = Array.map (Array.fold_left max 0) (occupancy table s)
 
 let check table (s : Sched.Schedule.t) ~config =
   let b = Violation.builder () in
@@ -35,7 +34,7 @@ let check table (s : Sched.Schedule.t) ~config =
             (Fulib.Library.type_name lib t)
             slots)
       config;
-    let peak = peak table s in
+    let peak = Array.map (Array.fold_left max 0) (occupancy table s) in
     for t = 0 to k - 1 do
       Violation.fact b;
       if peak.(t) > config.(t) then

@@ -12,9 +12,6 @@
     skipped (other checkers flag them). *)
 val occupancy : Fulib.Table.t -> Sched.Schedule.t -> int array array
 
-(** Per-type peak of {!occupancy}. *)
-val peak : Fulib.Table.t -> Sched.Schedule.t -> int array
-
 (** [check table s ~config] — [config] has one slot count per library
     type, no count is negative, and every type's peak concurrent use is
     covered. Codes: ["config-length"], ["negative-slots"],

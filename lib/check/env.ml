@@ -1,14 +1,13 @@
 let override : bool option Atomic.t = Atomic.make None
 let set_override v = Atomic.set override v
-let get_override () = Atomic.get override
 
-let enabled ?(getenv = Sys.getenv_opt) () =
-  match Atomic.get override with
-  | Some forced -> forced
-  | None -> (
-      match getenv "HETSCHED_VALIDATE" with
-      | None -> false
-      | Some s -> (
-          match String.lowercase_ascii (String.trim s) with
-          | "" | "0" | "false" | "no" | "off" -> false
-          | _ -> true))
+let read getenv = fst (Obs.Env.parse (getenv "HETSCHED_VALIDATE"))
+
+(* Read once, when the program starts. *)
+let from_env = read Sys.getenv_opt
+
+let enabled ?getenv () =
+  match (Atomic.get override, getenv) with
+  | Some forced, _ -> forced
+  | None, None -> from_env
+  | None, Some getenv -> read getenv

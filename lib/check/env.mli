@@ -7,9 +7,11 @@
     with it on. *)
 
 (** [enabled ()] — [true] iff the override is set to [Some true], or no
-    override is set and [HETSCHED_VALIDATE] holds anything other than
-    (case-insensitively) [""], ["0"], ["false"], ["no"] or ["off"].
-    [?getenv] exists for tests. *)
+    override is set and [HETSCHED_VALIDATE] is on as {!Obs.Env.parse}
+    reads it: anything other than (case-insensitively) [""], ["0"],
+    ["false"], ["no"] or ["off"]. The variable is read once, when the
+    program starts. [?getenv] is a test seam: it reads the variable
+    through the given lookup instead, on every call. *)
 val enabled : ?getenv:(string -> string option) -> unit -> bool
 
 (** Force validation on or off regardless of the environment ([None]
@@ -17,5 +19,3 @@ val enabled : ?getenv:(string -> string option) -> unit -> bool
     read atomically, so it is safe to set before fanning work out over
     domains. *)
 val set_override : bool option -> unit
-
-val get_override : unit -> bool option

@@ -6,7 +6,8 @@
 
 (** [peaks g table s b] is the oracle's own per-type, per-instance peak
     resident data (same shape as {!Sched.Binding.peak_memory}, computed
-    from first principles — differential tests compare the two). *)
+    from first principles). A test seam: the differential tests compare
+    the two. *)
 val peaks :
   Dfg.Graph.t ->
   Fulib.Table.t ->

@@ -91,48 +91,3 @@ let check ?assignment ?config g table (s : Sched.Schedule.t) ~deadline =
     end
   end;
   Violation.report b ~checker:"Check.Schedule"
-
-let check_binding table (s : Sched.Schedule.t) (bind : Sched.Binding.t) ~config =
-  let b = Violation.builder () in
-  let n = Array.length s.start in
-  let k = Fulib.Table.num_types table in
-  if Array.length bind.instance <> n || Array.length bind.config <> k then
-    Violation.add b "length-mismatch"
-      "binding covers %d nodes / %d types for %d nodes / %d types"
-      (Array.length bind.instance)
-      (Array.length bind.config)
-      n k
-  else begin
-    Array.iteri
-      (fun v inst ->
-        let t = s.assignment.(v) in
-        Violation.fact b;
-        if inst < 0 || inst >= config.(t) then
-          Violation.add b ~node:v "binding-out-of-range"
-            "instance %d outside the %d configured slot(s) of type %d" inst
-            config.(t) t;
-        Violation.fact b;
-        if inst >= bind.config.(t) then
-          Violation.add b ~node:v "binding-config"
-            "instance %d but the binding claims %d slot(s) of type %d" inst
-            bind.config.(t) t)
-      bind.instance;
-    (* pairwise overlap within each (type, instance) lane *)
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        if
-          s.assignment.(u) = s.assignment.(v)
-          && bind.instance.(u) = bind.instance.(v)
-        then begin
-          Violation.fact b;
-          let fu = Sched.Schedule.finish table s u
-          and fv = Sched.Schedule.finish table s v in
-          if s.start.(u) < fv && s.start.(v) < fu then
-            Violation.add b ~node:v "binding-overlap"
-              "nodes %d and %d overlap on type %d instance %d" u v
-              s.assignment.(u) bind.instance.(u)
-        end
-      done
-    done
-  end;
-  Violation.report b ~checker:"Check.Schedule.binding"

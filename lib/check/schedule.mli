@@ -29,15 +29,3 @@ val check :
   Sched.Schedule.t ->
   deadline:int ->
   Violation.report
-
-(** [check_binding table s b ~config] — the instance map packs the schedule
-    legally: every instance index is within its type's slot count
-    (["binding-out-of-range"], also checked against [b]'s own config via
-    ["binding-config"]) and no two nodes occupy the same (type, instance)
-    at the same step (["binding-overlap"]). *)
-val check_binding :
-  Fulib.Table.t ->
-  Sched.Schedule.t ->
-  Sched.Binding.t ->
-  config:Sched.Config.t ->
-  Violation.report

@@ -18,6 +18,12 @@ type report = {
   checked : int;  (** number of independent facts verified *)
 }
 
+(** {2 Queries}
+
+    {!raise_if_failed} and the [Failed] printer read reports through
+    {!ok} and {!summary}. {!has_code} and {!merge} are test seams: the
+    tests and the cyclic oracle read and combine reports through them. *)
+
 val ok : report -> bool
 
 (** [has_code r code] — some violation in [r] carries [code]. *)

@@ -18,41 +18,36 @@ let render ~header rows =
   let line fields = String.concat "," (List.map escape fields) in
   String.concat "\n" (List.map line (header :: rows)) ^ "\n"
 
-let report_rows ~with_name report =
+let report_rows report =
   List.concat_map
     (fun row ->
       let greedy = List.assoc_opt Synthesis.Greedy row.Experiments.costs in
       let greedy = Option.join greedy in
       List.map
         (fun (algo, cost) ->
-          let name_cols =
-            if with_name then [ report.Experiments.name ] else []
-          in
-          name_cols
-          @ [
-              string_of_int row.Experiments.deadline;
-              Synthesis.algorithm_name algo;
-              (match cost with Some c -> string_of_int c | None -> "");
-              (match cost with
-              | Some c -> Report.percent ~baseline:greedy ~value:c
-              | None -> "");
-              (match row.Experiments.config with
-              | Some c -> Sched.Config.to_string c
-              | None -> "");
-            ])
+          [
+            report.Experiments.name;
+            string_of_int row.Experiments.deadline;
+            Synthesis.algorithm_name algo;
+            (match cost with Some c -> string_of_int c | None -> "");
+            (match cost with
+            | Some c -> Report.percent ~baseline:greedy ~value:c
+            | None -> "");
+            (match row.Experiments.config with
+            | Some c -> Sched.Config.to_string c
+            | None -> "");
+          ])
         row.Experiments.costs)
     report.Experiments.rows
 
-let header ~with_name =
-  (if with_name then [ "benchmark" ] else [])
-  @ [ "deadline"; "algorithm"; "cost"; "reduction_vs_greedy"; "config" ]
-
-let of_report report =
-  render ~header:(header ~with_name:false) (report_rows ~with_name:false report)
-
 let of_reports reports =
-  render ~header:(header ~with_name:true)
-    (List.concat_map (report_rows ~with_name:true) reports)
+  render
+    ~header:
+      [
+        "benchmark"; "deadline"; "algorithm"; "cost"; "reduction_vs_greedy";
+        "config";
+      ]
+    (List.concat_map report_rows reports)
 
 let of_frontier points =
   render

@@ -9,12 +9,9 @@
     ends with a trailing newline. *)
 val render : header:string list -> string list list -> string
 
-(** A benchmark report as CSV: one row per (deadline, algorithm) with the
-    cost, % reduction vs greedy, and the row's configuration. *)
-val of_report : Experiments.benchmark_report -> string
-
-(** The whole of Table 1 or 2 as one CSV (reports concatenated, benchmark
-    name in the first column). *)
+(** The whole of Table 1 or 2 as one CSV: one row per (benchmark, deadline,
+    algorithm) with the cost, % reduction vs greedy, and the row's
+    configuration. *)
 val of_reports : Experiments.benchmark_report list -> string
 
 (** A frontier as CSV. *)

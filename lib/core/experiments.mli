@@ -26,7 +26,8 @@ type benchmark_report = {
 }
 
 (** The six timing constraints used for every benchmark: the minimum
-    feasible deadline, then five relaxations up to 1.75x. *)
+    feasible deadline, then five relaxations up to 1.75x. A test seam of
+    the tables' deadline column. *)
 val deadlines : Dfg.Graph.t -> Fulib.Table.t -> int list
 
 (** Run a benchmark with the given algorithms. [seed] feeds the time/cost

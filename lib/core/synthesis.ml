@@ -10,7 +10,6 @@ type algorithm = Assign.Solve.algorithm =
   | Exact
 
 let algorithm_name = Assign.Solve.name
-let all_algorithms = Assign.Solve.all
 
 type scheduler = List_scheduling | Force_directed
 

@@ -39,8 +39,6 @@ type algorithm = Assign.Solve.algorithm =
 
 val algorithm_name : algorithm -> string
 
-val all_algorithms : algorithm list
-
 (** Phase-2 scheduler choice: the paper's revised list scheduling
     ([Min_FU_Scheduling]) or force-directed scheduling (extension). *)
 type scheduler = List_scheduling | Force_directed

@@ -16,7 +16,7 @@ val cycle_period : Graph.t -> time:(int -> int) -> int
 type retiming = int array
 
 (** [is_legal g r] checks that every edge [u -> v] keeps a non-negative
-    retimed delay [d + r.(v) - r.(u)]. *)
+    retimed delay [d + r.(v) - r.(u)]. A test seam of {!apply}'s guard. *)
 val is_legal : Graph.t -> retiming -> bool
 
 (** [apply g r] rebuilds the graph with retimed delays. Raises
@@ -25,7 +25,8 @@ val apply : Graph.t -> retiming -> Graph.t
 
 (** [feasible_retiming g ~time ~period] attempts to find a retiming whose
     cycle period is at most [period] (the FEAS relaxation: repeatedly push a
-    delay into every node whose combinational depth exceeds the target). *)
+    delay into every node whose combinational depth exceeds the target).
+    A test seam of {!min_cycle_period}'s search step. *)
 val feasible_retiming :
   Graph.t -> time:(int -> int) -> period:int -> retiming option
 

@@ -257,10 +257,8 @@ let edges g =
 let dag_out_degree g v = g.csr.succ_off.(v + 1) - g.csr.succ_off.(v)
 let dag_in_degree g v = g.csr.pred_off.(v + 1) - g.csr.pred_off.(v)
 let roots g = Array.to_list g.csr.roots
-let leaves g = Array.to_list g.csr.leaves
 let is_tree g = g.csr.is_tree
 let is_in_tree g = g.csr.is_in_tree
-let mem_edge g ~src ~dst = List.exists (fun (w, _, _) -> w = dst) g.succs.(src)
 
 let of_edges ~names ?ops ?sizes edge_list =
   let n = Array.length names in

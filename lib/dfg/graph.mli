@@ -64,11 +64,9 @@ val dag_out_degree : t -> int -> int
 
 val dag_in_degree : t -> int -> int
 
-(** Roots (no zero-delay parent) and leaves (no zero-delay child) of the DAG
-    portion, in increasing node order. *)
+(** Roots (no zero-delay parent) of the DAG portion, in increasing node
+    order. *)
 val roots : t -> int list
-
-val leaves : t -> int list
 
 (** [is_tree g] is true when the DAG portion is a forest: every node has at
     most one zero-delay parent. *)
@@ -115,12 +113,12 @@ val roots_arr : t -> int array
 
 val leaves_arr : t -> int array
 
-(** Topological order of the DAG portion: the deterministic
-    smallest-ready-node-first order of {!Topo.sort}, which is implemented
-    on top. Built by {!of_edges}. Walked backwards it lists every node
-    after all its zero-delay descendants, which is how {!Topo.post_order}
-    and the children-first sweeps ([Paths.longest_from], ALAP frames)
-    read it. *)
+(** Topological order of the DAG portion: if there is a zero-delay edge
+    [u -> v] then [u] appears before [v], ties broken toward the smallest
+    ready node id, so the order is deterministic. Built by {!of_edges}.
+    Walked backwards it lists every node after all its zero-delay
+    descendants, which is how the children-first sweeps
+    ([Paths.longest_from], ALAP frames) read it. *)
 val topo_arr : t -> int array
 
 (** Does nothing: graphs have nothing lazy left to force, so a graph is
@@ -134,9 +132,5 @@ val iter_dag_succs : t -> int -> (int -> unit) -> unit
 
 val fold_dag_succs : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 val fold_dag_preds : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
-
-(** [mem_edge g ~src ~dst] is true when some edge (any delay) links [src] to
-    [dst]. *)
-val mem_edge : t -> src:int -> dst:int -> bool
 
 val pp : Format.formatter -> t -> unit

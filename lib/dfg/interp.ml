@@ -12,9 +12,9 @@ let run g ~iterations ~input =
   if iterations < 0 then invalid_arg "Interp.run: negative iterations";
   let n = Graph.num_nodes g in
   let out = Array.init n (fun _ -> Array.make iterations 0) in
-  let order = Topo.sort g in
+  let order = Graph.topo_arr g in
   for i = 0 to iterations - 1 do
-    List.iter
+    Array.iter
       (fun v ->
         let value =
           if Graph.preds g v = [] then input v i
@@ -33,22 +33,3 @@ let run g ~iterations ~input =
       order
   done;
   out
-
-let equivalent_unfolding g ~factor ~iterations ~input =
-  let unfolded = Unfold.unfold g ~factor in
-  let original = run g ~iterations:(iterations * factor) ~input in
-  let copy_input id i =
-    (* copy j of source v at super-iteration i is iteration i*f + j *)
-    input (id / factor) ((i * factor) + (id mod factor))
-  in
-  let streams = run unfolded ~iterations ~input:copy_input in
-  let ok = ref true in
-  for v = 0 to Graph.num_nodes g - 1 do
-    for j = 0 to factor - 1 do
-      for i = 0 to iterations - 1 do
-        if streams.((v * factor) + j).(i) <> original.(v).((i * factor) + j)
-        then ok := false
-      done
-    done
-  done;
-  !ok

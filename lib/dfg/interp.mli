@@ -32,9 +32,3 @@ val apply : string -> int list -> int
     at iteration [i]; non-source nodes never consult it. *)
 val run :
   Graph.t -> iterations:int -> input:(int -> int -> int) -> int array array
-
-(** [equivalent_unfolding g ~factor ~iterations ~input] checks the exact
-    copy-indexing equality above, feeding the unfolded graph's copy [j] of
-    source [v] from [input v (i * factor + j)]. *)
-val equivalent_unfolding :
-  Graph.t -> factor:int -> iterations:int -> input:(int -> int -> int) -> bool

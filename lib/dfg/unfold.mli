@@ -10,9 +10,8 @@
     inter-iteration parallelism: the cycle period {e per original iteration}
     approaches the iteration bound as [f] grows.
 
-    To carry a time/cost table across, use
-    [Fulib.Table.project table ~origin:(Array.init (n * f) (fun i -> i / f))]
-    — copy [i] of node [v] has id [v * f + i]. *)
+    Copy [i] of node [v] has id [v * f + i], so a time/cost table carries
+    across by giving that copy node [v]'s row. *)
 
 (** [unfold g ~factor] with [factor >= 1]; copies are named ["name#i"]. *)
 val unfold : Graph.t -> factor:int -> Graph.t

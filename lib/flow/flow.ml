@@ -116,10 +116,3 @@ let compile ?(algorithm = Core.Synthesis.Repeat) ?deadline g table ~outdir =
                 "schedule.svg"; "graph.dot"; "frontier.csv";
               ];
         }
-
-let compile_file ?algorithm ?deadline ?(seed = 42) ~outdir path =
-  let g, table = Netlist.load ~path in
-  let table =
-    match table with Some t -> t | None -> Workloads.Tables.seeded ~seed g
-  in
-  compile ?algorithm ?deadline g table ~outdir

@@ -44,15 +44,3 @@ val compile :
   Fulib.Table.t ->
   outdir:string ->
   summary option
-
-(** [compile_file ?algorithm ?deadline ?seed ~outdir path] loads a netlist
-    ({!Netlist}); when the file carries no [fu-types] table, a seeded
-    random one is generated ([seed] defaults to 42). Raises
-    [Netlist.Parse_error] on malformed input. *)
-val compile_file :
-  ?algorithm:Core.Synthesis.algorithm ->
-  ?deadline:int ->
-  ?seed:int ->
-  outdir:string ->
-  string ->
-  summary option

@@ -16,7 +16,9 @@
 type level = private { freq_pct : int; time_pct : int; energy_pct : int }
 
 (** Nominal frequency: the identity level (100/100/100). Expanding with
-    ladders of just [nominal] reproduces the base table exactly. *)
+    ladders of just [nominal] reproduces the base table exactly. Every
+    ladder starts at it; a test seam for the tests that build ladders
+    level by level. *)
 val nominal : level
 
 (** [level freq_pct] derives [time_pct]/[energy_pct] from the frequency
@@ -31,19 +33,16 @@ val scale_time : level -> int -> int
 (** [scale_energy l c] = [c * l.energy_pct / 100], rounded to nearest. *)
 val scale_energy : level -> int -> int
 
-(** [ladder freqs] builds one type's descending ladder from frequency
-    percents (e.g. [[100; 75; 50]]). Raises [Invalid_argument] when empty
-    or when the first entry is not 100 (level 0 must be nominal, so a
-    leveled table can only get cheaper, never faster). *)
-val ladder : int list -> level array
-
 (** [uniform ~levels ~types] gives every one of [types] base types the
     same [levels]-step ladder from 100% down to 50% (e.g. 3 levels =
     100/75/50). [1 <= levels <= 16]. *)
 val uniform : levels:int -> types:int -> level array array
 
-(** [of_freqs per_type] builds one ladder per base type from per-type
-    frequency lists. *)
+(** [of_freqs per_type] builds one descending ladder per base type from
+    per-type frequency percents (e.g. [[[100; 75; 50]]]). Raises
+    [Invalid_argument] when a list is empty or does not start at 100
+    (level 0 must be nominal, so a leveled table can only get cheaper,
+    never faster). *)
 val of_freqs : int list list -> level array array
 
 (** How an expanded table's types map back to the base table: expanded

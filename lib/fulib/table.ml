@@ -1,6 +1,6 @@
 (* Only the flat view is stored: [times.(v * k + t)] indexing plus
    per-node minimum rows, all built by the constructor. The solver kernels
-   (Path/Tree DPs, Exact's bounds, Greedy's sweeps) iterate over these
+   (the tree DP, Exact's bounds, Greedy's sweeps) iterate over these
    arrays directly. Nothing is filled in later, so a table is immutable
    once built and safe to share across domains; [with_mem_capacity]
    shares the arrays of the table it came from. *)
@@ -103,45 +103,6 @@ let mem_bounded t = Library.mem_bounded t.library
 
 let with_mem_capacity t caps =
   { t with library = Library.with_mem_capacity t.library caps }
-
-(* A collapsed row is constant, so its first minimum is type 0. *)
-let pin t ~node ~ftype =
-  let k = t.k in
-  let pt = time t ~node ~ftype and pc = cost t ~node ~ftype in
-  let times = Array.copy t.times and costs = Array.copy t.costs in
-  Array.fill times (node * k) k pt;
-  Array.fill costs (node * k) k pc;
-  let min_times = Array.copy t.min_times
-  and min_time_types = Array.copy t.min_time_types
-  and min_costs = Array.copy t.min_costs
-  and min_cost_types = Array.copy t.min_cost_types in
-  min_times.(node) <- pt;
-  min_time_types.(node) <- 0;
-  min_costs.(node) <- pc;
-  min_cost_types.(node) <- 0;
-  { t with times; costs; min_times; min_time_types; min_costs; min_cost_types }
-
-let project t ~origin =
-  let k = t.k and n' = Array.length origin in
-  let times = Array.make (n' * k) 0 and costs = Array.make (n' * k) 0 in
-  Array.iteri
-    (fun i v ->
-      if v < 0 || v >= num_nodes t then invalid_arg "index out of bounds";
-      for f = 0 to k - 1 do
-        times.((i * k) + f) <- t.times.((v * k) + f);
-        costs.((i * k) + f) <- t.costs.((v * k) + f)
-      done)
-    origin;
-  let pick a = Array.map (fun v -> a.(v)) origin in
-  {
-    t with
-    times;
-    costs;
-    min_times = pick t.min_times;
-    min_time_types = pick t.min_time_types;
-    min_costs = pick t.min_costs;
-    min_cost_types = pick t.min_cost_types;
-  }
 
 let pp ~names ppf t =
   let k = num_types t in

@@ -45,7 +45,7 @@ val min_cost_type : t -> int -> int
 
     A table stores only flat int arrays: the times and costs with
     [node * num_types + ftype] indexing, plus per-node minimum rows. Every
-    constructor ({!make}, {!pin}, {!project}, {!with_mem_capacity}) builds
+    constructor ({!make}, {!with_mem_capacity}) builds
     them up front, so a table is immutable once built and safe to share
     across domains (see [Par.Pool]) with no preparation. The returned
     arrays are owned by the table: treat them as read-only. These are what
@@ -77,16 +77,6 @@ val mem_bounded : t -> bool
     capacities replaced; times and costs are unchanged (and shared with
     [t]). *)
 val with_mem_capacity : t -> int array -> t
-
-(** [pin t ~node ~ftype] returns a table in which [node]'s row is collapsed
-    to the pinned type: every type choice now has the pinned time and cost,
-    so any assignment of [node] is equivalent to choosing [ftype]. This is
-    how [DFG_Assign_Repeat] fixes duplicated nodes. *)
-val pin : t -> node:int -> ftype:int -> t
-
-(** [project t ~origin] builds the table for an expanded tree: tree node [i]
-    gets original node [origin.(i)]'s row. *)
-val project : t -> origin:int array -> t
 
 (** Render as the paper's Figure-1-style table. [names.(v)] labels row [v]. *)
 val pp : names:string array -> Format.formatter -> t -> unit

@@ -26,7 +26,9 @@ exception Parse_error of int * string
 
 (** [of_string s] parses; raises {!Parse_error} on malformed input
     (unknown directive, duplicate or undefined node names, wrong number of
-    table entries, malformed pairs, invalid graph structure). *)
+    table entries, malformed pairs, invalid graph structure). {!load}
+    parses the file's text with it; a test seam for the parser and fuzz
+    tests, which feed it text directly. *)
 val of_string : string -> Dfg.Graph.t * Fulib.Table.t option
 
 (** Convenience file wrappers. *)

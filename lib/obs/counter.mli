@@ -21,13 +21,12 @@ val incr : t -> unit
     don't). *)
 val add : t -> int -> unit
 
-val value : t -> int
-
 (** Look a counter's value up by name; [None] when never registered. *)
 val value_of : string -> int option
 
 (** All registered counters, sorted by name. *)
 val snapshot : unit -> (string * int) list
 
-(** Zero every registered counter (tests and the bench harness). *)
+(** Zero every registered counter. A test seam: the parity tests compare
+    the counts of two runs. *)
 val reset_all : unit -> unit

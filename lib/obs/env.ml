@@ -2,28 +2,23 @@ let default_path = "hetsched_trace.json"
 
 let override : bool option Atomic.t = Atomic.make None
 let set_trace v = Atomic.set override v
-let get_trace () = Atomic.get override
 
 (* "", "0", "false", "no", "off" (case-insensitively) disable; "1", "true",
-   "yes", "on" enable with the default output path; anything else enables
-   and is itself the output path. *)
-let parse s =
-  let trimmed = String.trim s in
-  match String.lowercase_ascii trimmed with
-  | "" | "0" | "false" | "no" | "off" -> (false, None)
-  | "1" | "true" | "yes" | "on" -> (true, None)
-  | _ -> (true, Some trimmed)
+   "yes", "on" enable with no value; anything else enables and is itself
+   the value. *)
+let parse = function
+  | None -> (false, None)
+  | Some s -> (
+      let trimmed = String.trim s in
+      match String.lowercase_ascii trimmed with
+      | "" | "0" | "false" | "no" | "off" -> (false, None)
+      | "1" | "true" | "yes" | "on" -> (true, None)
+      | _ -> (true, Some trimmed))
 
-let env =
-  lazy
-    (match Sys.getenv_opt "HETSCHED_TRACE" with
-    | None -> (false, None)
-    | Some s -> parse s)
+(* Read once, when the program starts. *)
+let on, path = parse (Sys.getenv_opt "HETSCHED_TRACE")
 
 let trace_enabled () =
-  match Atomic.get override with
-  | Some b -> b
-  | None -> fst (Lazy.force env)
+  match Atomic.get override with Some b -> b | None -> on
 
-let trace_path () =
-  match snd (Lazy.force env) with Some p -> p | None -> default_path
+let trace_path () = match path with Some p -> p | None -> default_path

@@ -28,6 +28,3 @@ let snapshot () =
         Hashtbl.fold (fun name g acc -> (name, value g) :: acc) registry [])
   in
   List.sort compare rows
-
-let reset_all () =
-  locked (fun () -> Hashtbl.iter (fun _ g -> Atomic.set g 0) registry)

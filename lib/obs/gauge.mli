@@ -8,7 +8,5 @@ type t
 val make : string -> t
 
 val set : t -> int -> unit
-val value : t -> int
 val value_of : string -> int option
 val snapshot : unit -> (string * int) list
-val reset_all : unit -> unit

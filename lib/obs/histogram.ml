@@ -95,21 +95,6 @@ let quantile_of_buckets cells q =
 
 let quantile h q = quantile_of_buckets (buckets h) q
 
-let merge_into ~src ~dst =
-  Array.iteri
-    (fun i c ->
-      let n = Atomic.get c in
-      if n > 0 then ignore (Atomic.fetch_and_add dst.cells.(i) n))
-    src.cells;
-  let s = Atomic.get src.sum_ns in
-  if s <> 0 then ignore (Atomic.fetch_and_add dst.sum_ns s)
-
-let reset h =
-  Array.iter (fun c -> Atomic.set c 0) h.cells;
-  Atomic.set h.sum_ns 0
-
-let value_of name = locked (fun () -> Hashtbl.find_opt registry name)
-
 let snapshot () =
   let rows =
     locked (fun () ->

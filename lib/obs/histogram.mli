@@ -4,9 +4,8 @@
     power-of-two scale: bucket 0 counts observations below 1 ns, bucket
     [i >= 1] counts observations in [[2^(i-1), 2^i)] ns. {!observe} is one
     log2 plus a fetch-and-add on the owning cell — lock-free, allocation
-    free, safe from concurrent domains, and mergeable because addition
-    commutes. Like {!Counter}, histograms are process-global and live in a
-    registry keyed by name.
+    free and safe from concurrent domains. Like {!Counter}, histograms are
+    process-global and live in a registry keyed by name.
 
     Quantile estimates come from the bucket counts: the reported value for
     a quantile is the geometric midpoint of the bucket holding the ranked
@@ -16,6 +15,9 @@
 
 type t
 
+(** The bucket count. With {!bucket_of_ns}, {!bucket_upper}, {!buckets}
+    and {!quantile_of_buckets} it exposes the bucket layout: test seams
+    today, and what a live [stats] line will read. *)
 val num_buckets : int
 
 (** [make name] registers (or finds) the histogram [name]. Idempotent:
@@ -24,7 +26,7 @@ val make : string -> t
 
 (** [observe h ns] — record one observation of [ns] nanoseconds.
     Negative, zero and non-finite values land in bucket 0 and contribute
-    nothing to {!sum}. *)
+    nothing to {!mean}'s sum. *)
 val observe : t -> float -> unit
 
 (** Index of the bucket a value lands in. *)
@@ -35,9 +37,6 @@ val bucket_upper : int -> float
 
 (** Total observations. *)
 val count : t -> int
-
-(** Sum of all observed values, in ns (truncated to whole ns each). *)
-val sum : t -> float
 
 val mean : t -> float
 
@@ -60,16 +59,6 @@ val quantile : t -> float -> float
     empty sentinel and validation order as {!quantile} (an all-zero
     array is an empty histogram). *)
 val quantile_of_buckets : int array -> float -> float
-
-(** [merge_into ~src ~dst] adds [src]'s counts and sum into [dst]
-    (atomically per cell; [src] is unchanged). *)
-val merge_into : src:t -> dst:t -> unit
-
-(** Zero one histogram. *)
-val reset : t -> unit
-
-(** Look a histogram up by name; [None] when never registered. *)
-val value_of : string -> t option
 
 (** All registered histograms, sorted by name. *)
 val snapshot : unit -> (string * t) list

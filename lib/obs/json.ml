@@ -344,7 +344,7 @@ and[@tail_mod_cons] items p =
       [ v ]
   | _ -> raise (fail p "expected ',' or ']' in array")
 
-let parse_exn s =
+let document s =
   let p = { src = s; len = String.length s; pos = 0; depth = 0 } in
   let v = parse_value p in
   skip_ws p;
@@ -352,7 +352,7 @@ let parse_exn s =
   v
 
 let parse s =
-  match parse_exn s with
+  match document s with
   | v -> Ok v
   | exception Parse_error msg -> Error msg
 

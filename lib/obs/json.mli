@@ -27,13 +27,8 @@ val to_string : t -> string
 val parse : string -> (t, string) result
 
 (** 512: the deepest nesting {!parse} accepts. A fixed constant, not a
-    setting. *)
+    setting; a test seam for the depth tests and the reference parser. *)
 val max_depth : int
-
-exception Parse_error of string
-
-(** {!parse}, raising {!Parse_error}. *)
-val parse_exn : string -> t
 
 (** [member k (Obj fields)] is the first [k] binding; [None] on any other
     constructor. *)

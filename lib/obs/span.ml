@@ -18,8 +18,6 @@ let sink_m = Mutex.create ()
 let sink : (int * t) list ref = ref [] (* newest first *)
 
 let now_ns () = Unix.gettimeofday () *. 1e9
-let enabled = Env.trace_enabled
-
 let record_root span =
   let d = (Domain.self () :> int) in
   Mutex.lock sink_m;
@@ -74,22 +72,7 @@ let roots () =
   Mutex.unlock sink_m;
   r
 
-let sink_length () =
-  Mutex.lock sink_m;
-  let n = List.length !sink in
-  Mutex.unlock sink_m;
-  n
-
 let clear () =
   Mutex.lock sink_m;
   sink := [];
   Mutex.unlock sink_m
-
-let rec depth s =
-  1 + List.fold_left (fun acc c -> max acc (depth c)) 0 s.children
-
-let rec count s = 1 + List.fold_left (fun acc c -> acc + count c) 0 s.children
-
-let rec find name s =
-  if s.name = name then Some s
-  else List.find_map (fun c -> find name c) s.children

@@ -20,22 +20,8 @@ type t = {
 
 val with_ : string -> (unit -> 'a) -> 'a
 
-(** [true] iff spans are being recorded (same as {!Env.trace_enabled}). *)
-val enabled : unit -> bool
-
 (** Completed root spans as [(domain id, span)], oldest first. *)
 val roots : unit -> (int * t) list
 
-val sink_length : unit -> int
-
 (** Drop all recorded roots (open frames are unaffected). *)
 val clear : unit -> unit
-
-(** Nesting depth of a completed span (a leaf is 1). *)
-val depth : t -> int
-
-(** Total spans in the tree, root included. *)
-val count : t -> int
-
-(** First span named [name] in preorder, the span itself included. *)
-val find : string -> t -> t option

@@ -8,6 +8,8 @@
       "spans":      [{"domain": d, "span": {name, start_ns, dur_ns, children}}, ...] }
     v} *)
 
+(** The document {!finish} writes. A test seam: the tests read it without
+    a file. *)
 val snapshot : unit -> Json.t
 
 (** When tracing is enabled, write the snapshot to [path] (default:

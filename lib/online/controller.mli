@@ -34,7 +34,9 @@ val current : t -> outcome option
     node (a [num_types]-wide row, each entry in
     [1 .. Fulib.Table.max_cell]). Costs are not
     perturbed — energy is a property of the implementation, not of the
-    measurement. Raises [Invalid_argument] on shape or range errors. *)
+    measurement. Raises [Invalid_argument] on shape or range errors.
+    {!scale_node} drifts through it; a test seam for tests that install
+    exact rows. *)
 val set_times : t -> node:int -> int array -> unit
 
 (** [scale_node t ~node ~pct] scales the node's whole time row by

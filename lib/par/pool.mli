@@ -55,7 +55,8 @@ val create : ?domains:int -> unit -> t
 val domain_count : t -> int
 
 (** Join the worker domains. The pool must not be used afterwards
-    ([Invalid_argument]); shutting down twice is a no-op. *)
+    ([Invalid_argument]); shutting down twice is a no-op. {!with_pool}
+    ends with it; a test seam for the tests that build pools by hand. *)
 val shutdown : t -> unit
 
 (** [with_pool ?domains f] runs [f] with a fresh pool and always shuts it
@@ -71,7 +72,8 @@ val global : unit -> t
     is shut down). For CLI flags like [bench/main.exe --domains 4]. *)
 val set_global_domains : int -> unit
 
-(** [true] while the calling domain is executing a pool task. *)
+(** [true] while the calling domain is executing a pool task: the guard
+    behind {!Nested_pool}, exposed as a test seam. *)
 val in_task : unit -> bool
 
 (** [map_array t f arr] is [Array.map f arr] with the applications spread

@@ -22,8 +22,6 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992.0 (* 2^53 *)

@@ -14,8 +14,6 @@ val int : t -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 val int_in : t -> int -> int -> int
 
-val bool : t -> bool
-
 (** [float t] is uniform in [\[0, 1)]. *)
 val float : t -> float
 

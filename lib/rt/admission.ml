@@ -79,13 +79,6 @@ let width t =
   | e :: _ -> Some (Fulib.Table.num_types e.analysed.Task.task.Task.table)
   | [] -> ( match t.spec with Per_type a -> Some (Array.length a) | _ -> None)
 
-let residual t =
-  match width t with
-  | None -> None
-  | Some k ->
-      let cap = capacity_array t k and reserved = heavy_reserved t k in
-      Some (Array.init k (fun ftype -> cap.(ftype) - reserved.(ftype)))
-
 let lights t = List.filter (fun e -> not e.analysed.Task.heavy) t.entries
 
 let light_of id (an : Task.analysed) =

@@ -49,15 +49,12 @@ type admitted = {
 (** Admitted tasks in admission order. *)
 val admitted : t -> admitted list
 
-(** [find t ~id]. *)
+(** [find t ~id] — the admitted entry under [id]. Admission and release
+    look entries up with it; a test seam for reading one back. *)
 val find : t -> id:string -> admitted option
 
 (** Total utilization of the admitted set (FU-steps per step). *)
 val utilization : t -> float
-
-(** Per-type instances not reserved by heavy tasks — what light tasks
-    share. [None] before the first admission fixes the type count. *)
-val residual : t -> Sched.Config.t option
 
 (** [try_admit t ~id analysed] — the verdict; the controller state is
     updated exactly when the verdict is [Admitted]. *)

@@ -44,6 +44,8 @@ type analysed = {
   heavy : bool;
 }
 
+(** 1.0, [?heavy_threshold]'s default in {!of_schedule}. A test seam:
+    the tests classify tasks against it. *)
 val default_heavy_threshold : float
 
 (** [of_schedule ?heavy_threshold task ~schedule ~config] classifies an

@@ -45,23 +45,3 @@ let reason_detail = function
   | Response_overrun { id; response; deadline } ->
       Printf.sprintf "task %S response time %d exceeds its deadline %d" id
         response deadline
-
-(* The witness is the inequality itself; re-checking it is arithmetic on
-   the carried numbers, independent of the analysis that produced it. *)
-let witness_holds = function
-  | Infeasible_deadline | Synthesis_error _ -> true
-  | Period_overrun { min_period; period } -> min_period > period
-  | Width_mismatch { expected; got } -> expected <> got
-  | Duplicate_id _ -> true
-  | Insufficient_capacity { need; have; _ } -> need > have
-  | Utilization_overrun { utilization; bound } -> utilization > bound
-  | Response_overrun { response; deadline; _ } -> response > deadline
-
-let pp ppf = function
-  | Admitted r ->
-      Format.fprintf ppf "admitted (%s, config %a, response %d, util %.3f)"
-        (if r.heavy then "heavy" else "light")
-        Sched.Config.pp r.config r.response_time r.utilization
-  | Rejected reason ->
-      Format.fprintf ppf "rejected (%s: %s)" (reason_code reason)
-        (reason_detail reason)

@@ -56,11 +56,3 @@ val reason_code : reason -> string
 
 (** Human-readable one-liner including the witness numbers. *)
 val reason_detail : reason -> string
-
-(** [witness_holds reason] re-checks the inequality the witness claims —
-    [true] for every reason constructed by the analysis. Structural
-    reasons without numbers ([Infeasible_deadline], [Synthesis_error],
-    [Width_mismatch], [Duplicate_id]) hold vacuously. *)
-val witness_holds : reason -> bool
-
-val pp : Format.formatter -> t -> unit

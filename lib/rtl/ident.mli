@@ -11,7 +11,8 @@
 val sanitize : string -> string
 
 (** Sanitize every name, suffixing later collisions so the result array
-    is duplicate-free. Deterministic in the input order. *)
+    is duplicate-free. Deterministic in the input order. A test seam:
+    the collision tests call it on names no graph would carry. *)
 val unique : string array -> string array
 
 (** [unique] over the graph's node names, indexed by node. *)

@@ -421,7 +421,7 @@ let write_testbench b nl ~iterations ~stimulus ~expected ~mask =
   str b "    $finish;\n  end\nendmodule\n"
 
 let testbench finish nl g ~iterations ~input =
-  if iterations < 1 then invalid_arg "Sv.emit_testbench: iterations < 1";
+  if iterations < 1 then invalid_arg "Sv.testbench: iterations < 1";
   let mask = (1 lsl nl.width) - 1 in
   let expected = Dfg.Interp.run g ~iterations ~input in
   (* the stimulus is evaluated up front, in the order the bench applies
@@ -432,6 +432,3 @@ let testbench finish nl g ~iterations ~input =
   in
   render finish (fun b ->
       write_testbench b nl ~iterations ~stimulus ~expected ~mask)
-
-let emit_testbench nl g ~iterations ~input =
-  testbench text nl g ~iterations ~input

@@ -8,7 +8,7 @@
     instance's (op, arity) classes). Net names derive from {!Ident}, so
     they are collision-free and stable between module and testbench.
 
-    {!emit_testbench} renders the self-checking bench: drive inputs, run
+    {!testbench} renders the self-checking bench: drive inputs, run
     one period per iteration, compare outputs against {!Dfg.Interp}
     masked to the width, print [TESTBENCH PASSED] /
     [TESTBENCH FAILED: n errors], and [$finish]. Verilog compares are
@@ -52,11 +52,3 @@ val testbench :
   iterations:int ->
   input:(int -> int -> int) ->
   'a
-
-(** [emit_testbench] is [testbench text]. *)
-val emit_testbench :
-  Netlist_ir.t ->
-  Dfg.Graph.t ->
-  iterations:int ->
-  input:(int -> int -> int) ->
-  string

@@ -36,7 +36,3 @@ let frames g table a ~deadline =
   match alap g table a ~deadline with
   | None -> None
   | Some late -> Some (asap g table a, late)
-
-let slack g table a ~deadline =
-  let early = asap g table a in
-  Option.map (Array.map2 (fun e l -> l - e) early) (alap g table a ~deadline)

@@ -25,11 +25,3 @@ val frames :
   Assign.Assignment.t ->
   deadline:int ->
   (int array * int array) option
-
-(** [slack g table a ~deadline] is [alap - asap] per node. *)
-val slack :
-  Dfg.Graph.t ->
-  Fulib.Table.t ->
-  Assign.Assignment.t ->
-  deadline:int ->
-  int array option

@@ -56,25 +56,6 @@ let unshared table s =
   in
   { instance; config }
 
-let is_valid ?(pipelined = fun _ -> false) table s b =
-  let n = Array.length s.Schedule.start in
-  let ok = ref true in
-  for v = 0 to n - 1 do
-    for w = v + 1 to n - 1 do
-      if
-        s.Schedule.assignment.(v) = s.Schedule.assignment.(w)
-        && b.instance.(v) = b.instance.(w)
-      then begin
-        let t = s.Schedule.assignment.(v) in
-        let busy u = if pipelined t then 1 else node_time table s u in
-        let sv = s.Schedule.start.(v) and sw = s.Schedule.start.(w) in
-        let fv = sv + busy v and fw = sw + busy w in
-        if sv < fw && sw < fv then ok := false
-      end
-    done
-  done;
-  !ok
-
 (* Peak resident data per FU instance. A buffer lives on its PRODUCER's
    instance: a zero-delay edge u -> w occupies it from u's start until w
    completes; a delay edge's buffer crosses iterations and is charged for

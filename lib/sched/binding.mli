@@ -24,11 +24,6 @@ val bind : ?pipelined:(int -> bool) -> Fulib.Table.t -> Schedule.t -> t
     other end of the Figure-3 trade-off from {!bind}. *)
 val unshared : Fulib.Table.t -> Schedule.t -> t
 
-(** [is_valid ?pipelined table s b] checks no two nodes share an instance
-    while both occupy it (full duration, or just the issue step for
-    pipelined types). *)
-val is_valid : ?pipelined:(int -> bool) -> Fulib.Table.t -> Schedule.t -> t -> bool
-
 (** [peak_memory ~graph table s b] is, per FU type and instance, the peak
     data resident on that instance in any single step: [(result.(t)).(i)]
     is instance [i] of type [t]'s peak. A buffer lives on its producer's

@@ -1,14 +1,6 @@
 let node_time table s v =
   Fulib.Table.time table ~node:v ~ftype:s.Schedule.assignment.(v)
 
-let is_legal_period g table s ~period =
-  period >= 1
-  && List.for_all
-       (fun { Dfg.Graph.src; dst; delay; _ } ->
-         s.Schedule.start.(src) + node_time table s src
-         <= s.Schedule.start.(dst) + (delay * period))
-       (Dfg.Graph.edges g)
-
 let ceil_div a b = if a <= 0 then 0 else ((a - 1) / b) + 1
 
 let min_period g table s =

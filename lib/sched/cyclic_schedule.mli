@@ -9,12 +9,6 @@
     overlap consecutive iterations (software pipelining) and trade FU
     sharing for throughput. *)
 
-(** [is_legal_period g table s ~period] checks every edge's cross-iteration
-    precedence constraint (zero-delay edges reduce to ordinary precedence
-    within one iteration). *)
-val is_legal_period :
-  Dfg.Graph.t -> Fulib.Table.t -> Schedule.t -> period:int -> bool
-
 (** [min_period g table s] — the smallest legal period of the schedule:
     [max] over delayed edges of [ceil ((finish u - start v) / d)], at least
     1, and at least the per-type resource bound (total busy steps per type
@@ -32,7 +26,7 @@ type sim_result = {
 
 (** [simulate g table s ~period ~iterations] executes [iterations] copies
     of the schedule [period] steps apart, re-checking every dependence
-    concretely (an independent oracle for {!is_legal_period}), and measures
+    concretely (the test suite's cyclic oracle must agree), and measures
     utilisation against the schedule's peak configuration. [iterations >=
     1]. *)
 val simulate :

@@ -76,6 +76,3 @@ let schedule ?(budget = 2_000_000) g table a ~config ~deadline =
     | () -> None
     | exception Found -> Some { Schedule.start = Array.copy start; assignment = Array.copy a }
   end
-
-let feasible ?budget g table a ~config ~deadline =
-  schedule ?budget g table a ~config ~deadline <> None

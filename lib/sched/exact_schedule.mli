@@ -16,19 +16,10 @@
 
 exception Budget_exhausted
 
-(** [feasible ?budget g table a ~config ~deadline] — [budget] (default
-    [2_000_000]) bounds search-tree nodes; raises {!Budget_exhausted}
-    beyond. *)
-val feasible :
-  ?budget:int ->
-  Dfg.Graph.t ->
-  Fulib.Table.t ->
-  Assign.Assignment.t ->
-  config:Config.t ->
-  deadline:int ->
-  bool
-
-(** Like {!feasible} but returns a witness schedule. *)
+(** [schedule ?budget g table a ~config ~deadline] — a witness schedule
+    within [config] and [deadline], or [None] when there is none.
+    [budget] (default [2_000_000]) bounds search-tree nodes; raises
+    {!Budget_exhausted} beyond. *)
 val schedule :
   ?budget:int ->
   Dfg.Graph.t ->

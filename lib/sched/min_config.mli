@@ -11,7 +11,7 @@
     schedulability check); meant for small instances and for measuring how
     close the paper's [Min_FU_Scheduling] gets. *)
 
-(** The search's priority queue, exposed for tests. Entries of equal
+(** The search's priority queue, a test seam. Entries of equal
     priority pop in FIFO (insertion) order, so the minimal configuration
     returned among equal-objective candidates is deterministic and does
     not depend on push order of ties. *)

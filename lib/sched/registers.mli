@@ -20,7 +20,8 @@ type lifetime = {
 (** [lifetimes g table s] — one entry per node that produces a live value
     (nodes with no consumers at all produce the design's outputs and live
     to the schedule end). Entries with [birth >= death] (a value consumed
-    the moment it appears) are dropped. *)
+    the moment it appears) are dropped. {!max_live} and {!allocate} run
+    over them; a test seam for the lifetime tests. *)
 val lifetimes : Dfg.Graph.t -> Fulib.Table.t -> Schedule.t -> lifetime list
 
 (** Maximum number of simultaneously live values. *)

@@ -47,12 +47,6 @@ let create ?(entries = default_entries) ?shards:_ () =
 let capacity t = t.capacity
 let length t = Mutex.protect t.lock (fun () -> Table.length t.table)
 
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      Table.reset t.table;
-      t.sentinel.prev <- t.sentinel;
-      t.sentinel.next <- t.sentinel)
-
 (* The key is the MD5 of the request's canonical encoding; see
    [Core.Synthesis.encode] for what it covers and what it leaves out. *)
 let digest req = Digest.to_hex (Digest.string (Core.Synthesis.encode req))
@@ -79,8 +73,6 @@ let find_digest t key =
       | exception Not_found ->
           Obs.Counter.incr misses;
           None)
-
-let find t req = find_digest t (digest req)
 
 let cacheable (resp : Core.Synthesis.response) =
   match resp.Core.Synthesis.status with

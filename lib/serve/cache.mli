@@ -46,24 +46,22 @@ val default_shards : int
     [Invalid_argument] when [entries < 1]. *)
 val create : ?entries:int -> ?shards:int -> unit -> t
 
+(** [capacity] and [length] are test seams, kept for a live [stats]
+    line to report occupancy. *)
 val capacity : t -> int
 
 (** Live entries, at most {!capacity}. *)
 val length : t -> int
 
-val clear : t -> unit
-
 (** Canonical content digest of a request (hex, stable across processes). *)
 val digest : Core.Synthesis.request -> string
 
-(** [find t req] — the memoized response, made the most recently used;
-    counts a [serve.cache.hit] or [serve.cache.miss]. *)
-val find : t -> Core.Synthesis.request -> Core.Synthesis.response option
-
-(** {!find} keyed by a precomputed {!digest}: the pure probe (lock,
-    hashtable lookup, recency bump). Callers holding a request's digest —
-    repeated lookups of one hot request, or the [serve/cache-hot] bench
-    row timing the cache itself — skip re-serializing the instance. *)
+(** [find_digest t (digest req)] — the memoized response of [req], made
+    the most recently used; counts a [serve.cache.hit] or
+    [serve.cache.miss]. The pure probe (lock, hashtable lookup, recency
+    bump): callers holding a request's digest — repeated lookups of one
+    hot request, or the [serve/cache-hot] bench row timing the cache
+    itself — skip re-serializing the instance. *)
 val find_digest : t -> string -> Core.Synthesis.response option
 
 (** [store_digest t key resp] memoizes a cacheable response
@@ -73,8 +71,8 @@ val find_digest : t -> string -> Core.Synthesis.response option
     ignored. *)
 val store_digest : t -> string -> Core.Synthesis.response -> unit
 
-(** [solve t req] — {!find}, falling back to {!Core.Synthesis.solve} +
-    {!store_digest} (the digest is computed once and reused). The returned
-    response is structurally identical whether it was served from the
-    cache or computed fresh. *)
+(** [solve t req] — {!find_digest}, falling back to
+    {!Core.Synthesis.solve} + {!store_digest} (the digest is computed once
+    and reused). The returned response is structurally identical whether
+    it was served from the cache or computed fresh. *)
 val solve : t -> Core.Synthesis.request -> Core.Synthesis.response

@@ -269,11 +269,6 @@ let request_of_json ?lookup ~line json =
   | item -> Ok item
   | exception Bad msg -> Error msg
 
-let request_of_string ?lookup ~line s =
-  match J.parse s with
-  | Error msg -> Error ("malformed JSON: " ^ msg)
-  | Ok json -> request_of_json ?lookup ~line json
-
 (* --- admission lines -------------------------------------------------- *)
 
 type line =
@@ -414,8 +409,8 @@ let error_to_string ~id msg =
     (J.Obj
        [ ("id", id); ("status", J.String "error"); ("error", J.String msg) ])
 
-(* Witness objects carry exactly the numbers [Rt.Verdict.witness_holds]
-   re-checks, so a wire client can verify the inequality itself. *)
+(* Witness objects carry exactly the numbers of the inequality a
+   rejection claims, so a wire client can verify it itself. *)
 let witness_json = function
   | Rt.Verdict.Infeasible_deadline -> J.Obj []
   | Rt.Verdict.Synthesis_error msg -> J.Obj [ ("error", J.String msg) ]

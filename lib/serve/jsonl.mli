@@ -65,7 +65,7 @@
     is ["admitted"] — with ["heavy"], ["config"], ["response_time"] and
     ["utilization"] — or ["rejected"] with a stable ["reason"] code, a
     human ["detail"] and a ["witness"] object carrying exactly the
-    numbers {!Rt.Verdict.witness_holds} re-checks. ["cmd": "release"]
+    numbers of the inequality the rejection claims. ["cmd": "release"]
     with a ["task"] frees an admitted task (status ["released"], or an
     ["error"] line for an unknown task). ["deadline"], ["deadline_factor"]
     and ["period"] are validated before dispatch: a non-integer or
@@ -76,12 +76,6 @@ type lookup = string -> seed:int -> (Dfg.Graph.t * Fulib.Table.t) option
 
 (** A parsed request plus the identity echoed into its response line. *)
 type item = { id : Obs.Json.t; request : Core.Synthesis.request }
-
-(** [request_of_string ?lookup ~line s] — decode one raw solve line.
-    [line] is the 1-based line number used as the default [id]. [Error]
-    describes the field at fault, or the malformed JSON. *)
-val request_of_string :
-  ?lookup:lookup -> line:int -> string -> (item, string) result
 
 (** One wire line: a plain solve, a periodic admission request, or a
     release of an admitted task. *)
@@ -98,6 +92,9 @@ type line =
 val line_of_json :
   ?lookup:lookup -> line:int -> Obs.Json.t -> (line, string) result
 
+(** [line_of_string ?lookup ~line s] — decode one raw wire line. [line]
+    is the 1-based line number used as the default [id]. [Error]
+    describes the field at fault, or the malformed JSON. *)
 val line_of_string :
   ?lookup:lookup -> line:int -> string -> (line, string) result
 

@@ -26,7 +26,8 @@ val names : unit -> string list
     so it plugs straight into the serving front ends. *)
 val lookup : string -> seed:int -> (Dfg.Graph.t * Fulib.Table.t) option
 
-(** Capacity of the table memo: 64. *)
+(** Capacity of the table memo: 64. {!table_slots} and {!memoized} are
+    test seams: the tests watch the memo fill and stay bounded. *)
 val table_slots : int
 
 (** Tables currently memoized (at most {!table_slots}). *)

@@ -33,6 +33,12 @@ val rls_laguerre : unit -> Dfg.Graph.t
     for [DFG_Assign_Once]. *)
 val elliptic : unit -> Dfg.Graph.t
 
+(** {2 Parametric extension benchmarks}
+
+    {!extended} instantiates each once (16 taps, 3 sections, 8
+    butterflies); the generators are test seams for the tests that try
+    other sizes. *)
+
 (** [fir ~taps] — an n-tap direct-form FIR filter: [taps] coefficient
     multipliers reduced by an adder chain; a tree (in the transposed
     orientation), [2*taps - 1] nodes, feed-forward. Extension benchmark. *)

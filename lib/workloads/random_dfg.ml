@@ -111,27 +111,3 @@ let batch ?pool ?chunk rng ~count gen =
 
 let batch_dags ?pool ?chunk rng ~count ~n ~extra_edges =
   batch ?pool ?chunk rng ~count (fun stream -> random_dag stream ~n ~extra_edges)
-
-let random_layered rng ~layers ~width ~edge_prob =
-  if layers < 1 || width < 1 then
-    invalid_arg "Random_dfg.random_layered: empty shape";
-  let b = B.create () in
-  let grid =
-    Array.init layers (fun l ->
-        Array.init width (fun w -> random_node rng b ((l * width) + w)))
-  in
-  for l = 0 to layers - 2 do
-    for w = 0 to width - 1 do
-      let connected = ref false in
-      for w' = 0 to width - 1 do
-        if Prng.float rng < edge_prob then begin
-          B.add_edge b ~src:grid.(l).(w) ~dst:grid.(l + 1).(w');
-          connected := true
-        end
-      done;
-      if not !connected then
-        B.add_edge b ~src:grid.(l).(w)
-          ~dst:grid.(l + 1).(Prng.int rng width)
-    done
-  done;
-  B.finish b

@@ -28,7 +28,8 @@ val with_sizes :
     more than a small DAG. Bit-identical to the sequential
     [Array.init count (fun _ -> gen (Prng.split rng))] for any domain
     count and any [chunk]. [rng] advances by [count] splits. Raises
-    [Invalid_argument] when [chunk < 1]. *)
+    [Invalid_argument] when [chunk < 1]. {!batch_dags} is [batch] over
+    {!random_dag}; a test seam for the parity tests' own generators. *)
 val batch :
   ?pool:Par.Pool.t ->
   ?chunk:int ->
@@ -47,9 +48,3 @@ val batch_dags :
   n:int ->
   extra_edges:int ->
   Dfg.Graph.t array
-
-(** [random_layered rng ~layers ~width ~edge_prob] — a layered DAG in which
-    each node links to each node of the next layer with probability
-    [edge_prob] (at least one outgoing edge per non-final-layer node). *)
-val random_layered :
-  Prng.t -> layers:int -> width:int -> edge_prob:float -> Dfg.Graph.t

@@ -83,19 +83,3 @@ let mem_tight ?(slack = 1.25) g table =
          (ceil (float_of_int (total_data g) *. slack /. float_of_int k)))
   in
   Fulib.Table.with_mem_capacity table (Array.make k cap)
-
-(* Loose: every type can hold the whole graph's data, so the bounded code
-   paths run but no assignment is ever pruned — the preset behind the
-   "bounded-but-non-constraining equals unbounded" differential tests. *)
-let mem_loose g table =
-  let k = Fulib.Table.num_types table in
-  Fulib.Table.with_mem_capacity table (Array.make k (total_data g))
-
-let random_arbitrary rng ~library ~num_nodes ~max_time ~max_cost =
-  let k = Fulib.Library.num_types library in
-  let row _ =
-    ( Array.init k (fun _ -> Prng.int_in rng 1 (max 1 max_time)),
-      Array.init k (fun _ -> Prng.int_in rng 0 (max 0 max_cost)) )
-  in
-  let rows = Array.init num_nodes row in
-  Fulib.Table.make ~library ~time:(Array.map fst rows) ~cost:(Array.map snd rows)

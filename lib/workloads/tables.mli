@@ -36,20 +36,3 @@ val dvs : Prng.t -> levels:int -> Dfg.Graph.t -> Fulib.Table.t
     [>= 1.0]). Tight enough to force data-balancing across types without
     making any single node unplaceable. *)
 val mem_tight : ?slack:float -> Dfg.Graph.t -> Fulib.Table.t -> Fulib.Table.t
-
-(** [mem_loose g table] bounds every type's capacity at the graph's total
-    data: the finite-capacity code paths run, yet no assignment can ever
-    exceed a capacity — solver results must match the unbounded table
-    exactly (the differential tests assert this). *)
-val mem_loose : Dfg.Graph.t -> Fulib.Table.t -> Fulib.Table.t
-
-(** [random_arbitrary rng ~library ~num_nodes ~max_time ~max_cost] drops
-    the monotone structure entirely — any time in [1..max_time], any cost
-    in [0..max_cost] — for adversarial property tests. *)
-val random_arbitrary :
-  Prng.t ->
-  library:Fulib.Library.t ->
-  num_nodes:int ->
-  max_time:int ->
-  max_cost:int ->
-  Fulib.Table.t

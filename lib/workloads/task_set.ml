@@ -34,8 +34,8 @@ let instance rng ~min_nodes ~max_nodes ~library =
   let table = Tables.for_graph rng ~library graph in
   (graph, table)
 
-let generate ?(min_nodes = 6) ?(max_nodes = 14)
-    ?(library = Fulib.Library.standard3) rng ~tasks shape =
+let random ?(min_nodes = 6) ?(max_nodes = 14)
+    ?(library = Fulib.Library.standard3) rng ~tasks =
   if tasks < 0 then
     invalid_arg (Printf.sprintf "Workloads.Task_set: tasks %d < 0" tasks);
   if min_nodes < 1 || max_nodes < min_nodes then
@@ -43,21 +43,10 @@ let generate ?(min_nodes = 6) ?(max_nodes = 14)
   List.init tasks (fun i ->
       let graph, table = instance rng ~min_nodes ~max_nodes ~library in
       let cp = critical_path graph table in
-      let period, deadline = shape rng ~cp in
-      { name = Printf.sprintf "t%d" i; graph; table; period; deadline })
-
-let random ?min_nodes ?max_nodes ?library rng ~tasks =
-  generate ?min_nodes ?max_nodes ?library rng ~tasks (fun rng ~cp ->
-      let base = pow2_at_least cp 1 in
-      let period = base * (1 lsl Prng.int rng 4) in
+      let period = pow2_at_least cp 1 * (1 lsl Prng.int rng 4) in
       let deadline =
         (* one in eight gets an unconstrained deadline: consecutive jobs
            overlap, forcing the pipelined-heavy admission path *)
         if Prng.int rng 8 = 0 then 2 * period else Prng.int_in rng cp period
       in
-      (period, deadline))
-
-let overloaded ?min_nodes ?max_nodes ?library rng ~tasks =
-  generate ?min_nodes ?max_nodes ?library rng ~tasks (fun _rng ~cp ->
-      let period = pow2_at_least cp 1 in
-      (period, period))
+      { name = Printf.sprintf "t%d" i; graph; table; period; deadline })

@@ -28,15 +28,3 @@ val random :
   Prng.t ->
   tasks:int ->
   spec list
-
-(** [overloaded rng ~tasks] — every period is the critical path's
-    power-of-two ceiling itself and every deadline equals the period, so
-    per-task utilization presses 1.0 from below: any platform short of
-    one dedicated reservation per task must reject most of the set. *)
-val overloaded :
-  ?min_nodes:int ->
-  ?max_nodes:int ->
-  ?library:Fulib.Library.t ->
-  Prng.t ->
-  tasks:int ->
-  spec list

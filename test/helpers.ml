@@ -86,3 +86,18 @@ let with_env var value f =
 
 (* The parent array of a forest graph, as [Assign.Tree_kernel] takes it. *)
 let forest_parent g = Assign.Tree_kernel.parents (Dfg.Graph.csr_preds g)
+
+(* A JSON document the test knows to be well formed. *)
+let json s = Result.get_ok (Obs.Json.parse s)
+
+(* Is the static schedule [s] legal when repeated every [period] steps?
+   The cyclic oracle's verdict. *)
+let legal_period g tbl s ~period =
+  Check.Violation.ok (Oracle.Cyclic.check g tbl s ~period)
+
+(* A solve line through the served line decoder. *)
+let solve_line ?lookup ~line s =
+  match Serve.Jsonl.line_of_string ?lookup ~line s with
+  | Ok (Serve.Jsonl.Solve item) -> Ok item
+  | Ok (Serve.Jsonl.Admit _ | Serve.Jsonl.Release _) -> Error "not a solve line"
+  | Error e -> Error e

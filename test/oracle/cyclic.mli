@@ -16,7 +16,7 @@ val check :
   Fulib.Table.t ->
   Sched.Schedule.t ->
   period:int ->
-  Violation.report
+  Check.Violation.report
 
 (** [check_rotation g table r ~config] audits a whole [Sched.Rotation]
     result against the {e original} graph [g]: the cumulative retiming is
@@ -24,10 +24,10 @@ val check :
     precedence and its claimed period covers every delay edge (via
     {!check}), the period matches the schedule length (["period-mismatch"])
     and the fixed configuration still covers peak use (via
-    [Config.check]). *)
+    [Check.Config.check]). *)
 val check_rotation :
   Dfg.Graph.t ->
   Fulib.Table.t ->
   Sched.Rotation.result ->
   config:Sched.Config.t ->
-  Violation.report
+  Check.Violation.report

@@ -36,6 +36,18 @@ let complete table tree ta a =
         | copies -> a.(v) <- min_time_choice table (Array.get ta) copies v)
     tree.Dfg.Expand.copies
 
+(* [table] with [node]'s row collapsed to [ftype]'s time and cost, so any
+   type chosen for [node] is equivalent to [ftype]: how the Repeat fixing
+   step pins a duplicated node's copies. *)
+let pin table ~node ~ftype =
+  let rows cell =
+    Array.init (Fulib.Table.num_nodes table) (fun v ->
+        Array.init (Fulib.Table.num_types table) (fun t ->
+            cell table ~node:v ~ftype:(if v = node then ftype else t)))
+  in
+  Fulib.Table.make ~library:(Fulib.Table.library table)
+    ~time:(rows Fulib.Table.time) ~cost:(rows Fulib.Table.cost)
+
 (* Greatest copy count first; stable on ties (ascending id). *)
 let by_copies tree dups =
   List.stable_sort
@@ -66,7 +78,7 @@ let repeat_reference ?max_nodes g table ~deadline =
   let exception Infeasible in
   try
     let tree_table =
-      ref (Fulib.Table.project table ~origin:tree.Dfg.Expand.origin)
+      ref (Tables.project table ~origin:tree.Dfg.Expand.origin)
     in
     List.iter
       (fun v ->
@@ -79,7 +91,7 @@ let repeat_reference ?max_nodes g table ~deadline =
             a.(v) <- t;
             List.iter
               (fun copy ->
-                tree_table := Fulib.Table.pin !tree_table ~node:copy ~ftype:t)
+                tree_table := pin !tree_table ~node:copy ~ftype:t)
               tree.Dfg.Expand.copies.(v))
       dups;
     match solve_tree !tree_table with

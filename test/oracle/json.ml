@@ -1,11 +1,13 @@
-(* The recursive-descent [Obs.Json.parse_exn] that the one-pass parser
+(* The recursive-descent parser that [Obs.Json.parse]'s one-pass parser
    replaced, kept whole as its differential oracle: on every input the
-   library parser must give the same value or the same [Parse_error]
-   text. Nesting past [Obs.Json.max_depth] is the one exception: this
-   parser recurses once per level, with no bound, so callers must not
-   hand it inputs the library rejects for depth. *)
+   library parser must give the same value or the same error text.
+   Nesting past [Obs.Json.max_depth] is the one exception: this parser
+   recurses once per level, with no bound, so callers must not hand it
+   inputs the library rejects for depth. *)
 
 open Obs.Json
+
+exception Parse_error of string
 
 let parse_exn s =
   let n = String.length s in

@@ -72,7 +72,9 @@ let out_of_range_type table a =
   end
 
 let shrink_config table s ~config =
-  let peak = Check.Config.peak table s in
+  let peak =
+    Array.map (Array.fold_left max 0) (Check.Config.occupancy table s)
+  in
   let found = ref None in
   for t = Array.length config - 1 downto 0 do
     if config.(t) > 0 && config.(t) - 1 < peak.(t) then found := Some t

@@ -58,7 +58,7 @@ val break_precedence :
 
 (** Break one inter-iteration dependence at the given [period]: move the
     consumer earlier (or the producer later) until
-    [finish u > start v + d * period] — caught by [Check.Cyclic]
+    [finish u > start v + d * period] — caught by [Cyclic]
     (["delay-edge"]). [None] when the graph has no delay edge. *)
 val break_delay :
   Dfg.Graph.t ->

@@ -27,6 +27,9 @@ let subset_of_assignment a = Array.map (fun t -> t = 0) a
 
 let decide_via_assignment ~items ~capacity ~target_value =
   let inst = of_knapsack ~items ~capacity in
-  match Assign.Path_assign.solve_with_cost inst.table ~deadline:inst.deadline with
+  match
+    Assign.Tree_assign.solve_with_cost (Path_assign.chain inst.table)
+      inst.table ~deadline:inst.deadline
+  with
   | None -> target_value <= 0
   | Some (_, cost) -> cost <= cost_threshold inst ~target_value

@@ -24,7 +24,8 @@ val of_knapsack : items:Knapsack.item array -> capacity:int -> instance
 val cost_threshold : instance -> target_value:int -> int
 
 (** Decide the knapsack instance by solving the assignment instance with
-    {!Assign.Path_assign} — the round-trip used by the tests. *)
+    [Path_Assign] ({!Assign.Tree_assign} on {!Path_assign.chain}) — the
+    round-trip used by the tests. *)
 val decide_via_assignment :
   items:Knapsack.item array -> capacity:int -> target_value:int -> bool
 

@@ -1,8 +1,20 @@
-(* The prefix DP of [Path_Assign] (paper §5.1) that ran beside the kernel
-   before [Assign.Path_assign] moved onto [Assign.Tree_kernel], kept as a
-   differential-testing oracle: [Assign.Path_assign.solve_with_cost] must
-   return bit-identical results, and [Assign.Path_assign.cost_profile] must
-   equal the last row of [dp_reference]. *)
+(* The prefix DP of [Path_Assign] (paper §5.1), kept as a
+   differential-testing oracle. [Path_Assign] itself runs as
+   [Assign.Tree_assign] on {!chain}: on the reversed chain
+   v_(n-1) -> ... -> v_0, node v_i's one child is v_(i-1), so the tree DP's
+   row for v_i is the prefix DP's row X_i, and the traceback from the root
+   v_(n-1) at the full budget is the prefix DP's walk back. Its
+   [solve_with_cost] must return bit-identical results, and its
+   [dp_row ~node:(n - 1)] must equal the last row of [dp_reference]. *)
+
+(* The reversed chain over [table]'s nodes. It carries no data sizes, so
+   no memory mask applies. *)
+let chain table =
+  let n = Fulib.Table.num_nodes table in
+  Dfg.Graph.of_edges
+    ~names:(Array.init n (Printf.sprintf "v%d"))
+    (List.init (max 0 (n - 1)) (fun i ->
+         { Dfg.Graph.src = i + 1; dst = i; delay = 0; size = 0 }))
 
 let infeasible = max_int
 

@@ -42,7 +42,7 @@ let decompose g =
       add_edge (2 * v) ((2 * v) + 1) (Node v)
     done;
     List.iter (fun r -> add_edge source (2 * r) empty) (Dfg.Graph.roots g);
-    List.iter (fun l -> add_edge ((2 * l) + 1) sink empty) (Dfg.Graph.leaves g);
+    Array.iter (fun l -> add_edge ((2 * l) + 1) sink empty) (Dfg.Graph.leaves_arr g);
     for v = 0 to n - 1 do
       List.iter (fun w -> add_edge ((2 * v) + 1) (2 * w) empty) (Dfg.Graph.dag_succs g v)
     done;

@@ -13,7 +13,7 @@
     fan-in/fan-out diamond is series-parallel; arbitrary reconvergence is
     not.
 
-    The DP mirrors {!Tree_assign}: over the SP expression, costs add both in
+    The DP mirrors {!Assign.Tree_assign}: over the SP expression, costs add both in
     series and in parallel, path times add in series and max in parallel.
     [O(size * deadline^2)] (the square from series convolution). Optimal. *)
 
@@ -35,12 +35,12 @@ val is_series_parallel : Dfg.Graph.t -> bool
     infeasible. Raises [Invalid_argument] when [g] is not series-parallel
     (test with {!is_series_parallel} first). *)
 val solve :
-  Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> (Assignment.t * int) option
+  Dfg.Graph.t -> Fulib.Table.t -> deadline:int -> (Assign.Assignment.t * int) option
 
 (** [solve_expr expr table ~deadline] — the DP on an explicit expression
     (node ids index [table]); exposed for generator-driven tests. *)
 val solve_expr :
-  expr -> Fulib.Table.t -> deadline:int -> (Assignment.t * int) option
+  expr -> Fulib.Table.t -> deadline:int -> (Assign.Assignment.t * int) option
 
 (** Realise an expression as a DFG with the same critical-path semantics:
     series connects every leaf of the left part to every root of the right

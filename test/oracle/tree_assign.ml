@@ -43,7 +43,7 @@ let dp_reference g table ~deadline =
           end
         done
       done)
-    (Dfg.Topo.post_order g);
+    (List.rev (Array.to_list (Dfg.Graph.topo_arr g)));
   (x, choice)
 
 let solve_with_cost_reference g table ~deadline =

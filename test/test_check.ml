@@ -59,13 +59,11 @@ let validate_result name g tbl ~deadline (r : Core.Synthesis.result) =
     (Check.Schedule.check ~assignment:r.assignment ~config:r.config g tbl
        r.schedule ~deadline);
   check_ok (name ^ " config") (Check.Config.check tbl r.schedule ~config:r.config);
-  check_ok (name ^ " binding")
-    (Check.Schedule.check_binding tbl r.schedule
-       (Sched.Binding.bind tbl r.schedule)
-       ~config:r.config);
+  Alcotest.(check bool) (name ^ " binding") true
+    (Oracle.Binding.is_valid tbl r.schedule (Sched.Binding.bind tbl r.schedule));
   (* a static schedule is trivially cyclic-legal at its own length *)
   check_ok (name ^ " cyclic")
-    (Check.Cyclic.check g tbl r.schedule
+    (Oracle.Cyclic.check g tbl r.schedule
        ~period:(max 1 (Sched.Schedule.length tbl r.schedule)))
 
 let test_benchmarks_clean () =
@@ -163,7 +161,7 @@ let mutate name g tbl ~deadline (r : Core.Synthesis.result) =
       check_caught
         (Printf.sprintf "%s break_delay (%s)" name what)
         ~code:"delay-edge"
-        (Check.Cyclic.check g tbl s ~period)
+        (Oracle.Cyclic.check g tbl s ~period)
 
 let test_mutations_on_benchmarks () =
   let delay_benchmarks = ref 0 in
@@ -276,7 +274,7 @@ let test_memory_oracle () =
     (fun (name, g, tbl) ->
       let rng = Workloads.Prng.create (Core.Experiments.seed_of_name name) in
       let g = Workloads.Random_dfg.with_sizes rng g in
-      let loose = Workloads.Tables.mem_loose g tbl in
+      let loose = Oracle.Tables.mem_loose g tbl in
       let deadline = mid_deadline g loose in
       let r = synthesize name g loose ~deadline in
       let b = Sched.Binding.bind loose r.schedule in
@@ -295,7 +293,7 @@ let test_memory_oracle () =
             (Check.Memory.check g shrunk r.schedule b))
     (bench_instances ())
 
-(* --- Check.Cyclic vs the scheduler's own legality test -------------------- *)
+(* --- the cyclic oracle vs the scheduler's own simulation ------------------ *)
 
 let test_cyclic_differential () =
   List.iter
@@ -305,13 +303,15 @@ let test_cyclic_differential () =
       let len = max 1 (Sched.Schedule.length tbl r.schedule) in
       let min_p = Sched.Cyclic_schedule.min_period g tbl r.schedule in
       for period = max 1 (min_p - 2) to len do
-        let independent = Check.Violation.ok (Check.Cyclic.check g tbl r.schedule ~period) in
-        let solver = Sched.Cyclic_schedule.is_legal_period g tbl r.schedule ~period in
+        let sim =
+          Sched.Cyclic_schedule.simulate g tbl r.schedule ~period ~iterations:4
+        in
         (* min_period also folds in a resource bound; the edge-legality
-           oracle must agree with the solver's edge-legality test exactly *)
+           oracle must agree with the simulated dependences exactly *)
         Alcotest.(check bool)
-          (Printf.sprintf "%s period %d: Check.Cyclic == is_legal_period" name period)
-          solver independent
+          (Printf.sprintf "%s period %d: Oracle.Cyclic == simulate" name period)
+          sim.Sched.Cyclic_schedule.ok
+          (legal_period g tbl r.schedule ~period)
       done)
     (bench_instances ())
 
@@ -329,7 +329,7 @@ let test_rotation_validates () =
       | Some rot ->
           incr validated;
           check_ok (name ^ " rotation")
-            (Check.Cyclic.check_rotation g tbl rot ~config:r.config))
+            (Oracle.Cyclic.check_rotation g tbl rot ~config:r.config))
     (bench_instances ());
   Alcotest.(check bool) "rotation validated somewhere" true (!validated > 0)
 
@@ -418,7 +418,7 @@ let () =
             test_memory_oracle;
         ] );
       ( "cyclic",
-        [ quick "differential vs is_legal_period" test_cyclic_differential ] );
+        [ quick "differential vs simulate" test_cyclic_differential ] );
       ( "wiring",
         [
           quick "HETSCHED_VALIDATE parsing" test_env_parsing;

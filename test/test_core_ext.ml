@@ -162,9 +162,10 @@ let test_csv_round_trip () =
         parsed_rows
   | [] -> Alcotest.fail "no records parsed"
 
+(* One report's rows: one line per (deadline, algorithm) plus the header. *)
 let test_csv_of_report () =
   let report = List.hd (Core.Experiments.table2 ()) in
-  let csv = Core.Csv.of_report report in
+  let csv = Core.Csv.of_reports [ report ] in
   Alcotest.(check bool) "header" true
     (contains csv "deadline,algorithm,cost,reduction_vs_greedy,config");
   Alcotest.(check bool) "greedy rows" true (contains csv "Greedy");

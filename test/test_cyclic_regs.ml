@@ -18,13 +18,13 @@ let test_legal_period_basic () =
   let s = serial_schedule () in
   (* full length is always legal *)
   Alcotest.(check bool) "period 6" true
-    (Sched.Cyclic_schedule.is_legal_period g tbl s ~period:6);
+    (Helpers.legal_period g tbl s ~period:6);
   (* the delayed edge v2 -> v0 (d=2) needs finish v2 = 6 <= 0 + 2p,
      so p >= 3 *)
   Alcotest.(check bool) "period 3" true
-    (Sched.Cyclic_schedule.is_legal_period g tbl s ~period:3);
+    (Helpers.legal_period g tbl s ~period:3);
   Alcotest.(check bool) "period 2" false
-    (Sched.Cyclic_schedule.is_legal_period g tbl s ~period:2)
+    (Helpers.legal_period g tbl s ~period:2)
 
 let test_min_period () =
   let g = correlator () in
@@ -55,7 +55,7 @@ let test_simulation_agrees_with_legality () =
   let tbl = unit_table 3 in
   let s = serial_schedule () in
   for period = 1 to 7 do
-    let claimed = Sched.Cyclic_schedule.is_legal_period g tbl s ~period in
+    let claimed = Helpers.legal_period g tbl s ~period in
     let sim = Sched.Cyclic_schedule.simulate g tbl s ~period ~iterations:5 in
     Alcotest.(check bool)
       (Printf.sprintf "period %d: simulation is the oracle" period)

@@ -161,7 +161,7 @@ let pick rng a = a.(P.int rng (Array.length a))
 let rec random_value rng depth =
   match P.int rng (if depth > 3 then 5 else 7) with
   | 0 -> J.Null
-  | 1 -> J.Bool (P.bool rng)
+  | 1 -> J.Bool (P.int rng 2 = 0)
   | 2 -> J.Int (P.int_in rng (-1000) 1000)
   | 3 -> J.Float (P.float rng *. 1e6)
   | 4 -> J.String (pick rng [| "a"; "é\n\"q\""; ""; "\\"; "\x01z" |])
@@ -183,7 +183,7 @@ let random_text rng =
       in
       let opener = pick rng [| "["; "{\"a\":"; " [ " |] in
       let closer = if opener = "{\"a\":" then "}" else "]" in
-      let closes = if P.bool rng then depth else P.int rng (depth + 1) in
+      let closes = if P.int rng 2 = 0 then depth else P.int rng (depth + 1) in
       String.concat "" (List.init depth (fun _ -> opener))
       ^ pick rng [| "1"; "\"x\""; ""; "[]"; "{}" |]
       ^ String.concat "" (List.init closes (fun _ -> closer))
@@ -212,7 +212,7 @@ let mutate rng s =
       (* flip one byte *)
       let i = P.int rng len in
       let c =
-        if P.bool rng then Char.chr (P.int rng 256)
+        if P.int rng 2 = 0 then Char.chr (P.int rng 256)
         else "{}[],:\"\\0123456789-.etfn ".[P.int rng 25]
       in
       String.mapi (fun j x -> if j = i then c else x) s
@@ -267,7 +267,7 @@ let inline_line rng =
   done;
   let edge src dst =
     let delay = if P.int rng 5 = 0 then 1 + P.int rng 3 else 0 in
-    let size = if P.bool rng then P.int rng 30 else 0 in
+    let size = if P.int rng 2 = 0 then P.int rng 30 else 0 in
     match P.int rng 3 with
     | 0 when delay = 0 && size = 0 -> ints [| src; dst |]
     | 1 when size = 0 -> ints [| src; dst; delay |]
@@ -336,7 +336,7 @@ let inline_line rng =
         { p with mem = pick rng [| row 1 1; row k (-1); J.List [ junk () ]; junk () |] }
     | _ ->
         (* one row too few or too many, in both matrices *)
-        let fix l = if P.bool rng && n > 1 then List.tl l else row k 1 :: l in
+        let fix l = if P.int rng 2 = 0 && n > 1 then List.tl l else row k 1 :: l in
         { p with time = fix p.time; cost = fix p.cost }
   in
   let p =
@@ -351,10 +351,10 @@ let inline_line rng =
   in
   let p = match P.int rng 4 with 0 -> p | 1 -> fault p | _ -> fault (fault p) in
   let ladder () =
-    ints (Array.of_list (100 :: List.filter (fun _ -> P.bool rng) [ 80; 60; 40; 20 ]))
+    ints (Array.of_list (100 :: List.filter (fun _ -> P.int rng 2 = 0) [ 80; 60; 40; 20 ]))
   in
   let fields =
-    opt 80 ("id", if P.bool rng then J.String "x" else J.Int (P.int rng 99))
+    opt 80 ("id", if P.int rng 2 = 0 then J.String "x" else J.Int (P.int rng 99))
     @ opt 20 ("cmd", J.String (pick rng [| "solve"; "admit"; "release" |]))
     @ opt 30 ("period", J.Int (P.int_in rng 0 200))
     @ opt 10 ("task", J.String "t")
@@ -379,9 +379,9 @@ let inline_line rng =
       | _ -> [ ("deadline_factor", J.Float (0.5 +. P.float rng)) ])
     @ opt 40 ("algorithm", J.String (pick rng [| "repeat"; "greedy"; "tree"; "bogus" |]))
     @ opt 20 ("scheduler", J.String (pick rng [| "list"; "force"; "bogus" |]))
-    @ opt 20 ("validate", J.Bool (P.bool rng))
-    @ opt 20 ("rtl", J.Bool (P.bool rng))
-    @ opt 20 ("trace", J.Bool (P.bool rng))
+    @ opt 20 ("validate", J.Bool (P.int rng 2 = 0))
+    @ opt 20 ("rtl", J.Bool (P.int rng 2 = 0))
+    @ opt 20 ("trace", J.Bool (P.int rng 2 = 0))
     @ opt 20 ("budget_ms", J.Int (P.int rng 1000))
     @ opt 30
         ( "levels",

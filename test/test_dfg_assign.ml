@@ -108,7 +108,7 @@ let test_heuristics_near_optimal_small_dags () =
   for trial = 1 to 25 do
     let g = Workloads.Random_dfg.random_dag rng ~n:7 ~extra_edges:3 in
     let tbl =
-      Workloads.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:7
+      Oracle.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:7
         ~max_time:4 ~max_cost:9
     in
     let tmin = Assign.Assignment.min_makespan g tbl in

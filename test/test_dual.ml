@@ -55,12 +55,12 @@ let test_path_dp_matches_oracle () =
   for trial = 1 to 30 do
     let n = 1 + Workloads.Prng.int rng 6 in
     let tbl =
-      Workloads.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
+      Oracle.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
         ~max_time:5 ~max_cost:7
     in
     let g = path_graph n in
     let budget = Workloads.Prng.int rng 30 in
-    match (Assign.Dual.path_dp tbl ~budget, brute_force_dual g tbl ~budget) with
+    match (Oracle.Dual.path_dp tbl ~budget, brute_force_dual g tbl ~budget) with
     | Some (m, a), Some m' ->
         Alcotest.(check int) (Printf.sprintf "trial %d" trial) m' m;
         Alcotest.(check bool) "witness ok" true
@@ -94,11 +94,11 @@ let test_budget_below_minimum () =
   Alcotest.(check bool) "hopeless budget" true
     (Assign.Dual.for_tree g tbl ~budget:(min_cost - 1) = None);
   Alcotest.(check bool) "negative budget on path" true
-    (Assign.Dual.path_dp tbl ~budget:(-1) = None)
+    (Oracle.Dual.path_dp tbl ~budget:(-1) = None)
 
 let test_empty () =
   let tbl = table lib2 [] in
-  match Assign.Dual.path_dp tbl ~budget:0 with
+  match Oracle.Dual.path_dp tbl ~budget:0 with
   | Some (0, a) -> Alcotest.(check int) "empty" 0 (Array.length a)
   | _ -> Alcotest.fail "empty path: makespan 0 at cost 0"
 

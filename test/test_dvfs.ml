@@ -42,7 +42,7 @@ let test_scaling_laws () =
     (fun () -> ignore (Fulib.Dvfs.level 0));
   Alcotest.check_raises "ladder must start nominal"
     (Invalid_argument "Dvfs.ladder: level 0 must be the nominal 100%")
-    (fun () -> ignore (Fulib.Dvfs.ladder [ 75; 50 ]))
+    (fun () -> ignore (Fulib.Dvfs.of_freqs [ [ 75; 50 ] ]))
 
 let test_uniform_ladders () =
   let ls = Fulib.Dvfs.uniform ~levels:3 ~types:2 in

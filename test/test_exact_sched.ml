@@ -2,6 +2,9 @@
 
 open Helpers
 
+let feasible ?budget g tbl a ~config ~deadline =
+  Sched.Exact_schedule.schedule ?budget g tbl a ~config ~deadline <> None
+
 let unit_table n = table lib2 (List.init n (fun _ -> ([ 1; 1 ], [ 1; 1 ])))
 
 let test_feasibility_basics () =
@@ -10,13 +13,13 @@ let test_feasibility_basics () =
   let tbl = unit_table 4 in
   let a = Array.make 4 0 in
   Alcotest.(check bool) "2 FUs, T=2" true
-    (Sched.Exact_schedule.feasible g tbl a ~config:[| 2; 0 |] ~deadline:2);
+    (feasible g tbl a ~config:[| 2; 0 |] ~deadline:2);
   Alcotest.(check bool) "1 FU, T=2" false
-    (Sched.Exact_schedule.feasible g tbl a ~config:[| 1; 0 |] ~deadline:2);
+    (feasible g tbl a ~config:[| 1; 0 |] ~deadline:2);
   Alcotest.(check bool) "1 FU, T=4" true
-    (Sched.Exact_schedule.feasible g tbl a ~config:[| 1; 0 |] ~deadline:4);
+    (feasible g tbl a ~config:[| 1; 0 |] ~deadline:4);
   Alcotest.(check bool) "zero instances of a used type" false
-    (Sched.Exact_schedule.feasible g tbl a ~config:[| 0; 9 |] ~deadline:9)
+    (feasible g tbl a ~config:[| 0; 9 |] ~deadline:9)
 
 let test_witness_is_valid () =
   let g = diamond () in
@@ -51,7 +54,7 @@ let test_exact_beats_list_scheduling_sometimes () =
         Alcotest.(check bool)
           (Printf.sprintf "trial %d: exact accepts the list config" trial)
           true
-          (Sched.Exact_schedule.feasible g tbl a ~config ~deadline)
+          (feasible g tbl a ~config ~deadline)
   done
 
 let test_budget () =
@@ -63,7 +66,7 @@ let test_budget () =
   Alcotest.check_raises "budget" Sched.Exact_schedule.Budget_exhausted
     (fun () ->
       ignore
-        (Sched.Exact_schedule.feasible ~budget:3 g tbl a ~config:[| 1; 1 |]
+        (feasible ~budget:3 g tbl a ~config:[| 1; 1 |]
            ~deadline))
 
 let brute_force_min_total g tbl a ~deadline =
@@ -73,7 +76,7 @@ let brute_force_min_total g tbl a ~deadline =
   let best = ref None in
   let rec enumerate t c =
     if t = k then begin
-      if Sched.Exact_schedule.feasible g tbl a ~config:c ~deadline then
+      if feasible g tbl a ~config:c ~deadline then
         let total = Sched.Config.total c in
         match !best with
         | Some b when b <= total -> ()

@@ -79,7 +79,7 @@ let test_tree_size_equals_path_to_node_counts () =
           | ps -> List.fold_left (fun acc p -> acc + counts.(p)) 0 ps
         in
         counts.(v) <- c)
-      (Dfg.Topo.sort g);
+      (Array.to_list (Dfg.Graph.topo_arr g));
     Array.fold_left ( + ) 0 counts
   in
   Alcotest.(check int) "tree size" expected (size t)
@@ -139,7 +139,7 @@ let random_graph rng =
     | _ -> Oracle.Transpose.transpose (tree ())
   in
   let perm = Array.init n Fun.id in
-  if P.bool rng then
+  if P.int rng 2 = 0 then
     for i = n - 1 downto 1 do
       let j = P.int rng (i + 1) in
       let t = perm.(i) in
@@ -158,7 +158,7 @@ let random_graph rng =
       (Dfg.Graph.edges base)
   in
   let delayed =
-    if P.bool rng then []
+    if P.int rng 2 = 0 then []
     else
       List.init (P.int rng 4) (fun _ ->
           {

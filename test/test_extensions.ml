@@ -89,7 +89,7 @@ let test_beam_sound_on_small_instances () =
     let n = 2 + Workloads.Prng.int rng 6 in
     let g = Workloads.Random_dfg.random_dag rng ~n ~extra_edges:2 in
     let tbl =
-      Workloads.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
+      Oracle.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
         ~max_time:4 ~max_cost:9
     in
     let deadline = Assign.Assignment.min_makespan g tbl + Workloads.Prng.int rng 6 in

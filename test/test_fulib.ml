@@ -35,8 +35,7 @@ let test_accessor_bounds () =
   oob "cost, node = n" (fun () -> Fulib.Table.cost t ~node:3 ~ftype:0);
   oob "time, type < 0" (fun () -> Fulib.Table.time t ~node:1 ~ftype:(-1));
   oob "cost, node < 0" (fun () -> Fulib.Table.cost t ~node:(-1) ~ftype:2);
-  oob "pin, type = k" (fun () -> Fulib.Table.pin t ~node:0 ~ftype:3);
-  oob "project, origin = n" (fun () -> Fulib.Table.project t ~origin:[| 0; 3 |]);
+  oob "project, origin = n" (fun () -> Oracle.Tables.project t ~origin:[| 0; 3 |]);
   Alcotest.(check int) "last cell still reads" 3
     (Fulib.Table.cost t ~node:2 ~ftype:2)
 
@@ -76,20 +75,9 @@ let test_make_copies_input () =
   Alcotest.(check int) "table unaffected by later mutation" 1
     (Fulib.Table.time t ~node:0 ~ftype:0)
 
-let test_pin () =
-  let t = sample () in
-  let p = Fulib.Table.pin t ~node:0 ~ftype:2 in
-  for ftype = 0 to 2 do
-    Alcotest.(check int) "pinned time" 4 (Fulib.Table.time p ~node:0 ~ftype);
-    Alcotest.(check int) "pinned cost" 2 (Fulib.Table.cost p ~node:0 ~ftype)
-  done;
-  (* other nodes untouched; original table untouched *)
-  Alcotest.(check int) "other row" 3 (Fulib.Table.time p ~node:2 ~ftype:0);
-  Alcotest.(check int) "original intact" 1 (Fulib.Table.time t ~node:0 ~ftype:0)
-
 let test_project () =
   let t = sample () in
-  let p = Fulib.Table.project t ~origin:[| 2; 0; 0 |] in
+  let p = Oracle.Tables.project t ~origin:[| 2; 0; 0 |] in
   Alcotest.(check int) "3 projected nodes" 3 (Fulib.Table.num_nodes p);
   Alcotest.(check int) "row of v2" 3 (Fulib.Table.time p ~node:0 ~ftype:0);
   Alcotest.(check int) "row of v0 twice" 9 (Fulib.Table.cost p ~node:1 ~ftype:0);
@@ -114,7 +102,6 @@ let () =
           quick "min time/cost" test_min_time_and_cost;
           quick "validation" test_validation;
           quick "defensive copies" test_make_copies_input;
-          quick "pin" test_pin;
           quick "project" test_project;
           quick "pp" test_pp_smoke;
         ] );

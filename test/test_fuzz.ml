@@ -84,7 +84,7 @@ let table_constructor_total =
         Array.init rows (fun _ ->
             Array.init cols (fun _ -> Workloads.Prng.int rng 8 - 2))
       in
-      let time = cells n (if Workloads.Prng.bool rng then k else k + 1) in
+      let time = cells n (if Workloads.Prng.int rng 2 = 0 then k else k + 1) in
       let cost = cells n k in
       match Fulib.Table.make ~library:lib ~time ~cost with
       | _ -> true

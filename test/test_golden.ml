@@ -97,10 +97,7 @@ let solve_item ({ id; request } : Serve.Jsonl.item) =
   Serve.Jsonl.response_to_string ~id (Core.Synthesis.solve request)
 
 let solve_text ~line text =
-  match
-    Serve.Jsonl.request_of_string ~lookup:Workloads.Catalogue.lookup ~line
-      text
-  with
+  match Helpers.solve_line ~lookup:Workloads.Catalogue.lookup ~line text with
   | Ok item -> solve_item item
   | Error e -> Alcotest.failf "solve grid line %d: %s" line e
 
@@ -177,10 +174,9 @@ let random_dag_lines () =
 (* Validation is pinned off (lines that ask for it still get it): a forced
    audit under HETSCHED_VALIDATE adds its own stats to every response. *)
 let solve_grid () =
-  let prev = Check.Env.get_override () in
   Check.Env.set_override (Some false);
   Fun.protect
-    ~finally:(fun () -> Check.Env.set_override prev)
+    ~finally:(fun () -> Check.Env.set_override None)
     (fun () ->
       let lines =
         List.mapi

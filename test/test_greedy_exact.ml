@@ -28,7 +28,7 @@ let test_exact_random_instances () =
     let n = 2 + Workloads.Prng.int rng 5 in
     let g = Workloads.Random_dfg.random_dag rng ~n ~extra_edges:2 in
     let tbl =
-      Workloads.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
+      Oracle.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
         ~max_time:4 ~max_cost:8
     in
     let deadline = Workloads.Prng.int rng 14 in
@@ -43,17 +43,19 @@ let test_exact_budget () =
   let rng = Workloads.Prng.create 1 in
   let g = Workloads.Random_dfg.random_dag rng ~n:12 ~extra_edges:4 in
   let tbl =
-    Workloads.Tables.random_arbitrary rng ~library:lib3 ~num_nodes:12
+    Oracle.Tables.random_arbitrary rng ~library:lib3 ~num_nodes:12
       ~max_time:3 ~max_cost:9
   in
   let deadline = Assign.Assignment.min_makespan g tbl + 10 in
   Alcotest.check_raises "budget" Assign.Exact.Budget_exhausted (fun () ->
       ignore (Assign.Exact.solve ~budget:5 g tbl ~deadline))
 
+let with_cost tbl = Option.map (fun a -> (a, Assign.Assignment.total_cost tbl a))
+
 let test_greedy_feasible_and_improves_on_fastest () =
   let g, tbl = sample_graph_table () in
   for deadline = 3 to 14 do
-    match Assign.Greedy.solve_with_cost g tbl ~deadline with
+    match with_cost tbl (Assign.Greedy.solve g tbl ~deadline) with
     | None ->
         Alcotest.(check bool)
           "greedy infeasible only below tmin" true
@@ -68,7 +70,7 @@ let test_greedy_feasible_and_improves_on_fastest () =
 
 let test_greedy_loose_deadline_all_cheapest () =
   let g, tbl = sample_graph_table () in
-  match Assign.Greedy.solve_with_cost g tbl ~deadline:1000 with
+  match with_cost tbl (Assign.Greedy.solve g tbl ~deadline:1000) with
   | None -> Alcotest.fail "feasible"
   | Some (_, c) ->
       let cheapest =
@@ -91,8 +93,8 @@ let test_iterative_variant_sound () =
       Assign.Assignment.total_cost tbl (Assign.Assignment.all_fastest tbl)
     in
     match
-      ( Assign.Greedy.solve_with_cost g tbl ~deadline,
-        Assign.Greedy.solve_iterative_with_cost g tbl ~deadline )
+      ( with_cost tbl (Assign.Greedy.solve g tbl ~deadline),
+        with_cost tbl (Assign.Greedy.solve_iterative g tbl ~deadline) )
     with
     | Some (a1, c1), Some (a2, c2) ->
         check_feasible g tbl ~deadline (Some a1);
@@ -112,7 +114,8 @@ let test_greedy_never_beats_exact () =
     let tmin = Assign.Assignment.min_makespan g tbl in
     let deadline = tmin + Workloads.Prng.int rng 5 in
     match
-      (Assign.Greedy.solve_with_cost g tbl ~deadline, Assign.Exact.solve g tbl ~deadline)
+      ( with_cost tbl (Assign.Greedy.solve g tbl ~deadline),
+        Assign.Exact.solve g tbl ~deadline )
     with
     | Some (_, gc), Some (_, oc) ->
         if gc < oc then

@@ -23,7 +23,7 @@ let instance ?(max_nodes = 12) ?(types = 3) ?(tree = false) seed =
     Fulib.Library.make (Array.init types (fun i -> Printf.sprintf "T%d" i))
   in
   let tbl =
-    Workloads.Tables.random_arbitrary rng ~library:lib ~num_nodes:n ~max_time:4
+    Oracle.Tables.random_arbitrary rng ~library:lib ~num_nodes:n ~max_time:4
       ~max_cost:9
   in
   let tmin = Assign.Assignment.min_makespan g tbl in
@@ -55,17 +55,18 @@ let csr_matches_lists =
           && Dfg.Graph.dag_in_degree g v = List.length (Dfg.Graph.dag_preds g v)
       done;
       !ok
-      && Array.to_list (Dfg.Graph.topo_arr g) = Dfg.Topo.sort g
-      && (* post order: every zero-delay successor before its node *)
+      && (* reversed: every zero-delay successor before its node *)
       (let pos = Array.make n 0 in
-       List.iteri (fun i v -> pos.(v) <- i) (Dfg.Topo.post_order g);
+       List.iteri (fun i v -> pos.(v) <- i)
+         (List.rev (Array.to_list (Dfg.Graph.topo_arr g)));
        List.for_all
          (fun v ->
            Dfg.Graph.fold_dag_succs g v ~init:true ~f:(fun ok w ->
                ok && pos.(w) < pos.(v)))
          (List.init n Fun.id))
       && Array.to_list (Dfg.Graph.roots_arr g) = Dfg.Graph.roots g
-      && Array.to_list (Dfg.Graph.leaves_arr g) = Dfg.Graph.leaves g)
+      && Array.to_list (Dfg.Graph.leaves_arr g)
+         = List.filter (fun v -> Dfg.Graph.dag_succs g v = []) (List.init n Fun.id))
 
 (* The flat views of a table against rows rebuilt through [make]: the
    same times, costs and per-node minimum rows (first minimum on ties). *)
@@ -119,31 +120,6 @@ let flat_table_matches =
       done;
       let library = Fulib.Table.library tbl in
       let rng = Workloads.Prng.create (seed + 1) in
-      (* pin: the node's row collapses to the pinned type's cell *)
-      let node = Workloads.Prng.int rng n and ftype = Workloads.Prng.int rng k in
-      let pinned_rows rows =
-        Array.mapi
-          (fun v row -> if v = node then Array.make k row.(ftype) else row)
-          rows
-      in
-      let pin_ok =
-        same_flat
-          (Fulib.Table.pin tbl ~node ~ftype)
-          (Fulib.Table.make ~library ~time:(pinned_rows time)
-             ~cost:(pinned_rows cost))
-      in
-      (* project: tree node i takes original node origin.(i)'s row *)
-      let origin =
-        Array.init (Workloads.Prng.int rng (2 * n)) (fun _ ->
-            Workloads.Prng.int rng n)
-      in
-      let project_ok =
-        same_flat
-          (Fulib.Table.project tbl ~origin)
-          (Fulib.Table.make ~library
-             ~time:(Array.map (fun v -> time.(v)) origin)
-             ~cost:(Array.map (fun v -> cost.(v)) origin))
-      in
       (* with_mem_capacity: new capacities, the same rows *)
       let caps = Array.init k (fun _ -> Workloads.Prng.int rng 50) in
       let capped = Fulib.Table.with_mem_capacity tbl caps in
@@ -154,7 +130,7 @@ let flat_table_matches =
              ~time ~cost)
         && Fulib.Table.mem_capacities capped = caps
       in
-      !ok && pin_ok && project_ok && mem_ok)
+      !ok && mem_ok)
 
 (* --- Flat kernels vs references --------------------------------------- *)
 
@@ -165,9 +141,9 @@ let tree_flat_equals_reference =
         (Assign.Tree_assign.solve_with_cost g tbl ~deadline)
         (Oracle.Tree_assign.solve_with_cost_reference g tbl ~deadline))
 
-(* Path_Assign runs on the tree kernel over the reversed chain; it must
-   match the prefix DP it replaced in assignment, cost and final DP row,
-   with 1-4 types, 1-40 nodes, and deadlines from -3 up (negative and zero
+(* Path_Assign is Tree_Assign on the reversed chain; it must match the
+   prefix DP in assignment, cost and final DP row (the chain root's), with
+   1-4 types, 1-40 nodes, and deadlines from -3 up (negative and zero
    included). *)
 let path_flat_equals_reference =
   of_seed (fun seed ->
@@ -176,7 +152,7 @@ let path_flat_equals_reference =
       let k = 1 + Workloads.Prng.int rng 4 in
       let lib = Fulib.Library.make (Array.init k (Printf.sprintf "T%d")) in
       let tbl =
-        Workloads.Tables.random_arbitrary rng ~library:lib ~num_nodes:n
+        Oracle.Tables.random_arbitrary rng ~library:lib ~num_nodes:n
           ~max_time:4 ~max_cost:9
       in
       let deadline = Workloads.Prng.int rng (3 * n) - 3 in
@@ -186,10 +162,13 @@ let path_flat_equals_reference =
         in
         rows.(n - 1)
       in
+      let chain = Oracle.Path_assign.chain tbl in
       same_opt
-        (Assign.Path_assign.solve_with_cost tbl ~deadline)
+        (Assign.Tree_assign.solve_with_cost chain tbl ~deadline)
         (Oracle.Path_assign.solve_with_cost_reference tbl ~deadline)
-      && Assign.Path_assign.cost_profile tbl ~deadline = oracle_row)
+      && Assign.Tree_assign.dp_row chain tbl ~deadline:(max deadline 0)
+           ~node:(n - 1)
+         = oracle_row)
 
 let repeat_incremental_equals_reference =
   of_seed (fun seed ->
@@ -321,7 +300,7 @@ let windows_match_fresh =
       let times = Array.init (n * k) (fun _ -> Workloads.Prng.int_in rng 2 6) in
       let costs = Array.init (n * k) (fun _ -> Workloads.Prng.int rng 10) in
       let forbid0 =
-        if Workloads.Prng.bool rng then Array.make (n * k) false
+        if Workloads.Prng.int rng 2 = 0 then Array.make (n * k) false
         else Array.init (n * k) (fun _ -> Workloads.Prng.int rng 4 = 0)
       in
       let created = Array.init n (least_time times forbid0 k) in

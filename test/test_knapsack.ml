@@ -89,8 +89,9 @@ let test_reduction_agrees_with_dp () =
 let test_reduction_optimal_subset_maps_back () =
   let its = items [ (60, 10); (100, 20); (120, 30) ] in
   let inst = Oracle.Np_reduction.of_knapsack ~items:its ~capacity:50 in
+  let table = inst.Oracle.Np_reduction.table in
   match
-    Assign.Path_assign.solve inst.Oracle.Np_reduction.table
+    Assign.Tree_assign.solve (Oracle.Path_assign.chain table) table
       ~deadline:inst.Oracle.Np_reduction.deadline
   with
   | None -> Alcotest.fail "reduction instance must be feasible"

@@ -139,7 +139,7 @@ let unbounded_equals_loose =
     QCheck.(pair (int_range 0 1000) (int_range 4 10))
     (fun (seed, n) ->
       let g, tbl = sized_instance seed ~n in
-      let loose = Workloads.Tables.mem_loose g tbl in
+      let loose = Oracle.Tables.mem_loose g tbl in
       let tmin = Core.Synthesis.min_deadline g tbl in
       let deadline = tmin + (tmin / 3) in
       List.for_all
@@ -151,7 +151,7 @@ let unbounded_equals_loose =
 
 let test_loose_across_domains () =
   let g, tbl = sized_instance 77 ~n:24 in
-  let loose = Workloads.Tables.mem_loose g tbl in
+  let loose = Oracle.Tables.mem_loose g tbl in
   let tmin = Core.Synthesis.min_deadline g tbl in
   let deadline = tmin + (tmin / 4) in
   let runs =
@@ -313,7 +313,7 @@ let test_greedy_flips_exact_survives () =
 
 let test_peak_memory_bounded_by_loads () =
   let g, tbl = sized_instance 5 ~n:20 in
-  let loose = Workloads.Tables.mem_loose g tbl in
+  let loose = Oracle.Tables.mem_loose g tbl in
   let tmin = Core.Synthesis.min_deadline g loose in
   let resp =
     Core.Synthesis.solve
@@ -349,12 +349,12 @@ let test_jsonl_infeasible_memory () =
   let line =
     {|{"id": "mem-1", "graph": {"nodes": [{"name": "a"}, {"name": "b"}], "edges": [[0, 1, 0, 10]]}, "table": {"types": ["P1", "P2"], "time": [[1, 2], [1, 2]], "cost": [[2, 1], [2, 1]], "mem_capacity": [5, 5]}, "deadline": 9, "algorithm": "greedy"}|}
   in
-  match Serve.Jsonl.request_of_string ~line:1 line with
+  match Helpers.solve_line ~line:1 line with
   | Error msg -> Alcotest.failf "parse failed: %s" msg
   | Ok item ->
       let resp = Core.Synthesis.solve item.Serve.Jsonl.request in
       let out =
-        Obs.Json.parse_exn
+        Helpers.json
           (Serve.Jsonl.response_to_string ~id:item.Serve.Jsonl.id resp)
       in
       Alcotest.(check (option string))

@@ -111,10 +111,10 @@ let test_all_algorithms_run_on_diamond () =
               (Assign.Assignment.is_feasible g tbl r.Core.Synthesis.assignment
                  ~deadline)
         | None -> Alcotest.failf "%s failed" (Core.Synthesis.algorithm_name algo))
-    Core.Synthesis.all_algorithms
+    Assign.Solve.all
 
 let test_algorithm_names_unique () =
-  let names = List.map Core.Synthesis.algorithm_name Core.Synthesis.all_algorithms in
+  let names = List.map Core.Synthesis.algorithm_name Assign.Solve.all in
   Alcotest.(check int) "unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 

@@ -58,10 +58,10 @@ let test_pipelined_peak_usage_and_binding () =
   let b = Sched.Binding.bind ~pipelined:mul3 tbl s in
   Alcotest.(check (array int)) "one instance" [| 1; 0 |] b.Sched.Binding.config;
   Alcotest.(check bool) "valid under pipelined rules" true
-    (Sched.Binding.is_valid ~pipelined:mul3 tbl s b);
+    (Oracle.Binding.is_valid ~pipelined:mul3 tbl s b);
   (* the same binding is a conflict under non-pipelined rules *)
   Alcotest.(check bool) "conflict without pipelining" false
-    (Sched.Binding.is_valid ~pipelined:none tbl s b)
+    (Oracle.Binding.is_valid ~pipelined:none tbl s b)
 
 let test_pipelined_dependent_ops_unaffected () =
   (* dependencies still serialise through full latency, pipelined or not *)

@@ -21,7 +21,7 @@ let instance ?(max_nodes = 8) ?(types = 2) ?(tree = false) seed =
     Fulib.Library.make (Array.init types (fun i -> Printf.sprintf "T%d" i))
   in
   let tbl =
-    Workloads.Tables.random_arbitrary rng ~library:lib ~num_nodes:n ~max_time:4
+    Oracle.Tables.random_arbitrary rng ~library:lib ~num_nodes:n ~max_time:4
       ~max_cost:9
   in
   let tmin = Assign.Assignment.min_makespan g tbl in
@@ -48,13 +48,14 @@ let path_assign_optimal =
       let n = 1 + Workloads.Prng.int rng 7 in
       let lib = Helpers.lib2 in
       let tbl =
-        Workloads.Tables.random_arbitrary rng ~library:lib ~num_nodes:n
+        Oracle.Tables.random_arbitrary rng ~library:lib ~num_nodes:n
           ~max_time:4 ~max_cost:9
       in
       let g = Helpers.path_graph n in
       let deadline = Workloads.Prng.int rng 30 in
       match
-        ( Assign.Path_assign.solve_with_cost tbl ~deadline,
+        ( Assign.Tree_assign.solve_with_cost (Oracle.Path_assign.chain tbl) tbl
+            ~deadline,
           Helpers.brute_force g tbl ~deadline )
       with
       | Some (a, c), Some (_, opt) ->

@@ -31,7 +31,7 @@ let binding_valid =
       let g, tbl, s, config, _ = scheduled_instance seed in
       ignore g;
       let b = Sched.Binding.bind tbl s in
-      Sched.Binding.is_valid tbl s b
+      Oracle.Binding.is_valid tbl s b
       && Sched.Config.dominates config b.Sched.Binding.config
       && b.Sched.Binding.config = Sched.Schedule.peak_usage tbl s)
 
@@ -51,9 +51,9 @@ let min_period_tight =
   of_seed (fun seed ->
       let g, tbl, s, _, _ = scheduled_instance seed in
       let p = Sched.Cyclic_schedule.min_period g tbl s in
-      let legal_at_p = Sched.Cyclic_schedule.is_legal_period g tbl s ~period:p in
+      let legal_at_p = Helpers.legal_period g tbl s ~period:p in
       (* one step below must break a dependence or the resource bound; the
-         dependence part is what is_legal_period checks *)
+         dependence part is what the cyclic oracle checks *)
       let sim =
         Sched.Cyclic_schedule.simulate g tbl s ~period:p ~iterations:4
       in
@@ -113,7 +113,7 @@ let simulation_is_legality_oracle =
       | Some { Sched.Min_resource.schedule; _ } ->
           let period = 1 + Workloads.Prng.int rng (deadline + 2) in
           let claimed =
-            Sched.Cyclic_schedule.is_legal_period g tbl schedule ~period
+            Helpers.legal_period g tbl schedule ~period
           in
           let sim =
             Sched.Cyclic_schedule.simulate g tbl schedule ~period ~iterations:5
@@ -184,7 +184,8 @@ let exact_schedule_consistent_with_list =
       ignore s;
       (* whatever list scheduling achieved, exact search must confirm *)
       let a = Assign.Assignment.all_fastest tbl in
-      Sched.Exact_schedule.feasible ~budget:500_000 g tbl a ~config ~deadline)
+      Sched.Exact_schedule.schedule ~budget:500_000 g tbl a ~config ~deadline
+      <> None)
 
 let dual_binary_search_consistent =
   of_seed (fun seed ->
@@ -192,7 +193,7 @@ let dual_binary_search_consistent =
       let n = 1 + Workloads.Prng.int rng 7 in
       let g = Workloads.Random_dfg.random_tree rng ~n ~max_children:3 in
       let tbl =
-        Workloads.Tables.random_arbitrary rng ~library:Helpers.lib2 ~num_nodes:n
+        Oracle.Tables.random_arbitrary rng ~library:Helpers.lib2 ~num_nodes:n
           ~max_time:4 ~max_cost:8
       in
       let budget = Workloads.Prng.int rng 40 in

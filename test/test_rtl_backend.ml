@@ -228,7 +228,7 @@ let emitters_match_oracle =
                 Oracle.Sv.emit_testbench nl g ~iterations ~input:stimulus
               in
               if
-                Rtl.Sv.emit_testbench nl g ~iterations ~input:stimulus
+                Rtl.Sv.testbench Rtl.Sv.text nl g ~iterations ~input:stimulus
                 <> want_tb
               then fail (Printf.sprintf "emit_testbench (%d)" iterations);
               let resp =
@@ -259,7 +259,7 @@ let test_integer_digits () =
       Alcotest.(check string)
         (Printf.sprintf "bench at width %d" width)
         (Oracle.Sv.emit_testbench nl g ~iterations:7 ~input)
-        (Rtl.Sv.emit_testbench nl g ~iterations:7 ~input))
+        (Rtl.Sv.testbench Rtl.Sv.text nl g ~iterations:7 ~input))
     [ 62; 63 ]
 
 (* --- the digest summary -------------------------------------------------- *)

@@ -172,8 +172,9 @@ let test_flow_compile_file () =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Out_channel.with_open_text path (fun oc -> output_string oc src);
-          match Flow.compile_file ~outdir:dir path with
-          | None -> Alcotest.fail "compile_file failed"
+          let g, table = Netlist.load ~path in
+          match Flow.compile g (Option.get table) ~outdir:dir with
+          | None -> Alcotest.fail "compile failed"
           | Some s ->
               Alcotest.(check bool) "makespan within deadline" true
                 (s.Flow.makespan > 0)))

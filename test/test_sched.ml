@@ -35,11 +35,14 @@ let test_alap_infeasible () =
   Alcotest.(check bool) "deadline too small" true
     (Sched.Asap_alap.alap g tbl a ~deadline:3 = None)
 
+(* The frames' slack, [alap - asap] per node. *)
 let test_slack () =
   let g, tbl = diamond_setup () in
   let a = [| 0; 0; 0; 0 |] in
-  match Sched.Asap_alap.slack g tbl a ~deadline:6 with
-  | Some s -> Alcotest.(check (array int)) "uniform slack 2" [| 2; 2; 2; 2 |] s
+  match Sched.Asap_alap.frames g tbl a ~deadline:6 with
+  | Some (early, late) ->
+      Alcotest.(check (array int)) "uniform slack 2" [| 2; 2; 2; 2 |]
+        (Array.map2 (fun e l -> l - e) early late)
   | None -> Alcotest.fail "feasible"
 
 let test_schedule_validation () =

@@ -20,7 +20,7 @@ let test_binding_diamond () =
   ignore g;
   let s = { Sched.Schedule.start = [| 0; 1; 1; 3 |]; assignment = [| 0; 0; 0; 0 |] } in
   let b = Sched.Binding.bind tbl s in
-  Alcotest.(check bool) "valid" true (Sched.Binding.is_valid tbl s b);
+  Alcotest.(check bool) "valid" true (Oracle.Binding.is_valid tbl s b);
   Alcotest.(check (array int)) "instances = peak usage"
     (Sched.Schedule.peak_usage tbl s)
     b.Sched.Binding.config;
@@ -35,7 +35,7 @@ let test_binding_is_valid_detects_conflict () =
   let s = { Sched.Schedule.start = [| 0; 1; 1; 3 |]; assignment = [| 0; 0; 0; 0 |] } in
   let bogus = { Sched.Binding.instance = [| 0; 0; 0; 0 |]; config = [| 1; 0 |] } in
   Alcotest.(check bool) "conflict detected" false
-    (Sched.Binding.is_valid tbl s bogus)
+    (Oracle.Binding.is_valid tbl s bogus)
 
 let test_binding_matches_min_resource_on_benchmarks () =
   List.iter
@@ -51,7 +51,7 @@ let test_binding_matches_min_resource_on_benchmarks () =
           | Some { Sched.Min_resource.schedule; config; _ } ->
               let b = Sched.Binding.bind tbl schedule in
               Alcotest.(check bool) (name ^ ": binding valid") true
-                (Sched.Binding.is_valid tbl schedule b);
+                (Oracle.Binding.is_valid tbl schedule b);
               Alcotest.(check (array int))
                 (name ^ ": binding config = schedule config")
                 config b.Sched.Binding.config))

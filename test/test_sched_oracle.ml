@@ -22,7 +22,7 @@ let instance seed =
       ~extra_edges:(Workloads.Prng.int r ((n / 3) + 1))
   in
   let tbl =
-    if Workloads.Prng.bool r then
+    if Workloads.Prng.int r 2 = 0 then
       Workloads.Tables.random_tradeoff r ~library:Fulib.Library.standard3
         ~num_nodes:n
     else
@@ -30,17 +30,17 @@ let instance seed =
       let lib =
         Fulib.Library.make (Array.init k (fun i -> Printf.sprintf "T%d" i))
       in
-      Workloads.Tables.random_arbitrary r ~library:lib ~num_nodes:n
+      Oracle.Tables.random_arbitrary r ~library:lib ~num_nodes:n
         ~max_time:(Workloads.Prng.int_in r 1 6) ~max_cost:20
   in
   let factor = 1.0 +. Workloads.Prng.float r in
   let tmin = Core.Synthesis.min_deadline g tbl in
   let deadline = max tmin (int_of_float (factor *. float_of_int tmin)) in
   let pipelined =
-    if Workloads.Prng.bool r then None
+    if Workloads.Prng.int r 2 = 0 then None
     else
       let on =
-        Array.init (Fulib.Table.num_types tbl) (fun _ -> Workloads.Prng.bool r)
+        Array.init (Fulib.Table.num_types tbl) (fun _ -> Workloads.Prng.int r 2 = 0)
       in
       Some (Array.get on)
   in

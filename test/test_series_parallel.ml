@@ -1,5 +1,5 @@
 open Helpers
-module Sp = Assign.Series_parallel
+module Sp = Oracle.Series_parallel
 
 let test_recognises_structures () =
   Alcotest.(check bool) "empty" true (Sp.is_series_parallel (graph 0 []));
@@ -56,7 +56,7 @@ let test_agrees_with_tree_assign_on_trees () =
     let n = 1 + Workloads.Prng.int rng 10 in
     let g = Workloads.Random_dfg.random_tree rng ~n ~max_children:3 in
     let tbl =
-      Workloads.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
+      Oracle.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
         ~max_time:4 ~max_cost:9
     in
     let deadline = Assign.Assignment.min_makespan g tbl + Workloads.Prng.int rng 6 in
@@ -93,7 +93,7 @@ let rec random_expr rng nodes =
       in
       let left, right = split k [] nodes in
       let l = random_expr rng left and r = random_expr rng right in
-      if Workloads.Prng.bool rng then Sp.Series [ l; r ] else Sp.Parallel [ l; r ]
+      if Workloads.Prng.int rng 2 = 0 then Sp.Series [ l; r ] else Sp.Parallel [ l; r ]
 
 (* like [random_expr] but every series composition of two composite parts
    goes through a single-node junction, keeping the realisation inside the
@@ -112,7 +112,7 @@ let rec random_expr_junction rng nodes =
       let left, right = split k [] rest in
       let l = random_expr_junction rng left
       and r = random_expr_junction rng right in
-      if Workloads.Prng.bool rng || right = [] then
+      if Workloads.Prng.int rng 2 = 0 || right = [] then
         Sp.Parallel [ Sp.Series [ l; Sp.Node junction ]; r ]
       else Sp.Series [ l; Sp.Node junction; r ]
 
@@ -127,7 +127,7 @@ let test_random_sp_roundtrip () =
       (Printf.sprintf "trial %d: realisation is SP" trial)
       true (Sp.is_series_parallel g);
     let tbl =
-      Workloads.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
+      Oracle.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
         ~max_time:3 ~max_cost:8
     in
     let deadline = Workloads.Prng.int rng 15 in
@@ -148,7 +148,7 @@ let test_expr_dp_exact_on_any_realisation () =
     let names = Array.init n (fun i -> Printf.sprintf "v%d" i) in
     let g = Sp.to_graph ~names expr in
     let tbl =
-      Workloads.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
+      Oracle.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:n
         ~max_time:3 ~max_cost:8
     in
     let deadline = Workloads.Prng.int rng 15 in
@@ -159,6 +159,50 @@ let test_expr_dp_exact_on_any_realisation () =
     | None, None -> ()
     | _ -> Alcotest.failf "trial %d: expr feasibility mismatch" trial
   done
+
+(* The SP DP is optimal, so on a recognisable SP graph it bounds every
+   wire algorithm from below: each one that returns an assignment must
+   return a feasible one costing at least the SP optimum (Tree only where
+   it applies), and Exact must find exactly it. Random tables over 2 or 3
+   types; deadlines from the minimum makespan up to twice it. *)
+let sp_optimum_bounds_every_algorithm =
+  QCheck.Test.make ~count:150 ~name:"SP optimum bounds every algorithm"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Workloads.Prng.create seed in
+      let n = 2 + Workloads.Prng.int rng 9 in
+      let expr = random_expr_junction rng (List.init n Fun.id) in
+      let g = Sp.to_graph ~names:(Array.init n (Printf.sprintf "v%d")) expr in
+      let library = if Workloads.Prng.int rng 2 = 0 then lib2 else lib3 in
+      let tbl =
+        Oracle.Tables.random_arbitrary rng ~library ~num_nodes:n ~max_time:4
+          ~max_cost:9
+      in
+      let tmin = Assign.Assignment.min_makespan g tbl in
+      let deadline = tmin + Workloads.Prng.int rng (tmin + 1) in
+      let opt =
+        match Sp.solve g tbl ~deadline with
+        | Some (_, c) -> c
+        | None -> QCheck.Test.fail_reportf "SP infeasible at T = %d" deadline
+      in
+      List.for_all
+        (fun algo ->
+          let name = Assign.Solve.name algo in
+          Result.is_error (Assign.Solve.applicable algo g)
+          ||
+          match Assign.Solve.dispatch algo g tbl ~deadline with
+          | None when algo = Assign.Solve.Exact ->
+              QCheck.Test.fail_reportf "Exact infeasible at T = %d" deadline
+          | None -> true
+          | Some a ->
+              let c = Assign.Assignment.total_cost tbl a in
+              if not (Assign.Assignment.is_feasible g tbl a ~deadline) then
+                QCheck.Test.fail_reportf "%s misses T = %d" name deadline;
+              if c < opt || (algo = Assign.Solve.Exact && c <> opt) then
+                QCheck.Test.fail_reportf "%s costs %d, SP optimum %d" name c
+                  opt;
+              true)
+        Assign.Solve.all)
 
 let test_benchmark_classification () =
   (* all tree benchmarks are SP; reconvergent ones may or may not be —
@@ -184,5 +228,6 @@ let () =
           quick "raises on non-SP" test_raises_on_non_sp;
           quick "random SP round-trip" test_random_sp_roundtrip;
           quick "expr DP exact on any realisation" test_expr_dp_exact_on_any_realisation;
+          QCheck_alcotest.to_alcotest sp_optimum_bounds_every_algorithm;
         ] );
     ]

@@ -142,7 +142,7 @@ let qcheck_digest_field_sensitivity =
     (fun seed ->
       let rng, names, ops, edges, time, cost = raw_instance ~seed in
       let base = Serve.Cache.digest (build (names, ops, edges, time, cost)) in
-      let bump x = x + 1 + Workloads.Prng.int rng (if Workloads.Prng.bool rng then 3 else 100_000) in
+      let bump x = x + 1 + Workloads.Prng.int rng (if Workloads.Prng.int rng 2 = 0 then 3 else 100_000) in
       let with_cell m =
         let m = Array.map Array.copy m in
         let v = Workloads.Prng.int rng (Array.length m) and t = Workloads.Prng.int rng 3 in
@@ -272,11 +272,9 @@ let test_cache_lru_eviction () =
   Alcotest.(check int) "one eviction" (evict0 + 1) (counter "serve.cache.evict");
   Alcotest.(check int) "still full" 2 (Serve.Cache.length cache);
   Alcotest.(check bool) "r1 survived (recently used)" true
-    (Option.is_some (Serve.Cache.find cache r1));
+    (Option.is_some (Serve.Cache.find_digest cache (Serve.Cache.digest r1)));
   Alcotest.(check bool) "r2 evicted" false
-    (Option.is_some (Serve.Cache.find cache r2));
-  Serve.Cache.clear cache;
-  Alcotest.(check int) "cleared" 0 (Serve.Cache.length cache)
+    (Option.is_some (Serve.Cache.find_digest cache (Serve.Cache.digest r2)))
 
 let test_cache_skips_timeout () =
   let cache = Serve.Cache.create ~entries:4 () in
@@ -409,7 +407,7 @@ let test_cache_concurrent_hammer () =
   Array.iter
     (fun r ->
       Alcotest.(check bool) "entry findable" true
-        (Option.is_some (Serve.Cache.find cache r)))
+        (Option.is_some (Serve.Cache.find_digest cache (Serve.Cache.digest r))))
     reqs;
   (* every lookup was either a hit or a miss (the re-find sweep above
      adds one lookup per request) *)
@@ -483,7 +481,7 @@ let sequential_answers jobs =
 
 let status_of line =
   Option.bind
-    (Obs.Json.member "status" (Obs.Json.parse_exn line))
+    (Obs.Json.member "status" (Helpers.json line))
     Obs.Json.to_string_opt
 
 let test_queue_bounds_and_order () =
@@ -572,7 +570,7 @@ let inline_request_line =
   {|{"id": "inline-1", "graph": {"nodes": [{"name": "a", "op": "mul"}, {"name": "b", "op": "add"}], "edges": [[0, 1]]}, "table": {"types": ["P1", "P2"], "time": [[1, 2], [1, 3]], "cost": [[9, 4], [8, 3]]}, "deadline": 6, "algorithm": "repeat", "validate": true}|}
 
 let test_jsonl_inline_round_trip () =
-  match Serve.Jsonl.request_of_string ~line:1 inline_request_line with
+  match Helpers.solve_line ~line:1 inline_request_line with
   | Error msg -> Alcotest.failf "parse failed: %s" msg
   | Ok item ->
       Alcotest.(check bool) "id echoed" true
@@ -584,7 +582,7 @@ let test_jsonl_inline_round_trip () =
         (Dfg.Graph.num_nodes req.Core.Synthesis.graph);
       let resp = Core.Synthesis.solve req in
       let line = Serve.Jsonl.response_to_string ~id:item.Serve.Jsonl.id resp in
-      let json = Obs.Json.parse_exn line in
+      let json = Helpers.json line in
       Alcotest.(check (option string))
         "status ok" (Some "ok")
         (Option.bind (Obs.Json.member "status" json) Obs.Json.to_string_opt);
@@ -601,7 +599,7 @@ let test_jsonl_rtl_block () =
       (if rtl then {|, "rtl": true|} else "")
   in
   let parse l =
-    match Serve.Jsonl.request_of_string ~line:1 l with
+    match Helpers.solve_line ~line:1 l with
     | Ok item -> item
     | Error msg -> Alcotest.failf "parse failed: %s" msg
   in
@@ -612,7 +610,7 @@ let test_jsonl_rtl_block () =
     (Serve.Cache.digest lowered.Serve.Jsonl.request
     = Serve.Cache.digest plain.Serve.Jsonl.request);
   let render item =
-    Obs.Json.parse_exn
+    Helpers.json
       (Serve.Jsonl.response_to_string ~id:item.Serve.Jsonl.id
          (Core.Synthesis.solve item.Serve.Jsonl.request))
   in
@@ -661,7 +659,7 @@ let test_rtl_digest_covers_ops () =
   Alcotest.(check string) "second answered as if served alone"
     (List.hd alone) (List.nth batch 1);
   let rtl_member name l =
-    Option.bind (Obs.Json.member "rtl" (Obs.Json.parse_exn l))
+    Option.bind (Obs.Json.member "rtl" (Helpers.json l))
       (Obs.Json.member name)
   in
   Alcotest.(check bool) "own module digest" false
@@ -693,7 +691,7 @@ let qcheck_jsonl_round_trips_encoding =
       let module J = Obs.Json in
       let rng, names, _, edges, time, cost = raw_instance ~seed in
       let pick a = a.(Workloads.Prng.int rng (Array.length a)) in
-      let chance () = Workloads.Prng.bool rng in
+      let chance () = Workloads.Prng.int rng 2 = 0 in
       let ops = Array.map (fun _ -> pick [| "add"; "mul"; "sub"; "frob" |]) names in
       let types = [| "P1"; "P2"; "P3" |] in
       let mem_capacity =
@@ -713,7 +711,7 @@ let qcheck_jsonl_round_trips_encoding =
           ~validate:(chance ()) ~rtl:(chance ())
           ?budget_ms:(if chance () then Some (Workloads.Prng.int rng 5000) else None)
           ?levels:(if chance () then Some (Fulib.Dvfs.of_freqs freqs) else None)
-          ~algorithm:(pick (Array.of_list Core.Synthesis.all_algorithms))
+          ~algorithm:(pick (Array.of_list Assign.Solve.all))
           ~deadline:(1 + Workloads.Prng.int rng 400) g table
       in
       let ints a = J.List (Array.to_list (Array.map (fun v -> J.Int v) a)) in
@@ -764,14 +762,14 @@ let qcheck_jsonl_round_trips_encoding =
                    J.List (List.map (fun l -> ints (Array.of_list l)) freqs))
                  req.Core.Synthesis.levels))
       in
-      match Serve.Jsonl.request_of_string ~line:1 line with
+      match Helpers.solve_line ~line:1 line with
       | Error msg -> QCheck.Test.fail_reportf "%s rejected: %s" line msg
       | Ok item ->
           Core.Synthesis.encode item.Serve.Jsonl.request = Core.Synthesis.encode req)
 
 let test_jsonl_parse_errors () =
   let expect_error line s =
-    match Serve.Jsonl.request_of_string ~line s with
+    match Helpers.solve_line ~line s with
     | Ok _ -> Alcotest.failf "expected an error for %s" s
     | Error _ -> ()
   in
@@ -877,7 +875,7 @@ let test_jsonl_serve_admission () =
   Alcotest.(check int) "every line answered" 5 served;
   let out = output_lines out in
   let json_field name l =
-    Option.bind (Obs.Json.member name (Obs.Json.parse_exn l)) Obs.Json.to_string_opt
+    Option.bind (Obs.Json.member name (Helpers.json l)) Obs.Json.to_string_opt
   in
   Alcotest.(check (list (option string)))
     "statuses in line order"
@@ -887,7 +885,7 @@ let test_jsonl_serve_admission () =
     "rejection reason is the stable code" (Some "period_overrun")
     (json_field "reason" (List.nth out 2));
   (* the witness carries the numbers the checker re-derives *)
-  (match Obs.Json.member "witness" (Obs.Json.parse_exn (List.nth out 2)) with
+  (match Obs.Json.member "witness" (Helpers.json (List.nth out 2)) with
   | Some w -> (
       match (Obs.Json.member "min_period" w, Obs.Json.member "period" w) with
       | Some (Obs.Json.Int mp), Some (Obs.Json.Int p) ->
@@ -910,7 +908,7 @@ let test_jsonl_serve_keeps_controller () =
     List.map
       (fun l ->
         Option.bind
-          (Obs.Json.member "status" (Obs.Json.parse_exn l))
+          (Obs.Json.member "status" (Helpers.json l))
           Obs.Json.to_string_opt)
       (output_lines
          (session_output ~admission:adm (Serve.Daemon.create ~lookup ()) lines))
@@ -952,7 +950,7 @@ let test_jsonl_serve_channels () =
   let out = output_lines out in
   let status l =
     Option.bind
-      (Obs.Json.member "status" (Obs.Json.parse_exn l))
+      (Obs.Json.member "status" (Helpers.json l))
       Obs.Json.to_string_opt
   in
   Alcotest.(check (list (option string)))
@@ -960,7 +958,7 @@ let test_jsonl_serve_channels () =
     [ Some "ok"; Some "error"; Some "error"; Some "ok" ]
     (List.map status out);
   (* default ids are 1-based input line numbers; explicit ids echo *)
-  let id l = Obs.Json.member "id" (Obs.Json.parse_exn l) in
+  let id l = Obs.Json.member "id" (Helpers.json l) in
   Alcotest.(check bool) "line-number id" true
     (id (List.nth out 0) = Some (Obs.Json.Int 1));
   Alcotest.(check bool) "explicit id" true
@@ -1025,7 +1023,7 @@ let test_deadline_factor_range () =
   let tmin = Core.Synthesis.min_deadline g table in
   List.iter
     (fun f ->
-      match Serve.Jsonl.request_of_string ~lookup ~line:1 (line f) with
+      match Helpers.solve_line ~lookup ~line:1 (line f) with
       | Error e -> Alcotest.failf "factor %s rejected: %s" f e
       | Ok item ->
           Alcotest.(check int)
@@ -1122,12 +1120,11 @@ let test_trace_field_ignored () =
     Printf.sprintf {|{"id":1,"benchmark":"diffeq","deadline_factor":1.2%s}|}
       extra
   in
-  let saved = Obs.Env.get_trace () in
   Obs.Env.set_trace (Some false);
   Obs.Span.clear ();
-  Fun.protect ~finally:(fun () -> Obs.Env.set_trace saved) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.Env.set_trace None) @@ fun () ->
   let traced = serve_lines ~lookup [ line {|,"trace":true|} ] in
-  Alcotest.(check int) "no span recorded" 0 (Obs.Span.sink_length ());
+  Alcotest.(check int) "no span recorded" 0 (List.length (Obs.Span.roots ()));
   Alcotest.(check string) "bytes of the line without it"
     (serve_lines ~lookup [ line "" ])
     traced
@@ -1143,11 +1140,10 @@ let decode_request line =
 
 (* The spans directly under the one root a traced solve records. *)
 let stage_spans req =
-  let saved = Obs.Env.get_trace () in
   Obs.Env.set_trace (Some true);
   Obs.Span.clear ();
   Fun.protect ~finally:(fun () ->
-      Obs.Env.set_trace saved;
+      Obs.Env.set_trace None;
       Obs.Span.clear ())
   @@ fun () ->
   ignore (Core.Synthesis.solve req);
@@ -1254,7 +1250,7 @@ let qcheck_budget_answers_or_times_out =
         Array.of_list
           (List.filter
              (fun a -> a <> Core.Synthesis.Exact)
-             Core.Synthesis.all_algorithms)
+             Assign.Solve.all)
       in
       let requests =
         Array.init 6 (fun i ->
@@ -1274,9 +1270,9 @@ let qcheck_budget_answers_or_times_out =
                      Core.Synthesis.List_scheduling;
                      Core.Synthesis.Force_directed;
                    |])
-              ~validate:(Workloads.Prng.bool rng)
+              ~validate:(Workloads.Prng.int rng 2 = 0)
               ~budget_ms:(pick [| 0; 1; 2; 5 |])
-              ?levels ~rtl:(Workloads.Prng.bool rng) ~algorithm:(pick algorithms)
+              ?levels ~rtl:(Workloads.Prng.int rng 2 = 0) ~algorithm:(pick algorithms)
               ~deadline:
                 (Core.Synthesis.min_deadline g tbl + Workloads.Prng.int rng 7)
               g tbl)

@@ -12,27 +12,23 @@ let is_topological g order =
 
 let test_sort_diamond () =
   let g = diamond () in
-  let order = Dfg.Topo.sort g in
+  let order = Array.to_list (Dfg.Graph.topo_arr g) in
   Alcotest.(check int) "covers all nodes" 4 (List.length order);
   Alcotest.(check bool) "is topological" true (is_topological g order);
   Alcotest.(check (list int)) "deterministic" [ 0; 1; 2; 3 ] order
 
+(* Walked backwards, the order lists every node after its zero-delay
+   children: the post-order the children-first sweeps read. *)
 let test_post_order_reverses_dependencies () =
   let g = diamond () in
-  let order = Dfg.Topo.post_order g in
+  let post_order = List.rev (Array.to_list (Dfg.Graph.topo_arr g)) in
   Alcotest.(check bool)
     "children before parents" true
-    (is_topological g (List.rev order))
+    (is_topological g (List.rev post_order))
 
 let test_sort_ignores_delay_edges () =
   let g = graph_with_delays 3 [ (0, 1, 0); (1, 2, 0); (2, 0, 1) ] in
-  Alcotest.(check (list int)) "linear order" [ 0; 1; 2 ] (Dfg.Topo.sort g)
-
-let test_levels () =
-  let g = diamond () in
-  Alcotest.(check (array int)) "diamond levels" [| 0; 1; 1; 2 |] (Dfg.Topo.levels g);
-  let forest = graph 3 [ (0, 2) ] in
-  Alcotest.(check (array int)) "forest levels" [| 0; 0; 1 |] (Dfg.Topo.levels forest)
+  Alcotest.(check (array int)) "linear order" [| 0; 1; 2 |] (Dfg.Graph.topo_arr g)
 
 let test_longest_path_unit_weights () =
   let g = diamond () in
@@ -92,7 +88,7 @@ let test_count_grows_exponentially () =
 let test_transpose_involutive () =
   let g = graph_with_delays 4 [ (0, 1, 0); (0, 2, 2); (1, 3, 0); (2, 3, 1) ] in
   let gt = Oracle.Transpose.transpose g in
-  Alcotest.(check (list int)) "roots become leaves" (Dfg.Graph.leaves g) (Dfg.Graph.roots gt);
+  Alcotest.(check (list int)) "roots become leaves" (Array.to_list (Dfg.Graph.leaves_arr g)) (Dfg.Graph.roots gt);
   let back = Oracle.Transpose.transpose gt in
   let edges gr =
     List.sort compare
@@ -196,7 +192,6 @@ let () =
           quick "sort diamond" test_sort_diamond;
           quick "post-order" test_post_order_reverses_dependencies;
           quick "sort ignores delay edges" test_sort_ignores_delay_edges;
-          quick "levels" test_levels;
         ] );
       ( "paths",
         [

@@ -26,7 +26,10 @@ let test_path_special_case_agrees () =
   let g = path_graph 4 in
   for deadline = 5 to 16 do
     let tree = Assign.Tree_assign.solve_with_cost g tbl ~deadline in
-    let path = Assign.Path_assign.solve_with_cost tbl ~deadline in
+    let path =
+      Assign.Tree_assign.solve_with_cost (Oracle.Path_assign.chain tbl) tbl
+        ~deadline
+    in
     match (tree, path) with
     | None, None -> ()
     | Some (_, c), Some (_, c') -> Alcotest.(check int) "same optimum" c' c

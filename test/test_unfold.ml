@@ -79,7 +79,7 @@ let test_unfold_then_assign () =
   let f = 2 in
   let u = Dfg.Unfold.unfold g ~factor:f in
   let origin = Array.init (Dfg.Graph.num_nodes g * f) (fun i -> i / f) in
-  let utbl = Fulib.Table.project tbl ~origin in
+  let utbl = Oracle.Tables.project tbl ~origin in
   let deadline = Assign.Assignment.min_makespan u utbl + 4 in
   match Assign.Dfg_assign.repeat u utbl ~deadline with
   | None -> Alcotest.fail "unfolded instance feasible"

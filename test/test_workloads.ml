@@ -118,15 +118,6 @@ let test_random_dag_connected_and_acyclic () =
     done
   done
 
-let test_random_layered_shape () =
-  let rng = Workloads.Prng.create 5 in
-  let g = Workloads.Random_dfg.random_layered rng ~layers:4 ~width:3 ~edge_prob:0.4 in
-  Alcotest.(check int) "12 nodes" 12 (Dfg.Graph.num_nodes g);
-  (* every non-final-layer node reaches the next layer *)
-  for v = 0 to (3 * 3) - 1 do
-    Alcotest.(check bool) "has successor" true (Dfg.Graph.dag_out_degree g v >= 1)
-  done
-
 let test_tradeoff_tables_monotone () =
   let rng = Workloads.Prng.create 6 in
   let tbl = Workloads.Tables.random_tradeoff rng ~library:lib3 ~num_nodes:30 in
@@ -156,7 +147,7 @@ let test_for_graph_muls_slower () =
 let test_arbitrary_tables_in_range () =
   let rng = Workloads.Prng.create 10 in
   let tbl =
-    Workloads.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:20 ~max_time:5 ~max_cost:9
+    Oracle.Tables.random_arbitrary rng ~library:lib2 ~num_nodes:20 ~max_time:5 ~max_cost:9
   in
   for v = 0 to 19 do
     for t = 0 to 1 do
@@ -294,7 +285,6 @@ let () =
         [
           quick "random trees" test_random_tree_is_tree;
           quick "random DAGs" test_random_dag_connected_and_acyclic;
-          quick "layered DAGs" test_random_layered_shape;
         ] );
       ( "tables",
         [
