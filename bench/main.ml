@@ -353,7 +353,8 @@ let inline_line =
    least-recently-used entry; the others probe the 16 hot keys in turn,
    counting probes, not steps, so each hot key is read equally often.
    The hot keys are stored after the fill and probes keep them recent,
-   so the churn never evicts them. One call runs a batch of 200 steps,
+   so the churn never evicts them. Keys are 32 bytes and entries hold a
+   solve line's body, no record. One call runs a batch of 200 steps,
    so a sample sits above bench_gate's 10-us --min-ns floor; the row
    divided by 200 is the cost of one step. *)
 let cache_hammer =
@@ -369,31 +370,30 @@ let cache_hammer =
       (Core.Synthesis.request ~algorithm:Core.Synthesis.Repeat
          ~deadline:(mid_deadline g tbl) g tbl)
   in
+  let body = Serve.Jsonl.response_body resp in
   let cache = Serve.Cache.create ~entries:capacity () in
+  let store key = Serve.Cache.store cache key ~body ~record:false resp in
   let hot = keys "hot" 16 and churn = keys "churn" 4096 in
   (* built eagerly: a lazy fill would land in the first timed sample *)
-  Array.iter
-    (fun key -> Serve.Cache.store_digest cache key resp)
-    (Array.append (keys "fill" capacity) hot);
+  Array.iter store (Array.append (keys "fill" capacity) hot);
   let step = ref 0 in
   Staged.stage (fun () ->
       for _ = 1 to batch do
         let k = !step in
         step := k + 1;
         if k mod churn_every = churn_every - 1 then
-          Serve.Cache.store_digest cache
-            churn.(k / churn_every mod Array.length churn)
-            resp
+          store churn.(k / churn_every mod Array.length churn)
         else
           ignore
-            (Serve.Cache.find_digest cache
+            (Serve.Cache.find cache ~record:false
                hot.((k - (k / churn_every)) mod Array.length hot))
       done)
 
 (* The serve bench group prices the new entry points: a full
    Core.Synthesis.solve through the request facade (cold), the same
-   request answered by a pre-warmed Serve.Cache (hit — should be digest
-   cost plus a hashtable probe), the digest itself, and the resident
+   request answered by a pre-warmed Serve.Cache (hit — the key, a
+   hashtable probe and the splice of the stored body behind its id), the
+   key (the request's encoding) itself, and the resident
    catalogue resolving a repeated benchmark name (what the daemon does for
    every ["benchmark"] line before it can even probe the cache). The
    inline rows split turning an [inline-dag] line into a request: the JSON
@@ -410,8 +410,10 @@ let serve_tests =
   let warmed =
     lazy
       (let req = Lazy.force instance in
+       let resp = Core.Synthesis.solve req in
        let cache = Serve.Cache.create ~entries:16 () in
-       ignore (Serve.Cache.solve cache req);
+       Serve.Cache.store cache (Serve.Cache.key req)
+         ~body:(Serve.Jsonl.response_body resp) ~record:false resp;
        (cache, req))
   in
   Test.make_grouped ~name:"serve"
@@ -422,9 +424,11 @@ let serve_tests =
       Test.make ~name:"cache-hit"
         (Staged.stage (fun () ->
              let cache, req = Lazy.force warmed in
-             Serve.Cache.solve cache req));
+             match Serve.Cache.find cache (Serve.Cache.key req) ~record:false with
+             | Some (body, _) -> Serve.Jsonl.splice ~id:(Obs.Json.Int 1) body
+             | None -> failwith "serve/cache-hit: not warmed"));
       Test.make ~name:"digest"
-        (Staged.stage (fun () -> Serve.Cache.digest (Lazy.force instance)));
+        (Staged.stage (fun () -> Serve.Cache.key (Lazy.force instance)));
       Test.make ~name:"lookup"
         (Staged.stage (fun () -> Workloads.Catalogue.lookup "elliptic" ~seed:7));
       Test.make ~name:"parse-inline"

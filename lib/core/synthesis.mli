@@ -54,7 +54,7 @@ type result = {
 }
 
 (** One synthesis job. Build with {!request}; the record is exposed so
-    callers can pattern-match and the serve cache can digest it. *)
+    callers can pattern-match and {!encode} it. *)
 type request = {
   graph : Dfg.Graph.t;
   table : Fulib.Table.t;
@@ -102,7 +102,7 @@ val request :
 
 (** The canonical binary encoding of a request's semantic content: two
     requests encode alike exactly when {!solve} must answer them alike.
-    The serve cache keys responses by its MD5.
+    The serve cache keys its answers by these exact bytes.
 
     It covers the node count, each source's outgoing edges {e sorted} as
     (dst, delay, size), the per-type memory capacities, the time/cost

@@ -6,6 +6,8 @@ let evictions = Obs.Counter.make "serve.cache.evict"
 let default_entries = 512
 let default_shards = 8
 
+(* [Hashtbl.hash] reads every byte of a string key; [String.equal]
+   compares the whole key, so a hash collision is only a shared bucket. *)
 module Table = Hashtbl.Make (struct
   type t = string
 
@@ -15,11 +17,12 @@ end)
 
 (* Every entry sits on one circular doubly-linked recency list through a
    sentinel: [sentinel.next] is the most recently used entry and
-   [sentinel.prev] the least. The sentinel is the only node whose
-   [response] is [None], so a hit returns its entry's field as is. *)
+   [sentinel.prev] the least. [response] is set only when an admit needs
+   the record. *)
 type entry = {
   key : string;
-  response : Core.Synthesis.response option;
+  body : string;
+  mutable response : Core.Synthesis.response option;
   mutable prev : entry;
   mutable next : entry;
 }
@@ -35,7 +38,7 @@ let create ?(entries = default_entries) ?shards:_ () =
   if entries < 1 then
     invalid_arg (Printf.sprintf "Serve.Cache.create: entries %d < 1" entries);
   let rec sentinel =
-    { key = ""; response = None; prev = sentinel; next = sentinel }
+    { key = ""; body = ""; response = None; prev = sentinel; next = sentinel }
   in
   {
     capacity = entries;
@@ -47,9 +50,9 @@ let create ?(entries = default_entries) ?shards:_ () =
 let capacity t = t.capacity
 let length t = Mutex.protect t.lock (fun () -> Table.length t.table)
 
-(* The key is the MD5 of the request's canonical encoding; see
-   [Core.Synthesis.encode] for what it covers and what it leaves out. *)
-let digest req = Digest.to_hex (Digest.string (Core.Synthesis.encode req))
+(* See [Core.Synthesis.encode] for what the key covers and what it leaves
+   out. *)
+let key = Core.Synthesis.encode
 
 let unlink e =
   e.prev.next <- e.next;
@@ -62,14 +65,17 @@ let push_front t e =
   first.prev <- e;
   t.sentinel.next <- e
 
-let find_digest t key =
+let find t key ~record =
   Mutex.protect t.lock (fun () ->
       match Table.find t.table key with
-      | e ->
+      | e when (not record) || Option.is_some e.response ->
           unlink e;
           push_front t e;
           Obs.Counter.incr hits;
-          e.response
+          Some (e.body, e.response)
+      | _ ->
+          Obs.Counter.incr misses;
+          None
       | exception Not_found ->
           Obs.Counter.incr misses;
           None)
@@ -81,31 +87,31 @@ let cacheable (resp : Core.Synthesis.response) =
       true
   | Core.Synthesis.Timeout | Core.Synthesis.Error _ -> false
 
+let store t key ~body ~record resp =
+  if cacheable resp then
+    let response = if record then Some resp else None in
+    Mutex.protect t.lock (fun () ->
+        match Table.find t.table key with
+        | e -> if Option.is_none e.response then e.response <- response
+        | exception Not_found ->
+            if Table.length t.table >= t.capacity then begin
+              let lru = t.sentinel.prev in
+              unlink lru;
+              Table.remove t.table lru.key;
+              Obs.Counter.incr evictions
+            end;
+            let e =
+              { key; body; response; prev = t.sentinel; next = t.sentinel }
+            in
+            push_front t e;
+            Table.add t.table key e;
+            Obs.Counter.incr stores)
+
+let digest = key
+
+let find_digest t key =
+  match find t key ~record:true with Some (_, r) -> r | None -> None
+
 let store_digest t key resp =
   if cacheable resp then
-    Mutex.protect t.lock (fun () ->
-        if not (Table.mem t.table key) then begin
-          if Table.length t.table >= t.capacity then begin
-            let lru = t.sentinel.prev in
-            unlink lru;
-            Table.remove t.table lru.key;
-            Obs.Counter.incr evictions
-          end;
-          let e =
-            { key; response = Some resp; prev = t.sentinel; next = t.sentinel }
-          in
-          push_front t e;
-          Table.add t.table key e;
-          Obs.Counter.incr stores
-        end)
-
-let solve t req =
-  (* digest once; find/store on the precomputed key so a miss does not
-     re-serialize the whole instance *)
-  let key = digest req in
-  match find_digest t key with
-  | Some resp -> resp
-  | None ->
-      let resp = Core.Synthesis.solve req in
-      store_digest t key resp;
-      resp
+    store t key ~body:(Jsonl.response_body resp) ~record:true resp

@@ -272,10 +272,10 @@ let feed s line =
         Queue.add owed s.owed
 
 (* Core.Synthesis.solve already converts solver exceptions into [Error]
-   responses; this handler also covers anything the cache layer itself
-   could raise, so a pool shard can never die on a poisoned request. *)
-let guarded_solve cache req =
-  try Cache.solve cache req
+   responses; this handler also covers anything that escapes it, so a
+   pool shard can never die on a poisoned request. *)
+let guarded_solve req =
+  try Core.Synthesis.solve req
   with e ->
     Obs.Counter.incr failures;
     {
@@ -287,24 +287,105 @@ let guarded_solve cache req =
       rtl = None;
     }
 
-(* The session's jobs in FIFO order, solved over the pool. The pool joins
-   by index, never by completion time, so response [i] answers job [i]. *)
+(* One distinct request of a wave: every job with its key shares one cache
+   probe, at most one solve and one serialization. [body] is [None] only
+   on a slot solved in this wave, until its first answer or its store
+   serializes it. [response] is the solve's, or the record the probe
+   found. *)
+type slot = {
+  key : string option;  (* [None]: not encodable, so solved alone, uncached *)
+  request : Core.Synthesis.request;
+  mutable record : bool;  (* an admit among its jobs needs the record *)
+  mutable body : string option;
+  mutable response : Core.Synthesis.response option;
+}
+
+module Keys = Hashtbl.Make (String)
+
+(* A duplicate within a wave takes its first job's answer: a hit. *)
+let duplicate_hits = Obs.Counter.make "serve.cache.hit"
+
+(* Probe the cache for [sl]: [true] when it must be solved. *)
+let needs_solve cache sl =
+  match sl.key with
+  | None -> true
+  | Some key -> (
+      match Cache.find cache key ~record:sl.record with
+      | Some (body, response) ->
+          sl.body <- Some body;
+          sl.response <- response;
+          false
+      | None -> true)
+
+(* The slot of each of the session's jobs, in FIFO order, and the slots
+   solved in this wave. Jobs are keyed before the pool map, so each
+   distinct request is probed and solved once per wave, and the cache
+   counters do not depend on the pool's width. The pool joins by index,
+   never by completion time. *)
 let solve_wave s =
+  let cache = s.daemon.cache in
+  let by_key = Keys.create 8 and distinct = ref [] in
+  let slot_of request ~record =
+    let fresh key =
+      let sl = { key; request; record; body = None; response = None } in
+      distinct := sl :: !distinct;
+      sl
+    in
+    match Cache.key request with
+    | exception _ -> fresh None
+    | key -> (
+        match Keys.find_opt by_key key with
+        | Some sl ->
+            Obs.Counter.incr duplicate_hits;
+            if record then sl.record <- true;
+            sl
+        | None ->
+            let sl = fresh (Some key) in
+            Keys.add by_key key sl;
+            sl)
+  in
   let jobs =
     Array.of_seq
       (Seq.filter_map
          (function
-           | Solved { request; _ } -> Some request
-           | Verdict { periodic; _ } -> Some periodic.Core.Synthesis.request
+           | Solved { request; _ } -> Some (slot_of request ~record:false)
+           | Verdict { periodic; _ } ->
+               Some (slot_of periodic.Core.Synthesis.request ~record:true)
            | Reply _ | Released _ -> None)
          (Queue.to_seq s.owed))
   in
-  if Array.length jobs = 0 then [||]
+  if Array.length jobs = 0 then (jobs, [||])
   else begin
     Obs.Counter.incr drains;
     Obs.Span.with_ "serve.drain" @@ fun () ->
-    Par.Pool.map_array s.daemon.pool (guarded_solve s.daemon.cache) jobs
+    let misses =
+      Array.of_list (List.filter (needs_solve cache) (List.rev !distinct))
+    in
+    let solved =
+      Par.Pool.map_array s.daemon.pool
+        (fun sl -> guarded_solve sl.request)
+        misses
+    in
+    Array.iteri (fun i sl -> sl.response <- Some solved.(i)) misses;
+    (jobs, misses)
   end
+
+(* The slot's wire body: the stored one, or else its response serialized
+   once. *)
+let body_of sl =
+  match sl.body with
+  | Some body -> body
+  | None ->
+      let body = Jsonl.response_body (Option.get sl.response) in
+      sl.body <- Some body;
+      body
+
+let store cache sl =
+  Option.iter
+    (fun key ->
+      Cache.store cache key ~body:(body_of sl) ~record:sl.record
+        (Option.get sl.response))
+    sl.key
 
 let set_utilization adm =
   Obs.Gauge.set rt_utilization
@@ -313,24 +394,27 @@ let set_utilization adm =
 (* Solve the session's wave once, then [emit] every owed answer in input
    order. *)
 let drain s emit =
-  let responses = solve_wave s in
+  let slots, solved = solve_wave s in
   let next = ref 0 in
-  let response () =
-    let resp = responses.(!next) in
+  let slot () =
+    let sl = slots.(!next) in
     incr next;
-    resp
+    sl
   in
   let adm = s.admission in
   let answer = function
     | Reply line -> line
     | Solved { id; t0; _ } ->
-        let resp = response () in
+        let body = body_of (slot ()) in
         Obs.Histogram.observe latency (now_ns () -. t0);
         Obs.Counter.incr served;
-        Jsonl.response_to_string ~id resp
+        Jsonl.splice ~id body
     | Verdict { id; task; periodic; t0 } ->
         let verdict =
-          match Core.Synthesis.periodic_of_response periodic (response ()) with
+          match
+            Core.Synthesis.periodic_of_response periodic
+              (Option.get (slot ()).response)
+          with
           | Stdlib.Ok an -> Rt.Admission.try_admit adm ~id:task an
           | Stdlib.Error reason -> Rt.Verdict.Rejected reason
         in
@@ -348,6 +432,12 @@ let drain s emit =
         end;
         Jsonl.released_to_string ~id ~task ~known
   in
+  (* The wave's solves are stored once its answers are written, each with
+     the body its first answer serialized; storing each one before its
+     write delayed the answers a closed-loop client waits on. A client
+     that hangs up mid-wave still leaves them cached. *)
+  Fun.protect ~finally:(fun () -> Array.iter (store s.daemon.cache) solved)
+  @@ fun () ->
   while not (Queue.is_empty s.owed) do
     emit (answer (Queue.pop s.owed));
     s.written <- s.written + 1

@@ -10,10 +10,16 @@
     is owed. Feeding a line decodes it ({!Jsonl.line_of_string}) and
     queues its answer in that FIFO at once: a synthesis job (a solve, or
     the inner request of an admit), a release, or an error line. The
-    FIFO's jobs are the next wave. Draining solves the wave over the
-    pool, each job through the {!Cache} in FIFO order, then answers
-    every owed line {e in input order}: solved responses, admission
-    verdicts, releases and error lines. Admits and releases reach the
+    FIFO's jobs are the next wave. Draining keys every job
+    ({!Cache.key}) in FIFO order, so each distinct request of the wave
+    is probed in the {!Cache} and solved at most once; a later job with
+    the same key takes the first one's answer and counts a cache hit.
+    The misses are solved over the pool. Then the drain answers every
+    owed line {e in input order}: solved responses, admission verdicts,
+    releases and error lines. A hit is answered with the stored wire
+    body behind the line's id ({!Jsonl.splice}); a request solved in
+    this wave is serialized by its first answer, and that body is what
+    the cache stores once the wave's answers are written. Admits and releases reach the
     controller in line order during the drain, so a verdict never
     depends on where the waves were cut. Blank lines are skipped but
     still counted, so a malformed line's error reply carries its
@@ -42,7 +48,9 @@
     ["cmd": "admit"] / ["cmd": "release"] lines (see {!Jsonl}) go to the
     session's controller. An admit's synthesis job rides the wave with
     the solves around it and shares their cache; its verdict is derived
-    from the response during the drain. The controller (and every
+    from the response record during the drain. An entry stored for a
+    solve line holds only bytes, so an admit that finds one solves once
+    and attaches the record to it. The controller (and every
     reservation it granted) dies with the session unless the caller
     passed its own to {!serve}.
 
@@ -51,6 +59,7 @@
     Every job is solved under a handler that turns any escaped exception
     into an [Error] response, counted in [serve.failures], so one
     poisoned request never takes down the pool or the rest of its wave.
+    A request that cannot be encoded is solved alone and never cached.
     Per-request [budget_ms] is enforced inside {!Core.Synthesis.solve},
     so an oversized request times out on its own shard while its
     neighbours complete normally.

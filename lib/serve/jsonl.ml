@@ -372,7 +372,8 @@ let rtl_fields (resp : Core.Synthesis.response) =
             ] );
       ]
 
-let response_to_json ~id (resp : Core.Synthesis.response) =
+(* Every field of a response line but its id, in wire order. *)
+let response_fields (resp : Core.Synthesis.response) =
   let result_fields =
     match resp.Core.Synthesis.result with
     | None -> []
@@ -387,22 +388,26 @@ let response_to_json ~id (resp : Core.Synthesis.response) =
           ("lower_bound", config_json r.Core.Synthesis.lower_bound);
         ]
   in
-  J.Obj
-    ([ ("id", id) ]
-    @ status_fields resp.Core.Synthesis.status
-    @ result_fields
-    @ rtl_fields resp
-    @ [
-        ( "violations",
-          J.List (List.map violation_json resp.Core.Synthesis.violations) );
-        ( "stats",
-          J.Obj
-            (List.map
-               (fun (k, v) -> (k, J.Int v))
-               resp.Core.Synthesis.stats) );
-      ])
+  status_fields resp.Core.Synthesis.status
+  @ result_fields
+  @ rtl_fields resp
+  @ [
+      ( "violations",
+        J.List (List.map violation_json resp.Core.Synthesis.violations) );
+      ( "stats",
+        J.Obj
+          (List.map (fun (k, v) -> (k, J.Int v)) resp.Core.Synthesis.stats) );
+    ]
 
-let response_to_string ~id resp = J.to_string (response_to_json ~id resp)
+(* The one place a response is rendered. [J.Obj] prints its fields in
+   order, so the line with the id first is [{"id":<id>,] followed by the
+   object of the other fields without its opening brace. *)
+let response_body resp =
+  let obj = J.to_string (J.Obj (response_fields resp)) in
+  String.sub obj 1 (String.length obj - 1)
+
+let splice ~id body = String.concat "" [ {|{"id":|}; J.to_string id; ","; body ]
+let response_to_string ~id resp = splice ~id (response_body resp)
 
 let error_to_string ~id msg =
   J.to_string

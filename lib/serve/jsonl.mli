@@ -54,8 +54,8 @@
     lowered ["period"], interconnect stats ([fu_instances], [registers],
     [mux_count], [mux_inputs], [wires]) and an ["unsupported"] list whose
     entries mirror violation objects ([{code, node, detail}] with code
-    ["unsupported-op"]). The knob is part of the cache digest, so lowered
-    and plain responses never collide.
+    ["unsupported-op"]). The knob is part of the request's encoding, the
+    cache key, so lowered and plain responses never share an entry.
 
     {2 Admission lines}
 
@@ -98,7 +98,18 @@ val line_of_json :
 val line_of_string :
   ?lookup:lookup -> line:int -> string -> (line, string) result
 
-(** The compact one-line response for a solve line. *)
+(** The response line after its [{"id":<id>,] prefix: every other field,
+    then the closing brace. The one place a response is rendered; the
+    result cache stores this text. *)
+val response_body : Core.Synthesis.response -> string
+
+(** [splice ~id body] — the whole line: [{"id":], [id] rendered as JSON,
+    [","], then [body]. A cache hit answers with it, so it copies bytes
+    and renders nothing but the id. *)
+val splice : id:Obs.Json.t -> string -> string
+
+(** The compact one-line response for a solve line:
+    [splice ~id (response_body resp)]. *)
 val response_to_string : id:Obs.Json.t -> Core.Synthesis.response -> string
 
 (** The error line emitted in place of a response when a request line

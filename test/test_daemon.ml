@@ -343,6 +343,37 @@ let test_solve_then_admit () =
     (counter "serve.drains");
   Alcotest.(check int) "two answers" 2 (finish h)
 
+(* A solve line leaves an entry holding only its wire bytes. An admit of
+   the same request in a later wave finds no record there, so it solves
+   once and attaches the record: its verdict is the one an empty cache
+   gives, and a second admit of that request hits. *)
+let test_admit_on_bytes_only_entry () =
+  let solve_line =
+    {|{"id": "s1", "graph": {"nodes": [{"name": "a", "op": "mul"}, {"name": "b", "op": "add"}], "edges": [[0, 1]]}, "table": {"types": ["P1", "P2"], "time": [[4, 8], [4, 8]], "cost": [[9, 4], [8, 3]]}, "deadline": 16}|}
+  in
+  let verdict h line =
+    send h (line ^ "\n");
+    List.hd (recv_lines h 1)
+  in
+  let capacity = Rt.Admission.Uniform 2 in
+  let h = start ~queue_capacity:1 ~capacity () in
+  Alcotest.(check string) "solve line" "ok" (status_of (verdict h solve_line));
+  let hits0 = counter "serve.cache.hit"
+  and misses0 = counter "serve.cache.miss" in
+  let after_solve = verdict h (admit_line ~id:"a1" ~task:"t1" ~period:64) in
+  Alcotest.(check (pair int int)) "the admit solves once" (0, 1)
+    (counter "serve.cache.hit" - hits0, counter "serve.cache.miss" - misses0);
+  ignore (verdict h (admit_line ~id:"a2" ~task:"t2" ~period:64));
+  Alcotest.(check (pair int int)) "the next admit hits the record" (1, 1)
+    (counter "serve.cache.hit" - hits0, counter "serve.cache.miss" - misses0);
+  ignore (finish h);
+  let h = start ~queue_capacity:1 ~capacity () in
+  let from_empty = verdict h (admit_line ~id:"a1" ~task:"t1" ~period:64) in
+  ignore (finish h);
+  Alcotest.(check string) "verdict as from an empty cache" from_empty
+    after_solve;
+  Alcotest.(check string) "admitted" "admitted" (status_of after_solve)
+
 (* --- idle timeout -------------------------------------------------------- *)
 
 let test_idle_timeout_reaps_silent_client () =
@@ -773,6 +804,8 @@ let () =
             `Quick test_solve_then_admit;
           Alcotest.test_case "1000 file lines at queue 4: 250 waves" `Quick
             test_file_waves_at_capacity;
+          Alcotest.test_case "admit on a bytes-only entry" `Quick
+            test_admit_on_bytes_only_entry;
         ] );
       ( "admission",
         [

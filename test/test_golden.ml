@@ -147,7 +147,8 @@ let grid_requests () =
   in
   catalogue @ smoke @ flow
 
-let random_dag_lines () =
+(* The grid's random DAG requests, with their ids. *)
+let random_dag_items () =
   List.concat_map
     (fun i ->
       let r = Workloads.Prng.create (1000 + i) in
@@ -162,14 +163,14 @@ let random_dag_lines () =
       let deadline = max tmin (int_of_float (factor *. float_of_int tmin)) in
       List.map
         (fun (name, algorithm) ->
-          let id = Obs.Json.String (Printf.sprintf "dag-%d/%s" i name) in
-          solve_item
-            {
-              id;
-              request = Core.Synthesis.request ~algorithm ~deadline g table;
-            })
+          {
+            Serve.Jsonl.id = Obs.Json.String (Printf.sprintf "dag-%d/%s" i name);
+            request = Core.Synthesis.request ~algorithm ~deadline g table;
+          })
         [ ("repeat", Core.Synthesis.Repeat); ("once", Core.Synthesis.Once) ])
     (List.init 20 Fun.id)
+
+let random_dag_lines () = List.map solve_item (random_dag_items ())
 
 (* Validation is pinned off (lines that ask for it still get it): a forced
    audit under HETSCHED_VALIDATE adds its own stats to every response. *)
@@ -193,6 +194,136 @@ let test_solve_grid () =
       let actual = solve_grid () in
       if actual <> expected then fail_drift "solve_grid.jsonl" expected actual
 
+(* --- cached answers are the rendered bytes ---------------------------------
+
+   A cache hit answers with the stored body spliced behind the line's id.
+   Every grid request (the random DAGs as inline lines) is sent once under
+   its own id, then under the ids 0, -7, "x" and a string that needs
+   escapes, through one daemon with a 4-entry cache in waves of 3: a copy
+   is a duplicate within its wave, or a hit or a miss in a later one, and
+   the cache evicts throughout. Every answer must equal
+   [response_to_string] of a fresh solve, byte for byte. *)
+
+let odd_ids =
+  Obs.Json.
+    [ Int 0; Int (-7); String "x"; String "tab\t \"q\" \\ \001 \xc3\xa9" ]
+
+(* [line] answered under [id]: the first "id" binding is the one decoded. *)
+let with_id id line =
+  match Obs.Json.parse line with
+  | Ok (Obs.Json.Obj fields) ->
+      Obs.Json.to_string (Obs.Json.Obj (("id", id) :: fields))
+  | _ -> Alcotest.failf "not a request object: %s" line
+
+let inline_line ({ id; request } : Serve.Jsonl.item) =
+  let module J = Obs.Json in
+  let g = request.Core.Synthesis.graph and table = request.Core.Synthesis.table in
+  let n = Dfg.Graph.num_nodes g and k = Fulib.Table.num_types table in
+  let rows cell =
+    J.List
+      (List.init n (fun node ->
+           J.List (List.init k (fun ftype -> J.Int (cell table ~node ~ftype)))))
+  in
+  J.to_string
+    (J.Obj
+       [
+         ("id", id);
+         ( "graph",
+           J.Obj
+             [
+               ( "nodes",
+                 J.List
+                   (List.init n (fun v ->
+                        J.Obj
+                          [
+                            ("name", J.String (Dfg.Graph.name g v));
+                            ("op", J.String (Dfg.Graph.op g v));
+                          ])) );
+               ( "edges",
+                 J.List
+                   (List.map
+                      (fun (e : Dfg.Graph.edge) ->
+                        J.List [ J.Int e.src; J.Int e.dst; J.Int e.delay; J.Int e.size ])
+                      (Dfg.Graph.edges g)) );
+             ] );
+         ( "table",
+           J.Obj
+             [
+               ( "types",
+                 J.List
+                   (List.init k (fun t ->
+                        J.String
+                          (Fulib.Library.type_name (Fulib.Table.library table) t)))
+               );
+               ("time", rows Fulib.Table.time);
+               ("cost", rows Fulib.Table.cost);
+             ] );
+         ("deadline", J.Int request.Core.Synthesis.deadline);
+         ( "algorithm",
+           J.String
+             (Core.Synthesis.algorithm_name request.Core.Synthesis.algorithm) );
+       ])
+
+let counter name = Option.value (Obs.Counter.value_of name) ~default:0
+
+let test_splice ~domains () =
+  let lookup = Workloads.Catalogue.lookup in
+  let requests =
+    grid_requests () @ List.map inline_line (random_dag_items ())
+  in
+  let sent =
+    List.concat_map
+      (fun line ->
+        match Helpers.solve_line ~lookup ~line:1 line with
+        | Error e -> Alcotest.failf "%s: %s" line e
+        | Ok { id; request } ->
+            let resp = Core.Synthesis.solve request in
+            (line, id, Serve.Jsonl.response_to_string ~id resp)
+            :: List.map
+                 (fun id ->
+                   (with_id id line, id, Serve.Jsonl.response_to_string ~id resp))
+                 odd_ids)
+      requests
+  in
+  let lines = List.map (fun (line, _, _) -> line) sent in
+  let path = Filename.temp_file "splice" ".jsonl" in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  let hits = counter "serve.cache.hit"
+  and misses = counter "serve.cache.miss"
+  and evictions = counter "serve.cache.evict" in
+  let out = ref [] in
+  Par.Pool.with_pool ~domains (fun pool ->
+      let daemon =
+        Serve.Daemon.create ~lookup ~pool
+          ~cache:(Serve.Cache.create ~entries:4 ())
+          ~queue_capacity:3 ()
+      in
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          ignore
+            (Serve.Daemon.serve daemon ~input:fd ~emit:(fun l -> out := l :: !out))));
+  Sys.remove path;
+  List.iteri
+    (fun i ((_, id, want), got) ->
+      if want <> got then
+        Alcotest.failf "line %d:\n  answered %s\n  rendered %s" (i + 1) got want;
+      (* the splice is also the renderer: parse the id back independently *)
+      match Obs.Json.parse got with
+      | Ok json when Obs.Json.member "id" json = Some id -> ()
+      | _ -> Alcotest.failf "line %d: id does not parse back: %s" (i + 1) got)
+    (List.combine sent (List.rev !out));
+  List.iter
+    (fun (what, name, before) ->
+      Alcotest.(check bool) what true (counter name > before))
+    [
+      ("hits", "serve.cache.hit", hits);
+      ("misses", "serve.cache.miss", misses);
+      ("evictions", "serve.cache.evict", evictions);
+    ]
+
 let () =
   if Array.length Sys.argv = 2 && Sys.argv.(1) = "solve-grid" then begin
     print_string (solve_grid ());
@@ -206,5 +337,7 @@ let () =
           quick "table 2" test_table2;
           quick "ablations" test_ablation;
           quick "solve grid" test_solve_grid;
+          quick "cached answers splice, 1 domain" (test_splice ~domains:1);
+          quick "cached answers splice, 2 domains" (test_splice ~domains:2);
         ] );
     ]

@@ -1,5 +1,5 @@
-(* The batch synthesis service: content-addressed cache (digest canonical
-   in edge order, byte-identical replay, LRU), a session's bounded waves
+(* The batch synthesis service: the result cache (its key canonical in
+   edge order, byte-identical replay, LRU), a session's bounded waves
    (order, isolation, pool parity), the JSONL wire format and the request
    loop over a file. *)
 
@@ -24,24 +24,40 @@ let request ?scheduler ?validate ?budget_ms ?(algorithm = Core.Synthesis.Repeat)
 let counter name =
   Option.value (Obs.Counter.value_of name) ~default:0
 
+(* A solve line through [cache] as a session answers it: the stored body
+   on a hit; on a miss a fresh solve, whose body is stored. *)
+let cached_body cache req =
+  let key = Serve.Cache.key req in
+  match Serve.Cache.find cache key ~record:false with
+  | Some (body, _) -> body
+  | None ->
+      let resp = Core.Synthesis.solve req in
+      let body = Serve.Jsonl.response_body resp in
+      Serve.Cache.store cache key ~body ~record:false resp;
+      body
+
+let resident cache req =
+  Option.is_some
+    (Serve.Cache.find cache (Serve.Cache.key req) ~record:false)
+
 (* --- digest ------------------------------------------------------------ *)
 
 let test_digest_deterministic () =
   let req = request (instance ~seed:3) in
   Alcotest.(check string)
-    "same request, same digest" (Serve.Cache.digest req)
-    (Serve.Cache.digest req);
+    "same request, same digest" (Serve.Cache.key req)
+    (Serve.Cache.key req);
   let g, tbl = instance ~seed:4 in
   Alcotest.(check bool)
     "different instance, different digest" false
-    (Serve.Cache.digest req = Serve.Cache.digest (request (g, tbl)))
+    (Serve.Cache.key req = Serve.Cache.key (request (g, tbl)))
 
 let test_digest_sensitivity () =
   let g, tbl = instance ~seed:5 in
   let base = request (g, tbl) in
-  let d = Serve.Cache.digest base in
+  let d = Serve.Cache.key base in
   let differs label req =
-    Alcotest.(check bool) label false (Serve.Cache.digest req = d)
+    Alcotest.(check bool) label false (Serve.Cache.key req = d)
   in
   differs "deadline" (request ~slack:4 (g, tbl));
   differs "algorithm" (request ~algorithm:Core.Synthesis.Greedy (g, tbl));
@@ -73,20 +89,21 @@ let test_digest_edge_order_canonical () =
   let req g = Core.Synthesis.request ~algorithm:Core.Synthesis.Repeat ~deadline:10 g tbl in
   Alcotest.(check string)
     "edge insertion order canonicalized"
-    (Serve.Cache.digest (req g_fwd))
-    (Serve.Cache.digest (req g_rev));
+    (Serve.Cache.key (req g_fwd))
+    (Serve.Cache.key (req g_rev));
   (* sanity: the two builds really are the same instance to the solvers *)
   Alcotest.(check bool)
     "fresh solves agree" true
     (Core.Synthesis.solve (req g_fwd) = Core.Synthesis.solve (req g_rev));
   let cache = Serve.Cache.create ~entries:8 () in
   let hits0 = counter "serve.cache.hit" in
-  ignore (Serve.Cache.solve cache (req g_fwd));
-  let resp = Serve.Cache.solve cache (req g_rev) in
+  ignore (cached_body cache (req g_fwd));
+  let body = cached_body cache (req g_rev) in
   Alcotest.(check int) "second build hits" (hits0 + 1) (counter "serve.cache.hit");
-  Alcotest.(check bool)
-    "cached response equals fresh" true
-    (resp = Core.Synthesis.solve (req g_fwd))
+  Alcotest.(check string)
+    "cached body equals fresh"
+    (Serve.Jsonl.response_body (Core.Synthesis.solve (req g_fwd)))
+    body
 
 (* A random instance with delays and data sizes, as plain arrays so a test
    can rebuild it with one edge order or one table cell changed. *)
@@ -130,8 +147,8 @@ let qcheck_digest_edge_order =
     (QCheck.int_bound 100_000)
     (fun seed ->
       let rng, names, ops, edges, time, cost = raw_instance ~seed in
-      Serve.Cache.digest (build (names, ops, edges, time, cost))
-      = Serve.Cache.digest (build (names, ops, shuffle rng edges, time, cost)))
+      Serve.Cache.key (build (names, ops, edges, time, cost))
+      = Serve.Cache.key (build (names, ops, shuffle rng edges, time, cost)))
 
 (* One changed table cell, edge delay or edge size always changes the
    digest, whatever the magnitudes on either side of the varint byte
@@ -141,7 +158,7 @@ let qcheck_digest_field_sensitivity =
     (QCheck.int_bound 100_000)
     (fun seed ->
       let rng, names, ops, edges, time, cost = raw_instance ~seed in
-      let base = Serve.Cache.digest (build (names, ops, edges, time, cost)) in
+      let base = Serve.Cache.key (build (names, ops, edges, time, cost)) in
       let bump x = x + 1 + Workloads.Prng.int rng (if Workloads.Prng.int rng 2 = 0 then 3 else 100_000) in
       let with_cell m =
         let m = Array.map Array.copy m in
@@ -153,7 +170,7 @@ let qcheck_digest_field_sensitivity =
         let i = Workloads.Prng.int rng (List.length edges) in
         List.mapi (fun j e -> if i = j then f e else e) edges
       in
-      let differs parts = Serve.Cache.digest (build parts) <> base in
+      let differs parts = Serve.Cache.key (build parts) <> base in
       differs (names, ops, edges, with_cell time, cost)
       && differs (names, ops, edges, time, with_cell cost)
       && differs
@@ -224,36 +241,51 @@ let test_digest_knob_encodings () =
         on ~rtl:true g retyped;
       ]
   in
-  let digests = List.map Serve.Cache.digest reqs in
+  let keys = List.map Serve.Cache.key reqs in
   Alcotest.(check int) "all distinct" (List.length reqs)
-    (List.length (List.sort_uniq compare digests));
-  List.iter
-    (fun d -> Alcotest.(check int) "md5 hex" 32 (String.length d))
-    digests;
+    (List.length (List.sort_uniq compare keys));
+  List.iter2
+    (fun req k ->
+      Alcotest.(check string) "the key is the encoding"
+        (Core.Synthesis.encode req) k)
+    reqs keys;
   Alcotest.(check string) "names and type names are cosmetic without rtl"
-    (Serve.Cache.digest (on g tbl))
-    (Serve.Cache.digest (on renamed retyped))
+    (Serve.Cache.key (on g tbl))
+    (Serve.Cache.key (on renamed retyped))
 
 (* --- cache ------------------------------------------------------------- *)
 
 let test_cached_response_byte_identical () =
   let req = request ~validate:true (instance ~seed:6) in
   let cache = Serve.Cache.create ~entries:4 () in
-  let fresh = Serve.Cache.solve cache req in
-  let cached = Serve.Cache.solve cache req in
-  Alcotest.(check bool) "structurally identical" true (fresh = cached);
+  let fresh = cached_body cache req in
+  let cached = cached_body cache req in
+  let resp = Core.Synthesis.solve req in
+  Alcotest.(check string) "hit returns the stored body" fresh cached;
   Alcotest.(check string)
     "byte-identical on the wire"
-    (Serve.Jsonl.response_to_string ~id:(Obs.Json.Int 1) fresh)
-    (Serve.Jsonl.response_to_string ~id:(Obs.Json.Int 1) cached)
+    (Serve.Jsonl.response_to_string ~id:(Obs.Json.Int 1) resp)
+    (Serve.Jsonl.splice ~id:(Obs.Json.Int 1) cached);
+  (* the record entry points share the table: a stored record comes back
+     as is, and its entry answers a solve line with the same body *)
+  let other = request ~validate:true (instance ~seed:16) in
+  let resp = Core.Synthesis.solve other in
+  Serve.Cache.store_digest cache (Serve.Cache.digest other) resp;
+  Alcotest.(check bool) "record round trip" true
+    (Serve.Cache.find_digest cache (Serve.Cache.digest other) = Some resp);
+  Alcotest.(check string) "record entry has the body"
+    (Serve.Jsonl.response_body resp)
+    (cached_body cache other);
+  Alcotest.(check bool) "a bytes-only entry has no record" true
+    (Serve.Cache.find_digest cache (Serve.Cache.key req) = None)
 
 let test_cache_hit_miss_counters () =
   let cache = Serve.Cache.create ~entries:4 () in
   let req = request (instance ~seed:7) in
   let hits0 = counter "serve.cache.hit" and misses0 = counter "serve.cache.miss" in
-  ignore (Serve.Cache.solve cache req);
-  ignore (Serve.Cache.solve cache req);
-  ignore (Serve.Cache.solve cache req);
+  ignore (cached_body cache req);
+  ignore (cached_body cache req);
+  ignore (cached_body cache req);
   Alcotest.(check int) "one miss" (misses0 + 1) (counter "serve.cache.miss");
   Alcotest.(check int) "two hits" (hits0 + 2) (counter "serve.cache.hit");
   Alcotest.(check int) "one entry" 1 (Serve.Cache.length cache)
@@ -265,23 +297,25 @@ let test_cache_lru_eviction () =
   let r2 = request (instance ~seed:9) in
   let r3 = request (instance ~seed:10) in
   let evict0 = counter "serve.cache.evict" in
-  ignore (Serve.Cache.solve cache r1);
-  ignore (Serve.Cache.solve cache r2);
-  ignore (Serve.Cache.solve cache r1) (* bump r1: r2 becomes the LRU *);
-  ignore (Serve.Cache.solve cache r3);
+  ignore (cached_body cache r1);
+  ignore (cached_body cache r2);
+  ignore (cached_body cache r1) (* bump r1: r2 becomes the LRU *);
+  ignore (cached_body cache r3);
   Alcotest.(check int) "one eviction" (evict0 + 1) (counter "serve.cache.evict");
   Alcotest.(check int) "still full" 2 (Serve.Cache.length cache);
-  Alcotest.(check bool) "r1 survived (recently used)" true
-    (Option.is_some (Serve.Cache.find_digest cache (Serve.Cache.digest r1)));
-  Alcotest.(check bool) "r2 evicted" false
-    (Option.is_some (Serve.Cache.find_digest cache (Serve.Cache.digest r2)))
+  Alcotest.(check bool) "r1 survived (recently used)" true (resident cache r1);
+  Alcotest.(check bool) "r2 evicted" false (resident cache r2)
 
 let test_cache_skips_timeout () =
   let cache = Serve.Cache.create ~entries:4 () in
   let req = request ~budget_ms:0 (instance ~seed:11) in
-  let resp = Serve.Cache.solve cache req in
-  Alcotest.(check bool) "timed out" true
-    (resp.Core.Synthesis.status = Core.Synthesis.Timeout);
+  let body = cached_body cache req in
+  Alcotest.(check (option string))
+    "timed out" (Some "timeout")
+    (Option.bind
+       (Obs.Json.member "status"
+          (Helpers.json (Serve.Jsonl.splice ~id:(Obs.Json.Int 1) body)))
+       Obs.Json.to_string_opt);
   Alcotest.(check int) "not cached" 0 (Serve.Cache.length cache)
 
 (* The library reads no serve setting from the environment: [hetsched]
@@ -292,24 +326,25 @@ let test_entries_ignore_env () =
   Alcotest.(check int) "default capacity" Serve.Cache.default_entries
     (Serve.Cache.capacity (Serve.Cache.create ()))
 
-(* The capacity contract: a cache of capacity N holds exactly N responses
-   once N distinct digests are stored, evicts nothing before the
+(* The capacity contract: a cache of capacity N holds exactly N answers
+   once N distinct keys are stored, evicts nothing before the
    (N+1)-th, never holds more than N, and with no hits in between evicts
    in store order. *)
 let test_cache_exact_capacity () =
   let inst = instance ~seed:12 in
   let resp = Core.Synthesis.solve (request ~slack:0 inst) in
+  let body = Serve.Jsonl.response_body resp in
   List.iter
     (fun n ->
       let keys =
         Array.init (2 * n) (fun i ->
-            Serve.Cache.digest (request ~slack:i inst))
+            Serve.Cache.key (request ~slack:i inst))
       in
       let cache = Serve.Cache.create ~entries:n () in
       let evict0 = counter "serve.cache.evict" in
       Array.iteri
         (fun i key ->
-          Serve.Cache.store_digest cache key resp;
+          Serve.Cache.store cache key ~body ~record:false resp;
           let stored = i + 1 in
           let label what =
             Printf.sprintf "N = %d, store %d: %s" n stored what
@@ -325,7 +360,7 @@ let test_cache_exact_capacity () =
           Alcotest.(check bool)
             (Printf.sprintf "N = %d: store %d resident" n (i + 1))
             (i >= n)
-            (Option.is_some (Serve.Cache.find_digest cache key)))
+            (Option.is_some (Serve.Cache.find cache key ~record:false)))
         keys)
     [ 8; 100; 512 ]
 
@@ -336,6 +371,11 @@ let test_cache_exact_capacity () =
    it there after dropping the last key when the list is full. *)
 let qcheck_cache_matches_lru_model =
   let resp = lazy (Core.Synthesis.solve (request (instance ~seed:13))) in
+  let put cache key =
+    let resp = Lazy.force resp in
+    Serve.Cache.store cache key ~body:(Serve.Jsonl.response_body resp)
+      ~record:false resp
+  in
   QCheck.Test.make ~count:200 ~name:"cache == list LRU model"
     QCheck.(
       pair (int_range 1 4)
@@ -349,7 +389,7 @@ let qcheck_cache_matches_lru_model =
         (fun (store, k) ->
           let agrees =
             if store then begin
-              Serve.Cache.store_digest cache (key k) (Lazy.force resp);
+              put cache (key k);
               if not (List.mem k !model) then begin
                 if List.length !model = capacity then begin
                   model := List.filteri (fun i _ -> i < capacity - 1) !model;
@@ -361,7 +401,7 @@ let qcheck_cache_matches_lru_model =
             end
             else
               let hit =
-                Option.is_some (Serve.Cache.find_digest cache (key k))
+                Option.is_some (Serve.Cache.find cache (key k) ~record:false)
               in
               let resident = List.mem k !model in
               if resident then model := k :: List.filter (( <> ) k) !model;
@@ -372,42 +412,42 @@ let qcheck_cache_matches_lru_model =
           && counter "serve.cache.evict" - evict0 = !evicted)
         ops)
 
-(* Concurrent hammer: 4 domains solving overlapping digests through one
+(* Concurrent hammer: 4 domains answering overlapping requests through one
    cache must lose no stores, and the counters must account for every
    lookup. *)
 let test_cache_concurrent_hammer () =
   let cache = Serve.Cache.create ~entries:256 () in
   let reqs = Array.init 8 (fun i -> request (instance ~seed:(300 + i))) in
-  let expected = Array.map Core.Synthesis.solve reqs in
+  let expected =
+    Array.map (fun r -> Serve.Jsonl.response_body (Core.Synthesis.solve r)) reqs
+  in
   let rounds = 6 in
   let h0 = counter "serve.cache.hit" and m0 = counter "serve.cache.miss" in
   Par.Pool.with_pool ~domains:4 (fun pool ->
-      (* every task sweeps the whole request set, so every digest is
-         hammered from every domain; results must match the fresh solves *)
+      (* every task sweeps the whole request set, so every key is
+         hammered from every domain; bodies must match the fresh solves *)
       let results =
         Par.Pool.map_array pool
           (fun offset ->
             Array.init (Array.length reqs) (fun i ->
                 let r = reqs.((i + offset) mod Array.length reqs) in
-                Serve.Cache.solve cache r))
+                cached_body cache r))
           (Array.init (4 * rounds) (fun i -> i))
       in
       Array.iteri
         (fun t task_results ->
           Array.iteri
-            (fun i resp ->
+            (fun i body ->
               let want = expected.((i + t) mod Array.length reqs) in
-              if resp <> want then
-                Alcotest.failf "task %d lookup %d returned a wrong response" t i)
+              if body <> want then
+                Alcotest.failf "task %d lookup %d returned a wrong body" t i)
             task_results)
         results);
   (* no lost stores: every distinct request is resident afterwards *)
   Alcotest.(check int) "all entries resident" (Array.length reqs)
     (Serve.Cache.length cache);
   Array.iter
-    (fun r ->
-      Alcotest.(check bool) "entry findable" true
-        (Option.is_some (Serve.Cache.find_digest cache (Serve.Cache.digest r))))
+    (fun r -> Alcotest.(check bool) "entry findable" true (resident cache r))
     reqs;
   (* every lookup was either a hit or a miss (the re-find sweep above
      adds one lookup per request) *)
@@ -509,6 +549,30 @@ let test_solve_batch_waves () =
   Alcotest.(check (list string))
     "matches sequential" (sequential_answers jobs) answers
 
+(* Equal lines in one wave: each distinct request is probed and solved
+   once, and a duplicate takes the first job's answer and counts a hit, so
+   the answers and the cache counters are the same at 1 and 2 domains. *)
+let test_wave_duplicates_solved_once () =
+  let jobs = [ job 40; job 41; job 40; job 40; job 41; job 42 ] in
+  let run domains =
+    let hits0 = counter "serve.cache.hit"
+    and misses0 = counter "serve.cache.miss"
+    and drains0 = counter "serve.drains" in
+    let answers = session_answers ~domains jobs in
+    Alcotest.(check int) "one wave" (drains0 + 1) (counter "serve.drains");
+    ( answers,
+      counter "serve.cache.hit" - hits0,
+      counter "serve.cache.miss" - misses0 )
+  in
+  let answers1, hits1, misses1 = run 1 and answers2, hits2, misses2 = run 2 in
+  Alcotest.(check (list string))
+    "matches sequential" (sequential_answers jobs) answers1;
+  Alcotest.(check (list string)) "same answers at 2 domains" answers1 answers2;
+  Alcotest.(check (pair int int)) "3 hits, 3 misses at 1 domain" (3, 3)
+    (hits1, misses1);
+  Alcotest.(check (pair int int)) "3 hits, 3 misses at 2 domains" (3, 3)
+    (hits2, misses2)
+
 let test_poisoned_request_isolated () =
   (* deadline 1 and a zero budget among ordinary jobs: the wave must come
      back ok / timeout / infeasible / ok with no exception escaping the
@@ -521,6 +585,37 @@ let test_poisoned_request_isolated () =
   Alcotest.(check (list (option string)))
     "ok / timeout / infeasible / ok"
     [ Some "ok"; Some "timeout"; Some "infeasible"; Some "ok" ]
+    statuses
+
+(* A lookup may hand back a table shorter than its graph, which the
+   request encoding cannot read: that request is answered alone, with an
+   error, and the wave around it (the same request twice included) is
+   solved as usual. *)
+let test_unencodable_request_isolated () =
+  let lookup name ~seed =
+    let g, tbl = instance ~seed in
+    if name = "short" then
+      let rows f =
+        Array.init 13 (fun node -> Array.init 3 (fun ftype -> f tbl ~node ~ftype))
+      in
+      Some
+        ( g,
+          Fulib.Table.make ~library:lib3 ~time:(rows Fulib.Table.time)
+            ~cost:(rows Fulib.Table.cost) )
+    else Some (g, tbl)
+  in
+  let short = {|{"benchmark": "short", "seed": 34, "deadline": 60}|} in
+  let statuses =
+    Par.Pool.with_pool ~domains:2 (fun pool ->
+        List.map status_of
+          (output_lines
+             (session_output
+                (Serve.Daemon.create ~lookup ~pool ())
+                [ fst (job 34); short; short; fst (job 35) ])))
+  in
+  Alcotest.(check (list (option string)))
+    "ok / error / error / ok"
+    [ Some "ok"; Some "error"; Some "error"; Some "ok" ]
     statuses
 
 (* --- qcheck differentials ---------------------------------------------- *)
@@ -607,8 +702,8 @@ let test_jsonl_rtl_block () =
   Alcotest.(check bool) "rtl knob parsed" true
     lowered.Serve.Jsonl.request.Core.Synthesis.rtl;
   Alcotest.(check bool) "knob separates cache digests" false
-    (Serve.Cache.digest lowered.Serve.Jsonl.request
-    = Serve.Cache.digest plain.Serve.Jsonl.request);
+    (Serve.Cache.key lowered.Serve.Jsonl.request
+    = Serve.Cache.key plain.Serve.Jsonl.request);
   let render item =
     Helpers.json
       (Serve.Jsonl.response_to_string ~id:item.Serve.Jsonl.id
@@ -637,9 +732,8 @@ let test_jsonl_rtl_block () =
 
 (* Regression: under "rtl": true the node ops decide the module text and
    the unsupported list, so two requests that differ only in ops must not
-   share a cache entry; without the knob they still do. The 1-domain pool
-   solves the wave in order, so the second request meets the first one's
-   entry in the cache. *)
+   share a cache entry; without the knob they still do. Both lines ride
+   one wave, so equal keys share the wave's one solve. *)
 let test_rtl_digest_covers_ops () =
   let request ~ops:(op0, op1) ~rtl =
     Printf.sprintf
@@ -679,6 +773,74 @@ let test_rtl_digest_covers_ops () =
       ]
   in
   Alcotest.(check int) "plain twins share one entry" 1 plain_entries
+
+(* The cache answers only the request whose key it holds. Two rtl requests
+   that differ only in their first node's name are searched, name by name,
+   until their keys share the table's [Hashtbl.hash] (about 2^15 tries for
+   its 30 bits). One daemon then serves A, B, A, B in one-line waves: each
+   gets its own bytes, module digest included, and each repeat hits. *)
+let test_hash_collision_own_answers () =
+  let line name =
+    Printf.sprintf
+      {|{"id": %S, "graph": {"nodes": [{"name": %S, "op": "mul"}, {"name": "b", "op": "add"}], "edges": [[0, 1]]}, "table": {"types": ["P1", "P2"], "time": [[4, 8], [4, 8]], "cost": [[9, 4], [8, 3]]}, "deadline": 16, "rtl": true}|}
+      name name
+  in
+  let decode name =
+    match Helpers.solve_line ~line:1 (line name) with
+    | Ok item -> item
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  let table =
+    (decode "a").Serve.Jsonl.request.Core.Synthesis.table
+  in
+  let hash name =
+    let g =
+      Dfg.Graph.of_edges ~names:[| name; "b" |] ~ops:[| "mul"; "add" |]
+        [ { Dfg.Graph.src = 0; dst = 1; delay = 0; size = 0 } ]
+    in
+    Hashtbl.hash
+      (Serve.Cache.key
+         (Core.Synthesis.request ~rtl:true ~algorithm:Core.Synthesis.Repeat
+            ~deadline:16 g table))
+  in
+  let seen = Hashtbl.create 65536 in
+  let rec search i =
+    let name = Printf.sprintf "n%d" i in
+    let h = hash name in
+    match Hashtbl.find_opt seen h with
+    | Some other -> (other, name)
+    | None ->
+        Hashtbl.add seen h name;
+        search (i + 1)
+  in
+  let a, b = search 0 in
+  let key name = Serve.Cache.key (decode name).Serve.Jsonl.request in
+  Alcotest.(check bool) "distinct keys" false (key a = key b);
+  Alcotest.(check int) "one hash" (Hashtbl.hash (key a)) (Hashtbl.hash (key b));
+  let fresh name =
+    let { Serve.Jsonl.id; request } = decode name in
+    Serve.Jsonl.response_to_string ~id (Core.Synthesis.solve request)
+  in
+  let hits0 = counter "serve.cache.hit" and misses0 = counter "serve.cache.miss" in
+  let cache = Serve.Cache.create ~entries:8 () in
+  let answers =
+    Par.Pool.with_pool ~domains:1 (fun pool ->
+        output_lines
+          (session_output
+             (Serve.Daemon.create ~pool ~cache ~queue_capacity:1 ())
+             [ line a; line b; line a; line b ]))
+  in
+  Alcotest.(check (list string))
+    "each its own bytes" [ fresh a; fresh b; fresh a; fresh b ] answers;
+  let digest l =
+    Option.bind (Obs.Json.member "rtl" (Helpers.json l))
+      (Obs.Json.member "module_digest")
+  in
+  Alcotest.(check bool) "own module digest" false
+    (digest (fresh a) = digest (fresh b));
+  Alcotest.(check int) "two misses" (misses0 + 2) (counter "serve.cache.miss");
+  Alcotest.(check int) "each repeat hits" (hits0 + 2) (counter "serve.cache.hit");
+  Alcotest.(check int) "two entries" 2 (Serve.Cache.length cache)
 
 (* The JSONL parser against the canonical encoding: a random request with
    every knob drawn, rendered as an inline JSONL line and parsed back,
@@ -1344,6 +1506,10 @@ let () =
           Alcotest.test_case "solve_batch waves" `Quick test_solve_batch_waves;
           Alcotest.test_case "poisoned request isolated" `Quick
             test_poisoned_request_isolated;
+          Alcotest.test_case "duplicates in a wave solve once" `Quick
+            test_wave_duplicates_solved_once;
+          Alcotest.test_case "unencodable request isolated" `Quick
+            test_unencodable_request_isolated;
         ] );
       ( "differential",
         qsuite
@@ -1377,6 +1543,8 @@ let () =
             test_jsonl_serve_keeps_controller;
           Alcotest.test_case "rtl digest covers ops" `Quick
             test_rtl_digest_covers_ops;
+          Alcotest.test_case "hash collision, own answers" `Quick
+            test_hash_collision_own_answers;
         ]
         @ qsuite [ qcheck_jsonl_round_trips_encoding ]
         @ [
