@@ -396,9 +396,10 @@ let cache_hammer =
    key (the request's encoding) itself, and the resident
    catalogue resolving a repeated benchmark name (what the daemon does for
    every ["benchmark"] line before it can even probe the cache). The
-   inline rows split turning an [inline-dag] line into a request: the JSON
-   parse, then the decode of the parsed tree into graph, table and
-   request. *)
+   inline rows take one [inline-dag] line: [decode-inline] turns its bytes
+   into a request in the daemon's one pass ([Serve.Jsonl.line_of_string]),
+   and [parse-inline] builds its JSON tree ([Obs.Json.parse], which
+   [bench_gate] and [bench/e2e] still use). *)
 let serve_tests =
   let instance =
     lazy
@@ -434,14 +435,8 @@ let serve_tests =
       Test.make ~name:"parse-inline"
         (Staged.stage (fun () -> Obs.Json.parse (Lazy.force inline_line)));
       Test.make ~name:"decode-inline"
-        (let json =
-           lazy
-             (match Obs.Json.parse (Lazy.force inline_line) with
-             | Ok json -> json
-             | Error e -> failwith ("serve/decode-inline: " ^ e))
-         in
-         Staged.stage (fun () ->
-             Serve.Jsonl.line_of_json ~line:1 (Lazy.force json)));
+        (Staged.stage (fun () ->
+             Serve.Jsonl.line_of_string ~line:1 (Lazy.force inline_line)));
       Test.make ~name:"cache-hot" cache_hammer;
     ]
 

@@ -65,6 +65,15 @@ let put_int e v =
 
 let put_bool e b = put_int e (Bool.to_int b)
 
+(* The bytes [put_int] writes for [v >= 0]. *)
+let varint_bytes v =
+  let u = ref (v lsl 1) and bytes = ref 1 in
+  while !u land lnot 0x7f <> 0 do
+    u := !u lsr 7;
+    incr bytes
+  done;
+  !bytes
+
 let put_string e s =
   put_int e (String.length s);
   Buffer.add_string e s
@@ -100,9 +109,16 @@ let encode
       rtl;
     } =
   let n = Dfg.Graph.num_nodes g and k = Fulib.Table.num_types table in
-  (* room for one byte per int, the common case; the buffer grows past it.
-     Kept small so the buffer stays in the minor heap. *)
-  let ints = 32 + n + (3 * Dfg.Graph.num_edges g) + (2 * n * k) + (10 * k) in
+  (* Room for one byte per small int (counts, delays, sizes, cells), the
+     varint of the largest node id for each edge's destination (two bytes
+     from 64 nodes up), and nine bytes per unbounded capacity; the buffer
+     grows past it. Kept near the key's length, so that an inline key
+     does not regrow into a major-heap block and one of up to 2 KB stays
+     in the minor heap. *)
+  let id_bytes = varint_bytes (n - 1) in
+  let ints =
+    32 + n + ((2 + id_bytes) * Dfg.Graph.num_edges g) + (2 * n * k) + (10 * k)
+  in
   let e = Buffer.create ints in
   put_int e n;
   for v = 0 to n - 1 do

@@ -102,31 +102,9 @@ let kahn n ~adj_off ~adj_tgt ~deg ~out =
   done;
   !m
 
-let build_csr n succs preds ~ascending =
-  let num_edges = Array.fold_left (fun acc l -> acc + List.length l) 0 succs in
-  let count_zero l =
-    List.fold_left (fun acc (_, d, _) -> if d = 0 then acc + 1 else acc) 0 l
-  in
-  let fill adj =
-    let off = Array.make (n + 1) 0 in
-    for v = 0 to n - 1 do
-      off.(v + 1) <- off.(v) + count_zero adj.(v)
-    done;
-    let tgt = Array.make off.(n) 0 in
-    for v = 0 to n - 1 do
-      let i = ref off.(v) in
-      List.iter
-        (fun (w, d, _) ->
-          if d = 0 then begin
-            tgt.(!i) <- w;
-            incr i
-          end)
-        adj.(v)
-    done;
-    (off, tgt)
-  in
-  let succ_off, succ_tgt = fill succs in
-  let pred_off, pred_tgt = fill preds in
+(* The derived views of the zero-delay subgraph, from its CSR arrays. *)
+let build_csr n ~num_edges ~succ:(succ_off, succ_tgt) ~pred:(pred_off, pred_tgt)
+    ~out_data ~ascending =
   (* Computing the topological order is also the acyclicity check. When
      every zero-delay edge climbs in id, the heap pass would pop 0, 1, ..,
      n-1: once 0..m-1 are out, all of m's predecessors are, and every
@@ -140,11 +118,6 @@ let build_csr n succs preds ~ascending =
         invalid_arg "Graph.of_edges: zero-delay subgraph contains a cycle";
       out
     end
-  in
-  let out_data =
-    Array.map
-      (fun l -> List.fold_left (fun acc (_, _, s) -> acc + s) 0 l)
-      succs
   in
   let has_data = Array.exists (fun d -> d > 0) out_data in
   let collect (pred : int array) =
@@ -260,51 +233,86 @@ let roots g = Array.to_list g.csr.roots
 let is_tree g = g.csr.is_tree
 let is_in_tree g = g.csr.is_in_tree
 
-let of_edges ~names ?ops ?sizes edge_list =
-  let n = Array.length names in
-  let ops =
-    match ops with
-    | Some o ->
-        if Array.length o <> n then
-          invalid_arg "Graph.of_edges: ops length mismatch";
-        Array.copy o
-    | None -> Array.make n "op"
-  in
-  let edge_list =
-    match sizes with
-    | None -> edge_list
-    | Some sz ->
-        if Array.length sz <> List.length edge_list then
-          invalid_arg "Graph.of_edges: sizes length mismatch";
-        List.mapi (fun i e -> { e with size = sz.(i) }) edge_list
-  in
-  let succs = Array.make n [] and preds = Array.make n [] in
-  let ascending = ref true in
+(* The zero-delay part of each node's [other] neighbours in CSR form
+   (offsets, targets), in edge order: one stable counting pass over the
+   edges bucketed by [from]. *)
+let zero_delay n ~from ~other ~delay =
+  let m = Array.length from in
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    if delay.(i) = 0 then off.(from.(i) + 1) <- off.(from.(i) + 1) + 1
+  done;
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  let tgt = Array.make off.(n) 0 and at = Array.sub off 0 n in
+  for i = 0 to m - 1 do
+    if delay.(i) = 0 then begin
+      let v = from.(i) in
+      tgt.(at.(v)) <- other.(i);
+      at.(v) <- at.(v) + 1
+    end
+  done;
+  (off, tgt)
+
+(* Every edge is checked, in input order, before any is linked, so the
+   first bad edge is the one named. The messages say [of_edges], the
+   name wire clients have always seen in a ["graph: ..."] error. The
+   adjacency lists are consed from the last edge back, so each holds its
+   edges in input order with nothing to reverse. *)
+let of_edge_arrays ~names ~ops ~src ~dst ~delay ~size =
+  let n = Array.length names and m = Array.length src in
+  if Array.length ops <> n then invalid_arg "Graph.of_edges: ops length mismatch";
+  if Array.length dst <> m || Array.length delay <> m || Array.length size <> m
+  then invalid_arg "Graph.of_edge_arrays: edge arrays differ in length";
   let check_node v =
     if v < 0 || v >= n then
       invalid_arg (Printf.sprintf "Graph.of_edges: node %d out of range" v)
   in
-  List.iter
-    (fun { src; dst; delay; size } ->
-      check_node src;
-      check_node dst;
-      if delay < 0 then invalid_arg "Graph.of_edges: negative delay";
-      if size < 0 then invalid_arg "Graph.of_edges: negative size";
-      if src = dst && delay = 0 then
-        invalid_arg "Graph.of_edges: zero-delay self-loop";
-      if delay = 0 && src > dst then ascending := false;
-      succs.(src) <- (dst, delay, size) :: succs.(src);
-      preds.(dst) <- (src, delay, size) :: preds.(dst))
-    edge_list;
-  Array.iteri (fun i l -> succs.(i) <- List.rev l) succs;
-  Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
+  let ascending = ref true and out_data = Array.make n 0 in
+  for i = 0 to m - 1 do
+    let s = src.(i) and d = dst.(i) and l = delay.(i) in
+    check_node s;
+    check_node d;
+    if l < 0 then invalid_arg "Graph.of_edges: negative delay";
+    if size.(i) < 0 then invalid_arg "Graph.of_edges: negative size";
+    if s = d && l = 0 then invalid_arg "Graph.of_edges: zero-delay self-loop";
+    if l = 0 && s > d then ascending := false;
+    out_data.(s) <- out_data.(s) + size.(i)
+  done;
+  let succs = Array.make n [] and preds = Array.make n [] in
+  for i = m - 1 downto 0 do
+    let s = src.(i) and d = dst.(i) and l = delay.(i) and z = size.(i) in
+    succs.(s) <- (d, l, z) :: succs.(s);
+    preds.(d) <- (s, l, z) :: preds.(d)
+  done;
   {
     names = Array.copy names;
-    ops;
+    ops = Array.copy ops;
     succs;
     preds;
-    csr = build_csr n succs preds ~ascending:!ascending;
+    csr =
+      build_csr n ~num_edges:m
+        ~succ:(zero_delay n ~from:src ~other:dst ~delay)
+        ~pred:(zero_delay n ~from:dst ~other:src ~delay)
+        ~out_data ~ascending:!ascending;
   }
+
+let of_edges ~names ?ops edge_list =
+  let ops =
+    match ops with Some o -> o | None -> Array.make (Array.length names) "op"
+  in
+  let m = List.length edge_list in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  let delay = Array.make m 0 and size = Array.make m 0 in
+  List.iteri
+    (fun i e ->
+      src.(i) <- e.src;
+      dst.(i) <- e.dst;
+      delay.(i) <- e.delay;
+      size.(i) <- e.size)
+    edge_list;
+  of_edge_arrays ~names ~ops ~src ~dst ~delay ~size
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph (%d nodes, %d edges)" (num_nodes g)

@@ -19,20 +19,33 @@ type t
     different FU types. *)
 type edge = { src : int; dst : int; delay : int; size : int }
 
-(** [of_edges ~names ?ops ?sizes edges] builds a graph over nodes
+(** [of_edges ~names ?ops edges] builds a graph over nodes
     [0 .. Array.length names - 1]. [ops.(v)] is a free-form operation kind
-    (e.g. ["mul"]) defaulting to ["op"]. [sizes.(i)], when given, overrides
-    the [size] field of the [i]-th edge of [edges] — a convenience for
-    callers sizing an existing edge list. Raises [Invalid_argument] on node
-    ids out of range, negative delays or sizes, a [sizes] length mismatch,
-    self-loops with zero delay, or when the zero-delay subgraph contains a
-    cycle.
+    (e.g. ["mul"]) defaulting to ["op"]. Raises [Invalid_argument] on node
+    ids out of range, negative delays or sizes, self-loops with zero
+    delay, or when the zero-delay subgraph contains a cycle; the edges are
+    checked in list order, so the message names the first bad one.
 
     The topological order ({!topo_arr}) is built here, as the acyclicity
     check. When every zero-delay edge goes from a lower id to a higher one
     it is the identity, with no heap pass. *)
-val of_edges :
-  names:string array -> ?ops:string array -> ?sizes:int array -> edge list -> t
+val of_edges : names:string array -> ?ops:string array -> edge list -> t
+
+(** [of_edge_arrays ~names ~ops ~src ~dst ~delay ~size] is {!of_edges}
+    over the edges [{src = src.(i); dst = dst.(i); delay = delay.(i);
+    size = size.(i)}] in index order, the one constructor {!of_edges}
+    delegates to: the same checks, in the same order, with the same
+    messages. A decoder that reads edges into arrays builds no list. The
+    arrays are read, not kept. Also raises [Invalid_argument] when [ops]
+    is not as long as [names] or the four edge arrays differ in length. *)
+val of_edge_arrays :
+  names:string array ->
+  ops:string array ->
+  src:int array ->
+  dst:int array ->
+  delay:int array ->
+  size:int array ->
+  t
 
 val num_nodes : t -> int
 val num_edges : t -> int

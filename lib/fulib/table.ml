@@ -40,34 +40,59 @@ let of_flat library ~k times costs =
 
 let max_cell = 1 lsl 32
 
-(* Rows are checked and copied in one pass, time rows before cost rows.
-   The copy is an explicit loop: [n * k] often passes the minor-heap size
-   limit, and [Array.blit] into a major-heap block stores field by field
-   through the write barrier. *)
-let flatten ~what ~least ~bad ~k rows =
+(* Rows are checked and copied in one pass, time rows before cost rows,
+   each row's width before its cells. The copy is an explicit loop:
+   [n * k] often passes the minor-heap size limit, and [Array.blit] into
+   a major-heap block stores field by field through the write barrier. *)
+type matrix = { what : string; least : int; bad : string }
+
+let time_cells = { what = "time"; least = 1; bad = "Table.make: time < 1" }
+let cost_cells = { what = "cost"; least = 0; bad = "Table.make: negative cost" }
+
+(* Row [v], [width] cells of [src] from [off], into [flat]. *)
+let copy_row m ~k flat v src off width =
+  if width <> k then
+    invalid_arg (Printf.sprintf "Table.make: %s row has wrong width" m.what);
+  for t = 0 to k - 1 do
+    let x = src.(off + t) in
+    if x < m.least then invalid_arg m.bad;
+    if x > max_cell then
+      invalid_arg (Printf.sprintf "Table.make: %s > %d" m.what max_cell);
+    flat.((v * k) + t) <- x
+  done
+
+let flatten m ~k rows =
   let flat = Array.make (Array.length rows * k) 0 in
-  Array.iteri
-    (fun v row ->
-      if Array.length row <> k then
-        invalid_arg (Printf.sprintf "Table.make: %s row has wrong width" what);
-      for t = 0 to k - 1 do
-        let x = row.(t) in
-        if x < least then invalid_arg bad;
-        if x > max_cell then
-          invalid_arg (Printf.sprintf "Table.make: %s > %d" what max_cell);
-        flat.((v * k) + t) <- x
-      done)
-    rows;
+  for v = 0 to Array.length rows - 1 do
+    copy_row m ~k flat v rows.(v) 0 (Array.length rows.(v))
+  done;
   flat
 
+let flatten_cells m ~k (cells, ends) =
+  let flat = Array.make (Array.length ends * k) 0 and start = ref 0 in
+  for v = 0 to Array.length ends - 1 do
+    copy_row m ~k flat v cells !start (ends.(v) - !start);
+    start := ends.(v)
+  done;
+  flat
+
+let row_counts (time : int) cost =
+  if cost <> time then invalid_arg "Table.make: time/cost row counts differ"
+
+(* [let]s, not arguments: arguments are evaluated right to left, and a
+   time fault must be reported before a cost fault. *)
 let make ~library ~time ~cost =
   let k = Library.num_types library in
-  if Array.length cost <> Array.length time then
-    invalid_arg "Table.make: time/cost row counts differ";
-  let times = flatten ~what:"time" ~least:1 ~bad:"Table.make: time < 1" ~k time in
-  let costs =
-    flatten ~what:"cost" ~least:0 ~bad:"Table.make: negative cost" ~k cost
-  in
+  row_counts (Array.length time) (Array.length cost);
+  let times = flatten time_cells ~k time in
+  let costs = flatten cost_cells ~k cost in
+  of_flat library ~k times costs
+
+let of_rows ~library ~time ~cost =
+  let k = Library.num_types library in
+  row_counts (Array.length (snd time)) (Array.length (snd cost));
+  let times = flatten_cells time_cells ~k time in
+  let costs = flatten_cells cost_cells ~k cost in
   of_flat library ~k times costs
 
 let library t = t.library

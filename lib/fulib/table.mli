@@ -19,6 +19,15 @@ val max_cell : int
     [time] or [cost]. *)
 val make : library:Library.t -> time:int array array -> cost:int array array -> t
 
+(** [of_rows ~library ~time:(cells, ends) ~cost:(cells, ends)] is {!make}
+    with each matrix given as its cells in row order and the end of each
+    row in them: row [v] is [cells.(ends.(v - 1)) .. cells.(ends.(v) - 1)],
+    row 0 starting at 0. The same checks in the same order, with the same
+    messages; a decoder that reads every row into one array builds no row
+    arrays. The arrays are read, not kept. *)
+val of_rows :
+  library:Library.t -> time:int array * int array -> cost:int array * int array -> t
+
 val library : t -> Library.t
 val num_nodes : t -> int
 val num_types : t -> int

@@ -88,15 +88,42 @@ type line =
     }
   | Release of { id : Obs.Json.t; task : string }
 
-(** Dispatch on the line's ["cmd"] field (default ["solve"]). *)
-val line_of_json :
-  ?lookup:lookup -> line:int -> Obs.Json.t -> (line, string) result
-
 (** [line_of_string ?lookup ~line s] — decode one raw wire line. [line]
     is the 1-based line number used as the default [id]. [Error]
-    describes the field at fault, or the malformed JSON. *)
+    describes the field at fault, or the malformed JSON.
+
+    The decode is one pass over the bytes with {!Obs.Json}'s cursor, and
+    builds no JSON tree: node names and ops, edge columns, table rows and
+    capacities are read straight into arrays, and the graph is built from
+    the edge columns ({!Dfg.Graph.of_edge_arrays}). Its answer is exactly
+    the one {!line_of_json} gives on [Obs.Json.parse s]:
+    + A syntax error anywhere in the line beats every field fault, and
+      its text is [parse]'s, with its offset: ["malformed JSON: at offset
+      N: ..."], nesting past [Obs.Json.max_depth] included.
+    + The first occurrence of a key, at any object level, is the one
+      decoded; later ones are only checked for syntax.
+    + Field faults are reported in one fixed order, whatever order the
+      fields arrive in: [cmd], the instance (graph, then table), the
+      deadline, [algorithm], [scheduler], [levels], then an admit's
+      [period].
+    + A field the line's command does not read is not judged: a
+      ["release"] line, or one with a string ["benchmark"], ignores
+      [graph] and [table].
+    + A value of the wrong JSON type acts as an absent one where the
+      field has a default: a non-bool [validate] or [rtl] is false, a
+      non-int [seed] is 42 and an [id] that is neither a string nor an
+      int is the line number.
+    The stacks the walk reads onto are per domain, so lines decode in
+    parallel. *)
 val line_of_string :
   ?lookup:lookup -> line:int -> string -> (line, string) result
+
+(** The decode of a parsed tree: {!line_of_string} on the text the tree
+    was parsed from. No request path calls it; it is kept only because
+    [bench/e2e]'s replay builds its reference answers with it, and it
+    goes with the replay's next change. *)
+val line_of_json :
+  ?lookup:lookup -> line:int -> Obs.Json.t -> (line, string) result
 
 (** The response line after its [{"id":<id>,] prefix: every other field,
     then the closing brace. The one place a response is rendered; the

@@ -69,7 +69,8 @@ let with_sizes rng ?(min_size = 1) ?(max_size = 8) g =
   for i = 0 to Array.length sizes - 1 do
     sizes.(i) <- Prng.int_in rng min_size max_size
   done;
-  Dfg.Graph.of_edges ~names ~ops ~sizes edges
+  Dfg.Graph.of_edges ~names ~ops
+    (List.mapi (fun i (e : Dfg.Graph.edge) -> { e with size = sizes.(i) }) edges)
 
 (* The parent rng is split once per graph on the calling domain (split
    advances the parent, so the streams are a pure function of the parent's

@@ -11,7 +11,13 @@
    error here and unbounded recursion in the oracle, which is never run
    on such input. A table whose row count differs from the graph's node
    count is a decode error here; the oracle either raised on it or built
-   a request no solver can index. *)
+   a request no solver can index.
+
+   Two more checks hold on every input. Whenever [Obs.Json.parse] fails,
+   [line_of_string] fails with exactly its text behind "malformed JSON: ",
+   depth errors included. Whenever it parses, [line_of_json] on the tree
+   (the decode [bench/e2e] builds its reference answers with) equals
+   [line_of_string] on the bytes. *)
 
 module J = Obs.Json
 module P = Workloads.Prng
@@ -75,6 +81,22 @@ let oracle_fp = function
 
 let decode s = Result.map line_fp (Serve.Jsonl.line_of_string ~lookup ~line:7 s)
 
+(* [None] when the byte decoder and the tree decoder agree on [s]: the
+   exact [parse] error, or what [line_of_json] makes of the tree. *)
+let tree_diff s parsed decoded =
+  let want =
+    match parsed with
+    | Error msg -> Error ("malformed JSON: " ^ msg)
+    | Ok json ->
+        Result.map line_fp (Serve.Jsonl.line_of_json ~lookup ~line:7 json)
+  in
+  if want = decoded then None
+  else
+    let show = function Ok fp -> fp | Error e -> "error: " ^ e in
+    Some
+      (Printf.sprintf "decode %S: line_of_string %s, tree %s" s (show decoded)
+         (show want))
+
 (* The graph and table of an inline line, as the oracle parser sees them:
    true when both are there and their node counts differ. *)
 let counts_differ s =
@@ -119,15 +141,18 @@ let check_batch pool inputs =
     Par.Pool.map_array pool
       (fun s ->
         match (J.parse s, decode s) with
-        | parsed, decoded -> Ok (parsed, decoded)
-        | exception e -> Error (Printexc.to_string e))
+        | parsed, decoded -> (
+            match tree_diff s parsed decoded with
+            | None -> Ok (parsed, decoded)
+            | Some report -> Error report)
+        | exception e -> Error (Printf.sprintf "%S raised %s" s (Printexc.to_string e)))
       inputs
   in
   Array.iteri
     (fun i r ->
       let s = inputs.(i) in
       match r with
-      | Error e -> QCheck.Test.fail_reportf "%S raised %s" s e
+      | Error report -> QCheck.Test.fail_report report
       | Ok (parsed, decoded) -> (
           match parse_diff s parsed with
           | Some report -> QCheck.Test.fail_report report
@@ -254,7 +279,7 @@ type parts = {
   mem : J.t;
 }
 
-let inline_line rng =
+let inline_json ?(faults = true) rng =
   let n = 1 + P.int rng 40 and k = 1 + P.int rng 3 in
   let g = Workloads.Random_dfg.random_dag rng ~n ~extra_edges:(n / 3) in
   (* shuffled ids: a random relabelling keeps the DAG acyclic *)
@@ -349,10 +374,17 @@ let inline_line rng =
       mem = ints (Array.init k (fun _ -> P.int rng 200));
     }
   in
-  let p = match P.int rng 4 with 0 -> p | 1 -> fault p | _ -> fault (fault p) in
+  let p =
+    if not faults then p
+    else match P.int rng 4 with 0 -> p | 1 -> fault p | _ -> fault (fault p)
+  in
   let ladder () =
     ints (Array.of_list (100 :: List.filter (fun _ -> P.int rng 2 = 0) [ 80; 60; 40; 20 ]))
   in
+  (* Without [faults], the same draws pick only valid deadlines and
+     names. *)
+  let valid d = if faults then d else 3 + (d mod 4) in
+  let known name = if faults || name <> "bogus" then name else "repeat" in
   let fields =
     opt 80 ("id", if P.int rng 2 = 0 then J.String "x" else J.Int (P.int rng 99))
     @ opt 20 ("cmd", J.String (pick rng [| "solve"; "admit"; "release" |]))
@@ -369,7 +401,7 @@ let inline_line rng =
             @ opt 98 ("time", J.List p.time)
             @ opt 98 ("cost", J.List p.cost)
             @ opt 40 ("mem_capacity", p.mem)) )
-    @ (match P.int rng 7 with
+    @ (match valid (P.int rng 7) with
       | 0 -> []
       | 1 -> [ ("deadline", junk ()) ]
       | 2 ->
@@ -377,8 +409,8 @@ let inline_line rng =
           [ ("deadline_factor", pick rng bad) ]
       | 3 | 4 -> [ ("deadline", J.Int (P.int_in rng 0 300)) ]
       | _ -> [ ("deadline_factor", J.Float (0.5 +. P.float rng)) ])
-    @ opt 40 ("algorithm", J.String (pick rng [| "repeat"; "greedy"; "tree"; "bogus" |]))
-    @ opt 20 ("scheduler", J.String (pick rng [| "list"; "force"; "bogus" |]))
+    @ opt 40 ("algorithm", J.String (known (pick rng [| "repeat"; "greedy"; "tree"; "bogus" |])))
+    @ opt 20 ("scheduler", J.String (known (pick rng [| "list"; "force"; "bogus" |])))
     @ opt 20 ("validate", J.Bool (P.int rng 2 = 0))
     @ opt 20 ("rtl", J.Bool (P.int rng 2 = 0))
     @ opt 20 ("trace", J.Bool (P.int rng 2 = 0))
@@ -393,9 +425,221 @@ let inline_line rng =
               J.List (set_nth (List.init k (fun _ -> ladder ())) 0 (pick rng bad))
           | _ -> J.List (List.init (P.int rng (k + 2)) (fun _ -> ladder ())) )
   in
-  let line = J.to_string (J.Obj fields) in
+  J.Obj fields
+
+let inline_line rng =
+  let line = J.to_string (inline_json rng) in
   (* one in eight lines also gets a random byte-level fault *)
   if P.int rng 8 = 0 then mutate rng line else line
+
+(* --- inputs: reshaped inline DAGs ------------------------------------ *)
+
+(* [J.to_string] writes fields in one order, no whitespace, no duplicate
+   key, no escape and only the ints it was given. A decoder that reads
+   the bytes must not lean on any of that, so these lines take the same
+   values and reshape them: fields permuted at every level, keys
+   duplicated (the second value often invalid), unknown fields holding
+   nested containers, boundary numbers, escaped strings and keys, and
+   whitespace between tokens. Some pair a broken inline graph with a
+   "release" command or a string "benchmark", which never read it. *)
+type shape = Tok of string | Str of string | Arr of shape list | Obj of (string * shape) list
+
+let rec shape_of = function
+  | J.Null -> Tok "null"
+  | J.Bool b -> Tok (string_of_bool b)
+  | J.Int i -> Tok (string_of_int i)
+  | J.Float _ as f -> Tok (J.to_string f)
+  | J.String s -> Str s
+  | J.List l -> Arr (List.map shape_of l)
+  | J.Obj fields -> Obj (List.map (fun (k, v) -> (k, shape_of v)) fields)
+
+let boundary =
+  [|
+    "123456789012345678"; "-123456789012345678"; "1234567890123456789";
+    "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+    "-0"; "0"; "1.0"; "1e2"; "2E0"; "-1";
+  |]
+
+let junk_shape rng =
+  pick rng
+    [|
+      Tok "null"; Tok "true"; Tok "1.5"; Str "x"; Arr []; Obj [];
+      Arr [ Arr [ Tok "1" ]; Obj [ ("nodes", Arr [ Tok "2" ]) ] ];
+    |]
+
+let unknown rng =
+  ( pick rng [| "note"; "meta"; "nodes"; "graph"; "time"; "x-extra" |],
+    pick rng
+      [|
+        Arr [ Obj [ ("a", Arr [ Tok "1"; Str "b"; Arr [] ]) ]; Arr [ Arr [] ] ];
+        Obj [ ("edges", Arr [ Arr [ Tok "0"; Tok "1" ] ]); ("k", Obj []) ];
+        Str "{\"not\": [\"parsed\"]}"; Tok "-1e5";
+      |] )
+
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = P.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(* How often each reshaping strikes, drawn once per line: a rate of [r]
+   is one chance in [r] per token or field, and [0] is never. Most lines
+   keep every value valid, so the decoders must also agree on what a
+   reshaped line encodes to. *)
+type rates = { numbers : int; nests : int; duplicates : int; unknowns : int }
+
+let draw_rates rng =
+  let rate options = pick rng options in
+  {
+    numbers = rate [| 0; 0; 400; 60 |];
+    nests = rate [| 0; 0; 0; 400 |];
+    duplicates = rate [| 0; 40; 12; 4 |];
+    unknowns = rate [| 0; 6; 2 |];
+  }
+
+let strikes rng rate = rate > 0 && P.int rng rate = 0
+
+(* Ints (and ids) may become boundary numbers, and a token an array
+   nested around the depth bound, inside whatever field holds it. *)
+let rec reshape rng rt v =
+  match v with
+  | Tok t when strikes rng rt.numbers && t <> "null" && t <> "true" && t <> "false" ->
+      Tok (pick rng boundary)
+  | Tok _ when strikes rng rt.nests ->
+      let rec nest d x = if d = 0 then x else nest (d - 1) (Arr [ x ]) in
+      nest (J.max_depth - 6 + P.int rng 10) v
+  | Tok _ | Str _ -> v
+  | Arr items -> Arr (List.map (reshape rng rt) items)
+  | Obj fields ->
+      let fields =
+        List.map
+          (fun (k, v) ->
+            match k with
+            | "id" when strikes rng (rt.numbers / 20) -> (k, Tok (pick rng boundary))
+            | _ -> (k, reshape rng rt v))
+          fields
+      in
+      let fields = shuffle rng fields in
+      let fields =
+        if strikes rng rt.unknowns then
+          let i = P.int rng (List.length fields + 1) in
+          List.filteri (fun j _ -> j < i) fields
+          @ (unknown rng :: List.filteri (fun j _ -> j >= i) fields)
+        else fields
+      in
+      (* A duplicate: after the value, the same value, junk or another
+         valid value; or junk first, so the valid value is the ignored
+         one. *)
+      let other = function
+        | Str s -> Str (s ^ "_")
+        | Tok t -> (
+            match int_of_string_opt t with
+            | Some i -> Tok (string_of_int (i + 1))
+            | None -> junk_shape rng)
+        | Arr _ | Obj _ -> junk_shape rng
+      in
+      Obj
+        (List.concat_map
+           (fun (k, v) ->
+             if not (strikes rng rt.duplicates) then [ (k, v) ]
+             else
+               match P.int rng 4 with
+               | 0 -> [ (k, v); (k, v) ]
+               | 1 -> [ (k, v); (k, junk_shape rng) ]
+               | 2 -> [ (k, v); (k, other v) ]
+               | _ -> [ (k, junk_shape rng); (k, v) ])
+           fields)
+
+(* The first graph of a top-level object, broken. *)
+let break_graph rng = function
+  | Obj fields ->
+      let broken =
+        pick rng
+          [|
+            Obj [ ("nodes", Tok "5") ]; Str "graph";
+            Obj [ ("nodes", Arr [ Obj [] ]); ("edges", Arr [ Arr [ Tok "0"; Tok "0" ] ]) ];
+          |]
+      in
+      let rec swap = function
+        | ("graph", _) :: rest -> ("graph", broken) :: rest
+        | f :: rest -> f :: swap rest
+        | [] -> [ ("graph", broken) ]
+      in
+      Obj (swap fields)
+  | v -> v
+
+let render rng v =
+  let b = Buffer.create 4096 in
+  let ws () =
+    if P.int rng 5 = 0 then
+      Buffer.add_string b (pick rng [| " "; "\n"; "\t"; "\r\n"; "  " |])
+  in
+  let str s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '/' when P.int rng 2 = 0 -> Buffer.add_string b "\\/"
+        | c when Char.code c < 0x20 || (Char.code c < 0x80 && P.int rng 6 = 0) ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+  in
+  let rec go v =
+    ws ();
+    (match v with
+    | Tok t -> Buffer.add_string b t
+    | Str s -> str s
+    | Arr items ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then begin
+              ws ();
+              Buffer.add_char b ','
+            end;
+            go x)
+          items;
+        ws ();
+        Buffer.add_char b ']'
+    | Obj fields ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, x) ->
+            if i > 0 then begin
+              ws ();
+              Buffer.add_char b ','
+            end;
+            ws ();
+            str k;
+            ws ();
+            Buffer.add_char b ':';
+            go x)
+          fields;
+        ws ();
+        Buffer.add_char b '}');
+    ws ()
+  in
+  go v;
+  Buffer.contents b
+
+let reshaped_line rng =
+  let v = shape_of (inline_json ~faults:(P.int rng 2 = 0) rng) in
+  let v =
+    match (P.int rng 8, v) with
+    | 0, Obj fields -> break_graph rng (Obj (("cmd", Str "release") :: fields))
+    | 1, Obj fields ->
+        break_graph rng (Obj (fields @ [ ("benchmark", Str (pick rng [| "diffeq"; "elliptic" |])) ]))
+    | _ -> v
+  in
+  render rng (reshape rng (draw_rates rng) v)
 
 (* --- properties ------------------------------------------------------ *)
 
@@ -437,9 +681,12 @@ let () =
       batch_prop ~domains "inline DAGs" ~count:100 ~size:8 inline_line;
     ]
   in
+  let reshaped domains =
+    batch_prop ~domains "reshaped inline DAGs" ~count:100 ~size:8 reshaped_line
+  in
   Alcotest.run "decode"
     [
-      ("oracle differentials", props 1 @ props 2);
+      ("oracle differentials", props 1 @ props 2 @ [ reshaped 1; reshaped 2 ]);
       ( "fixed cases",
         [
           Alcotest.test_case "table rows must match graph nodes" `Quick

@@ -66,7 +66,48 @@ let test_validation () =
       ignore (table lib2 [ ([ 1; m + 1 ], [ 1; 1 ]) ]));
   Alcotest.check_raises "cost above the bound"
     (Invalid_argument "Table.make: cost > 4294967296") (fun () ->
-      ignore (table lib2 [ ([ 1; 1 ], [ m + 1; 1 ]) ]))
+      ignore (table lib2 [ ([ 1; 1 ], [ m + 1; 1 ]) ]));
+  Alcotest.check_raises "a time fault before a cost fault"
+    (Invalid_argument "Table.make: time < 1") (fun () ->
+      ignore (table lib2 [ ([ 1; 1 ], [ 1; -2 ]); ([ 1; 0 ], [ 1; 1 ]) ]));
+  (* [of_rows] takes each matrix as its cells and row ends, and must give
+     [make]'s answer: the same table or the same first fault. *)
+  let outcome build =
+    match build () with
+    | t ->
+        let n = Fulib.Table.num_nodes t in
+        Printf.sprintf "%d rows: %s %s" n
+          (String.concat "," (Array.to_list (Array.map string_of_int (Fulib.Table.flat_times t))))
+          (String.concat "," (Array.to_list (Array.map string_of_int (Fulib.Table.flat_costs t))))
+    | exception Invalid_argument msg -> msg
+  in
+  let flat rows =
+    let ends = Array.make (Array.length rows) 0 in
+    Array.iteri
+      (fun v row -> ends.(v) <- Array.length row + if v = 0 then 0 else ends.(v - 1))
+      rows;
+    (Array.concat (Array.to_list rows), ends)
+  in
+  List.iter
+    (fun (time, cost) ->
+      let time = Array.of_list (List.map Array.of_list time)
+      and cost = Array.of_list (List.map Array.of_list cost) in
+      Alcotest.(check string) "of_rows = make"
+        (outcome (fun () -> Fulib.Table.make ~library:lib2 ~time ~cost))
+        (outcome (fun () ->
+             Fulib.Table.of_rows ~library:lib2 ~time:(flat time) ~cost:(flat cost))))
+    [
+      ([ [ 1; 2 ]; [ 3; 4 ] ], [ [ 5; 6 ]; [ 7; 8 ] ]);
+      ([ [ 1; 0 ] ], [ [ 1; 1 ] ]);
+      ([ [ 1; 1 ] ], [ [ 1; -2 ] ]);
+      ([ [ 1 ] ], [ [ 1; 1 ] ]);
+      ([ [ 1; 1 ]; [ 1; 1; 1 ] ], [ [ 1; 1 ]; [ 1; 1 ] ]);
+      ([ [ 1; m + 1 ] ], [ [ 1; 1 ] ]);
+      ([ [ 1; 1 ] ], [ [ m + 1; 1 ] ]);
+      ([ [ 1; 1 ]; [ 1; 0 ] ], [ [ 1; -2 ]; [ 1; 1 ] ]);
+      ([ [ 1; 1 ]; [ 2; 2 ] ], [ [ 1; 1 ] ]);
+      ([], []);
+    ]
 
 let test_make_copies_input () =
   let time = [| [| 1; 2 |] |] and cost = [| [| 3; 4 |] |] in

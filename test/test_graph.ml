@@ -70,7 +70,18 @@ let test_cycle_with_delay_allowed () =
 let test_out_of_range_rejected () =
   Alcotest.check_raises "bad node"
     (Invalid_argument "Graph.of_edges: node 5 out of range") (fun () ->
-      ignore (graph 3 [ (0, 5) ]))
+      ignore (graph 3 [ (0, 5) ]));
+  (* Edges are checked in order, each fully, and all before the cycle
+     check: the first bad edge is named, its source before its target. *)
+  Alcotest.check_raises "first bad edge named"
+    (Invalid_argument "Graph.of_edges: node 7 out of range") (fun () ->
+      ignore (graph_with_delays 3 [ (0, 1, 0); (1, 0, 0); (7, 9, 0); (0, 2, -1) ]));
+  Alcotest.check_raises "of_edge_arrays, the same order"
+    (Invalid_argument "Graph.of_edges: negative delay") (fun () ->
+      ignore
+        (Dfg.Graph.of_edge_arrays ~names:[| "a"; "b"; "c" |]
+           ~ops:[| "op"; "op"; "op" |] ~src:[| 0; 1; 0; 2 |] ~dst:[| 1; 0; 2; 2 |]
+           ~delay:[| 0; 0; -1; 0 |] ~size:[| 0; 0; 0; 0 |]))
 
 let test_negative_delay_rejected () =
   Alcotest.check_raises "negative delay"
